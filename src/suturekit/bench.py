@@ -20,7 +20,7 @@ from .calibration import (
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to
 from .geometry import PinholeCamera, RigidPose, StereoRig, rotation_geodesic
-from .needle import NeedleShape, pose_to_params, rasterize
+from .needle import BinaryMask, NeedleShape, pose_to_params, rasterize
 from .planning import (
     PlanConfig,
     SuturePorts,
@@ -70,12 +70,6 @@ def default_mono_camera(standoff: float = 0.08) -> PinholeCamera:
     return PinholeCamera(1200.0, 1200.0, 640.0, 480.0, 1280, 960, pose)
 
 
-@dataclass(frozen=True)
-class PoseBenchScene:
-    needle_pose: RigidPose
-    occlusion: tuple | None
-
-
 def random_needle_pose(
     rng: np.random.Generator,
     rig: StereoRig,
@@ -115,6 +109,21 @@ def random_needle_pose(
     raise RuntimeError("could not sample an in-view needle pose")
 
 
+def observe(
+    T: RigidPose, shape: NeedleShape, rig: StereoRig, line_width: float, occlusion=None
+) -> tuple[tuple[BinaryMask, BinaryMask], KeypointHints]:
+    """Synthetic perception of a needle pose: both views' masks plus the
+    exact endpoint pixels of each view as estimator hints."""
+    masks = tuple(rasterize(T, shape, cam, line_width, occlusion) for cam in rig.cameras)
+    x_l = pose_to_params(T, shape, rig.left)
+    x_r = pose_to_params(T, shape, rig.right)
+    hints = KeypointHints(
+        left_start=x_l.kp_st, left_end=x_l.kp_ed,
+        right_start=x_r.kp_st, right_end=x_r.kp_ed,
+    )
+    return masks, hints
+
+
 @dataclass(frozen=True)
 class PoseBenchConfig:
     scenes: int = 100
@@ -152,15 +161,7 @@ def run_pose_scene(
     if occlusion_frac > 0:
         start = rng.uniform(0.0, 1.0 - occlusion_frac)
         occ = (start, start + occlusion_frac)
-    masks = tuple(
-        rasterize(T_true, shape, cam, cfg.line_width, occ) for cam in rig.cameras
-    )
-    x_true_l = pose_to_params(T_true, shape, rig.left)
-    x_true_r = pose_to_params(T_true, shape, rig.right)
-    hints = KeypointHints(
-        left_start=x_true_l.kp_st, left_end=x_true_l.kp_ed,
-        right_start=x_true_r.kp_st, right_end=x_true_r.kp_ed,
-    )
+    masks, hints = observe(T_true, shape, rig, cfg.line_width, occ)
     converged = True
     try:
         pose, report, steps = estimate(masks, hints, shape, rig, cfg.estimator)
@@ -276,13 +277,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
 
     # --- perception + needle pose estimation ----------------------------
     T_needle = random_needle_pose(rng, rig, shape)
-    masks = tuple(rasterize(T_needle, shape, cam, cfg.line_width) for cam in rig.cameras)
-    x_l = pose_to_params(T_needle, shape, rig.left)
-    x_r = pose_to_params(T_needle, shape, rig.right)
-    hints = KeypointHints(
-        left_start=x_l.kp_st, left_end=x_l.kp_ed,
-        right_start=x_r.kp_st, right_end=x_r.kp_ed,
-    )
+    masks, hints = observe(T_needle, shape, rig, cfg.line_width)
     T_est, _, _ = estimate(masks, hints, shape, rig, cfg.estimator)
     est_pos_err = float(np.linalg.norm(T_est.translation - T_needle.translation))
     est_ang_err = rotation_geodesic(T_est.rotation, T_needle.rotation)

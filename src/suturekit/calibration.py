@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .geometry import NonPositiveDepth, PinholeCamera, RigidPose
+from .geometry import PinholeCamera, RigidPose
 from .psm_kinematics import (
     JointVector,
     KinematicModel,
@@ -103,11 +103,11 @@ def detect_features(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Feature pixel positions with isotropic Gaussian pixel noise."""
-    pts = jaw_pose.apply(fm.body_points)
-    try:
-        px = np.array([camera.project(p) for p in pts])
-    except NonPositiveDepth as e:
-        raise FeatureBehindCamera(str(e)) from e
+    px, valid = camera.project_many(jaw_pose.apply(fm.body_points))
+    if not valid.all():
+        raise FeatureBehindCamera(
+            f"{np.count_nonzero(~valid)} feature point(s) at or behind the camera"
+        )
     if noise_px > 0:
         if rng is None:
             raise ValueError("rng required when noise_px > 0")
@@ -181,8 +181,10 @@ def pose_from_pixels(
         T = RigidPose(dR @ T.rotation, dR @ T.translation + delta[3:])
         if np.linalg.norm(delta) < step_tol:
             break
-    pw = T.apply(fm.body_points)
-    r = np.array([camera.project(p) for p in pw]) - pixels
+    proj, valid = camera.project_many(T.apply(fm.body_points))
+    if not valid.all():
+        raise FeatureBehindCamera("feature depth went non-positive during fit")
+    r = proj - pixels
     return PoseFit(T, float(np.sum(r * r)), it + 1)
 
 
@@ -422,10 +424,6 @@ class MlpModel:
             h = np.maximum(h @ W + b, 0.0)
             acts.append(h)
         return acts, acts[-1] @ self.weights[-1] + self.biases[-1]
-
-
-def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    return model.forward(x)
 
 
 def mlp_init(

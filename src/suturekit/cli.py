@@ -305,13 +305,16 @@ def _add_common(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override rng seed")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--scenes", type=int, help="override scene count")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="suturekit")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("pose-bench", "control-sim", "suture-run"):
+    _add_common(sub.add_parser("pose-bench")).add_argument(
+        "--scenes", type=int, help="override scene count"
+    )
+    for name in ("control-sim", "suture-run"):
         _add_common(sub.add_parser(name))
     calib = sub.add_parser("calib")
     calib_sub = calib.add_subparsers(dest="subcommand", required=True)

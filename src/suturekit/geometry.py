@@ -7,7 +7,6 @@ used only for trajectory interpolation (see planning).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,14 +75,6 @@ class RigidPose:
     def from_matrix(T: np.ndarray) -> "RigidPose":
         T = _as_array(T, (4, 4))
         return RigidPose(T[:3, :3], T[:3, 3])
-
-
-def compose(a: RigidPose, b: RigidPose) -> RigidPose:
-    return a.compose(b)
-
-
-def invert(a: RigidPose) -> RigidPose:
-    return a.inverse()
 
 
 def rotation_geodesic(Ra: np.ndarray, Rb: np.ndarray) -> float:
@@ -161,14 +152,6 @@ class PinholeCamera:
         return (margin <= u < self.width - margin) and (margin <= v < self.height - margin)
 
 
-def project(camera: PinholeCamera, point_world: np.ndarray) -> np.ndarray:
-    return camera.project(point_world)
-
-
-def backproject_ray(camera: PinholeCamera, pixel: np.ndarray) -> np.ndarray:
-    return camera.backproject_ray(pixel)
-
-
 @dataclass(frozen=True)
 class StereoRig:
     left: PinholeCamera
@@ -182,60 +165,3 @@ class StereoRig:
     def cameras(self) -> tuple[PinholeCamera, PinholeCamera]:
         return (self.left, self.right)
 
-
-# --- JSON (de)serialization -------------------------------------------------
-
-def pose_to_dict(pose: RigidPose) -> dict:
-    return {
-        "rotation": [float(x) for x in pose.rotation.reshape(-1)],
-        "translation": [float(x) for x in pose.translation],
-    }
-
-
-def pose_from_dict(d: dict) -> RigidPose:
-    return RigidPose(
-        np.asarray(d["rotation"], dtype=float).reshape(3, 3),
-        np.asarray(d["translation"], dtype=float),
-    )
-
-
-def camera_to_dict(cam: PinholeCamera) -> dict:
-    return {
-        "fx": cam.fx,
-        "fy": cam.fy,
-        "cx": cam.cx,
-        "cy": cam.cy,
-        "width": cam.width,
-        "height": cam.height,
-        "pose": pose_to_dict(cam.pose_world_from_camera),
-    }
-
-
-def camera_from_dict(d: dict) -> PinholeCamera:
-    return PinholeCamera(
-        fx=float(d["fx"]),
-        fy=float(d["fy"]),
-        cx=float(d["cx"]),
-        cy=float(d["cy"]),
-        width=int(d["width"]),
-        height=int(d["height"]),
-        pose_world_from_camera=pose_from_dict(d["pose"]) if "pose" in d else RigidPose.identity(),
-    )
-
-
-def rig_to_dict(rig: StereoRig) -> dict:
-    return {"left": camera_to_dict(rig.left), "right": camera_to_dict(rig.right)}
-
-
-def rig_from_dict(d: dict) -> StereoRig:
-    return StereoRig(camera_from_dict(d["left"]), camera_from_dict(d["right"]))
-
-
-def load_rig(path) -> StereoRig:
-    with open(path) as f:
-        return rig_from_dict(json.load(f))
-
-
-def load_camera(path) -> PinholeCamera:
-    with open(path) as f:
-        return camera_from_dict(json.load(f))

@@ -13,12 +13,12 @@ the arc-plane normal (x cross y).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PinholeCamera, RigidPose, StereoRig, pose_from_dict, pose_to_dict
+from .geometry import PinholeCamera, RigidPose, StereoRig
 
 _MIN_RAY_ANGLE = 1e-6
 
@@ -113,49 +113,79 @@ class BinaryMask:
 
 # --- ray-plane construction -------------------------------------------------
 
-def _ray_basis(anchor: PinholeCamera, kp_st, kp_ed):
-    """Rays, inter-ray angle and the rays-plane reference frame for theta2."""
-    d_st = anchor.backproject_ray(kp_st)
-    d_ed = anchor.backproject_ray(kp_ed)
-    alpha = float(np.arccos(np.clip(d_st @ d_ed, -1.0, 1.0)))
-    if alpha <= _MIN_RAY_ANGLE:
-        raise DegenerateRays(f"inter-ray angle {alpha} <= {_MIN_RAY_ANGLE}")
+def _rays(anchor: PinholeCamera, kp: np.ndarray) -> np.ndarray:
+    """Unit world-frame rays through (n, 2) anchor-view pixels, shape (n, 3)."""
+    d = np.stack(
+        [(kp[:, 0] - anchor.cx) / anchor.fx, (kp[:, 1] - anchor.cy) / anchor.fy,
+         np.ones(len(kp))],
+        axis=1,
+    )
+    d = d @ anchor.pose_world_from_camera.rotation.T
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _inter_ray_angle(d_st: np.ndarray, d_ed: np.ndarray) -> np.ndarray:
+    return np.arccos(np.clip(np.sum(d_st * d_ed, axis=-1), -1.0, 1.0))
+
+
+class NeedleFrames(NamedTuple):
+    """Batched needle frames; every field has one row per parameter vector."""
+
+    centers: np.ndarray  # (B, 3) arc-circle centers
+    e1: np.ndarray  # (B, 3) body x-axis, center toward the arc midpoint
+    u_ax: np.ndarray  # (B, 3) body y-axis, the chord from start to end
+    mid: np.ndarray  # (B, 3) mid-chord points
+    alpha: np.ndarray  # (B,) inter-ray angle
+    valid: np.ndarray  # (B,) row lies inside the parameter domain
+
+
+def needle_frames(vecs: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -> NeedleFrames:
+    """Triangle construction for a (B, 6) batch of [theta1, theta2, kp_st, kp_ed].
+
+    The two keypoint rays and the chord form a triangle with interior angle
+    theta1 at the start endpoint; theta2 is the dihedral rotation of the arc
+    plane about the chord, measured from the rays plane. Rows outside the
+    domain (inter-ray angle <= 1e-6, theta1 outside (0, pi - alpha)) are
+    flagged in `valid`, not raised; their frames are finite but meaningless.
+    """
+    vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
+    th1, th2 = vecs[:, 0], vecs[:, 1]
+    d_st = _rays(anchor, vecs[:, 2:4])
+    d_ed = _rays(anchor, vecs[:, 4:6])
+    alpha = _inter_ray_angle(d_st, d_ed)
+    valid = (alpha > _MIN_RAY_ANGLE) & (th1 > 0.0) & (th1 < np.pi - alpha)
+    sa = np.where(alpha > 1e-12, np.sin(alpha), 1.0)
+    L = shape.chord_length
+    t_ed = L * np.sin(th1) / sa
+    t_st = L * np.sin(alpha + th1) / sa
+    C = anchor.center
+    p_st = C + t_st[:, None] * d_st
+    p_ed = C + t_ed[:, None] * d_ed
+    u_ax = p_ed - p_st
+    u_ax /= np.maximum(np.linalg.norm(u_ax, axis=1, keepdims=True), 1e-300)
     n_rays = np.cross(d_st, d_ed)
-    n_rays /= np.linalg.norm(n_rays)
-    return d_st, d_ed, alpha, n_rays
-
-
-def inter_ray_angle(anchor: PinholeCamera, x: NeedleParams) -> float:
-    return _ray_basis(anchor, x.kp_st, x.kp_ed)[2]
+    n_rays /= np.maximum(np.linalg.norm(n_rays, axis=1, keepdims=True), 1e-300)
+    w_ref = np.cross(n_rays, u_ax)
+    w_ref /= np.maximum(np.linalg.norm(w_ref, axis=1, keepdims=True), 1e-300)
+    e1 = np.cos(th2)[:, None] * w_ref + np.sin(th2)[:, None] * np.cross(u_ax, w_ref)
+    mid = 0.5 * (p_st + p_ed)
+    centers = mid - shape.radius * np.cos(shape.arc_angle / 2.0) * e1
+    return NeedleFrames(centers, e1, u_ax, mid, alpha, valid)
 
 
 def params_to_pose(x: NeedleParams, shape: NeedleShape, anchor: PinholeCamera) -> RigidPose:
-    """Realize the 6-vector as the needle's rigid pose.
+    """Realize the 6-vector as the needle's rigid pose (needle_frames, B = 1).
 
-    Triangle construction: the two keypoint rays and the chord form a
-    triangle with interior angle theta1 at the start endpoint; theta2 is the
-    dihedral rotation of the arc plane about the chord, measured from the
-    rays plane.
+    Raises DegenerateRays or ThetaOutOfRange outside the parameter domain.
     """
-    d_st, d_ed, alpha, n_rays = _ray_basis(anchor, x.kp_st, x.kp_ed)
-    if not (0.0 < x.theta1 < np.pi - alpha):
+    f = needle_frames(x.as_vector(), shape, anchor)
+    alpha = float(f.alpha[0])
+    if alpha <= _MIN_RAY_ANGLE:
+        raise DegenerateRays(f"inter-ray angle {alpha} <= {_MIN_RAY_ANGLE}")
+    if not f.valid[0]:
         raise ThetaOutOfRange(f"theta1={x.theta1} outside (0, pi - {alpha})")
-    C = anchor.center
-    L = shape.chord_length
-    t_ed = L * np.sin(x.theta1) / np.sin(alpha)
-    t_st = L * np.sin(alpha + x.theta1) / np.sin(alpha)
-    p_st = C + t_st * d_st
-    p_ed = C + t_ed * d_ed
-
-    u = (p_ed - p_st) / np.linalg.norm(p_ed - p_st)
-    w_ref = np.cross(n_rays, u)
-    w_ref /= np.linalg.norm(w_ref)
-    e1 = np.cos(x.theta2) * w_ref + np.sin(x.theta2) * np.cross(u, w_ref)
-
-    mid = 0.5 * (p_st + p_ed)
-    center = mid - shape.radius * np.cos(shape.arc_angle / 2.0) * e1
-    R = np.column_stack([e1, u, np.cross(e1, u)])
-    return RigidPose(R, center)
+    e1, u = f.e1[0], f.u_ax[0]
+    return RigidPose(np.column_stack([e1, u, np.cross(e1, u)]), f.centers[0])
 
 
 def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> NeedleParams:
@@ -173,7 +203,12 @@ def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> N
         np.arccos(np.clip(v_c @ v_e / (np.linalg.norm(v_c) * np.linalg.norm(v_e)), -1.0, 1.0))
     )
 
-    _, _, _, n_rays = _ray_basis(anchor, kp_st, kp_ed)
+    d_st, d_ed = _rays(anchor, np.stack([kp_st, kp_ed]))
+    alpha = float(_inter_ray_angle(d_st, d_ed))
+    if alpha <= _MIN_RAY_ANGLE:
+        raise DegenerateRays(f"inter-ray angle {alpha} <= {_MIN_RAY_ANGLE}")
+    n_rays = np.cross(d_st, d_ed)
+    n_rays /= np.linalg.norm(n_rays)
     u = v_e / np.linalg.norm(v_e)
     w_ref = np.cross(n_rays, u)
     w_ref /= np.linalg.norm(w_ref)
@@ -268,46 +303,3 @@ def rasterize(
     fg = np.array(sorted(pixels), dtype=int).reshape(-1, 2)
     return BinaryMask(camera.width, camera.height, fg)
 
-
-# --- serialization ----------------------------------------------------------
-
-def write_pgm(mask: BinaryMask, path) -> None:
-    """Portable graymap (P5, maxval 255), foreground=255."""
-    img = np.zeros((mask.height, mask.width), dtype=np.uint8)
-    if len(mask):
-        img[mask.foreground[:, 1], mask.foreground[:, 0]] = 255
-    with open(path, "wb") as f:
-        f.write(f"P5\n{mask.width} {mask.height}\n255\n".encode())
-        f.write(img.tobytes())
-
-
-def read_pgm(path) -> BinaryMask:
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P5":
-            raise ValueError("not a P5 portable graymap")
-        w, h = map(int, f.readline().split())
-        f.readline()  # maxval
-        img = np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w)
-    vs, us = np.nonzero(img)
-    return BinaryMask(w, h, np.column_stack([us, vs]))
-
-
-def scene_to_dict(T: RigidPose, shape: NeedleShape, occlusion=None) -> dict:
-    return {
-        "needle_pose": pose_to_dict(T),
-        "shape": {"radius": shape.radius, "arc_angle": shape.arc_angle},
-        "occlusion": list(occlusion) if occlusion is not None else None,
-    }
-
-
-def scene_from_dict(d: dict):
-    T = pose_from_dict(d["needle_pose"])
-    shape = NeedleShape(d["shape"]["radius"], d["shape"]["arc_angle"])
-    occ = tuple(d["occlusion"]) if d.get("occlusion") else None
-    return T, shape, occ
-
-
-def load_scene(path):
-    with open(path) as f:
-        return scene_from_dict(json.load(f))

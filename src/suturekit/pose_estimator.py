@@ -2,14 +2,15 @@
 
 Minimizes the two-view reprojection offset error: for each foreground mask
 pixel, the squared distance to the nearest reprojected needle axis point,
-summed over both views. Optimization runs in the 6-DOF parameter space
-[theta1, theta2, kp_st, kp_ed] with central finite-difference gradients and
-Adam-style updates, multi-started over the dihedral angle.
+summed over the mask pixels of both views (one-directional, untruncated).
+Optimization runs in the 6-DOF parameter space [theta1, theta2, kp_st,
+kp_ed] with central finite-difference gradients and Adam-style updates,
+multi-started over the dihedral angle.
 
-The optimizer evaluates candidate parameter vectors through a vectorized
-scene evaluator (raw array math, no pose objects) so that the thousands of
-finite-difference probes per run stay cheap; the public objective() goes
-through the same chamfer helper, so both paths report identical values.
+Every objective value comes from one vectorized scene evaluator (raw array
+math over batches of parameter vectors, no pose objects), so the thousands
+of finite-difference probes per run stay cheap; the public objective() is a
+one-row call into it.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .geometry import RigidPose, StereoRig
+from .geometry import PinholeCamera, RigidPose, StereoRig
 from .needle import (
     BinaryMask,
     NeedleParams,
     NeedleShape,
+    needle_frames,
     params_to_pose,
-    reproject,
 )
 
 
@@ -90,22 +90,37 @@ def _subsample(fg: np.ndarray, cap: int) -> np.ndarray:
     return fg[::stride]
 
 
-def _chamfer(mask_px: np.ndarray, points_px: np.ndarray, penalty: float) -> float:
-    """Sum over mask pixels of squared distance to the nearest point."""
-    if len(mask_px) == 0:
-        return 0.0
-    if len(points_px) == 0:
-        return penalty * len(mask_px)
-    d2 = cdist(mask_px, points_px, "sqeuclidean")
-    return float(np.sum(d2.min(axis=1)))
+def _chamfer(
+    mask_px: np.ndarray, points_px: np.ndarray, visible: np.ndarray, penalty: float
+) -> np.ndarray:
+    """Per batch row: sum over mask pixels of the squared distance to the
+    nearest visible point.
+
+    mask_px (M, 2); points_px (B, N, 2), one point set per row, ignored
+    where visible (B, N) is False. A row with no visible point pays
+    penalty per mask pixel. Returns (B,).
+    """
+    B, N = visible.shape
+    M = len(mask_px)
+    if M == 0:
+        return np.zeros(B)
+    px = np.where(visible[..., None], points_px, 1e9).reshape(-1, 2)  # far sentinel
+    # squared distances mask x points: one BLAS product, then in-place
+    # assembly of |m|^2 + |p|^2 - 2 m.p to avoid large temporaries
+    d2 = mask_px @ px.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", mask_px, mask_px)[:, None]
+    d2 += np.einsum("ij,ij->i", px, px)[None, :]
+    best = d2.reshape(M, B, N).min(axis=2)  # (M, B)
+    return np.where(visible.any(axis=1), best.sum(axis=0), penalty * M)
 
 
 class SceneEvaluator:
     """Vectorized objective over batches of raw parameter vectors.
 
     Precomputes per-scene constants (capped mask pixels, camera extrinsics,
-    arc body samples) once; evaluate() then runs pure array math plus one
-    cdist per (batch item, view).
+    arc body samples) once; per_view() then runs pure array math plus one
+    distance product per view.
     """
 
     def __init__(self, masks, shape: NeedleShape, rig: StereoRig, config: EstimatorConfig):
@@ -117,57 +132,17 @@ class SceneEvaluator:
         self.mask_px = [
             _subsample(m.foreground, config.mask_pixel_cap).astype(float) for m in masks
         ]
-        anchor = rig.left
-        self._anchor_R = anchor.pose_world_from_camera.rotation
-        self._anchor_C = anchor.center
-        self._anchor_k = np.array([anchor.fx, anchor.fy, anchor.cx, anchor.cy])
         self._views = []
         for cam in rig.cameras:
             inv = cam.pose_world_from_camera.inverse()
             self._views.append((inv.rotation, inv.translation, cam.fx, cam.fy, cam.cx, cam.cy))
         body = shape.arc_points_body(np.linspace(0.0, shape.arc_angle, config.axis_sample_count))
         self._body_xy = body[:, :2]  # arc is planar, z = 0 in the body frame
-        self.chord = shape.chord_length
-        self.cos_half = float(np.cos(shape.arc_angle / 2.0))
 
-    def _rays(self, kp: np.ndarray) -> np.ndarray:
-        fx, fy, cx, cy = self._anchor_k
-        d = np.stack(
-            [(kp[:, 0] - cx) / fx, (kp[:, 1] - cy) / fy, np.ones(len(kp))], axis=1
-        )
-        d = d @ self._anchor_R.T
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-    def frames(self, vecs: np.ndarray):
-        """Needle frames for raw vectors: (centers, e1, u_ax, valid)."""
-        vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
-        th1, th2 = vecs[:, 0], vecs[:, 1]
-        d_st = self._rays(vecs[:, 2:4])
-        d_ed = self._rays(vecs[:, 4:6])
-        alpha = np.arccos(np.clip(np.sum(d_st * d_ed, axis=1), -1.0, 1.0))
-        valid = (alpha > 1e-6) & (th1 > 0.0) & (th1 < np.pi - alpha)
-        sa = np.where(alpha > 1e-12, np.sin(alpha), 1.0)
-        L = self.chord
-        t_ed = L * np.sin(th1) / sa
-        t_st = L * np.sin(alpha + th1) / sa
-        p_st = self._anchor_C + t_st[:, None] * d_st
-        p_ed = self._anchor_C + t_ed[:, None] * d_ed
-        u_ax = p_ed - p_st
-        u_ax /= np.maximum(np.linalg.norm(u_ax, axis=1, keepdims=True), 1e-300)
-        n_rays = np.cross(d_st, d_ed)
-        n_rays /= np.maximum(np.linalg.norm(n_rays, axis=1, keepdims=True), 1e-300)
-        w_ref = np.cross(n_rays, u_ax)
-        w_ref /= np.maximum(np.linalg.norm(w_ref, axis=1, keepdims=True), 1e-300)
-        e1 = np.cos(th2)[:, None] * w_ref + np.sin(th2)[:, None] * np.cross(u_ax, w_ref)
-        mid = 0.5 * (p_st + p_ed)
-        centers = mid - self.shape.radius * self.cos_half * e1
-        return centers, e1, u_ax, valid
-
-    def evaluate(self, vecs: np.ndarray) -> np.ndarray:
-        """Objective values for a (B, 6) batch; inf outside the domain."""
-        vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
-        centers, e1, u_ax, valid = self.frames(vecs)
-        B = len(vecs)
+    def per_view(self, vecs: np.ndarray) -> np.ndarray:
+        """Per-view objective values, shape (B, 2); inf outside the domain."""
+        centers, e1, u_ax, _, _, valid = needle_frames(vecs, self.shape, self.rig.left)
+        B = len(valid)
         N = len(self._body_xy)
         xb, yb = self._body_xy[:, 0], self._body_xy[:, 1]
         # world arc points, (B, N, 3)
@@ -176,30 +151,34 @@ class SceneEvaluator:
             + xb[None, :, None] * e1[:, None, :]
             + yb[None, :, None] * u_ax[:, None, :]
         ).reshape(-1, 3)
-        J = np.where(valid, 0.0, np.inf)
-        penalty = self.config.empty_view_penalty
-        for (Rc, tc, fx, fy, cx, cy), mpx in zip(self._views, self.mask_px):
-            M = len(mpx)
-            if M == 0:
-                continue
+        out = np.empty((B, len(self._views)))
+        for k, ((Rc, tc, fx, fy, cx, cy), mpx) in enumerate(zip(self._views, self.mask_px)):
             pc = pts @ Rc.T + tc
             z = pc[:, 2]
             good = z > 1e-12
-            px = np.full((B * N, 2), 1e9)  # far sentinel, never the minimum
+            px = np.empty((B * N, 2))
             px[good, 0] = cx + fx * pc[good, 0] / z[good]
             px[good, 1] = cy + fy * pc[good, 1] / z[good]
-            # squared distances mask x points: one BLAS product, then
-            # in-place assembly of |m|^2 + |p|^2 - 2 m.p to avoid large
-            # temporaries
-            d2 = mpx @ px.T
-            d2 *= -2.0
-            d2 += np.einsum("ij,ij->i", mpx, mpx)[:, None]
-            d2 += np.einsum("ij,ij->i", px, px)[None, :]
-            best = d2.reshape(M, B, N).min(axis=2)  # (M, B)
-            view_cost = best.sum(axis=0)
-            any_good = good.reshape(B, N).any(axis=1)
-            J += np.where(any_good, view_cost, penalty * M)
-        return J
+            out[:, k] = _chamfer(
+                mpx, px.reshape(B, N, 2), good.reshape(B, N),
+                self.config.empty_view_penalty,
+            )
+        out[~valid] = np.inf
+        return out
+
+    def evaluate(self, vecs: np.ndarray) -> np.ndarray:
+        """Objective values for a (B, 6) batch (per_view summed); inf
+        outside the domain."""
+        return self.per_view(vecs).sum(axis=1)
+
+    def report(self, vec: np.ndarray) -> ObjectiveReport:
+        """Objective report for one parameter vector."""
+        per_view = tuple(float(v) for v in self.per_view(vec)[0])
+        return ObjectiveReport(
+            value=sum(per_view),
+            per_view_value=per_view,
+            mask_pixels_used=tuple(len(mp) for mp in self.mask_px),
+        )
 
 
 def objective(
@@ -209,22 +188,14 @@ def objective(
     rig: StereoRig,
     config: EstimatorConfig = EstimatorConfig(),
 ) -> ObjectiveReport:
-    """Two-view chamfer objective at parameter vector x."""
-    if all(len(m) == 0 for m in masks):
-        raise EmptyMasks("both views have empty masks")
-    mask_px = [
-        _subsample(m.foreground, config.mask_pixel_cap).astype(float) for m in masks
-    ]
-    T = params_to_pose(x, shape, rig.left)
-    reproj = reproject(T, shape, rig, config.axis_sample_count)
-    per_view = tuple(
-        _chamfer(mp, rp, config.empty_view_penalty) for mp, rp in zip(mask_px, reproj)
-    )
-    return ObjectiveReport(
-        value=float(sum(per_view)),
-        per_view_value=per_view,
-        mask_pixels_used=tuple(len(mp) for mp in mask_px),
-    )
+    """Two-view chamfer objective at parameter vector x.
+
+    Raises EmptyMasks, or DegenerateRays / ThetaOutOfRange outside the
+    parameter domain.
+    """
+    ev = SceneEvaluator(masks, shape, rig, config)
+    params_to_pose(x, shape, rig.left)  # raises where per_view would give inf
+    return ev.report(x.as_vector())
 
 
 def _fd_steps(config) -> np.ndarray:
@@ -344,23 +315,21 @@ def _triangulated_depth(rig: StereoRig, left_px, right_px) -> float:
     return float((mid - rig.left.center) @ fwd)
 
 
-def _theta1_candidates(ev: SceneEvaluator, kp_st, kp_ed, target_depth: float) -> list[float]:
+def _theta1_candidates(
+    shape: NeedleShape, anchor: PinholeCamera, kp_st, kp_ed, target_depth: float
+) -> list[float]:
     """theta1 values whose mid-chord depth is closest to target.
 
     Depth is a single-humped function of theta1, so a target depth below
     the peak is hit on two branches; both are returned (grid search on
     each side of the peak).
     """
-    d = ev._rays(np.stack([kp_st, kp_ed]))
-    d_st, d_ed = d[0], d[1]
-    alpha = float(np.arccos(np.clip(d_st @ d_ed, -1.0, 1.0)))
-    fwd = ev._anchor_R[:, 2]
-    L = ev.chord
+    kps = np.concatenate([kp_st, kp_ed])
+    alpha = float(needle_frames(np.concatenate([[0.0, 0.0], kps]), shape, anchor).alpha[0])
     t1 = np.linspace(1e-3, np.pi - alpha - 1e-3, 512)
-    t_ed = L * np.sin(t1) / np.sin(alpha)
-    t_st = L * np.sin(alpha + t1) / np.sin(alpha)
-    mid = 0.5 * (np.outer(t_st, d_st) + np.outer(t_ed, d_ed))
-    depth = mid @ fwd
+    grid = np.column_stack([t1, np.zeros_like(t1), np.tile(kps, (len(t1), 1))])
+    mid = needle_frames(grid, shape, anchor).mid
+    depth = (mid - anchor.center) @ anchor.pose_world_from_camera.rotation[:, 2]
     peak = int(np.argmax(depth))
     out = []
     for sl in (slice(0, peak + 1), slice(peak, None)):
@@ -410,7 +379,7 @@ def estimate(
         [
             [t1, th2, *kp_st, *kp_ed]
             for d in depths
-            for t1 in _theta1_candidates(ev, kp_st, kp_ed, d)
+            for t1 in _theta1_candidates(shape, rig.left, kp_st, kp_ed, d)
             for th2 in theta2s
         ]
     )
@@ -429,10 +398,9 @@ def estimate(
 
     vec, J, steps = _run_seed(best[0], ev, config, config.max_steps)
     total_steps += steps
-    x = NeedleParams.from_vector(vec)
-    report = objective(x, masks, shape, rig, config)
+    pose = params_to_pose(NeedleParams.from_vector(vec), shape, rig.left)
+    report = ev.report(vec)
     n_px = max(1, sum(report.mask_pixels_used))
-    pose = params_to_pose(x, shape, rig.left)
     if report.value / n_px > config.reject_mean_sq_px:
         raise NoConvergence(
             f"mean squared pixel error {report.value / n_px:.2f} exceeds "

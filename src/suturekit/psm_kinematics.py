@@ -19,7 +19,6 @@ wrist branches.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,36 +238,3 @@ def verify_unique(
             unique += 1
     return unique / trial_count
 
-
-# --- serialization ----------------------------------------------------------
-
-def model_to_dict(model: KinematicModel) -> dict:
-    """Degrees/mm at the file boundary."""
-    lim = model.joint_limits.copy()
-    lim[REVOLUTE] = np.degrees(lim[REVOLUTE])
-    lim[PRISMATIC_INDEX] *= 1000.0
-    return {
-        "shaft_offset_mm": model.shaft_offset * 1000.0,
-        "pitch_to_yaw_mm": model.pitch_to_yaw * 1000.0,
-        "yaw_to_tip_mm": model.yaw_to_tip * 1000.0,
-        "joint_limits_deg_mm": lim.tolist(),
-        "prismatic_scale_rad_per_m": model.prismatic_scale,
-    }
-
-
-def model_from_dict(d: dict) -> KinematicModel:
-    lim = np.asarray(d["joint_limits_deg_mm"], dtype=float).reshape(6, 2)
-    lim[REVOLUTE] = np.radians(lim[REVOLUTE])
-    lim[PRISMATIC_INDEX] /= 1000.0
-    return KinematicModel(
-        shaft_offset=float(d.get("shaft_offset_mm", 0.0)) / 1000.0,
-        pitch_to_yaw=float(d["pitch_to_yaw_mm"]) / 1000.0,
-        yaw_to_tip=float(d["yaw_to_tip_mm"]) / 1000.0,
-        joint_limits=lim,
-        prismatic_scale=float(d.get("prismatic_scale_rad_per_m", 10.0)),
-    )
-
-
-def load_model(path) -> KinematicModel:
-    with open(path) as f:
-        return model_from_dict(json.load(f))

@@ -15,7 +15,6 @@ from suturekit.calibration import (
     generate_dataset,
     load_mlp,
     mlp_backprop,
-    mlp_forward,
     mlp_init,
     mlp_train,
     pose_from_pixels,
@@ -191,7 +190,7 @@ class TestMlpForward:
             identity_scaler(3),
             identity_scaler(2),
         )
-        assert np.allclose(mlp_forward(m, np.ones(3)), [1.5, -0.5])
+        assert np.allclose(m.forward(np.ones(3)), [1.5, -0.5])
 
     def test_tiny_hand_computed_network(self):
         m = MlpModel(
@@ -201,17 +200,17 @@ class TestMlpForward:
             identity_scaler(1),
         )
         # relu(1*2 + 1) = 3; 3*3 + 0.5 = 9.5
-        assert np.allclose(mlp_forward(m, np.array([1.0])), [9.5])
+        assert np.allclose(m.forward(np.array([1.0])), [9.5])
         # relu(-1*2 + 1) = 0; 0*3 + 0.5 = 0.5
-        assert np.allclose(mlp_forward(m, np.array([-1.0])), [0.5])
+        assert np.allclose(m.forward(np.array([-1.0])), [0.5])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(8)
         m = mlp_init([5, 7, 3], identity_scaler(5), identity_scaler(3), rng)
         X = rng.normal(size=(10, 5))
-        batch = mlp_forward(m, X)
+        batch = m.forward(X)
         for i in range(10):
-            assert np.allclose(batch[i], mlp_forward(m, X[i]), atol=1e-12)
+            assert np.allclose(batch[i], m.forward(X[i]), atol=1e-12)
 
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -339,4 +338,4 @@ class TestModelSerialization:
         save_model(m, path)
         back = load_mlp(path)
         X = rng.normal(size=(8, 5))
-        assert np.allclose(mlp_forward(back, X), mlp_forward(m, X), atol=1e-12)
+        assert np.allclose(back.forward(X), m.forward(X), atol=1e-12)

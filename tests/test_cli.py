@@ -54,6 +54,11 @@ class TestExitCodes:
         code = run_cli(["calib", "eval", "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_scenes_only_on_pose_bench(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["calib", "gen", "--scenes", "5", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_runtime_failure_is_exit_one(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"shape": {"radius_mm": -1.0}})
         code = run_cli(["pose-bench", "--config", cfg, "--out-dir", str(tmp_path),

@@ -8,16 +8,6 @@ from suturekit.geometry import (
     PinholeCamera,
     RigidPose,
     StereoRig,
-    backproject_ray,
-    camera_from_dict,
-    camera_to_dict,
-    compose,
-    invert,
-    pose_from_dict,
-    pose_to_dict,
-    project,
-    rig_from_dict,
-    rig_to_dict,
     rotation_geodesic,
 )
 
@@ -37,21 +27,21 @@ def rot_z(t):
 class TestProjection:
     def test_principal_axis_point(self):
         cam = simple_camera()
-        assert np.allclose(project(cam, [0.0, 0.0, 1.0]), [320.0, 240.0])
+        assert np.allclose(cam.project([0.0, 0.0, 1.0]), [320.0, 240.0])
 
     def test_off_axis_point(self):
         cam = simple_camera()
-        assert np.allclose(project(cam, [0.2, 0.0, 1.0]), [420.0, 240.0])
+        assert np.allclose(cam.project([0.2, 0.0, 1.0]), [420.0, 240.0])
 
     def test_depth_invariance_of_direction(self):
         cam = simple_camera()
-        assert np.allclose(project(cam, [0.4, 0.0, 2.0]), [420.0, 240.0])
+        assert np.allclose(cam.project([0.4, 0.0, 2.0]), [420.0, 240.0])
 
     @pytest.mark.parametrize("z", [0.0, -0.5])
     def test_non_positive_depth(self, z):
         cam = simple_camera()
         with pytest.raises(NonPositiveDepth):
-            project(cam, [0.0, 0.0, z])
+            cam.project([0.0, 0.0, z])
 
     def test_project_many_matches_project(self):
         rng = np.random.default_rng(0)
@@ -74,11 +64,11 @@ class TestProjection:
 class TestBackprojection:
     def test_principal_point_ray(self):
         cam = simple_camera()
-        assert np.allclose(backproject_ray(cam, [320.0, 240.0]), [0.0, 0.0, 1.0])
+        assert np.allclose(cam.backproject_ray([320.0, 240.0]), [0.0, 0.0, 1.0])
 
     def test_45_degree_ray(self):
         cam = simple_camera()
-        ray = backproject_ray(cam, [320.0 + 500.0, 240.0])
+        ray = cam.backproject_ray([320.0 + 500.0, 240.0])
         assert np.allclose(ray, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0))
 
     @given(
@@ -104,17 +94,17 @@ class TestRigidPose:
     def test_compose_translations(self):
         a = RigidPose(np.eye(3), np.array([1.0, 0.0, 0.0]))
         b = RigidPose(np.eye(3), np.array([0.0, 2.0, 0.0]))
-        assert np.allclose(compose(a, b).translation, [1.0, 2.0, 0.0])
+        assert np.allclose(a.compose(b).translation, [1.0, 2.0, 0.0])
 
     def test_compose_rotation_then_translation(self):
         a = RigidPose(rot_z(np.pi / 2.0), np.zeros(3))
         b = RigidPose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(compose(a, b).translation, [0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose(a.compose(b).translation, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_inverse_cancels(self):
         rng = np.random.default_rng(3)
         a = RigidPose(random_rotation(rng), rng.normal(size=3))
-        ident = compose(a, invert(a))
+        ident = a.compose(a.inverse())
         assert np.allclose(ident.rotation, np.eye(3), atol=1e-12)
         assert np.allclose(ident.translation, 0.0, atol=1e-12)
 
@@ -169,31 +159,6 @@ class TestStereoRig:
         right = simple_camera(RigidPose(np.eye(3), np.array([0.02, 0.0, 0.0])))
         rig = StereoRig(left, right)
         assert rig.cameras == (left, right)
-
-
-class TestSerialization:
-    def test_pose_roundtrip(self):
-        rng = np.random.default_rng(8)
-        a = RigidPose(random_rotation(rng), rng.normal(size=3))
-        b = pose_from_dict(pose_to_dict(a))
-        assert np.allclose(a.rotation, b.rotation, atol=1e-15)
-        assert np.allclose(a.translation, b.translation, atol=1e-15)
-
-    def test_camera_roundtrip(self):
-        rng = np.random.default_rng(9)
-        cam = simple_camera(RigidPose(random_rotation(rng), rng.normal(size=3)))
-        back = camera_from_dict(camera_to_dict(cam))
-        assert back.fx == cam.fx and back.cy == cam.cy
-        assert np.allclose(
-            back.pose_world_from_camera.matrix(), cam.pose_world_from_camera.matrix()
-        )
-
-    def test_rig_roundtrip(self):
-        left = simple_camera()
-        right = simple_camera(RigidPose(np.eye(3), np.array([0.02, 0.0, 0.0])))
-        rig = StereoRig(left, right)
-        back = rig_from_dict(rig_to_dict(rig))
-        assert np.allclose(back.right.center, rig.right.center)
 
 
 class TestValidation:

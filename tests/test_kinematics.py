@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -11,9 +9,6 @@ from suturekit.psm_kinematics import (
     constrained_ik,
     fk,
     ik,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     verify_unique,
 )
 
@@ -228,12 +223,3 @@ class TestModelUtilities:
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
             KinematicModel(joint_limits=np.zeros((6, 2)))
-
-    def test_serialization_roundtrip(self, tmp_path):
-        model = KinematicModel(shaft_offset=0.01)
-        back = model_from_dict(model_to_dict(model))
-        assert np.allclose(back.joint_limits, model.joint_limits, atol=1e-12)
-        assert np.isclose(back.pitch_to_yaw, model.pitch_to_yaw)
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_dict(model)))
-        assert np.isclose(load_model(path).shaft_offset, 0.01)

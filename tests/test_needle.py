@@ -11,16 +11,12 @@ from suturekit.needle import (
     NeedleParams,
     NeedleShape,
     ThetaOutOfRange,
-    inter_ray_angle,
+    needle_frames,
     params_to_pose,
     pose_to_params,
     rasterize,
-    read_pgm,
     reproject,
     sample_axis_points,
-    scene_from_dict,
-    scene_to_dict,
-    write_pgm,
 )
 
 
@@ -51,7 +47,7 @@ class TestTriangleConstruction:
     def test_isoceles_law_of_sines(self, rig, shape):
         cam = rig.left
         x = NeedleParams(0.0, 0.0, np.array([300.0, 240.0]), np.array([340.0, 240.0]))
-        alpha = inter_ray_angle(cam, x)
+        alpha = needle_frames(x.as_vector(), shape, cam).alpha[0]
         theta1 = (np.pi - alpha) / 2.0
         x = NeedleParams(theta1, 0.0, x.kp_st, x.kp_ed)
         T = params_to_pose(x, shape, cam)
@@ -73,7 +69,7 @@ class TestTriangleConstruction:
         kp_st = np.array([280.0, 230.0])
         kp_ed = kp_st + [du, dv]
         x = NeedleParams(theta1, theta2, kp_st, kp_ed)
-        if theta1 >= np.pi - inter_ray_angle(cam, x) - 1e-3:
+        if theta1 >= np.pi - needle_frames(x.as_vector(), shape, cam).alpha[0] - 1e-3:
             return
         T = params_to_pose(x, shape, cam)
         p_st, p_ed = (T.apply(p) for p in shape.endpoints_body())
@@ -224,24 +220,3 @@ class TestMaskValidation:
         with pytest.raises(ValueError):
             BinaryMask(10, 10, np.array([[1, 1], [1, 1]]))
 
-
-class TestSerialization:
-    def test_pgm_roundtrip(self, rig, shape, tmp_path):
-        rng = np.random.default_rng(16)
-        T = random_needle_pose(rng, rig, shape)
-        mask = rasterize(T, shape, rig.left)
-        path = tmp_path / "mask.pgm"
-        write_pgm(mask, path)
-        back = read_pgm(path)
-        assert back.width == mask.width and back.height == mask.height
-        assert np.array_equal(
-            np.sort(back.foreground, axis=0), np.sort(mask.foreground, axis=0)
-        )
-
-    def test_scene_roundtrip(self, rig, shape):
-        rng = np.random.default_rng(17)
-        T = random_needle_pose(rng, rig, shape)
-        T2, shape2, occ = scene_from_dict(scene_to_dict(T, shape, (0.1, 0.3)))
-        assert np.allclose(T2.matrix(), T.matrix(), atol=1e-15)
-        assert shape2 == shape
-        assert occ == (0.1, 0.3)

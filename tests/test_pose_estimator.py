@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from suturekit.bench import random_needle_pose
-from suturekit.needle import BinaryMask, NeedleParams, pose_to_params, rasterize
+from suturekit.bench import observe, random_needle_pose
+from suturekit.needle import BinaryMask, NeedleParams, params_to_pose, pose_to_params, reproject
 from suturekit.pose_estimator import (
     EmptyMasks,
     EstimatorConfig,
@@ -23,30 +24,43 @@ from suturekit.geometry import rotation_geodesic
 def make_scene(rig, shape, seed=0, occlusion=None, line_width=1.0):
     rng = np.random.default_rng([seed, 0])
     T = random_needle_pose(rng, rig, shape)
-    masks = tuple(rasterize(T, shape, cam, line_width, occlusion) for cam in rig.cameras)
-    x_l = pose_to_params(T, shape, rig.left)
-    x_r = pose_to_params(T, shape, rig.right)
-    hints = KeypointHints(
-        left_start=x_l.kp_st, left_end=x_l.kp_ed,
-        right_start=x_r.kp_st, right_end=x_r.kp_ed,
+    masks, hints = observe(T, shape, rig, line_width, occlusion)
+    return T, masks, pose_to_params(T, shape, rig.left), hints
+
+
+def brute_force_objective(x, masks, shape, rig, cfg):
+    """Independent oracle: exact pairwise squared distances (cdist) from the
+    evaluator's capped mask pixels to the pose-object reprojection of x."""
+    mask_px = SceneEvaluator(masks, shape, rig, cfg).mask_px
+    reproj = reproject(params_to_pose(x, shape, rig.left), shape, rig, cfg.axis_sample_count)
+    return sum(
+        float(cdist(mp, rp, "sqeuclidean").min(axis=1).sum())
+        for mp, rp in zip(mask_px, reproj)
+        if len(mp)
     )
-    return T, masks, x_l, hints
 
 
 class TestChamfer:
     def test_single_pair(self):
-        assert _chamfer(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]), 1e4) == 25.0
+        J = _chamfer(np.array([[0.0, 0.0]]), np.array([[[3.0, 4.0]]]), np.ones((1, 1), bool), 1e4)
+        assert J.tolist() == [25.0]
 
     def test_picks_nearest_point(self):
         mask = np.array([[0.0, 0.0], [10.0, 0.0]])
-        pts = np.array([[1.0, 0.0], [9.0, 0.0]])
-        assert _chamfer(mask, pts, 1e4) == 2.0
+        pts = np.array([[[1.0, 0.0], [9.0, 0.0]]])
+        assert _chamfer(mask, pts, np.ones((1, 2), bool), 1e4).tolist() == [2.0]
 
     def test_empty_mask_is_zero(self):
-        assert _chamfer(np.empty((0, 2)), np.array([[1.0, 2.0]]), 1e4) == 0.0
+        J = _chamfer(np.empty((0, 2)), np.array([[[1.0, 2.0]]]), np.ones((1, 1), bool), 1e4)
+        assert J.tolist() == [0.0]
 
     def test_empty_points_pays_penalty(self):
-        assert _chamfer(np.array([[0.0, 0.0], [1.0, 1.0]]), np.empty((0, 2)), 1e4) == 2e4
+        # row 0 sees no point (the hidden one at a mask pixel is ignored);
+        # row 1 sees both mask pixels exactly
+        mask = np.array([[0.0, 0.0], [1.0, 1.0]])
+        pts = np.array([[[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]]])
+        visible = np.array([[False, False], [True, True]])
+        assert _chamfer(mask, pts, visible, 1e4).tolist() == [2e4, 0.0]
 
 
 class TestObjective:
@@ -88,6 +102,8 @@ class TestObjective:
 
 class TestSceneEvaluator:
     def test_matches_objective(self, rig, shape):
+        # oracle is the brute-force cdist chamfer, not the evaluator itself:
+        # guards the |m|^2 + |p|^2 - 2 m.p expansion against cancellation
         _, masks, x_true, _ = make_scene(rig, shape, seed=5)
         cfg = EstimatorConfig()
         ev = SceneEvaluator(masks, shape, rig, cfg)
@@ -96,8 +112,10 @@ class TestSceneEvaluator:
                 x_true.theta1, x_true.theta2, x_true.kp_st + dx, x_true.kp_ed + dx
             )
             J_ev = float(ev.evaluate(x.as_vector())[0])
-            J_ob = objective(x, masks, shape, rig, cfg).value
-            assert J_ev == pytest.approx(J_ob, rel=1e-9)
+            assert J_ev == pytest.approx(
+                brute_force_objective(x, masks, shape, rig, cfg), rel=1e-9
+            )
+            assert J_ev == objective(x, masks, shape, rig, cfg).value
 
     def test_batch_matches_single(self, rig, shape):
         _, masks, x_true, _ = make_scene(rig, shape, seed=6)
@@ -123,14 +141,14 @@ class TestGradient:
             x_true.theta1 + 0.05, x_true.theta2 + 0.1, x_true.kp_st + 2.0, x_true.kp_ed - 2.0
         )
         g = gradient(x, masks, shape, rig, cfg)
-        # oracle: central differences through the pose-object objective path
+        # oracle: central differences of the brute-force pose-object chamfer
         steps = np.array([cfg.fd_step_angle] * 2 + [cfg.fd_step_px] * 4)
         for i in range(6):
             vp, vm = x.as_vector(), x.as_vector()
             vp[i] += steps[i]
             vm[i] -= steps[i]
-            fp = objective(NeedleParams.from_vector(vp), masks, shape, rig, cfg).value
-            fm = objective(NeedleParams.from_vector(vm), masks, shape, rig, cfg).value
+            fp = brute_force_objective(NeedleParams.from_vector(vp), masks, shape, rig, cfg)
+            fm = brute_force_objective(NeedleParams.from_vector(vm), masks, shape, rig, cfg)
             oracle = (fp - fm) / (2.0 * steps[i])
             assert g[i] == pytest.approx(oracle, rel=1e-4, abs=1e-3)
 

@@ -1,0 +1,40 @@
+"""The README's CLI section must advertise only commands that parse."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from suturekit.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _cli_section() -> str:
+    text = (ROOT / "README.md").read_text()
+    return re.search(r"^## CLI\n(.*?)^## ", text, re.S | re.M).group(1)
+
+
+def _shell_lines(prefix: str) -> list[str]:
+    blocks = re.findall(r"```sh\n(.*?)```", _cli_section(), re.S)
+    return [
+        line.split("#")[0].strip()
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith(prefix)
+    ]
+
+
+def test_cli_section_lists_commands():
+    assert len(_shell_lines("suturekit ")) >= 6
+
+
+@pytest.mark.parametrize("line", _shell_lines("suturekit "))
+def test_readme_command_parses(line):
+    build_parser().parse_args(shlex.split(line)[1:])  # SystemExit(2) on a bad command
+
+
+@pytest.mark.parametrize("line", _shell_lines("python3 scripts/"))
+def test_readme_script_exists(line):
+    assert (ROOT / shlex.split(line)[1]).is_file()
