@@ -3,7 +3,9 @@
 Subcommands: pose-bench, calib gen|train|eval, control-sim, suture-run.
 Configs are JSON with CLI overrides; every output file starts with a header
 line carrying the config hash, and all outputs are byte-identical across
-runs with the same seed. Human-facing units are degrees and millimeters.
+runs with the same seed. Each CSV header also names its units: deg_mm for
+the calibration dataset and table, m_rad for the pose-bench and control
+traces, none for the loss curve (losses in scaled space).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import sys
@@ -20,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, calibration, control
+from . import bench
 from .calibration import (
-    DEFAULT_QMSR_REGION,
     FeatureModel,
     TrainConfig,
     evaluate_calibration,
@@ -61,13 +61,13 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _header(cfg_hash: str) -> str:
-    return f"# config_hash={cfg_hash} units=deg_mm"
+def _header(cfg_hash: str, units: str) -> str:
+    return f"# config_hash={cfg_hash} units={units}"
 
 
-def _write_csv(path: Path, cfg_hash: str, columns, rows) -> None:
+def _write_csv(path: Path, cfg_hash: str, units: str, columns, rows) -> None:
     with open(path, "w", newline="") as f:
-        f.write(_header(cfg_hash) + "\n")
+        f.write(_header(cfg_hash, units) + "\n")
         w = csv.writer(f)
         w.writerow(columns)
         w.writerows(rows)
@@ -109,11 +109,13 @@ def cmd_pose_bench(cfg: dict, out_dir: Path) -> int:
     _write_csv(
         out_dir / "pose_bench.csv",
         h,
+        "m_rad",
         ["scene_id", "pos_err_m", "ang_err_rad", "J_final", "steps",
-         "occlusion_frac", "seed"],
+         "occlusion_frac", "seed", "converged"],
         [
             [r.scene_id, f"{r.pos_err_m:.9e}", f"{r.ang_err_rad:.9e}",
-             f"{r.J_final:.6e}", r.steps, f"{r.occlusion_frac:.2f}", r.seed]
+             f"{r.J_final:.6e}", r.steps, f"{r.occlusion_frac:.2f}", r.seed,
+             int(r.converged)]
             for r in rows
         ],
     )
@@ -129,7 +131,7 @@ def cmd_pose_bench(cfg: dict, out_dir: Path) -> int:
 
 # --- calib ------------------------------------------------------------------
 
-def _calib_parts(cfg: dict):
+def _calib_parts():
     model = KinematicModel()
     camera = bench.default_mono_camera()
     fm = FeatureModel()
@@ -137,7 +139,7 @@ def _calib_parts(cfg: dict):
 
 
 def cmd_calib_gen(cfg: dict, out_dir: Path) -> int:
-    model, camera, fm = _calib_parts(cfg)
+    model, camera, fm = _calib_parts()
     h = config_hash(cfg)
     samples = generate_dataset(
         model, camera, fm,
@@ -146,7 +148,7 @@ def cmd_calib_gen(cfg: dict, out_dir: Path) -> int:
         noise_px=float(cfg.get("noise_px", 0.0)),
         rng_seed=int(cfg.get("seed", 0)),
     )
-    write_dataset_csv(samples, out_dir / "calib_dataset.csv", _header(h))
+    write_dataset_csv(samples, out_dir / "calib_dataset.csv", _header(h, "deg_mm"))
     print(f"wrote {len(samples)} samples to {out_dir / 'calib_dataset.csv'}")
     return 0
 
@@ -171,6 +173,7 @@ def cmd_calib_train(cfg: dict, out_dir: Path) -> int:
     _write_csv(
         out_dir / "calib_loss_curve.csv",
         h,
+        "none",
         ["epoch", "train_loss", "val_loss"],
         [
             [i + 1, f"{tl:.9e}", f"{vl:.9e}"]
@@ -189,7 +192,7 @@ def cmd_calib_eval(cfg: dict, out_dir: Path) -> int:
               file=sys.stderr)
         return 2
     h = config_hash(cfg)
-    model, camera, fm = _calib_parts(cfg)
+    model, camera, fm = _calib_parts()
     mlp = load_mlp(model_path)
     test = generate_dataset(
         model, camera, fm,
@@ -208,7 +211,7 @@ def cmd_calib_eval(cfg: dict, out_dir: Path) -> int:
         else:
             rows.append([f"q{j+1}", "deg", f"{np.degrees(mean):.6f}",
                          f"{np.degrees(std):.6f}"])
-    _write_csv(out_dir / "calib_eval.csv", h,
+    _write_csv(out_dir / "calib_eval.csv", h, "deg_mm",
                ["joint", "unit", "mean_abs_err", "std_abs_err"], rows)
     for r in rows:
         print(f"{r[0]}: {r[2]} +- {r[3]} {r[1]}")
@@ -252,7 +255,7 @@ def cmd_control_sim(cfg: dict, out_dir: Path) -> int:
                     f"{step['q_act'][j]:.9e}", f"{step['q_msr'][j]:.9e}",
                     f"{step['q_msr_comp'][j]:.9e}", f"{step['err'][j]:.9e}",
                 ])
-    _write_csv(out_dir / "control_trace.csv", h,
+    _write_csv(out_dir / "control_trace.csv", h, "m_rad",
                ["run", "step", "j", "q_des", "q_cmd", "q_act", "q_msr",
                 "q_msr_comp", "err"], rows)
 

@@ -4,13 +4,9 @@ Minimizes the two-view reprojection offset error: for each foreground mask
 pixel, the squared distance to the nearest reprojected needle axis point,
 summed over the mask pixels of both views (one-directional, untruncated).
 Optimization runs in the 6-DOF parameter space [theta1, theta2, kp_st,
-kp_ed] with central finite-difference gradients and Adam-style updates,
-multi-started over the dihedral angle.
-
-Every objective value comes from one vectorized scene evaluator (raw array
-math over batches of parameter vectors, no pose objects), so the thousands
-of finite-difference probes per run stay cheap; the public objective() is a
-one-row call into it.
+kp_ed] by Levenberg-Marquardt on point-to-line residuals, multi-started over
+the dihedral angle. Every objective value comes from one vectorized scene
+evaluator (array math over batches of parameter vectors, no pose objects).
 """
 
 from __future__ import annotations
@@ -27,6 +23,10 @@ from .needle import (
     needle_frames,
     params_to_pose,
 )
+
+# forward-difference steps of the residual Jacobian: theta1, theta2 in
+# radians, then the four keypoint coordinates in pixels
+_JAC_STEPS = np.array([1e-6, 1e-6, 1e-4, 1e-4, 1e-4, 1e-4])
 
 
 class EstimatorError(Exception):
@@ -58,19 +58,10 @@ class ObjectiveReport:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    max_steps: int = 800
-    explore_steps: int = 120  # short budget per seed before the best is refined
+    max_steps: int = 100  # Levenberg-Marquardt iterations per seed
     axis_sample_count: int = 200
     mask_pixel_cap: int = 2000
-    fd_step_px: float = 0.5
-    fd_step_angle: float = 1e-3
-    lr_angle: float = 0.02
-    lr_px: float = 0.5
-    lr_final_fraction: float = 0.01
     seed_count: int = 4
-    convergence_tol: float = 1e-2  # squared pixels over the plateau window
-    convergence_rel_tol: float = 2e-3  # ... or this fraction of the current best
-    plateau_window: int = 50
     empty_view_penalty: float = 1e4  # squared pixels per mask pixel
     reject_mean_sq_px: float = 25.0  # reject when J / n_pixels exceeds this
     depth_range: tuple[float, float] = (0.08, 0.2)  # mid-chord seeding, meters
@@ -78,9 +69,6 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        for s in (self.fd_step_px, self.fd_step_angle, self.lr_angle, self.lr_px):
-            if s <= 0:
-                raise ValueError("step sizes must be positive")
 
 
 def _subsample(fg: np.ndarray, cap: int) -> np.ndarray:
@@ -88,6 +76,16 @@ def _subsample(fg: np.ndarray, cap: int) -> np.ndarray:
         return fg
     stride = int(np.ceil(len(fg) / cap))
     return fg[::stride]
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances (M, K) between point sets a (M, 2) and b (K, 2): one
+    BLAS product, then |a|^2 + |b|^2 - 2 a.b in place (no large temporaries)."""
+    d2 = a @ b.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", a, a)[:, None]
+    d2 += np.einsum("ij,ij->i", b, b)[None, :]
+    return d2
 
 
 def _chamfer(
@@ -105,13 +103,7 @@ def _chamfer(
     if M == 0:
         return np.zeros(B)
     px = np.where(visible[..., None], points_px, 1e9).reshape(-1, 2)  # far sentinel
-    # squared distances mask x points: one BLAS product, then in-place
-    # assembly of |m|^2 + |p|^2 - 2 m.p to avoid large temporaries
-    d2 = mask_px @ px.T
-    d2 *= -2.0
-    d2 += np.einsum("ij,ij->i", mask_px, mask_px)[:, None]
-    d2 += np.einsum("ij,ij->i", px, px)[None, :]
-    best = d2.reshape(M, B, N).min(axis=2)  # (M, B)
+    best = _sq_dists(mask_px, px).reshape(M, B, N).min(axis=2)  # (M, B)
     return np.where(visible.any(axis=1), best.sum(axis=0), penalty * M)
 
 
@@ -119,8 +111,8 @@ class SceneEvaluator:
     """Vectorized objective over batches of raw parameter vectors.
 
     Precomputes per-scene constants (capped mask pixels, camera extrinsics,
-    arc body samples) once; per_view() then runs pure array math plus one
-    distance product per view.
+    arc body samples) once; project() then runs pure array math, and
+    per_view() adds one distance product per view.
     """
 
     def __init__(self, masks, shape: NeedleShape, rig: StereoRig, config: EstimatorConfig):
@@ -135,34 +127,36 @@ class SceneEvaluator:
         self._views = []
         for cam in rig.cameras:
             inv = cam.pose_world_from_camera.inverse()
-            self._views.append((inv.rotation, inv.translation, cam.fx, cam.fy, cam.cx, cam.cy))
+            f, c = np.array([cam.fx, cam.fy]), np.array([cam.cx, cam.cy])
+            self._views.append((inv.rotation, inv.translation, f, c))
         body = shape.arc_points_body(np.linspace(0.0, shape.arc_angle, config.axis_sample_count))
         self._body_xy = body[:, :2]  # arc is planar, z = 0 in the body frame
 
+    def project(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arc samples of a (B, 6) batch in every view.
+
+        Returns pixels (B, V, N, 2), NaN where a sample is not in front of
+        the camera; visibility (B, V, N); and domain validity (B,).
+        """
+        centers, e1, u_ax, _, _, valid = needle_frames(vecs, self.shape, self.rig.left)
+        xb, yb = self._body_xy[:, :1], self._body_xy[:, 1:]  # (N, 1) each
+        # world arc points, (B * N, 3)
+        pts = (centers[:, None] + xb * e1[:, None] + yb * u_ax[:, None]).reshape(-1, 3)
+        px = []
+        for Rc, tc, f, c in self._views:
+            pc = pts @ Rc.T + tc
+            z = np.where(pc[:, 2:] > 1e-12, pc[:, 2:], np.nan)
+            px.append((c + f * pc[:, :2] / z).reshape(len(valid), -1, 2))
+        px = np.stack(px, axis=1)
+        return px, ~np.isnan(px[..., 0]), valid
+
     def per_view(self, vecs: np.ndarray) -> np.ndarray:
         """Per-view objective values, shape (B, 2); inf outside the domain."""
-        centers, e1, u_ax, _, _, valid = needle_frames(vecs, self.shape, self.rig.left)
-        B = len(valid)
-        N = len(self._body_xy)
-        xb, yb = self._body_xy[:, 0], self._body_xy[:, 1]
-        # world arc points, (B, N, 3)
-        pts = (
-            centers[:, None, :]
-            + xb[None, :, None] * e1[:, None, :]
-            + yb[None, :, None] * u_ax[:, None, :]
-        ).reshape(-1, 3)
-        out = np.empty((B, len(self._views)))
-        for k, ((Rc, tc, fx, fy, cx, cy), mpx) in enumerate(zip(self._views, self.mask_px)):
-            pc = pts @ Rc.T + tc
-            z = pc[:, 2]
-            good = z > 1e-12
-            px = np.empty((B * N, 2))
-            px[good, 0] = cx + fx * pc[good, 0] / z[good]
-            px[good, 1] = cy + fy * pc[good, 1] / z[good]
-            out[:, k] = _chamfer(
-                mpx, px.reshape(B, N, 2), good.reshape(B, N),
-                self.config.empty_view_penalty,
-            )
+        px, vis, valid = self.project(vecs)
+        out = np.column_stack([
+            _chamfer(mpx, px[:, k], vis[:, k], self.config.empty_view_penalty)
+            for k, mpx in enumerate(self.mask_px)
+        ])
         out[~valid] = np.inf
         return out
 
@@ -170,6 +164,37 @@ class SceneEvaluator:
         """Objective values for a (B, 6) batch (per_view summed); inf
         outside the domain."""
         return self.per_view(vecs).sum(axis=1)
+
+    def residuals(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Point-to-line residuals at one parameter vector and their
+        Jacobian, shapes (R,) and (R, 6).
+
+        Per view, each mask pixel is paired with its nearest visible arc
+        sample. Its residual is the offset from that sample projected on
+        the sample's normal (tangent from np.gradient over the samples);
+        a pixel paired with an arc end keeps both offset coordinates, as
+        two rows after the one-row pixels. The Jacobian holds pairing and
+        normals fixed and forward-differences the projected samples by
+        _JAC_STEPS. Non-finite rows are dropped, so R may be 0.
+        """
+        px = self.project(np.vstack([vec, vec + np.diag(_JAC_STEPS)]))[0]
+        dpx = (px[1:] - px[0]) / _JAC_STEPS[:, None, None, None]  # (6, V, N, 2)
+        rows, jac = [np.empty(0)], [np.empty((0, 6))]
+        for k, mpx in enumerate(self.mask_px):
+            p = px[0, k]
+            near = _sq_dists(mpx, np.nan_to_num(p, nan=1e9)).argmin(axis=1)  # far sentinel
+            tan = np.gradient(p, axis=0)
+            normal = np.stack([-tan[:, 1], tan[:, 0]], axis=1)
+            normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+            off = mpx - p[near]  # (M, 2)
+            dp = dpx[:, k, near].transpose(1, 2, 0)  # (M, 2, 6)
+            end = (near == 0) | (near == len(p) - 1)
+            n = normal[near[~end]]
+            rows += [np.einsum("mi,mi->m", off[~end], n), off[end].reshape(-1)]
+            jac += [-np.einsum("mi,mij->mj", n, dp[~end]), -dp[end].reshape(-1, 6)]
+        r, A = np.concatenate(rows), np.concatenate(jac)
+        keep = np.isfinite(r) & np.isfinite(A).all(axis=1)
+        return r[keep], A[keep]
 
     def report(self, vec: np.ndarray) -> ObjectiveReport:
         """Objective report for one parameter vector."""
@@ -198,87 +223,39 @@ def objective(
     return ev.report(x.as_vector())
 
 
-def _fd_steps(config) -> np.ndarray:
-    return np.array(
-        [config.fd_step_angle, config.fd_step_angle] + [config.fd_step_px] * 4
-    )
+def _descend(vec: np.ndarray, ev: SceneEvaluator, max_steps: int):
+    """One Levenberg-Marquardt descent from a seed; returns (vec, J, steps).
 
-
-def _fd_batch(vec: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Stack [vec, vec +- step_i e_i] for one batched gradient evaluation."""
-    B = np.tile(vec, (13, 1))
-    for i in range(6):
-        B[1 + 2 * i, i] += steps[i]
-        B[2 + 2 * i, i] -= steps[i]
-    return B
-
-
-def _gradient_from_batch(f: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    g = np.zeros(6)
-    for i in range(6):
-        fp, fm = f[1 + 2 * i], f[2 + 2 * i]
-        if np.isfinite(fp) and np.isfinite(fm):
-            g[i] = (fp - fm) / (2.0 * steps[i])
-        elif np.isfinite(fp):
-            g[i] = (fp - f[0]) / steps[i]
-        elif np.isfinite(fm):
-            g[i] = (f[0] - fm) / steps[i]
-    return g
-
-
-def gradient(
-    x: NeedleParams,
-    masks,
-    shape: NeedleShape,
-    rig: StereoRig,
-    config: EstimatorConfig = EstimatorConfig(),
-) -> np.ndarray:
-    """Central finite-difference gradient of the objective in x-space."""
-    ev = SceneEvaluator(masks, shape, rig, config)
-    steps = _fd_steps(config)
-    f = ev.evaluate(_fd_batch(x.as_vector(), steps))
-    return _gradient_from_batch(f, steps)
-
-
-def _run_seed(vec0, ev: SceneEvaluator, config: EstimatorConfig, max_steps: int):
-    """One Adam descent from a seed; returns (best_vec, best_J, steps)."""
-    lr_base = np.array([config.lr_angle, config.lr_angle] + [config.lr_px] * 4)
-    decay = config.lr_final_fraction ** (1.0 / max_steps)
-    steps_fd = _fd_steps(config)
-    vec = vec0.copy()
-    m = np.zeros(6)
-    v = np.zeros(6)
-    best_vec = vec.copy()
-    best_J = float(ev.evaluate(vec)[0])
-    window_best = best_J
-    alpha_max = np.pi  # theta1 clamp refined per-evaluation by the domain check
+    Damping is Marquardt-scaled by diag(A^T A). A step is kept only if the
+    chamfer objective J drops (out-of-domain steps evaluate to inf); a
+    rejected step grows the damping x4, up to 10 tries, an accepted one
+    shrinks it /3. Stops when no damped step lowers J, when the relative
+    drop is <= 1e-10, when no residual row is left, or after max_steps
+    iterations.
+    """
+    J = float(ev.evaluate(vec)[0])
+    lam = 1e-3
     steps = 0
-    for k in range(max_steps):
-        f = ev.evaluate(_fd_batch(vec, steps_fd))
-        g = _gradient_from_batch(f, steps_fd)
-        t = k + 1
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        mhat = m / (1.0 - 0.9 ** t)
-        vhat = v / (1.0 - 0.999 ** t)
-        vec = vec - (lr_base * decay ** k) * mhat / (np.sqrt(vhat) + 1e-8)
-        vec[0] = np.clip(vec[0], 1e-4, alpha_max)
-        vec[1] = vec[1] % (2.0 * np.pi)
-        J = float(ev.evaluate(vec)[0])
-        if not np.isfinite(J):
-            # stepped outside the theta1 domain; pull back toward the best
-            vec = 0.5 * (vec + best_vec)
-            J = float(ev.evaluate(vec)[0])
-        steps = t
-        if J < best_J:
-            best_J = J
-            best_vec = vec.copy()
-        if t % config.plateau_window == 0:
-            tol = max(config.convergence_tol, config.convergence_rel_tol * abs(best_J))
-            if window_best - best_J < tol:
+    while steps < max_steps:
+        r, A = ev.residuals(vec)
+        if len(r) == 0:
+            break
+        steps += 1
+        H = A.T @ A
+        g = A.T @ r
+        for _ in range(10):
+            trial = vec + np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            J_trial = float(ev.evaluate(trial)[0])
+            if J_trial < J:
                 break
-            window_best = best_J
-    return best_vec, best_J, steps
+            lam *= 4.0
+        else:
+            break
+        lam /= 3.0
+        vec, J, J_prev = trial, J_trial, J
+        if J_prev - J <= 1e-10 * J_prev:
+            break
+    return vec, J, steps
 
 
 @dataclass(frozen=True)
@@ -351,9 +328,10 @@ def estimate(
 
     Keypoints are seeded at the anchor-view hints, theta1 so the mid-chord
     depth spans the configured scene range, theta2 uniformly over [0, 2*pi).
-    Each seed gets a short exploration budget; only the winner is refined
-    to max_steps, since losing basins otherwise burn the whole budget on
-    sub-pixel improvements. Deterministic for fixed inputs (no rng).
+    The seed_count best-scoring seeds each run one Levenberg-Marquardt
+    descent to convergence, and the lowest objective wins. Returns (pose,
+    report, steps), steps counting the descent iterations of all seeds.
+    Deterministic for fixed inputs (no rng).
     """
     ev = SceneEvaluator(masks, shape, rig, config)
     kp_st = np.asarray(hints.left_start, dtype=float)
@@ -388,16 +366,9 @@ def estimate(
     )
     order = np.argsort(scores)[: config.seed_count]
 
-    best = None
-    total_steps = 0
-    for i in order:
-        vec, J, steps = _run_seed(cands[i], ev, config, config.explore_steps)
-        total_steps += steps
-        if best is None or J < best[1]:
-            best = (vec, J)
-
-    vec, J, steps = _run_seed(best[0], ev, config, config.max_steps)
-    total_steps += steps
+    runs = [_descend(cands[i], ev, config.max_steps) for i in order]
+    vec = min(runs, key=lambda run: run[1])[0]
+    total_steps = sum(run[2] for run in runs)
     pose = params_to_pose(NeedleParams.from_vector(vec), shape, rig.left)
     report = ev.report(vec)
     n_px = max(1, sum(report.mask_pixels_used))

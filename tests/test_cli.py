@@ -74,7 +74,7 @@ class TestControlSim:
         summary = tmp_path / "control_summary.json"
         assert trace.exists() and summary.exists()
         first = trace.read_text().splitlines()[0]
-        assert first.startswith("# config_hash=") and "units=deg_mm" in first
+        assert first.startswith("# config_hash=") and "units=m_rad" in first
         payload = json.loads(summary.read_text())
         assert "config_hash" in payload
         reduction = np.array(payload["reduction_percent"])
@@ -118,6 +118,12 @@ class TestCalibFlow:
         assert lines[2].startswith("q1,deg,")
         assert lines[4].startswith("q3,mm,")
 
+    def test_units_tags(self, workdir):
+        for name, units in (("calib_dataset.csv", "deg_mm"), ("calib_eval.csv", "deg_mm"),
+                            ("calib_loss_curve.csv", "none")):
+            first = (workdir / name).read_text().splitlines()[0]
+            assert first.endswith(f" units={units}")
+
     def test_seed_override_changes_dataset(self, workdir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"count": 50})
         a, b = tmp_path / "a", tmp_path / "b"
@@ -132,8 +138,12 @@ class TestPoseBench:
         code = run_cli(["pose-bench", "--scenes", "1", "--out-dir", str(tmp_path)])
         assert code == 0
         rows = (tmp_path / "pose_bench.csv").read_text().splitlines()
+        assert rows[0].endswith(" units=m_rad")
         assert rows[1].split(",")[0] == "scene_id"
         assert len(rows) == 3
+        record = dict(zip(rows[1].split(","), rows[2].split(",")))
+        assert list(record)[-2:] == ["seed", "converged"]
+        assert record["converged"] == "1"
         summary = json.loads((tmp_path / "pose_bench_summary.json").read_text())
         agg = summary["by_occlusion"]["0.00"]
         assert agg["scenes"] == 1
