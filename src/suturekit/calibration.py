@@ -11,7 +11,6 @@ The synthetic feature detector stands in for a learned keypoint tracker.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -88,13 +87,6 @@ class FeatureModel:
         return len(self.body_points)
 
 
-@dataclass(frozen=True)
-class CalibSample:
-    q_msr: JointVector
-    pixels: np.ndarray  # (N, 2)
-    delta_q: JointVector
-
-
 def detect_features(
     camera: PinholeCamera,
     jaw_pose: RigidPose,
@@ -115,6 +107,10 @@ def detect_features(
     return px
 
 
+_GN_MAX_ITERATIONS = 100
+_GN_STEP_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class PoseFit:
     pose: RigidPose
@@ -127,8 +123,6 @@ def pose_from_pixels(
     fm: FeatureModel,
     pixels: np.ndarray,
     initial: RigidPose,
-    max_iterations: int = 100,
-    step_tol: float = 1e-10,
 ) -> PoseFit:
     """Gauss-Newton pose refinement of the jaw from feature pixels.
 
@@ -140,7 +134,7 @@ def pose_from_pixels(
     T = initial
     grow_streak = 0
     prev_cost = np.inf
-    for it in range(max_iterations):
+    for it in range(_GN_MAX_ITERATIONS):
         pw = T.apply(fm.body_points)
         pc = cam_inv.apply(pw)
         Z = pc[:, 2]
@@ -179,7 +173,7 @@ def pose_from_pixels(
             raise GaussNewtonDiverged(f"normal equations singular: {e}") from e
         dR = Rotation.from_rotvec(delta[:3]).as_matrix()
         T = RigidPose(dR @ T.rotation, dR @ T.translation + delta[3:])
-        if np.linalg.norm(delta) < step_tol:
+        if np.linalg.norm(delta) < _GN_STEP_TOL:
             break
     proj, valid = camera.project_many(T.apply(fm.body_points))
     if not valid.all():
@@ -238,6 +232,9 @@ DEFAULT_TRAIN_REGION = QmsrRegion(
     center=DEFAULT_QMSR_REGION.center,
     half_width=np.zeros(6),
 )
+_TRAIN_BOUND = np.radians(10.0)  # constrained-IK box checked by validate_region
+_REGION_PROBES = 20
+_TRIALS_PER_PROBE = 50
 
 
 def validate_region(
@@ -245,15 +242,13 @@ def validate_region(
     region: QmsrRegion,
     bound: float,
     rng_seed: int = 0,
-    probe_count: int = 20,
-    trials_per_probe: int = 50,
 ) -> None:
     """Check the single-solution property across the region; raises
     RegionNotUnique on any failure."""
     rng = np.random.default_rng(rng_seed)
-    for i in range(probe_count):
+    for i in range(_REGION_PROBES):
         q = region.sample(rng)
-        frac = verify_unique(model, q, bound, trials_per_probe, rng_seed=rng_seed + i + 1)
+        frac = verify_unique(model, q, bound, _TRIALS_PER_PROBE, rng_seed=rng_seed + i + 1)
         if frac < 1.0:
             raise RegionNotUnique(
                 f"probe {i} at q_msr={q} has unique fraction {frac} < 1"
@@ -268,12 +263,11 @@ def generate_dataset(
     delta_range: float = np.radians(5.0),
     noise_px: float = 0.0,
     rng_seed: int = 0,
-    region: QmsrRegion = DEFAULT_TRAIN_REGION,
-    bound: float = np.radians(10.0),
     validate: bool = True,
-) -> list[CalibSample]:
-    """Synthetic calibration dataset: measured joints, feature pixels and
-    the injected offset label.
+) -> np.ndarray:
+    """Synthetic calibration dataset, one row per sample in internal units:
+    measured joints (6), feature pixels (x, y per point) and the injected
+    offset label (6), shape (count, 12 + 2N).
 
     Per-sample rng streams derive from (rng_seed, index), so generation is
     order-independent and reproducible.
@@ -281,79 +275,47 @@ def generate_dataset(
     if count < 1:
         raise ValueError("count must be >= 1")
     if validate:
-        validate_region(model, region, bound, rng_seed=rng_seed)
-    samples = []
-    for i in range(count):
+        validate_region(model, DEFAULT_TRAIN_REGION, _TRAIN_BOUND, rng_seed=rng_seed)
+    data = np.empty((count, 12 + 2 * len(fm)))
+    for i, row in enumerate(data):
         rng = np.random.default_rng([rng_seed, i])
-        q_msr = region.sample(rng)
+        q_msr = DEFAULT_TRAIN_REGION.sample(rng)  # zero width, but keeps the rng stream
         dq = rng.uniform(-delta_range, delta_range, 6)
         dq[PRISMATIC_INDEX] /= model.prismatic_scale
-        jaw = fk(model, q_msr + dq)
-        px = detect_features(camera, jaw, fm, noise_px, rng)
-        samples.append(CalibSample(q_msr, px, dq))
-    return samples
+        px = detect_features(camera, fk(model, q_msr + dq), fm, noise_px, rng)
+        row[:6], row[6:-6], row[-6:] = q_msr, px.reshape(-1), dq
+    return data
 
 
-def dataset_to_arrays(samples: list[CalibSample]) -> tuple[np.ndarray, np.ndarray]:
-    """(inputs (n, 6 + 2N), labels (n, 6)) in internal units."""
-    X = np.array([np.concatenate([s.q_msr, s.pixels.reshape(-1)]) for s in samples])
-    Y = np.array([s.delta_q for s in samples])
-    return X, Y
-
-
-def write_dataset_csv(samples: list[CalibSample], path, header_comment: str = "") -> None:
+def write_dataset_csv(data: np.ndarray, path, header_comment: str = "") -> None:
     """Degrees/mm at the file boundary; pixels stay in pixels."""
-    n_feat = len(samples[0].pixels)
+    n_feat = (data.shape[1] - 12) // 2
     cols = (
         [f"qm{i+1}" for i in range(6)]
         + [f"px{i+1}{ax}" for i in range(n_feat) for ax in ("x", "y")]
         + [f"dq{i+1}" for i in range(6)]
     )
+    out = np.array(data, dtype=float)
+    for q in (out[:, :6], out[:, -6:]):
+        q[:, REVOLUTE] = np.degrees(q[:, REVOLUTE])
+        q[:, PRISMATIC_INDEX] *= 1000.0
     with open(path, "w", newline="") as f:
         if header_comment:
             f.write(header_comment + "\n")
-        w = csv.writer(f)
-        w.writerow(cols)
-        for s in samples:
-            qm = _to_deg_mm(s.q_msr)
-            dq = _to_deg_mm(s.delta_q)
-            w.writerow(
-                [f"{v:.12g}" for v in qm]
-                + [f"{v:.12g}" for v in s.pixels.reshape(-1)]
-                + [f"{v:.12g}" for v in dq]
-            )
+        f.write(",".join(cols) + "\r\n")
+        np.savetxt(f, out, fmt="%.12g", delimiter=",", newline="\r\n")
 
 
-def read_dataset_csv(path) -> list[CalibSample]:
+def read_dataset_csv(path) -> np.ndarray:
+    """Inverse of `write_dataset_csv`: the dataset array in internal units."""
     with open(path) as f:
-        first = f.readline()
-        if not first.startswith("#"):
-            f.seek(0)
-        rows = list(csv.reader(f))
-    header, rows = rows[0], rows[1:]
-    n_feat = sum(1 for c in header if c.startswith("px") and c.endswith("x"))
-    samples = []
-    for row in rows:
-        vals = np.array([float(v) for v in row])
-        qm = _from_deg_mm(vals[:6])
-        px = vals[6 : 6 + 2 * n_feat].reshape(n_feat, 2)
-        dq = _from_deg_mm(vals[6 + 2 * n_feat :])
-        samples.append(CalibSample(qm, px, dq))
-    return samples
-
-
-def _to_deg_mm(q: JointVector) -> np.ndarray:
-    out = np.asarray(q, dtype=float).copy()
-    out[REVOLUTE] = np.degrees(out[REVOLUTE])
-    out[PRISMATIC_INDEX] *= 1000.0
-    return out
-
-
-def _from_deg_mm(q: np.ndarray) -> JointVector:
-    out = np.asarray(q, dtype=float).copy()
-    out[REVOLUTE] = np.radians(out[REVOLUTE])
-    out[PRISMATIC_INDEX] /= 1000.0
-    return out
+        skip = 2 if f.readline().startswith("#") else 1
+        f.seek(0)
+        data = np.loadtxt(f, delimiter=",", skiprows=skip, ndmin=2)
+    for q in (data[:, :6], data[:, -6:]):
+        q[:, REVOLUTE] = np.radians(q[:, REVOLUTE])
+        q[:, PRISMATIC_INDEX] /= 1000.0
+    return data
 
 
 # --- scalers and MLP --------------------------------------------------------
@@ -402,19 +364,12 @@ class MlpModel:
             if Wa.shape[1] != Wb.shape[0]:
                 raise ValueError("inconsistent layer shapes")
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Predict offsets for one input vector or a batch."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        h = self.input_scaler.scale(np.atleast_2d(x))
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
-        out = self.output_scaler.unscale(h @ self.weights[-1] + self.biases[-1])
-        return out[0] if single else out
+        _, out = self._forward_scaled(self.input_scaler.scale(np.atleast_2d(x)))
+        out = self.output_scaler.unscale(out)
+        return out[0] if x.ndim == 1 else out
 
     def _forward_scaled(self, xs: np.ndarray):
         """Forward in scaled space keeping pre-activations for backprop."""
@@ -442,7 +397,6 @@ def mlp_init(
 
 def mlp_backprop(model: MlpModel, xs: np.ndarray, ys: np.ndarray):
     """Mean-squared-error loss and parameter gradients, scaled space."""
-    n = len(xs)
     acts, out = model._forward_scaled(xs)
     err = out - ys
     loss = float(np.mean(err * err))
@@ -458,17 +412,20 @@ def mlp_backprop(model: MlpModel, xs: np.ndarray, ys: np.ndarray):
     return loss, dW, db
 
 
+# Adam with the published defaults (Kingma & Ba 2015); the learning rate
+# decays geometrically to _LR_FINAL_FRACTION of its start over the run, and
+# _VAL_FRACTION of the samples are held out for the validation curve.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_LR_FINAL_FRACTION = 0.05
+_VAL_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     hidden_sizes: tuple[int, ...] = (400, 300, 200)
     epochs: int = 200
     batch_size: int = 256
     learning_rate: float = 1e-3
-    lr_final_fraction: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    val_fraction: float = 0.1
     rng_seed: int = 0
 
 
@@ -479,14 +436,26 @@ class TrainResult:
     val_loss: list[float]
 
 
-def mlp_train(samples: list[CalibSample], config: TrainConfig = TrainConfig()) -> TrainResult:
-    """Train the offset regressor with Adam on mini-batch MSE."""
-    X, Y = dataset_to_arrays(samples)
-    if len(X) < config.batch_size:
-        raise ValueError("dataset smaller than batch size")
+def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainResult:
+    """Train the offset regressor with Adam on mini-batch MSE.
+
+    `data` is a `generate_dataset` array: inputs `data[:, :-6]`, labels
+    `data[:, -6:]`. Raises ValueError unless every epoch runs at least one
+    optimizer step and has a validation loss.
+    """
+    X, Y = data[:, :-6], data[:, -6:]
+    if config.epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    n_val = int(round(_VAL_FRACTION * len(X)))
+    if n_val == 0:
+        raise ValueError(f"validation split of {len(X)} samples is empty")
+    if len(X) - n_val < config.batch_size:
+        raise ValueError(
+            f"training split ({len(X) - n_val} samples) smaller than batch size "
+            f"{config.batch_size}"
+        )
     rng = np.random.default_rng(config.rng_seed)
     perm = rng.permutation(len(X))
-    n_val = int(round(config.val_fraction * len(X)))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     in_scaler = Scaler.fit(X[train_idx])
     out_scaler = Scaler.fit(Y[train_idx])
@@ -494,12 +463,11 @@ def mlp_train(samples: list[CalibSample], config: TrainConfig = TrainConfig()) -
 
     sizes = [X.shape[1], *config.hidden_sizes, Y.shape[1]]
     model = mlp_init(sizes, in_scaler, out_scaler, rng)
-    mW = [np.zeros_like(W) for W in model.weights]
-    vW = [np.zeros_like(W) for W in model.weights]
-    mb = [np.zeros_like(b) for b in model.biases]
-    vb = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     t = 0
-    decay = config.lr_final_fraction ** (1.0 / max(1, config.epochs))
+    decay = _LR_FINAL_FRACTION ** (1.0 / config.epochs)
     lr = config.learning_rate
     train_curve, val_curve = [], []
     for epoch in range(config.epochs):
@@ -512,36 +480,31 @@ def mlp_train(samples: list[CalibSample], config: TrainConfig = TrainConfig()) -
                 raise NonFiniteLoss(f"loss non-finite at epoch {epoch}")
             epoch_losses.append(loss)
             t += 1
-            c1 = 1.0 - config.beta1 ** t
-            c2 = 1.0 - config.beta2 ** t
-            for li in range(len(model.weights)):
-                mW[li] = config.beta1 * mW[li] + (1 - config.beta1) * dW[li]
-                vW[li] = config.beta2 * vW[li] + (1 - config.beta2) * dW[li] ** 2
-                model.weights[li] -= lr * (mW[li] / c1) / (np.sqrt(vW[li] / c2) + config.eps)
-                mb[li] = config.beta1 * mb[li] + (1 - config.beta1) * db[li]
-                vb[li] = config.beta2 * vb[li] + (1 - config.beta2) * db[li] ** 2
-                model.biases[li] -= lr * (mb[li] / c1) / (np.sqrt(vb[li] / c2) + config.eps)
+            c1 = 1.0 - _BETA1 ** t
+            c2 = 1.0 - _BETA2 ** t
+            for i, g in enumerate(dW + db):
+                m[i] = _BETA1 * m[i] + (1 - _BETA1) * g
+                v[i] = _BETA2 * v[i] + (1 - _BETA2) * g ** 2
+                params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + _EPS)
         lr *= decay
         train_curve.append(float(np.mean(epoch_losses)))
-        if len(val_idx):
-            _, out = model._forward_scaled(Xs[val_idx])
-            val_curve.append(float(np.mean((out - Ys[val_idx]) ** 2)))
+        _, out = model._forward_scaled(Xs[val_idx])
+        val_curve.append(float(np.mean((out - Ys[val_idx]) ** 2)))
     return TrainResult(model, train_curve, val_curve)
 
 
-def evaluate_calibration(model: MlpModel, test_set: list[CalibSample]) -> np.ndarray:
-    """Per-joint (mean, std) of absolute offset error, shape (6, 2), in
-    internal units (rad / m)."""
-    X, Y = dataset_to_arrays(test_set)
-    err = np.abs(model.forward(X) - Y)
+def evaluate_calibration(model: MlpModel, data: np.ndarray) -> np.ndarray:
+    """Per-joint (mean, std) of absolute offset error on a `generate_dataset`
+    array, shape (6, 2), in internal units (rad / m)."""
+    err = np.abs(model.forward(data[:, :-6]) - data[:, -6:])
     return np.column_stack([err.mean(axis=0), err.std(axis=0)])
 
 
 # --- model (de)serialization ------------------------------------------------
 
-def model_to_json(model: MlpModel) -> dict:
-    return {
-        "layer_sizes": model.layer_sizes,
+def save_model(model: MlpModel, path) -> None:
+    payload = {
+        "layer_sizes": [model.weights[0].shape[0]] + [len(b) for b in model.biases],
         "input_scaler": {"mean": model.input_scaler.mean.tolist(),
                          "std": model.input_scaler.std.tolist()},
         "output_scaler": {"mean": model.output_scaler.mean.tolist(),
@@ -549,28 +512,21 @@ def model_to_json(model: MlpModel) -> dict:
         "weights": [W.reshape(-1).tolist() for W in model.weights],
         "biases": [b.tolist() for b in model.biases],
     }
+    with open(path, "w") as f:
+        json.dump(payload, f)
 
 
-def model_from_json(d: dict) -> MlpModel:
+def load_mlp(path) -> MlpModel:
+    with open(path) as f:
+        d = json.load(f)
     sizes = d["layer_sizes"]
     weights = [
         np.asarray(w, dtype=float).reshape(n_in, n_out)
         for w, n_in, n_out in zip(d["weights"], sizes, sizes[1:])
     ]
-    biases = [np.asarray(b, dtype=float) for b in d["biases"]]
     return MlpModel(
         weights,
-        biases,
+        d["biases"],
         Scaler(d["input_scaler"]["mean"], d["input_scaler"]["std"]),
         Scaler(d["output_scaler"]["mean"], d["output_scaler"]["std"]),
     )
-
-
-def save_model(model: MlpModel, path) -> None:
-    with open(path, "w") as f:
-        json.dump(model_to_json(model), f)
-
-
-def load_mlp(path) -> MlpModel:
-    with open(path) as f:
-        return model_from_json(json.load(f))

@@ -141,15 +141,15 @@ def _calib_parts():
 def cmd_calib_gen(cfg: dict, out_dir: Path) -> int:
     model, camera, fm = _calib_parts()
     h = config_hash(cfg)
-    samples = generate_dataset(
+    data = generate_dataset(
         model, camera, fm,
         count=int(cfg.get("count", 10000)),
         delta_range=np.radians(float(cfg.get("delta_range_deg", 5.0))),
         noise_px=float(cfg.get("noise_px", 0.0)),
         rng_seed=int(cfg.get("seed", 0)),
     )
-    write_dataset_csv(samples, out_dir / "calib_dataset.csv", _header(h, "deg_mm"))
-    print(f"wrote {len(samples)} samples to {out_dir / 'calib_dataset.csv'}")
+    write_dataset_csv(data, out_dir / "calib_dataset.csv", _header(h, "deg_mm"))
+    print(f"wrote {len(data)} samples to {out_dir / 'calib_dataset.csv'}")
     return 0
 
 
@@ -160,7 +160,7 @@ def cmd_calib_train(cfg: dict, out_dir: Path) -> int:
               file=sys.stderr)
         return 2
     h = config_hash(cfg)
-    samples = read_dataset_csv(dataset_path)
+    data = read_dataset_csv(dataset_path)
     tc = TrainConfig(
         hidden_sizes=tuple(cfg.get("hidden_sizes", [400, 300, 200])),
         epochs=int(cfg.get("epochs", 200)),
@@ -168,7 +168,7 @@ def cmd_calib_train(cfg: dict, out_dir: Path) -> int:
         learning_rate=float(cfg.get("learning_rate", 1e-3)),
         rng_seed=int(cfg.get("seed", 0)),
     )
-    result = mlp_train(samples, tc)
+    result = mlp_train(data, tc)
     save_model(result.model, out_dir / "calib_model.json")
     _write_csv(
         out_dir / "calib_loss_curve.csv",

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from suturekit.calibration import (
-    CalibSample,
     DEFAULT_QMSR_REGION,
     FeatureBehindCamera,
     FeatureModel,
     Scaler,
     TrainConfig,
     calibrate_direct,
-    dataset_to_arrays,
     detect_features,
     evaluate_calibration,
     generate_dataset,
@@ -121,9 +119,9 @@ class TestDataset:
     def test_count_and_label_range(self, parts):
         model, camera, fm = parts
         delta = np.radians(5.0)
-        samples = generate_dataset(model, camera, fm, count=200, rng_seed=0, validate=False)
-        assert len(samples) == 200
-        _, Y = dataset_to_arrays(samples)
+        data = generate_dataset(model, camera, fm, count=200, rng_seed=0, validate=False)
+        assert data.shape == (200, 12 + 2 * len(fm))
+        Y = data[:, -6:]
         rev = np.delete(np.arange(6), PRISMATIC_INDEX)
         assert np.all(np.abs(Y[:, rev]) <= delta)
         assert np.all(np.abs(Y[:, PRISMATIC_INDEX]) <= delta / model.prismatic_scale)
@@ -132,30 +130,50 @@ class TestDataset:
         model, camera, fm = parts
         a = generate_dataset(model, camera, fm, count=50, rng_seed=3, validate=False)
         b = generate_dataset(model, camera, fm, count=50, rng_seed=3, validate=False)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.q_msr, sb.q_msr)
-            assert np.array_equal(sa.pixels, sb.pixels)
-            assert np.array_equal(sa.delta_q, sb.delta_q)
+        assert np.array_equal(a, b)
 
     def test_prefix_property(self, parts):
         # per-sample rng streams: a shorter run is a prefix of a longer one
         model, camera, fm = parts
         a = generate_dataset(model, camera, fm, count=20, rng_seed=4, validate=False)
         b = generate_dataset(model, camera, fm, count=40, rng_seed=4, validate=False)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.delta_q, sb.delta_q)
+        assert np.array_equal(a[:, -6:], b[:20, -6:])
 
     def test_csv_roundtrip(self, parts, tmp_path):
         model, camera, fm = parts
-        samples = generate_dataset(model, camera, fm, count=20, rng_seed=5, validate=False)
+        data = generate_dataset(model, camera, fm, count=20, rng_seed=5, validate=False)
         path = tmp_path / "ds.csv"
-        write_dataset_csv(samples, path, "# test")
+        write_dataset_csv(data, path, "# test")
         back = read_dataset_csv(path)
-        assert len(back) == len(samples)
-        for sa, sb in zip(samples, back):
-            assert np.allclose(sa.q_msr, sb.q_msr, atol=1e-12)
-            assert np.allclose(sa.pixels, sb.pixels, atol=1e-9)
-            assert np.allclose(sa.delta_q, sb.delta_q, atol=1e-12)
+        assert back.shape == data.shape
+        assert np.allclose(back[:, :6], data[:, :6], atol=1e-12)
+        assert np.allclose(back[:, 6:-6], data[:, 6:-6], atol=1e-9)
+        assert np.allclose(back[:, -6:], data[:, -6:], atol=1e-12)
+
+    def test_csv_golden_bytes(self, tmp_path):
+        # one feature point: qm1..qm6, px1x, px1y, dq1..dq6; joint 3 is prismatic
+        data = np.array([
+            [0.5, -0.25, 0.12, 0.0, 1.0, -1.5, 320.25, 240.5,
+             0.01, -0.02, 0.0005, 0.03, -0.04, 0.05],
+            [-0.5, 0.25, 0.1, 0.2, -1.0, 1.5, 1e-7, 1234.5678901234,
+             0.0, 0.0, -0.0001, 0.0, 0.0, 0.0],
+        ])
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(data, path, "# config_hash=abc units=deg_mm")
+        expected = (
+            "# config_hash=abc units=deg_mm\n"
+            "qm1,qm2,qm3,qm4,qm5,qm6,px1x,px1y,dq1,dq2,dq3,dq4,dq5,dq6\r\n"
+            "28.6478897565,-14.3239448783,120,0,57.2957795131,-85.9436692696,"
+            "320.25,240.5,"
+            "0.572957795131,-1.14591559026,0.5,1.71887338539,-2.29183118052,"
+            "2.86478897565\r\n"
+            "-28.6478897565,14.3239448783,100,11.4591559026,-57.2957795131,"
+            "85.9436692696,1e-07,1234.56789012,0,0,-0.1,0,0,0\r\n"
+        )
+        assert path.read_bytes() == expected.encode()
+        again = tmp_path / "again.csv"
+        write_dataset_csv(read_dataset_csv(path), again, "# config_hash=abc units=deg_mm")
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestScaler:
@@ -294,36 +312,46 @@ class TestTraining:
         with pytest.raises(ValueError):
             mlp_train(small_dataset[:10], TrainConfig(batch_size=64))
 
+    @pytest.mark.parametrize("count, batch_size, epochs, match", [
+        (70, 64, 1, "training split"),  # 63 training rows: not one batch of 64
+        (4, 4, 1, "validation split"),  # round(0.4) = 0 validation rows
+        (400, 64, 0, "epochs"),
+    ])
+    def test_untrainable_split_or_epochs_rejected(
+        self, small_dataset, count, batch_size, epochs, match
+    ):
+        cfg = TrainConfig(hidden_sizes=(8,), epochs=epochs, batch_size=batch_size)
+        with pytest.raises(ValueError, match=match):
+            mlp_train(small_dataset[:count], cfg)
+
 
 class TestEvaluate:
     def test_perfect_predictor_scores_zero(self):
         # constant-label dataset; a zero network with matching output bias
         # predicts it exactly
         label = np.array([0.01, -0.02, 0.001, 0.03, 0.0, -0.01])
-        samples = [
-            CalibSample(np.zeros(6), np.zeros((4, 2)), label.copy()) for _ in range(10)
-        ]
+        data = np.hstack([np.zeros((10, 14)), np.tile(label, (10, 1))])
         m = MlpModel(
             [np.zeros((14, 4)), np.zeros((4, 6))],
             [np.zeros(4), label.copy()],
             identity_scaler(14),
             identity_scaler(6),
         )
-        table = evaluate_calibration(m, samples)
+        table = evaluate_calibration(m, data)
         assert table.shape == (6, 2)
         assert np.allclose(table, 0.0, atol=1e-15)
 
     def test_zero_predictor_mean_error(self):
         rng = np.random.default_rng(12)
         labels = rng.uniform(-1.0, 1.0, (2000, 6))
-        samples = [CalibSample(np.zeros(6), np.zeros((4, 2)), l) for l in labels]
+        data = np.hstack([np.zeros((2000, 14)), labels])
         m = MlpModel(
             [np.zeros((14, 4)), np.zeros((4, 6))],
             [np.zeros(4), np.zeros(6)],
             identity_scaler(14),
             identity_scaler(6),
         )
-        table = evaluate_calibration(m, samples)
+        table = evaluate_calibration(m, data)
         # mean |u| of uniform(-1, 1) is 0.5
         assert np.allclose(table[:, 0], 0.5, atol=0.05)
 

@@ -54,6 +54,13 @@ class TestExitCodes:
         code = run_cli(["calib", "eval", "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_train_on_split_smaller_than_batch_is_exit_one(self, tmp_path):
+        # 270 samples leave 243 training rows, short of one 256-row batch
+        cfg = write_config(tmp_path / "c.json", {"count": 270, "hidden_sizes": [8]})
+        assert run_cli(["calib", "gen", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert run_cli(["calib", "train", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert not (tmp_path / "calib_model.json").exists()
+
     def test_scenes_only_on_pose_bench(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["calib", "gen", "--scenes", "5", "--out-dir", str(tmp_path)])

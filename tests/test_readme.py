@@ -1,5 +1,6 @@
-"""The README's CLI section must advertise only commands that parse."""
+"""The README must advertise only commands that parse and name every calib config key."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -38,3 +39,9 @@ def test_readme_command_parses(line):
 @pytest.mark.parametrize("line", _shell_lines("python3 scripts/"))
 def test_readme_script_exists(line):
     assert (ROOT / shlex.split(line)[1]).is_file()
+
+
+def test_readme_names_every_calib_config_key():
+    text = (ROOT / "README.md").read_text()
+    keys = json.loads((ROOT / "configs" / "calib.json").read_text())
+    assert [k for k in keys if f"`{k}`" not in text] == []
