@@ -8,7 +8,6 @@ Example:
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from suturekit.cli import main as cli_main
@@ -20,20 +19,18 @@ def main():
     ap.add_argument("--bias-deg", type=float, default=3.0)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    out = Path(args.out_dir)
     for label, compensate in (("compensated", True), ("uncompensated", False)):
         cfg = {
             "seed": args.seed,
             "injected_bias_deg": args.bias_deg,
             "compensate": compensate,
         }
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
-            json.dump(cfg, f)
-            cfg_path = f.name
+        run_dir = Path(args.out_dir) / label
+        run_dir.mkdir(parents=True, exist_ok=True)
+        cfg_path = run_dir / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
         print(f"--- {label} (bias {args.bias_deg} deg) ---")
-        code = cli_main(
-            ["suture-run", "--config", cfg_path, "--out-dir", str(out / label)]
-        )
+        code = cli_main(["suture-run", "--config", str(cfg_path), "--out-dir", str(run_dir)])
         if code != 0:
             return code
     return 0

@@ -22,13 +22,13 @@ from .control import NotConverged, PiGains, PlantModel, servo_to
 from .geometry import PinholeCamera, RigidPose, StereoRig, rotation_geodesic
 from .needle import BinaryMask, NeedleShape, pose_to_params, rasterize
 from .planning import (
-    PlanConfig,
     SuturePorts,
     needle_tip_body,
     plan_suture_pass,
     suture_circle,
 )
 from .pose_estimator import (
+    SCENE_DEPTH_RANGE,
     EstimatorConfig,
     KeypointHints,
     NoConvergence,
@@ -74,7 +74,7 @@ def random_needle_pose(
     rng: np.random.Generator,
     rig: StereoRig,
     shape: NeedleShape,
-    depth_range=(0.08, 0.2),
+    depth_range=SCENE_DEPTH_RANGE,
     margin_px: float = 12.0,
     min_view_angle: float = 0.3,
     max_tries: int = 500,
@@ -118,8 +118,7 @@ def observe(
     x_l = pose_to_params(T, shape, rig.left)
     x_r = pose_to_params(T, shape, rig.right)
     hints = KeypointHints(
-        left_start=x_l.kp_st, left_end=x_l.kp_ed,
-        right_start=x_r.kp_st, right_end=x_r.kp_ed,
+        left_start=x_l[2:4], left_end=x_l[4:6], right_start=x_r[2:4], right_end=x_r[4:6]
     )
     return masks, hints
 
@@ -133,7 +132,7 @@ class PoseBenchConfig:
     shape: NeedleShape = DEFAULT_SHAPE
     estimator: EstimatorConfig = EstimatorConfig()
     baseline: float = 0.02
-    depth_range: tuple = (0.08, 0.2)
+    depth_range: tuple = SCENE_DEPTH_RANGE  # places the scenes only
     min_view_angle: float = 0.3
 
 
@@ -205,18 +204,18 @@ def aggregate_rows(rows: list[PoseBenchRow]) -> dict:
 
 # --- end-to-end suture run --------------------------------------------------
 
+_SERVO_MAX_STEPS = 300  # per waypoint, at servo_to's default tolerance
+_CALIB_BOUND = np.radians(10.0)  # calibrate_direct search bound per joint
+
+
 @dataclass(frozen=True)
 class SutureRunConfig:
     rng_seed: int = 0
     shape: NeedleShape = DEFAULT_SHAPE
     estimator: EstimatorConfig = EstimatorConfig()
-    plan: PlanConfig = PlanConfig()
     line_width: float = 1.0
     injected_bias_deg: float = 0.0  # per revolute joint, alternating sign
     compensate: bool = True
-    servo_tol: float = 1e-6
-    servo_max_steps: int = 300
-    calib_bound: float = np.radians(10.0)
 
 
 @dataclass
@@ -287,7 +286,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
         q_msr_cal = DEFAULT_QMSR_REGION.center
         jaw_true = fk(model, q_msr_cal + delta_q)
         px = detect_features(mono, jaw_true, fm, noise_px=0.0)
-        dq_hat = calibrate_direct(model, mono, fm, q_msr_cal, px, cfg.calib_bound)
+        dq_hat = calibrate_direct(model, mono, fm, q_msr_cal, px, _CALIB_BOUND)
     else:
         dq_hat = np.zeros(6)
     dq_err = float(np.max(np.abs(dq_hat - delta_q)))
@@ -302,7 +301,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
     )
     q_start = np.array([0.1, 0.05, 0.1, 0.2, 0.4, 0.1])
     grasp_pose = fk(model, q_start)
-    segments = plan_suture_pass(grasp_pose, ports, shape, grasp_offset, cfg.plan)
+    segments = plan_suture_pass(grasp_pose, ports, shape, grasp_offset)
 
     # --- execute the circular segments under servo control ---------------
     circle = suture_circle(ports, shape)
@@ -324,8 +323,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
             q_des = min(sols, key=lambda s: model.joint_distance(s.q, q_msr_now)).q
             try:
                 trace = servo_to(
-                    plant, gains, dq_hat, q_des, q_act0=q_act,
-                    max_steps=cfg.servo_max_steps, tol=cfg.servo_tol,
+                    plant, gains, dq_hat, q_des, q_act0=q_act, max_steps=_SERVO_MAX_STEPS
                 )
             except NotConverged as e:
                 trace = e.trace

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -35,7 +36,7 @@ from .calibration import (
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to, steady_state_error
 from .needle import NeedleShape
-from .pose_estimator import EstimatorConfig
+from .pose_estimator import SCENE_DEPTH_RANGE, EstimatorConfig
 from .psm_kinematics import KinematicModel, PRISMATIC_INDEX
 
 
@@ -81,7 +82,11 @@ def _write_json(path: Path, cfg_hash: str, payload: dict) -> None:
 
 
 def _estimator_config(d: dict) -> EstimatorConfig:
-    return EstimatorConfig(**d.get("estimator", {}))
+    est = d.get("estimator", {})
+    unknown = sorted(set(est) - {f.name for f in dataclasses.fields(EstimatorConfig)})
+    if unknown:
+        raise ConfigError(f"unknown estimator keys: {', '.join(unknown)}")
+    return EstimatorConfig(**est)
 
 
 def _shape(d: dict) -> NeedleShape:
@@ -101,7 +106,7 @@ def cmd_pose_bench(cfg: dict, out_dir: Path) -> int:
         shape=_shape(cfg),
         estimator=_estimator_config(cfg),
         baseline=float(cfg.get("baseline_mm", 20.0)) / 1000.0,
-        depth_range=tuple(cfg.get("depth_range_m", [0.08, 0.2])),
+        depth_range=tuple(cfg.get("depth_range_m", SCENE_DEPTH_RANGE)),
         min_view_angle=float(cfg.get("min_view_angle_rad", 0.3)),
     )
     h = config_hash(cfg)

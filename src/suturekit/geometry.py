@@ -140,12 +140,17 @@ class PinholeCamera:
             px[valid, 1] = self.cy + self.fy * pc[valid, 1] / Z[valid]
         return px, valid
 
-    def backproject_ray(self, pixel: np.ndarray) -> np.ndarray:
-        """Unit ray direction in world frame through the given pixel."""
-        u, v = np.asarray(pixel, dtype=float)
-        d_cam = np.array([(u - self.cx) / self.fx, (v - self.cy) / self.fy, 1.0])
-        d_world = self.pose_world_from_camera.rotation @ d_cam
-        return d_world / np.linalg.norm(d_world)
+    def backproject_ray(self, pixels: np.ndarray) -> np.ndarray:
+        """Unit world-frame ray directions through a (2,) pixel or (n, 2)
+        pixels; shape (3,) or (n, 3)."""
+        p = np.asarray(pixels, dtype=float)
+        d = np.stack(
+            [(p[..., 0] - self.cx) / self.fx, (p[..., 1] - self.cy) / self.fy,
+             np.ones(p.shape[:-1])],
+            axis=-1,
+        )
+        d = d @ self.pose_world_from_camera.rotation.T
+        return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
     def in_bounds(self, pixel: np.ndarray, margin: float = 0.0) -> bool:
         u, v = pixel

@@ -67,28 +67,6 @@ class NeedleShape:
 
 
 @dataclass(frozen=True)
-class NeedleParams:
-    """The 6-DOF needle encoding [theta1, theta2, kp_st, kp_ed]."""
-
-    theta1: float
-    theta2: float
-    kp_st: np.ndarray
-    kp_ed: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "kp_st", np.asarray(self.kp_st, dtype=float))
-        object.__setattr__(self, "kp_ed", np.asarray(self.kp_ed, dtype=float))
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2, *self.kp_st, *self.kp_ed])
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "NeedleParams":
-        v = np.asarray(v, dtype=float)
-        return NeedleParams(float(v[0]), float(v[1]), v[2:4].copy(), v[4:6].copy())
-
-
-@dataclass(frozen=True)
 class BinaryMask:
     """Foreground pixel set of one view; coordinates are (u, v) integers."""
 
@@ -112,17 +90,6 @@ class BinaryMask:
 
 
 # --- ray-plane construction -------------------------------------------------
-
-def _rays(anchor: PinholeCamera, kp: np.ndarray) -> np.ndarray:
-    """Unit world-frame rays through (n, 2) anchor-view pixels, shape (n, 3)."""
-    d = np.stack(
-        [(kp[:, 0] - anchor.cx) / anchor.fx, (kp[:, 1] - anchor.cy) / anchor.fy,
-         np.ones(len(kp))],
-        axis=1,
-    )
-    d = d @ anchor.pose_world_from_camera.rotation.T
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
-
 
 def _inter_ray_angle(d_st: np.ndarray, d_ed: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(np.sum(d_st * d_ed, axis=-1), -1.0, 1.0))
@@ -150,8 +117,8 @@ def needle_frames(vecs: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -
     """
     vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
     th1, th2 = vecs[:, 0], vecs[:, 1]
-    d_st = _rays(anchor, vecs[:, 2:4])
-    d_ed = _rays(anchor, vecs[:, 4:6])
+    d_st = anchor.backproject_ray(vecs[:, 2:4])
+    d_ed = anchor.backproject_ray(vecs[:, 4:6])
     alpha = _inter_ray_angle(d_st, d_ed)
     valid = (alpha > _MIN_RAY_ANGLE) & (th1 > 0.0) & (th1 < np.pi - alpha)
     sa = np.where(alpha > 1e-12, np.sin(alpha), 1.0)
@@ -173,22 +140,22 @@ def needle_frames(vecs: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -
     return NeedleFrames(centers, e1, u_ax, mid, alpha, valid)
 
 
-def params_to_pose(x: NeedleParams, shape: NeedleShape, anchor: PinholeCamera) -> RigidPose:
+def params_to_pose(vec: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -> RigidPose:
     """Realize the 6-vector as the needle's rigid pose (needle_frames, B = 1).
 
     Raises DegenerateRays or ThetaOutOfRange outside the parameter domain.
     """
-    f = needle_frames(x.as_vector(), shape, anchor)
+    f = needle_frames(vec, shape, anchor)
     alpha = float(f.alpha[0])
     if alpha <= _MIN_RAY_ANGLE:
         raise DegenerateRays(f"inter-ray angle {alpha} <= {_MIN_RAY_ANGLE}")
     if not f.valid[0]:
-        raise ThetaOutOfRange(f"theta1={x.theta1} outside (0, pi - {alpha})")
+        raise ThetaOutOfRange(f"theta1={vec[0]} outside (0, pi - {alpha})")
     e1, u = f.e1[0], f.u_ax[0]
     return RigidPose(np.column_stack([e1, u, np.cross(e1, u)]), f.centers[0])
 
 
-def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> NeedleParams:
+def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> np.ndarray:
     """Invert params_to_pose: recover [theta1, theta2, kp_st, kp_ed]."""
     st_b, ed_b = shape.endpoints_body()
     p_st = T.apply(st_b)
@@ -203,7 +170,7 @@ def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> N
         np.arccos(np.clip(v_c @ v_e / (np.linalg.norm(v_c) * np.linalg.norm(v_e)), -1.0, 1.0))
     )
 
-    d_st, d_ed = _rays(anchor, np.stack([kp_st, kp_ed]))
+    d_st, d_ed = anchor.backproject_ray(np.stack([kp_st, kp_ed]))
     alpha = float(_inter_ray_angle(d_st, d_ed))
     if alpha <= _MIN_RAY_ANGLE:
         raise DegenerateRays(f"inter-ray angle {alpha} <= {_MIN_RAY_ANGLE}")
@@ -217,7 +184,7 @@ def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> N
     e1 = arc_mid - mid
     e1 /= np.linalg.norm(e1)
     theta2 = float(np.arctan2(e1 @ np.cross(u, w_ref), e1 @ w_ref)) % (2.0 * np.pi)
-    return NeedleParams(theta1, theta2, kp_st, kp_ed)
+    return np.array([theta1, theta2, *kp_st, *kp_ed])
 
 
 # --- sampling, reprojection, rasterization ---------------------------------

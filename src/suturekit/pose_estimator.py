@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PinholeCamera, RigidPose, StereoRig
-from .needle import (
-    BinaryMask,
-    NeedleParams,
-    NeedleShape,
-    needle_frames,
-    params_to_pose,
-)
+from .needle import BinaryMask, NeedleShape, needle_frames, params_to_pose
+
+# mid-chord depths in meters that the left-only seeding grid spans; synthetic
+# scenes (bench.random_needle_pose, pose-bench) default to the same range
+SCENE_DEPTH_RANGE = (0.08, 0.2)
 
 # forward-difference steps of the residual Jacobian: theta1, theta2 in
 # radians, then the four keypoint coordinates in pixels
@@ -64,7 +62,6 @@ class EstimatorConfig:
     seed_count: int = 4
     empty_view_penalty: float = 1e4  # squared pixels per mask pixel
     reject_mean_sq_px: float = 25.0  # reject when J / n_pixels exceeds this
-    depth_range: tuple[float, float] = (0.08, 0.2)  # mid-chord seeding, meters
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -206,23 +203,6 @@ class SceneEvaluator:
         )
 
 
-def objective(
-    x: NeedleParams,
-    masks: tuple[BinaryMask, BinaryMask],
-    shape: NeedleShape,
-    rig: StereoRig,
-    config: EstimatorConfig = EstimatorConfig(),
-) -> ObjectiveReport:
-    """Two-view chamfer objective at parameter vector x.
-
-    Raises EmptyMasks, or DegenerateRays / ThetaOutOfRange outside the
-    parameter domain.
-    """
-    ev = SceneEvaluator(masks, shape, rig, config)
-    params_to_pose(x, shape, rig.left)  # raises where per_view would give inf
-    return ev.report(x.as_vector())
-
-
 def _descend(vec: np.ndarray, ev: SceneEvaluator, max_steps: int):
     """One Levenberg-Marquardt descent from a seed; returns (vec, J, steps).
 
@@ -327,7 +307,9 @@ def estimate(
     """Multi-start estimation of the needle pose from stereo masks.
 
     Keypoints are seeded at the anchor-view hints, theta1 so the mid-chord
-    depth spans the configured scene range, theta2 uniformly over [0, 2*pi).
+    depth is the one triangulated from the stereo hints (a 4-point grid over
+    SCENE_DEPTH_RANGE when there are no right hints or the triangulated depth
+    is not finite and positive), theta2 uniformly over [0, 2*pi).
     The seed_count best-scoring seeds each run one Levenberg-Marquardt
     descent to convergence, and the lowest objective wins. Returns (pose,
     report, steps), steps counting the descent iterations of all seeds.
@@ -337,21 +319,17 @@ def estimate(
     kp_st = np.asarray(hints.left_start, dtype=float)
     kp_ed = np.asarray(hints.left_end, dtype=float)
 
-    # seed theta1 so mid-chord depth spans the scene range; with stereo
-    # hints the triangulated depth replaces the span (raw grid J is a poor
-    # basin predictor because J is extremely steep in theta1)
-    lo, hi = config.depth_range
+    # seed theta1 at the triangulated mid-chord depth, unclipped (raw grid J
+    # is a poor basin predictor because J is extremely steep in theta1); a
+    # depth <= 0, e.g. from swapped left/right hints, falls back to the grid
+    d = np.nan
     if hints.right_start is not None and hints.right_end is not None:
         d = _triangulated_depth(
             rig,
             (kp_st, kp_ed),
             (np.asarray(hints.right_start, float), np.asarray(hints.right_end, float)),
         )
-        depths = [float(np.clip(d, lo, hi))] if np.isfinite(d) else list(
-            np.linspace(lo, hi, 4)
-        )
-    else:
-        depths = list(np.linspace(lo, hi, 4))
+    depths = [d] if 0.0 < d < np.inf else list(np.linspace(*SCENE_DEPTH_RANGE, 4))
     theta2s = np.arange(16) * 2.0 * np.pi / 16
     cands = np.array(
         [
@@ -369,7 +347,7 @@ def estimate(
     runs = [_descend(cands[i], ev, config.max_steps) for i in order]
     vec = min(runs, key=lambda run: run[1])[0]
     total_steps = sum(run[2] for run in runs)
-    pose = params_to_pose(NeedleParams.from_vector(vec), shape, rig.left)
+    pose = params_to_pose(vec, shape, rig.left)
     report = ev.report(vec)
     n_px = max(1, sum(report.mask_pixels_used))
     if report.value / n_px > config.reject_mean_sq_px:

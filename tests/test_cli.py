@@ -1,4 +1,9 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +70,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli(["calib", "gen", "--scenes", "5", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, key", [
+        (["pose-bench", "--scenes", "1"], "depth_range"),
+        (["suture-run"], "lr_px"),
+    ], ids=["pose-bench", "suture-run"])
+    def test_unknown_estimator_key_is_config_error(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path / "c.json", {"estimator": {key: [0.2, 0.3]}})
+        code = run_cli(command + ["--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"unknown estimator keys: {key}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_runtime_failure_is_exit_one(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"shape": {"radius_mm": -1.0}})
@@ -155,3 +171,36 @@ class TestPoseBench:
         agg = summary["by_occlusion"]["0.00"]
         assert agg["scenes"] == 1
         assert agg["pos_err_mm_mean"] < 1.0
+
+    def test_scenes_beyond_default_depth_range(self, tmp_path):
+        # depth_range_m only places the scenes; stereo seeding must start from
+        # the triangulated depth, or these needles beyond the 0.2 m default
+        # come back at a wrong pose that is still flagged converged
+        cfg = write_config(tmp_path / "c.json", {"scenes": 2, "depth_range_m": [0.3, 0.4]})
+        assert run_cli(["pose-bench", "--config", cfg, "--seed", "0",
+                        "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "pose_bench.csv").read_text().splitlines()[1:]
+        rows = list(csv.DictReader(lines))
+        assert len(rows) == 2
+        for r in rows:
+            assert r["converged"] == "1"
+            assert float(r["pos_err_m"]) <= 1e-3, r
+            assert float(r["ang_err_rad"]) <= np.radians(3.0), r
+
+
+def test_suture_demo_keeps_configs_in_out_dir(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = {**os.environ, "TMPDIR": str(scratch),
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_suture_demo.py"),
+         "--out-dir", str(tmp_path / "out")],
+        env=env, check=True, capture_output=True,
+    )
+    for label, compensate in (("compensated", True), ("uncompensated", False)):
+        d = tmp_path / "out" / label
+        assert json.loads((d / "cfg.json").read_text())["compensate"] is compensate
+        assert (d / "suture_report.json").exists()
+    assert list(scratch.iterdir()) == []

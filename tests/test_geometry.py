@@ -84,6 +84,11 @@ class TestBackprojection:
         ray = cam.backproject_ray([u, v])
         point = cam.center + depth * ray
         assert np.allclose(cam.project(point), [u, v], atol=1e-6)
+        # an (n, 2) batch gives the single-pixel rays row by row
+        pixels = np.array([[u, v], [640.0 - u, 480.0 - v]])
+        rays = cam.backproject_ray(pixels)
+        assert rays.shape == (2, 3)
+        assert np.allclose(rays, [cam.backproject_ray(px) for px in pixels], atol=1e-15)
 
 
 class TestRigidPose:

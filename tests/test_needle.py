@@ -8,7 +8,6 @@ from suturekit.geometry import RigidPose
 from suturekit.needle import (
     BinaryMask,
     DegenerateRays,
-    NeedleParams,
     NeedleShape,
     ThetaOutOfRange,
     needle_frames,
@@ -46,10 +45,9 @@ class TestShape:
 class TestTriangleConstruction:
     def test_isoceles_law_of_sines(self, rig, shape):
         cam = rig.left
-        x = NeedleParams(0.0, 0.0, np.array([300.0, 240.0]), np.array([340.0, 240.0]))
-        alpha = needle_frames(x.as_vector(), shape, cam).alpha[0]
-        theta1 = (np.pi - alpha) / 2.0
-        x = NeedleParams(theta1, 0.0, x.kp_st, x.kp_ed)
+        x = np.array([0.0, 0.0, 300.0, 240.0, 340.0, 240.0])
+        alpha = needle_frames(x, shape, cam).alpha[0]
+        x[0] = (np.pi - alpha) / 2.0
         T = params_to_pose(x, shape, cam)
         p_st, p_ed = (T.apply(p) for p in shape.endpoints_body())
         L = shape.chord_length
@@ -68,8 +66,8 @@ class TestTriangleConstruction:
         cam = rig.left
         kp_st = np.array([280.0, 230.0])
         kp_ed = kp_st + [du, dv]
-        x = NeedleParams(theta1, theta2, kp_st, kp_ed)
-        if theta1 >= np.pi - needle_frames(x.as_vector(), shape, cam).alpha[0] - 1e-3:
+        x = np.array([theta1, theta2, *kp_st, *kp_ed])
+        if theta1 >= np.pi - needle_frames(x, shape, cam).alpha[0] - 1e-3:
             return
         T = params_to_pose(x, shape, cam)
         p_st, p_ed = (T.apply(p) for p in shape.endpoints_body())
@@ -77,17 +75,17 @@ class TestTriangleConstruction:
 
     def test_endpoints_reproject_to_keypoints(self, rig, shape):
         cam = rig.left
-        x = NeedleParams(1.1, 0.7, np.array([260.0, 210.0]), np.array([330.0, 260.0]))
+        x = np.array([1.1, 0.7, 260.0, 210.0, 330.0, 260.0])
         T = params_to_pose(x, shape, cam)
         p_st, p_ed = (T.apply(p) for p in shape.endpoints_body())
-        assert np.allclose(cam.project(p_st), x.kp_st, atol=1e-9)
-        assert np.allclose(cam.project(p_ed), x.kp_ed, atol=1e-9)
+        assert np.allclose(cam.project(p_st), x[2:4], atol=1e-9)
+        assert np.allclose(cam.project(p_ed), x[4:6], atol=1e-9)
 
     def test_theta2_mirror_about_rays_plane(self, rig, shape):
         cam = rig.left
         kp_st, kp_ed = np.array([280.0, 220.0]), np.array([350.0, 250.0])
-        Ta = params_to_pose(NeedleParams(0.9, 0.4, kp_st, kp_ed), shape, cam)
-        Tb = params_to_pose(NeedleParams(0.9, -0.4, kp_st, kp_ed), shape, cam)
+        Ta = params_to_pose(np.array([0.9, 0.4, *kp_st, *kp_ed]), shape, cam)
+        Tb = params_to_pose(np.array([0.9, -0.4, *kp_st, *kp_ed]), shape, cam)
         # endpoints shared, arc midpoints mirrored across the rays plane
         for p in shape.endpoints_body():
             assert np.allclose(Ta.apply(p), Tb.apply(p), atol=1e-12)
@@ -102,14 +100,13 @@ class TestTriangleConstruction:
     def test_theta1_out_of_range(self, rig, shape):
         kp_st, kp_ed = np.array([280.0, 220.0]), np.array([350.0, 250.0])
         with pytest.raises(ThetaOutOfRange):
-            params_to_pose(NeedleParams(3.2, 0.0, kp_st, kp_ed), shape, rig.left)
+            params_to_pose(np.array([3.2, 0.0, *kp_st, *kp_ed]), shape, rig.left)
         with pytest.raises(ThetaOutOfRange):
-            params_to_pose(NeedleParams(0.0, 0.0, kp_st, kp_ed), shape, rig.left)
+            params_to_pose(np.array([0.0, 0.0, *kp_st, *kp_ed]), shape, rig.left)
 
     def test_coincident_keypoints_degenerate(self, rig, shape):
-        kp = np.array([300.0, 240.0])
         with pytest.raises(DegenerateRays):
-            params_to_pose(NeedleParams(1.0, 0.0, kp, kp.copy()), shape, rig.left)
+            params_to_pose(np.array([1.0, 0.0, 300.0, 240.0, 300.0, 240.0]), shape, rig.left)
 
 
 class TestParamsRoundtrip:
@@ -123,17 +120,13 @@ class TestParamsRoundtrip:
         assert np.allclose(T2.rotation, T.rotation, atol=1e-8)
 
     def test_params_pose_params(self, rig, shape):
-        x = NeedleParams(1.2, 2.5, np.array([280.0, 225.0]), np.array([345.0, 255.0]))
+        x = np.array([1.2, 2.5, 280.0, 225.0, 345.0, 255.0])
         T = params_to_pose(x, shape, rig.left)
         back = pose_to_params(T, shape, rig.left)
-        assert np.isclose(back.theta1, x.theta1, atol=1e-9)
-        assert np.isclose(back.theta2 % (2 * np.pi), x.theta2 % (2 * np.pi), atol=1e-9)
-        assert np.allclose(back.kp_st, x.kp_st, atol=1e-6)
-        assert np.allclose(back.kp_ed, x.kp_ed, atol=1e-6)
-
-    def test_vector_roundtrip(self):
-        x = NeedleParams(0.5, 1.5, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        assert np.allclose(NeedleParams.from_vector(x.as_vector()).as_vector(), x.as_vector())
+        assert back.shape == (6,)
+        assert np.isclose(back[0], x[0], atol=1e-9)
+        assert np.isclose(back[1] % (2 * np.pi), x[1] % (2 * np.pi), atol=1e-9)
+        assert np.allclose(back[2:], x[2:], atol=1e-6)
 
 
 class TestSampling:

@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from suturekit.bench import observe, random_needle_pose
-from suturekit.needle import BinaryMask, NeedleParams, params_to_pose, pose_to_params, reproject
+from suturekit import pose_estimator
+from suturekit.needle import BinaryMask, params_to_pose, pose_to_params, reproject
 from suturekit.pose_estimator import (
     EmptyMasks,
     EstimatorConfig,
@@ -14,8 +15,8 @@ from suturekit.pose_estimator import (
     SceneEvaluator,
     _chamfer,
     _descend,
+    _triangulated_depth,
     estimate,
-    objective,
 )
 from suturekit.geometry import rotation_geodesic
 
@@ -65,37 +66,35 @@ class TestChamfer:
 class TestObjective:
     def test_small_at_ground_truth(self, rig, shape):
         _, masks, x_true, _ = make_scene(rig, shape, seed=1)
-        report = objective(x_true, masks, shape, rig)
+        report = SceneEvaluator(masks, shape, rig, EstimatorConfig()).report(x_true)
         n = sum(report.mask_pixels_used)
         assert report.value / n < 2.0  # sub-pixel mean squared offset
         assert report.value == pytest.approx(sum(report.per_view_value))
 
     def test_grows_away_from_truth(self, rig, shape):
         _, masks, x_true, _ = make_scene(rig, shape, seed=2)
-        J0 = objective(x_true, masks, shape, rig).value
-        shifted = NeedleParams(
-            x_true.theta1, x_true.theta2, x_true.kp_st + 15.0, x_true.kp_ed + 15.0
-        )
-        assert objective(shifted, masks, shape, rig).value > 5.0 * J0
+        ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
+        shifted = x_true + np.array([0.0, 0.0, 15.0, 15.0, 15.0, 15.0])
+        assert ev.report(shifted).value > 5.0 * ev.report(x_true).value
 
     def test_empty_masks_raise(self, rig, shape):
         empty = BinaryMask(640, 480, np.empty((0, 2), dtype=int))
-        x = NeedleParams(1.0, 0.0, np.array([300.0, 240.0]), np.array([340.0, 240.0]))
         with pytest.raises(EmptyMasks):
-            objective(x, (empty, empty), shape, rig)
+            SceneEvaluator((empty, empty), shape, rig, EstimatorConfig())
 
     def test_one_empty_view_pays_penalty_free_pass(self, rig, shape):
         # an empty view contributes zero (no mask pixels to explain)
         _, masks, x_true, _ = make_scene(rig, shape, seed=3)
         empty = BinaryMask(640, 480, np.empty((0, 2), dtype=int))
-        report = objective(x_true, (masks[0], empty), shape, rig)
+        report = SceneEvaluator((masks[0], empty), shape, rig, EstimatorConfig()).report(x_true)
         assert report.per_view_value[1] == 0.0
 
     def test_subset_mask_never_increases_objective(self, rig, shape):
         _, masks, x_true, _ = make_scene(rig, shape, seed=4)
-        full = objective(x_true, masks, shape, rig).value
+        cfg = EstimatorConfig()
+        full = SceneEvaluator(masks, shape, rig, cfg).report(x_true).value
         half = BinaryMask(640, 480, masks[0].foreground[::2])
-        reduced = objective(x_true, (half, masks[1]), shape, rig).value
+        reduced = SceneEvaluator((half, masks[1]), shape, rig, cfg).report(x_true).value
         assert reduced <= full
 
 
@@ -107,19 +106,17 @@ class TestSceneEvaluator:
         cfg = EstimatorConfig()
         ev = SceneEvaluator(masks, shape, rig, cfg)
         for dx in (0.0, 3.0, -7.0):
-            x = NeedleParams(
-                x_true.theta1, x_true.theta2, x_true.kp_st + dx, x_true.kp_ed + dx
-            )
-            J_ev = float(ev.evaluate(x.as_vector())[0])
+            x = x_true + np.array([0.0, 0.0, dx, dx, dx, dx])
+            J_ev = float(ev.evaluate(x)[0])
             assert J_ev == pytest.approx(
                 brute_force_objective(x, masks, shape, rig, cfg), rel=1e-9
             )
-            assert J_ev == objective(x, masks, shape, rig, cfg).value
+            assert J_ev == ev.report(x).value
 
     def test_batch_matches_single(self, rig, shape):
         _, masks, x_true, _ = make_scene(rig, shape, seed=6)
         ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
-        batch = np.stack([x_true.as_vector() + d for d in (0.0, 1.0, 2.0)])
+        batch = np.stack([x_true + d for d in (0.0, 1.0, 2.0)])
         joint = ev.evaluate(batch)
         for row, J in zip(batch, joint):
             assert float(ev.evaluate(row)[0]) == pytest.approx(J, rel=1e-12)
@@ -127,7 +124,7 @@ class TestSceneEvaluator:
     def test_invalid_theta1_is_inf(self, rig, shape):
         _, masks, x_true, _ = make_scene(rig, shape, seed=7)
         ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
-        bad = x_true.as_vector().copy()
+        bad = x_true.copy()
         bad[0] = 3.3
         assert np.isinf(ev.evaluate(bad)[0])
 
@@ -142,7 +139,7 @@ class TestResiduals:
         reprojection projected on the normals."""
 
         def reproj(v):
-            T = params_to_pose(NeedleParams.from_vector(v), shape, rig.left)
+            T = params_to_pose(v, shape, rig.left)
             return reproject(T, shape, rig, cfg.axis_sample_count)
 
         base = reproj(vec)
@@ -172,7 +169,7 @@ class TestResiduals:
         _, masks, x_true, _ = make_scene(rig, shape, seed=seed, occlusion=(0.4, 0.5))
         cfg = EstimatorConfig()
         ev = SceneEvaluator(masks, shape, rig, cfg)
-        vec = x_true.as_vector() + np.array([0.05, 0.1, 2.0, -2.0, 1.5, 1.0])
+        vec = x_true + np.array([0.05, 0.1, 2.0, -2.0, 1.5, 1.0])
         r, A = ev.residuals(vec)
         r_ref, A_ref = self.oracle(vec, ev.mask_px, shape, rig, cfg, self.STEPS)
         assert r.shape == r_ref.shape and A.shape == (len(r), 6)
@@ -187,7 +184,7 @@ class TestDescent:
         _, masks, x_true, _ = make_scene(rig, shape, seed=9)
         cfg = EstimatorConfig()
         ev = SceneEvaluator(masks, shape, rig, cfg)
-        vec0 = x_true.as_vector() + np.array([0.05, 0.3, 2.0, -2.0, 1.0, -1.0])
+        vec0 = x_true + np.array([0.05, 0.3, 2.0, -2.0, 1.0, -1.0])
         J0 = float(ev.evaluate(vec0)[0])
         vec, J_best, steps = _descend(vec0, ev, 100)
         assert J_best <= J0 and J_best == float(ev.evaluate(vec)[0])
@@ -197,7 +194,7 @@ class TestDescent:
         _, masks, x_true, _ = make_scene(rig, shape, seed=10)
         cfg = EstimatorConfig()
         ev = SceneEvaluator(masks, shape, rig, cfg)
-        vec0 = x_true.as_vector()
+        vec0 = x_true
         best_vec, J_best, _ = _descend(vec0, ev, 200)
         assert J_best <= float(ev.evaluate(vec0)[0])
         assert np.abs(best_vec[2:] - vec0[2:]).max() < 2.0  # keypoints stay put
@@ -206,7 +203,7 @@ class TestDescent:
         _, masks, x_true, _ = make_scene(rig, shape, seed=9)
         ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
         monkeypatch.setattr(ev, "residuals", lambda vec: (np.empty(0), np.empty((0, 6))))
-        vec0 = x_true.as_vector()
+        vec0 = x_true
         vec, J, steps = _descend(vec0, ev, 100)
         assert steps == 0 and np.array_equal(vec, vec0)
         assert J == float(ev.evaluate(vec0)[0])
@@ -230,9 +227,24 @@ class TestEstimate:
 
     def test_without_right_hints(self, rig, shape):
         T_true, masks, x_l, _ = make_scene(rig, shape, seed=13)
-        hints = KeypointHints(left_start=x_l.kp_st, left_end=x_l.kp_ed)
+        hints = KeypointHints(left_start=x_l[2:4], left_end=x_l[4:6])
         pose, _, _ = estimate(masks, hints, shape, rig)
         assert np.linalg.norm(pose.translation - T_true.translation) < 1e-3
+
+    def test_swapped_hints_triangulate_behind_the_rig(self, rig, shape):
+        _, _, _, hints = make_scene(rig, shape, seed=13)
+        left, right = (hints.left_start, hints.left_end), (hints.right_start, hints.right_end)
+        assert _triangulated_depth(rig, left, right) > 0.0
+        assert _triangulated_depth(rig, right, left) <= 0.0
+
+    @pytest.mark.parametrize("depth", [-0.1, np.nan])
+    def test_unusable_depth_seeds_like_left_only(self, rig, shape, monkeypatch, depth):
+        _, masks, _, hints = make_scene(rig, shape, seed=13)
+        left_only = estimate(masks, KeypointHints(hints.left_start, hints.left_end), shape, rig)
+        monkeypatch.setattr(pose_estimator, "_triangulated_depth", lambda *args: depth)
+        pose, report, steps = estimate(masks, hints, shape, rig)
+        assert np.array_equal(pose.translation, left_only[0].translation)
+        assert report.value == left_only[1].value and steps == left_only[2]
 
     def test_occluded_scene(self, rig, shape):
         T_true, masks, _, hints = make_scene(rig, shape, seed=14, occlusion=(0.3, 0.6))
@@ -276,7 +288,7 @@ STRESS_SCENARIOS = [
     ("line_width_3", {}, 3.0, 0.0, None),
     ("near_edge_on", {"min_view_angle": 0.1}, 1.0, 0.0, None),
     ("occlusion_50", {}, 1.0, 0.5, None),
-    # beyond the default seeding depth range (0.08, 0.2)
+    # beyond SCENE_DEPTH_RANGE, which only the left-only seeding grid spans
     ("depth_beyond_seeding", {"depth_range": (0.22, 0.3)}, 1.0, 0.0, None),
 ]
 

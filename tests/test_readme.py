@@ -1,5 +1,6 @@
-"""The README must advertise only commands that parse and name every calib config key."""
+"""The README must advertise only commands that parse and name every config key."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from suturekit.cli import build_parser
+from suturekit.pose_estimator import EstimatorConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,7 +43,16 @@ def test_readme_script_exists(line):
     assert (ROOT / shlex.split(line)[1]).is_file()
 
 
-def test_readme_names_every_calib_config_key():
-    text = (ROOT / "README.md").read_text()
-    keys = json.loads((ROOT / "configs" / "calib.json").read_text())
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
+def test_readme_names_every_config_key(config):
+    text = _cli_section()
+    keys = json.loads((ROOT / "configs" / config).read_text())
     assert [k for k in keys if f"`{k}`" not in text] == []
+
+
+def test_readme_names_every_key_the_cli_reads():
+    source = (ROOT / "src" / "suturekit" / "cli.py").read_text()
+    keys = set(re.findall(r'\.get\("(\w+)"', source))
+    keys |= {f.name for f in dataclasses.fields(EstimatorConfig)}
+    text = _cli_section()
+    assert sorted(k for k in keys if f"`{k}`" not in text) == []
