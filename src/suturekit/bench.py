@@ -70,6 +70,13 @@ def default_mono_camera(standoff: float = 0.08) -> PinholeCamera:
     return PinholeCamera(1200.0, 1200.0, 640.0, 480.0, 1280, 960, pose)
 
 
+def _in_view(cam: PinholeCamera, pts: np.ndarray, margin_px: float) -> bool:
+    """Every point projects in front of cam into [margin, size - margin)."""
+    px, valid = cam.project_many(pts)
+    size = np.array([cam.width, cam.height])
+    return bool(valid.all() and np.all((px >= margin_px) & (px < size - margin_px)))
+
+
 def random_needle_pose(
     rng: np.random.Generator,
     rig: StereoRig,
@@ -98,13 +105,7 @@ def random_needle_pose(
         if abs(R[:, 2] @ view_dir) < np.sin(min_view_angle):
             continue
         pts = T.apply(shape.arc_points_body(np.linspace(0, shape.arc_angle, 64)))
-        ok = True
-        for c in rig.cameras:
-            px, valid = c.project_many(pts)
-            if not valid.all() or not all(c.in_bounds(p, margin_px) for p in px):
-                ok = False
-                break
-        if ok:
+        if all(_in_view(c, pts, margin_px) for c in rig.cameras):
             return T
     raise RuntimeError("could not sample an in-view needle pose")
 

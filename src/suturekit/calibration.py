@@ -130,19 +130,17 @@ def pose_from_pixels(
     left-multiplied twist parameterization.
     """
     pixels = np.asarray(pixels, dtype=float).reshape(len(fm), 2)
-    cam_inv = camera.pose_world_from_camera.inverse()
+    Rc = camera.pose_camera_from_world.rotation  # d p_camera / d p_world
     T = initial
     grow_streak = 0
     prev_cost = np.inf
     for it in range(_GN_MAX_ITERATIONS):
         pw = T.apply(fm.body_points)
-        pc = cam_inv.apply(pw)
-        Z = pc[:, 2]
-        if np.any(Z <= 1e-12):
+        proj, valid = camera.project_many(pw)
+        if not valid.all():
             raise FeatureBehindCamera("feature depth went non-positive during fit")
-        proj = np.column_stack(
-            [camera.cx + camera.fx * pc[:, 0] / Z, camera.cy + camera.fy * pc[:, 1] / Z]
-        )
+        pc = camera.world_to_camera(pw)
+        Z = pc[:, 2]
         r = (proj - pixels).reshape(-1)
         cost = float(r @ r)
         if cost >= prev_cost:
@@ -154,7 +152,6 @@ def pose_from_pixels(
         prev_cost = cost
 
         J = np.zeros((2 * len(fm), 6))
-        Rc = cam_inv.rotation
         for i, p in enumerate(pw):
             dpx_dpc = np.array(
                 [

@@ -52,9 +52,12 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     with open(p) as f:
         try:
-            return json.load(f)
+            cfg = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid config JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError("config JSON must be an object")
+    return cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -81,16 +84,33 @@ def _write_json(path: Path, cfg_hash: str, payload: dict) -> None:
         f.write("\n")
 
 
+# top-level keys each subcommand reads; the three calib steps share one file
+CONFIG_KEYS = {
+    "pose-bench": {"seed", "scenes", "occlusion_fractions", "line_width", "baseline_mm",
+                   "depth_range_m", "min_view_angle_rad", "shape", "estimator"},
+    "calib": {"seed", "count", "delta_range_deg", "noise_px", "epochs", "batch_size",
+              "learning_rate", "hidden_sizes", "test_count"},
+    "control-sim": {"seed", "beta", "kp", "ki", "q_des_deg", "q3_des_mm", "max_steps", "tol"},
+    "suture-run": {"seed", "line_width", "injected_bias_deg", "compensate", "shape",
+                   "estimator"},
+}
+
+
+def _check_keys(d: dict, known, where: str) -> None:
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 def _estimator_config(d: dict) -> EstimatorConfig:
     est = d.get("estimator", {})
-    unknown = sorted(set(est) - {f.name for f in dataclasses.fields(EstimatorConfig)})
-    if unknown:
-        raise ConfigError(f"unknown estimator keys: {', '.join(unknown)}")
+    _check_keys(est, (f.name for f in dataclasses.fields(EstimatorConfig)), "estimator")
     return EstimatorConfig(**est)
 
 
 def _shape(d: dict) -> NeedleShape:
     s = d.get("shape", {})
+    _check_keys(s, ("radius_mm", "arc_angle_deg"), "shape")
     return NeedleShape(s.get("radius_mm", 10.0) / 1000.0,
                        np.radians(s.get("arc_angle_deg", 180.0)))
 
@@ -335,6 +355,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        _check_keys(cfg, CONFIG_KEYS[args.command], args.command)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -105,6 +105,8 @@ class PinholeCamera:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
+        # the one camera-from-world transform, computed once; world_to_camera applies it
+        object.__setattr__(self, "pose_camera_from_world", self.pose_world_from_camera.inverse())
 
     @property
     def center(self) -> np.ndarray:
@@ -112,32 +114,21 @@ class PinholeCamera:
         return self.pose_world_from_camera.translation
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
-        return self.pose_world_from_camera.inverse().apply(points)
-
-    def project(self, point_world: np.ndarray) -> np.ndarray:
-        """Project a world point to pixel coordinates.
-
-        Raises NonPositiveDepth for points at or behind the camera. The
-        result may lie outside the image bounds; callers clip.
-        """
-        X, Y, Z = self.world_to_camera(np.asarray(point_world, dtype=float))
-        if Z <= 1e-12:
-            raise NonPositiveDepth(f"depth {Z} <= 1e-12")
-        return np.array([self.cx + self.fx * X / Z, self.cy + self.fy * Y / Z])
+        """Camera-frame coordinates of (..., 3) world points; [..., 2] is the
+        depth along the optical axis."""
+        return self.pose_camera_from_world.apply(points)
 
     def project_many(self, points_world: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized projection of (N, 3) points.
+        """Pinhole projection of (..., 3) world points, the only one there is.
 
-        Returns (pixels (N, 2), valid (N,) bool); invalid rows (depth <=
-        1e-12) contain NaN.
+        Returns (pixels (..., 2), valid (...) bool). Points at depth <= 1e-12
+        are invalid and their pixels NaN; valid pixels may lie outside the
+        image.
         """
         pc = self.world_to_camera(np.asarray(points_world, dtype=float))
-        Z = pc[:, 2]
-        valid = Z > 1e-12
-        px = np.full((len(pc), 2), np.nan)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            px[valid, 0] = self.cx + self.fx * pc[valid, 0] / Z[valid]
-            px[valid, 1] = self.cy + self.fy * pc[valid, 1] / Z[valid]
+        valid = pc[..., 2] > 1e-12
+        z = np.where(valid, pc[..., 2], np.nan)[..., None]
+        px = np.array([self.cx, self.cy]) + np.array([self.fx, self.fy]) * pc[..., :2] / z
         return px, valid
 
     def backproject_ray(self, pixels: np.ndarray) -> np.ndarray:
@@ -151,10 +142,6 @@ class PinholeCamera:
         )
         d = d @ self.pose_world_from_camera.rotation.T
         return d / np.linalg.norm(d, axis=-1, keepdims=True)
-
-    def in_bounds(self, pixel: np.ndarray, margin: float = 0.0) -> bool:
-        u, v = pixel
-        return (margin <= u < self.width - margin) and (margin <= v < self.height - margin)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PinholeCamera, RigidPose, StereoRig
+from .geometry import NonPositiveDepth, PinholeCamera, RigidPose, StereoRig
 
 _MIN_RAY_ANGLE = 1e-6
 
@@ -156,12 +156,15 @@ def params_to_pose(vec: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -
 
 
 def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> np.ndarray:
-    """Invert params_to_pose: recover [theta1, theta2, kp_st, kp_ed]."""
+    """Invert params_to_pose: recover [theta1, theta2, kp_st, kp_ed].
+
+    Raises NonPositiveDepth when an endpoint is at or behind the anchor.
+    """
     st_b, ed_b = shape.endpoints_body()
-    p_st = T.apply(st_b)
-    p_ed = T.apply(ed_b)
-    kp_st = anchor.project(p_st)  # raises NonPositiveDepth if behind
-    kp_ed = anchor.project(p_ed)
+    p_st, p_ed = T.apply(st_b), T.apply(ed_b)
+    (kp_st, kp_ed), valid = anchor.project_many(np.stack([p_st, p_ed]))
+    if not valid.all():
+        raise NonPositiveDepth("needle endpoint at or behind the anchor camera")
 
     C = anchor.center
     v_c = C - p_st
@@ -256,17 +259,14 @@ def rasterize(
 
     radius = line_width / 2.0
     r_int = int(np.ceil(radius))
-    offs = np.array(
-        [(du, dv) for du in range(-r_int, r_int + 1) for dv in range(-r_int, r_int + 1)]
-    )
-    pixels: set[tuple[int, int]] = set()
-    for u, v in px:
-        base = np.array([round(u), round(v)])
-        cand = base + offs
-        d = np.hypot(cand[:, 0] - u, cand[:, 1] - v)
-        for cu, cv in cand[d <= radius]:
-            if 0 <= cu < camera.width and 0 <= cv < camera.height:
-                pixels.add((int(cu), int(cv)))
-    fg = np.array(sorted(pixels), dtype=int).reshape(-1, 2)
+    offs = np.arange(-r_int, r_int + 1)
+    offs = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
+    cand = np.rint(px)[:, None] + offs  # (n, K, 2) integer-valued candidates
+    diff = cand - px[:, None]
+    near = np.hypot(diff[..., 0], diff[..., 1]) <= radius
+    cu, cv = cand[near].astype(int).T
+    inside = (cu >= 0) & (cu < camera.width) & (cv >= 0) & (cv < camera.height)
+    key = np.unique(cu[inside] * camera.height + cv[inside])  # sorted by (u, v)
+    fg = np.column_stack([key // camera.height, key % camera.height])
     return BinaryMask(camera.width, camera.height, fg)
 

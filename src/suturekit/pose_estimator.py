@@ -107,9 +107,9 @@ def _chamfer(
 class SceneEvaluator:
     """Vectorized objective over batches of raw parameter vectors.
 
-    Precomputes per-scene constants (capped mask pixels, camera extrinsics,
-    arc body samples) once; project() then runs pure array math, and
-    per_view() adds one distance product per view.
+    Precomputes per-scene constants (capped mask pixels, arc body samples)
+    once; project() then runs pure array math, and per_view() adds one
+    distance product per view.
     """
 
     def __init__(self, masks, shape: NeedleShape, rig: StereoRig, config: EstimatorConfig):
@@ -121,11 +121,6 @@ class SceneEvaluator:
         self.mask_px = [
             _subsample(m.foreground, config.mask_pixel_cap).astype(float) for m in masks
         ]
-        self._views = []
-        for cam in rig.cameras:
-            inv = cam.pose_world_from_camera.inverse()
-            f, c = np.array([cam.fx, cam.fy]), np.array([cam.cx, cam.cy])
-            self._views.append((inv.rotation, inv.translation, f, c))
         body = shape.arc_points_body(np.linspace(0.0, shape.arc_angle, config.axis_sample_count))
         self._body_xy = body[:, :2]  # arc is planar, z = 0 in the body frame
 
@@ -137,15 +132,9 @@ class SceneEvaluator:
         """
         centers, e1, u_ax, _, _, valid = needle_frames(vecs, self.shape, self.rig.left)
         xb, yb = self._body_xy[:, :1], self._body_xy[:, 1:]  # (N, 1) each
-        # world arc points, (B * N, 3)
-        pts = (centers[:, None] + xb * e1[:, None] + yb * u_ax[:, None]).reshape(-1, 3)
-        px = []
-        for Rc, tc, f, c in self._views:
-            pc = pts @ Rc.T + tc
-            z = np.where(pc[:, 2:] > 1e-12, pc[:, 2:], np.nan)
-            px.append((c + f * pc[:, :2] / z).reshape(len(valid), -1, 2))
-        px = np.stack(px, axis=1)
-        return px, ~np.isnan(px[..., 0]), valid
+        pts = centers[:, None] + xb * e1[:, None] + yb * u_ax[:, None]  # (B, N, 3) world
+        px, vis = zip(*(cam.project_many(pts) for cam in self.rig.cameras))
+        return np.stack(px, axis=1), np.stack(vis, axis=1), valid
 
     def per_view(self, vecs: np.ndarray) -> np.ndarray:
         """Per-view objective values, shape (B, 2); inf outside the domain."""
@@ -267,9 +256,7 @@ def _triangulated_depth(rig: StereoRig, left_px, right_px) -> float:
         t1 = (b * (d2 @ w) - (d1 @ w)) / denom
         t2 = ((d2 @ w) - b * (d1 @ w)) / denom
         pts.append(0.5 * (o1 + t1 * d1 + o2 + t2 * d2))
-    mid = np.mean(pts, axis=0)
-    fwd = rig.left.pose_world_from_camera.rotation[:, 2]
-    return float((mid - rig.left.center) @ fwd)
+    return float(rig.left.world_to_camera(np.mean(pts, axis=0))[2])
 
 
 def _theta1_candidates(
@@ -285,8 +272,7 @@ def _theta1_candidates(
     alpha = float(needle_frames(np.concatenate([[0.0, 0.0], kps]), shape, anchor).alpha[0])
     t1 = np.linspace(1e-3, np.pi - alpha - 1e-3, 512)
     grid = np.column_stack([t1, np.zeros_like(t1), np.tile(kps, (len(t1), 1))])
-    mid = needle_frames(grid, shape, anchor).mid
-    depth = (mid - anchor.center) @ anchor.pose_world_from_camera.rotation[:, 2]
+    depth = anchor.world_to_camera(needle_frames(grid, shape, anchor).mid)[:, 2]
     peak = int(np.argmax(depth))
     out = []
     for sl in (slice(0, peak + 1), slice(peak, None)):

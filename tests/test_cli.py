@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from suturekit.cli import build_parser, config_hash, main
+from suturekit.cli import CONFIG_KEYS, build_parser, config_hash, main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(args):
@@ -81,6 +84,38 @@ class TestExitCodes:
         assert code == 2
         assert f"unknown estimator keys: {key}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        (["pose-bench"], {"scenes": 1, "occlusion_fraction": [0.3]},
+         "unknown pose-bench keys: occlusion_fraction"),
+        (["calib", "gen"], {"count": 300, "epoch": 3}, "unknown calib keys: epoch"),
+        (["control-sim"], {"scenes": 2}, "unknown control-sim keys: scenes"),
+        (["suture-run"], {"shape": {"radius": 8.0}}, "unknown shape keys: radius"),
+    ], ids=["pose-bench", "calib", "control-sim", "shape"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, command, cfg, message):
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "out"
+        assert run_cli(command + ["--config", path, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_config_must_be_an_object(self, tmp_path):
+        path = write_config(tmp_path / "c.json", [1, 2])
+        assert run_cli(["control-sim", "--config", path, "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "config", sorted(p.name for p in CONFIGS.glob("*.json")), ids=lambda n: n
+    )
+    def test_shipped_config_keys_are_accepted(self, config):
+        command = next(c for c in CONFIG_KEYS if config.replace("_", "-").startswith(c))
+        keys = set(json.loads((CONFIGS / config).read_text()))
+        assert keys <= CONFIG_KEYS[command]
+
+    def test_every_key_the_cli_reads_is_accepted(self):
+        source = (CONFIGS.parent / "src" / "suturekit" / "cli.py").read_text()
+        read = set(re.findall(r'\.get\("(\w+)"', source))
+        accepted = set().union(*CONFIG_KEYS.values()) | {"radius_mm", "arc_angle_deg"}
+        assert sorted(read - accepted) == []
 
     def test_runtime_failure_is_exit_one(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"shape": {"radius_mm": -1.0}})

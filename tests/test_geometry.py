@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suturekit.geometry import (
-    NonPositiveDepth,
     PinholeCamera,
     RigidPose,
     StereoRig,
     rotation_geodesic,
 )
 
-from conftest import random_rotation
+from conftest import pinhole_oracle, random_rotation
 
 
 def simple_camera(pose=None):
@@ -24,26 +23,33 @@ def rot_z(t):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def project_one(cam, p):
+    px, valid = cam.project_many(np.array([p], dtype=float))
+    assert valid.all()
+    return px[0]
+
+
 class TestProjection:
     def test_principal_axis_point(self):
         cam = simple_camera()
-        assert np.allclose(cam.project([0.0, 0.0, 1.0]), [320.0, 240.0])
+        assert np.allclose(project_one(cam, [0.0, 0.0, 1.0]), [320.0, 240.0])
 
     def test_off_axis_point(self):
         cam = simple_camera()
-        assert np.allclose(cam.project([0.2, 0.0, 1.0]), [420.0, 240.0])
+        assert np.allclose(project_one(cam, [0.2, 0.0, 1.0]), [420.0, 240.0])
 
     def test_depth_invariance_of_direction(self):
         cam = simple_camera()
-        assert np.allclose(cam.project([0.4, 0.0, 2.0]), [420.0, 240.0])
+        assert np.allclose(project_one(cam, [0.4, 0.0, 2.0]), [420.0, 240.0])
 
     @pytest.mark.parametrize("z", [0.0, -0.5])
     def test_non_positive_depth(self, z):
         cam = simple_camera()
-        with pytest.raises(NonPositiveDepth):
-            cam.project([0.0, 0.0, z])
+        px, valid = cam.project_many(np.array([[0.1, 0.0, z]]))
+        assert valid.tolist() == [False]
+        assert np.isnan(px).all()
 
-    def test_project_many_matches_project(self):
+    def test_project_many_matches_oracle(self):
         rng = np.random.default_rng(0)
         cam = simple_camera(RigidPose(random_rotation(rng), rng.normal(size=3)))
         pts = cam.pose_world_from_camera.apply(
@@ -52,7 +58,19 @@ class TestProjection:
         px, valid = cam.project_many(pts)
         assert valid.all()
         for p, row in zip(pts, px):
-            assert np.allclose(row, cam.project(p), atol=1e-9)
+            assert np.allclose(row, pinhole_oracle(cam, p), atol=1e-9)
+        # leading axes are kept: (5, 10, 3) points give (5, 10, 2) pixels
+        px_b, valid_b = cam.project_many(pts.reshape(5, 10, 3))
+        assert px_b.shape == (5, 10, 2) and valid_b.shape == (5, 10)
+        assert np.allclose(px_b.reshape(-1, 2), [pinhole_oracle(cam, p) for p in pts], atol=1e-9)
+
+    def test_world_to_camera_depth(self):
+        rng = np.random.default_rng(1)
+        cam = simple_camera(RigidPose(random_rotation(rng), rng.normal(size=3)))
+        pts = rng.normal(size=(20, 3))
+        R = cam.pose_world_from_camera.rotation
+        assert np.allclose(cam.world_to_camera(pts)[:, 2], (pts - cam.center) @ R[:, 2],
+                           atol=1e-12)
 
     def test_project_many_flags_behind(self):
         cam = simple_camera()
@@ -83,7 +101,7 @@ class TestBackprojection:
         cam = simple_camera(RigidPose(random_rotation(rng), rng.normal(size=3)))
         ray = cam.backproject_ray([u, v])
         point = cam.center + depth * ray
-        assert np.allclose(cam.project(point), [u, v], atol=1e-6)
+        assert np.allclose(pinhole_oracle(cam, point), [u, v], atol=1e-6)
         # an (n, 2) batch gives the single-pixel rays row by row
         pixels = np.array([[u, v], [640.0 - u, 480.0 - v]])
         rays = cam.backproject_ray(pixels)
@@ -170,9 +188,3 @@ class TestValidation:
     def test_bad_focal_length(self):
         with pytest.raises(ValueError):
             PinholeCamera(0.0, 500.0, 320.0, 240.0, 640, 480)
-
-    def test_in_bounds_margin(self):
-        cam = simple_camera()
-        assert cam.in_bounds([5.0, 5.0])
-        assert not cam.in_bounds([5.0, 5.0], margin=10.0)
-        assert not cam.in_bounds([640.0, 200.0])

@@ -1,4 +1,6 @@
-"""Source hygiene: no module under src/suturekit imports a name it never uses."""
+"""Source hygiene: no module under src/suturekit imports a name it never uses,
+and only geometry.py inverts a camera pose (PinholeCamera keeps the one
+camera-from-world transform)."""
 
 import ast
 from pathlib import Path
@@ -33,3 +35,33 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import csv\nimport json\nfrom os import path as p, sep\njson.dumps(p)\n"
     assert unused_imports(source) == ["csv (line 1)", "sep (line 3)"]
+
+
+def camera_pose_inversions(source: str) -> list[int]:
+    """Lines that call `<expr>.pose_world_from_camera.inverse()`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "inverse"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "pose_world_from_camera"
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "geometry.py"), ids=lambda p: p.name
+)
+def test_only_geometry_inverts_camera_poses(path):
+    assert camera_pose_inversions(path.read_text()) == []
+
+
+def test_scan_flags_a_camera_pose_inversion():
+    source = (
+        "inv = cam.pose_world_from_camera.inverse()\n"
+        "grasp_inv = grasp.inverse()\n"
+        "R = rig.left.pose_world_from_camera.rotation.T\n"
+        "x = f(rig.left.pose_world_from_camera.inverse().apply(p))\n"
+    )
+    assert camera_pose_inversions(source) == [1, 4]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suturekit.bench import random_needle_pose
-from suturekit.geometry import RigidPose
+from suturekit.geometry import NonPositiveDepth, RigidPose
 from suturekit.needle import (
     BinaryMask,
     DegenerateRays,
@@ -17,6 +17,8 @@ from suturekit.needle import (
     reproject,
     sample_axis_points,
 )
+
+from conftest import pinhole_oracle
 
 
 class TestShape:
@@ -78,8 +80,8 @@ class TestTriangleConstruction:
         x = np.array([1.1, 0.7, 260.0, 210.0, 330.0, 260.0])
         T = params_to_pose(x, shape, cam)
         p_st, p_ed = (T.apply(p) for p in shape.endpoints_body())
-        assert np.allclose(cam.project(p_st), x[2:4], atol=1e-9)
-        assert np.allclose(cam.project(p_ed), x[4:6], atol=1e-9)
+        assert np.allclose(pinhole_oracle(cam, p_st), x[2:4], atol=1e-9)
+        assert np.allclose(pinhole_oracle(cam, p_ed), x[4:6], atol=1e-9)
 
     def test_theta2_mirror_about_rays_plane(self, rig, shape):
         cam = rig.left
@@ -128,6 +130,29 @@ class TestParamsRoundtrip:
         assert np.isclose(back[1] % (2 * np.pi), x[1] % (2 * np.pi), atol=1e-9)
         assert np.allclose(back[2:], x[2:], atol=1e-6)
 
+    @pytest.mark.parametrize("z", [-0.1, 0.005])
+    def test_endpoint_behind_anchor_raises(self, rig, shape, z):
+        # chord along the optical axis: at z = 0.005 only the start endpoint
+        # (z - radius) is behind the camera, at z = -0.1 both are
+        R = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        T = RigidPose(R, np.array([0.0, 0.0, z]))
+        with pytest.raises(NonPositiveDepth):
+            pose_to_params(T, shape, rig.left)
+
+
+class TestRandomNeedlePose:
+    @pytest.mark.parametrize("margin_px", [12.0, 40.0])
+    def test_arc_inside_margin(self, rig, shape, margin_px):
+        # needles this close span most of the image, so the margin binds
+        for seed in range(10):
+            rng = np.random.default_rng([21, seed])
+            T = random_needle_pose(rng, rig, shape, (0.045, 0.065), margin_px=margin_px)
+            pts = T.apply(shape.arc_points_body(np.linspace(0, shape.arc_angle, 64)))
+            for cam in rig.cameras:
+                px = np.array([pinhole_oracle(cam, p) for p in pts])
+                assert (px >= margin_px).all(), seed
+                assert (px < np.array([cam.width, cam.height]) - margin_px).all(), seed
+
 
 class TestSampling:
     def test_three_samples_are_endpoints_and_midpoint(self, shape):
@@ -158,7 +183,47 @@ class TestSampling:
             sample_axis_points(RigidPose.identity(), shape, 1)
 
 
+def stamp_reference(T, shape, camera, line_width, occlusion):
+    """rasterize's former per-sample stamping loop, kept as its reference; the
+    samples are projected as rasterize projects them, so only stamping differs."""
+    coarse = project_samples(T, shape, camera, 257, occlusion)
+    arc_px_len = float(np.sum(np.linalg.norm(np.diff(coarse, axis=0), axis=1)))
+    px = project_samples(T, shape, camera, max(2, int(np.ceil(4.0 * arc_px_len))), occlusion)
+    radius = line_width / 2.0
+    r_int = int(np.ceil(radius))
+    offs = np.array(
+        [(du, dv) for du in range(-r_int, r_int + 1) for dv in range(-r_int, r_int + 1)]
+    )
+    pixels = set()
+    for u, v in px:
+        cand = np.array([round(u), round(v)]) + offs
+        d = np.hypot(cand[:, 0] - u, cand[:, 1] - v)
+        for cu, cv in cand[d <= radius]:
+            if 0 <= cu < camera.width and 0 <= cv < camera.height:
+                pixels.add((int(cu), int(cv)))
+    return np.array(sorted(pixels), dtype=int).reshape(-1, 2)
+
+
+def project_samples(T, shape, camera, count, occlusion):
+    px, valid = camera.project_many(sample_axis_points(T, shape, count, occlusion))
+    return px[valid]
+
+
 class TestReprojectAndRasterize:
+    @pytest.mark.parametrize("line_width", [1.0, 3.0, 4.5])
+    @pytest.mark.parametrize("occlusion", [None, (0.3, 0.6)], ids=["clean", "occluded"])
+    def test_rasterize_matches_reference_stamping(self, rig, shape, line_width, occlusion):
+        poses = [random_needle_pose(np.random.default_rng([16, i]), rig, shape) for i in range(3)]
+        # across two of the left image's edges, top-left and bottom-right: the
+        # in-image filter
+        for corner in ([2.0, 2.0], [637.0, 477.0]):
+            poses.append(RigidPose(np.eye(3), 0.1 * rig.left.backproject_ray(corner)))
+        for i, T in enumerate(poses):
+            for cam in rig.cameras:
+                mask = rasterize(T, shape, cam, line_width, occlusion)
+                ref = stamp_reference(T, shape, cam, line_width, occlusion)
+                assert np.array_equal(mask.foreground, ref), (i, cam.pose_world_from_camera)
+
     def test_reproject_matches_pointwise_projection(self, rig, shape):
         rng = np.random.default_rng(12)
         T = random_needle_pose(rng, rig, shape)
@@ -167,7 +232,7 @@ class TestReprojectAndRasterize:
         for cam, px in zip(rig.cameras, (left_px, right_px)):
             assert len(px) == 40
             for p, row in zip(pts, px):
-                assert np.allclose(row, cam.project(p), atol=1e-9)
+                assert np.allclose(row, pinhole_oracle(cam, p), atol=1e-9)
 
     def test_rasterize_behind_camera_is_empty(self, rig, shape):
         T = RigidPose(np.eye(3), np.array([0.0, 0.0, -0.1]))

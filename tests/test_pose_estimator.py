@@ -290,6 +290,8 @@ STRESS_SCENARIOS = [
     ("occlusion_50", {}, 1.0, 0.5, None),
     # beyond SCENE_DEPTH_RANGE, which only the left-only seeding grid spans
     ("depth_beyond_seeding", {"depth_range": (0.22, 0.3)}, 1.0, 0.0, None),
+    # left-only hints seed on that grid, so the descent has to leave it
+    ("left_only_beyond_seeding", {"depth_range": (0.3, 0.4)}, 1.0, 0.0, _left_only),
 ]
 
 
