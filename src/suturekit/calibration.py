@@ -25,6 +25,7 @@ from .psm_kinematics import (
     REVOLUTE,
     constrained_ik,
     fk,
+    fk_arrays,
     verify_unique,
 )
 
@@ -87,6 +88,21 @@ class FeatureModel:
         return len(self.body_points)
 
 
+def _feature_pixels(
+    camera: PinholeCamera, R: np.ndarray, t: np.ndarray, fm: FeatureModel
+) -> np.ndarray:
+    """Noise-free feature pixels (..., N, 2) of jaws at rotations (..., 3, 3)
+    and translations (..., 3); raises FeatureBehindCamera if any feature is
+    at or behind the camera."""
+    pts = fm.body_points @ np.swapaxes(R, -1, -2) + t[..., None, :]
+    px, valid = camera.project_many(pts)
+    if not valid.all():
+        raise FeatureBehindCamera(
+            f"{np.count_nonzero(~valid)} feature point(s) at or behind the camera"
+        )
+    return px
+
+
 def detect_features(
     camera: PinholeCamera,
     jaw_pose: RigidPose,
@@ -95,11 +111,7 @@ def detect_features(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Feature pixel positions with isotropic Gaussian pixel noise."""
-    px, valid = camera.project_many(jaw_pose.apply(fm.body_points))
-    if not valid.all():
-        raise FeatureBehindCamera(
-            f"{np.count_nonzero(~valid)} feature point(s) at or behind the camera"
-        )
+    px = _feature_pixels(camera, jaw_pose.rotation, jaw_pose.translation, fm)
     if noise_px > 0:
         if rng is None:
             raise ValueError("rng required when noise_px > 0")
@@ -267,20 +279,28 @@ def generate_dataset(
     offset label (6), shape (count, 12 + 2N).
 
     Per-sample rng streams derive from (rng_seed, index), so generation is
-    order-independent and reproducible.
+    order-independent and reproducible. Each stream draws q_msr, the offset
+    and the pixel noise in that order; forward kinematics and the feature
+    projection then run once over the whole batch.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if validate:
         validate_region(model, DEFAULT_TRAIN_REGION, _TRAIN_BOUND, rng_seed=rng_seed)
     data = np.empty((count, 12 + 2 * len(fm)))
+    noise = np.empty((count, len(fm), 2))
     for i, row in enumerate(data):
         rng = np.random.default_rng([rng_seed, i])
-        q_msr = DEFAULT_TRAIN_REGION.sample(rng)  # zero width, but keeps the rng stream
+        row[:6] = DEFAULT_TRAIN_REGION.sample(rng)  # zero width, but keeps the rng stream
         dq = rng.uniform(-delta_range, delta_range, 6)
         dq[PRISMATIC_INDEX] /= model.prismatic_scale
-        px = detect_features(camera, fk(model, q_msr + dq), fm, noise_px, rng)
-        row[:6], row[6:-6], row[-6:] = q_msr, px.reshape(-1), dq
+        row[-6:] = dq
+        if noise_px > 0:
+            noise[i] = rng.normal(0.0, noise_px, (len(fm), 2))
+    px = _feature_pixels(camera, *fk_arrays(model, data[:, :6] + data[:, -6:]), fm)
+    if noise_px > 0:
+        px = px + noise
+    data[:, 6:-6] = px.reshape(count, -1)
     return data
 
 
@@ -369,7 +389,8 @@ class MlpModel:
         return out[0] if x.ndim == 1 else out
 
     def _forward_scaled(self, xs: np.ndarray):
-        """Forward in scaled space keeping pre-activations for backprop."""
+        """Forward in scaled space keeping the activations for backprop; the
+        result has the dtype of the inputs and parameters."""
         acts = [xs]
         h = xs
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -393,7 +414,8 @@ def mlp_init(
 
 
 def mlp_backprop(model: MlpModel, xs: np.ndarray, ys: np.ndarray):
-    """Mean-squared-error loss and parameter gradients, scaled space."""
+    """Mean-squared-error loss and parameter gradients, scaled space; the
+    gradients have the dtype of the model and the inputs."""
     acts, out = model._forward_scaled(xs)
     err = out - ys
     loss = float(np.mean(err * err))
@@ -439,6 +461,10 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
     `data` is a `generate_dataset` array: inputs `data[:, :-6]`, labels
     `data[:, -6:]`. Raises ValueError unless every epoch runs at least one
     optimizer step and has a validation loss.
+
+    The loop (scaled data, weights, Adam moments) runs in float32, about
+    three times faster than float64 for the default network; the returned
+    model holds the trained weights in float64.
     """
     X, Y = data[:, :-6], data[:, -6:]
     if config.epochs < 1:
@@ -456,13 +482,17 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     in_scaler = Scaler.fit(X[train_idx])
     out_scaler = Scaler.fit(Y[train_idx])
-    Xs, Ys = in_scaler.scale(X), out_scaler.scale(Y)
+    Xs = in_scaler.scale(X).astype(np.float32)
+    Ys = out_scaler.scale(Y).astype(np.float32)
 
     sizes = [X.shape[1], *config.hidden_sizes, Y.shape[1]]
     model = mlp_init(sizes, in_scaler, out_scaler, rng)
+    model.weights = [W.astype(np.float32) for W in model.weights]
+    model.biases = [b.astype(np.float32) for b in model.biases]
     params = model.weights + model.biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
+    scratch = [np.empty_like(p) for p in params]
     t = 0
     decay = _LR_FINAL_FRACTION ** (1.0 / config.epochs)
     lr = config.learning_rate
@@ -479,14 +509,31 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
             t += 1
             c1 = 1.0 - _BETA1 ** t
             c2 = 1.0 - _BETA2 ** t
-            for i, g in enumerate(dW + db):
-                m[i] = _BETA1 * m[i] + (1 - _BETA1) * g
-                v[i] = _BETA2 * v[i] + (1 - _BETA2) * g ** 2
-                params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + _EPS)
+            # in place, in the operation order of
+            #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            #   p -= lr (m / c1) / (sqrt(v / c2) + eps)
+            # so it rounds exactly as those expressions do; g, used once,
+            # doubles as the second scratch buffer
+            for p, g, m_, v_, s in zip(params, dW + db, m, v, scratch):
+                m_ *= _BETA1
+                np.multiply(g, 1 - _BETA1, out=s)
+                m_ += s
+                v_ *= _BETA2
+                np.multiply(g, g, out=s)
+                s *= 1 - _BETA2
+                v_ += s
+                np.divide(v_, c2, out=s)
+                np.sqrt(s, out=s)
+                s += _EPS
+                np.divide(m_, c1, out=g)
+                g *= lr
+                g /= s
+                p -= g
         lr *= decay
         train_curve.append(float(np.mean(epoch_losses)))
         _, out = model._forward_scaled(Xs[val_idx])
         val_curve.append(float(np.mean((out - Ys[val_idx]) ** 2)))
+    model = MlpModel(model.weights, model.biases, in_scaler, out_scaler)
     return TrainResult(model, train_curve, val_curve)
 
 

@@ -96,21 +96,90 @@ CONFIG_KEYS = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list_of(test, length=None):
+    return lambda v: (isinstance(v, list) and length in (None, len(v))
+                      and all(test(x) for x in v))
+
+
+_INTEGER = ("an integer", _is_integer)
+_NUMBER = ("a number", _is_number)
+_GAINS = ("a number or a list of 6 numbers",
+          lambda v: _is_number(v) or _list_of(_is_number, 6)(v))
+
+# what each config value must be, by key; a nested table stands for a JSON
+# object with those keys only
+CONFIG_VALUES = {
+    "seed": _INTEGER,
+    "scenes": _INTEGER,
+    "occlusion_fractions": ("a list of numbers", _list_of(_is_number)),
+    "line_width": _NUMBER,
+    "baseline_mm": _NUMBER,
+    "depth_range_m": ("a list of 2 numbers", _list_of(_is_number, 2)),
+    "min_view_angle_rad": _NUMBER,
+    "shape": {"radius_mm": _NUMBER, "arc_angle_deg": _NUMBER},
+    "estimator": {f.name: _INTEGER if f.type == "int" else _NUMBER
+                  for f in dataclasses.fields(EstimatorConfig)},
+    "count": _INTEGER,
+    "delta_range_deg": _NUMBER,
+    "noise_px": _NUMBER,
+    "epochs": _INTEGER,
+    "batch_size": _INTEGER,
+    "learning_rate": _NUMBER,
+    "hidden_sizes": ("a list of integers", _list_of(_is_integer)),
+    "test_count": _INTEGER,
+    "beta": _NUMBER,
+    "kp": _GAINS,
+    "ki": _GAINS,
+    "q_des_deg": ("a list of 6 numbers", _list_of(_is_number, 6)),
+    "q3_des_mm": _NUMBER,
+    "max_steps": _INTEGER,
+    "tol": _NUMBER,
+    "injected_bias_deg": _NUMBER,
+    "compensate": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
 def _check_keys(d: dict, known, where: str) -> None:
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _check_values(d: dict, kinds: dict, prefix: str = "") -> None:
+    """Raise ConfigError naming the first key whose value has the wrong
+    type; nested objects are checked for unknown keys too."""
+    for key, value in d.items():
+        kind = kinds[key]
+        if isinstance(kind, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {prefix}{key} must be an object, "
+                                  f"got {json.dumps(value)}")
+            _check_keys(value, kind, key)
+            _check_values(value, kind, f"{prefix}{key}.")
+        elif not kind[1](value):
+            raise ConfigError(f"config key {prefix}{key} must be {kind[0]}, "
+                              f"got {json.dumps(value)}")
+
+
+def _check_config(cfg: dict, command: str) -> None:
+    _check_keys(cfg, CONFIG_KEYS[command], command)
+    _check_values(cfg, CONFIG_VALUES)
+
+
 def _estimator_config(d: dict) -> EstimatorConfig:
-    est = d.get("estimator", {})
-    _check_keys(est, (f.name for f in dataclasses.fields(EstimatorConfig)), "estimator")
-    return EstimatorConfig(**est)
+    return EstimatorConfig(**d.get("estimator", {}))
 
 
 def _shape(d: dict) -> NeedleShape:
     s = d.get("shape", {})
-    _check_keys(s, ("radius_mm", "arc_angle_deg"), "shape")
     return NeedleShape(s.get("radius_mm", 10.0) / 1000.0,
                        np.radians(s.get("arc_angle_deg", 180.0)))
 
@@ -355,7 +424,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        _check_keys(cfg, CONFIG_KEYS[args.command], args.command)
+        _check_config(cfg, args.command)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -377,9 +446,6 @@ def main(argv=None) -> int:
     fn = dispatch[(args.command, getattr(args, "subcommand", None))]
     try:
         return fn(cfg, out_dir)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:  # runtime failure
         print(f"error [{args.command}]: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

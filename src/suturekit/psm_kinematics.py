@@ -54,13 +54,21 @@ class Unreachable(KinematicsError):
 
 
 def _rz(t):
+    """Rotations about z by angles of any shape, shape t.shape + (3, 3)."""
     c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    R = np.zeros(np.shape(t) + (3, 3))
+    R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1] = c, -s, s, c
+    R[..., 2, 2] = 1.0
+    return R
 
 
 def _rx(t):
+    """Rotations about x by angles of any shape, shape t.shape + (3, 3)."""
     c, s = np.cos(t), np.sin(t)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    R = np.zeros(np.shape(t) + (3, 3))
+    R[..., 1, 1], R[..., 1, 2], R[..., 2, 1], R[..., 2, 2] = c, -s, s, c
+    R[..., 0, 0] = 1.0
+    return R
 
 
 @dataclass(frozen=True)
@@ -93,16 +101,22 @@ class KinematicModel:
         return float(np.max(d))
 
 
+def fk_arrays(model: KinematicModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tool-tip rotations (..., 3, 3) and translations (..., 3) for joint
+    values of shape (..., 6): the one forward-kinematics chain."""
+    q = np.asarray(q, dtype=float)
+    R12 = _rz(q[..., 0]) @ _rx(q[..., 1])
+    d = R12[..., :, 2]  # shaft direction
+    s = model.shaft_offset + q[..., 2]
+    R5 = R12 @ _rz(q[..., 3]) @ _rx(q[..., 4])
+    R = R5 @ _rz(q[..., 5])
+    t = (s + model.pitch_to_yaw)[..., None] * d + model.yaw_to_tip * R5[..., :, 2]
+    return R, t
+
+
 def fk(model: KinematicModel, q: JointVector) -> RigidPose:
     """Tool-tip pose for the given joint values."""
-    q = np.asarray(q, dtype=float)
-    R12 = _rz(q[0]) @ _rx(q[1])
-    d = R12[:, 2]  # shaft direction
-    s = model.shaft_offset + q[2]
-    R5 = R12 @ _rz(q[3]) @ _rx(q[4])
-    R = R5 @ _rz(q[5])
-    t = (s + model.pitch_to_yaw) * d + model.yaw_to_tip * R5[:, 2]
-    return RigidPose(R, t)
+    return RigidPose(*fk_arrays(model, q))
 
 
 @dataclass(frozen=True)

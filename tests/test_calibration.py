@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from suturekit.calibration import (
     DEFAULT_QMSR_REGION,
+    DEFAULT_TRAIN_REGION,
     FeatureBehindCamera,
     FeatureModel,
     Scaler,
@@ -20,7 +23,14 @@ from suturekit.calibration import (
     save_model,
     write_dataset_csv,
 )
-from suturekit.calibration import MlpModel
+from suturekit.calibration import (
+    _BETA1,
+    _BETA2,
+    _EPS,
+    _LR_FINAL_FRACTION,
+    _VAL_FRACTION,
+    MlpModel,
+)
 from suturekit.geometry import RigidPose
 from suturekit.psm_kinematics import KinematicModel, PRISMATIC_INDEX, fk
 from scipy.spatial.transform import Rotation
@@ -117,6 +127,23 @@ class TestCalibrateDirect:
         assert np.max(np.abs(dq_hat)) < 1e-9
 
 
+def reference_dataset(model, camera, fm, count, delta_range, noise_px, rng_seed):
+    """The per-sample generation loop: one fk pose, one projection and one
+    noise draw per row, in the order generate_dataset draws them."""
+    data = np.empty((count, 12 + 2 * len(fm)))
+    for i, row in enumerate(data):
+        rng = np.random.default_rng([rng_seed, i])
+        q_msr = DEFAULT_TRAIN_REGION.sample(rng)
+        dq = rng.uniform(-delta_range, delta_range, 6)
+        dq[PRISMATIC_INDEX] /= model.prismatic_scale
+        px, valid = camera.project_many(fk(model, q_msr + dq).apply(fm.body_points))
+        assert valid.all()
+        if noise_px > 0:
+            px = px + rng.normal(0.0, noise_px, px.shape)
+        row[:6], row[6:-6], row[-6:] = q_msr, px.reshape(-1), dq
+    return data
+
+
 class TestDataset:
     def test_count_and_label_range(self, parts):
         model, camera, fm = parts
@@ -140,6 +167,29 @@ class TestDataset:
         a = generate_dataset(model, camera, fm, count=20, rng_seed=4, validate=False)
         b = generate_dataset(model, camera, fm, count=40, rng_seed=4, validate=False)
         assert np.array_equal(a[:, -6:], b[:20, -6:])
+
+    @pytest.mark.parametrize("rng_seed, noise_px, count", [
+        (0, 0.0, 300),
+        (0, 0.5, 300),
+        (7, 0.5, 257),
+        (7, 0.0, 1),
+    ])
+    def test_matches_per_sample_reference(self, parts, rng_seed, noise_px, count):
+        model, camera, fm = parts
+        delta = np.radians(5.0)
+        data = generate_dataset(model, camera, fm, count=count, delta_range=delta,
+                                noise_px=noise_px, rng_seed=rng_seed, validate=False)
+        expected = reference_dataset(model, camera, fm, count, delta, noise_px, rng_seed)
+        assert np.array_equal(data, expected)
+
+    def test_feature_behind_camera_raises(self, parts):
+        model, camera, fm = parts
+        # the same camera turned half a turn about its y axis looks away from the jaw
+        R = camera.pose_world_from_camera.rotation @ np.diag([-1.0, 1.0, -1.0])
+        away = dataclasses.replace(
+            camera, pose_world_from_camera=RigidPose(R, camera.center))
+        with pytest.raises(FeatureBehindCamera):
+            generate_dataset(model, away, fm, count=5, validate=False)
 
     def test_csv_roundtrip(self, parts, tmp_path):
         model, camera, fm = parts
@@ -279,6 +329,17 @@ class TestBackprop:
         ys = rng.normal(size=(32, 6))
         assert gradient_check(m, xs, ys, probes=10, rng=rng) < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_follow_the_dtype(self, dtype):
+        rng = np.random.default_rng(14)
+        m = mlp_init([6, 5, 3], identity_scaler(6), identity_scaler(3), rng)
+        m.weights = [W.astype(dtype) for W in m.weights]
+        m.biases = [b.astype(dtype) for b in m.biases]
+        xs = rng.normal(size=(8, 6)).astype(dtype)
+        ys = rng.normal(size=(8, 3)).astype(dtype)
+        _, dW, db = mlp_backprop(m, xs, ys)
+        assert {g.dtype for g in dW + db} == {np.dtype(dtype)}
+
     def test_loss_is_mean_squared_error(self):
         rng = np.random.default_rng(10)
         m = mlp_init([4, 5, 2], identity_scaler(4), identity_scaler(2), rng)
@@ -295,6 +356,43 @@ def small_dataset(parts):
     return generate_dataset(model, camera, fm, count=400, rng_seed=11, validate=False)
 
 
+def reference_train(data, config):
+    """mlp_train's float32 loop with the Adam update written out of place,
+    one expression per moment; returns the float32 parameters and the
+    per-epoch mean training loss."""
+    X, Y = data[:, :-6], data[:, -6:]
+    rng = np.random.default_rng(config.rng_seed)
+    perm = rng.permutation(len(X))
+    n_val = int(round(_VAL_FRACTION * len(X)))
+    train_idx = perm[n_val:]
+    in_scaler, out_scaler = Scaler.fit(X[train_idx]), Scaler.fit(Y[train_idx])
+    Xs = in_scaler.scale(X).astype(np.float32)
+    Ys = out_scaler.scale(Y).astype(np.float32)
+    model = mlp_init([X.shape[1], *config.hidden_sizes, 6], in_scaler, out_scaler, rng)
+    model.weights = [W.astype(np.float32) for W in model.weights]
+    model.biases = [b.astype(np.float32) for b in model.biases]
+    params = model.weights + model.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t, lr, curve = 0, config.learning_rate, []
+    for _ in range(config.epochs):
+        order = rng.permutation(train_idx)
+        losses = []
+        for start in range(0, len(order) - config.batch_size + 1, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss, dW, db = mlp_backprop(model, Xs[idx], Ys[idx])
+            losses.append(loss)
+            t += 1
+            c1, c2 = 1.0 - _BETA1 ** t, 1.0 - _BETA2 ** t
+            for i, g in enumerate(dW + db):
+                m[i] = _BETA1 * m[i] + (1 - _BETA1) * g
+                v[i] = _BETA2 * v[i] + (1 - _BETA2) * g ** 2
+                params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + _EPS)
+        lr *= _LR_FINAL_FRACTION ** (1.0 / config.epochs)
+        curve.append(float(np.mean(losses)))
+    return params, curve
+
+
 class TestTraining:
     def test_loss_decreases(self, small_dataset):
         cfg = TrainConfig(hidden_sizes=(32, 16), epochs=15, batch_size=64, rng_seed=0)
@@ -309,6 +407,15 @@ class TestTraining:
         assert a.train_loss == b.train_loss
         for Wa, Wb in zip(a.model.weights, b.model.weights):
             assert np.array_equal(Wa, Wb)
+
+    def test_matches_out_of_place_adam_in_float32(self, small_dataset):
+        cfg = TrainConfig(hidden_sizes=(16, 8), epochs=4, batch_size=32, rng_seed=2)
+        res = mlp_train(small_dataset, cfg)
+        params, curve = reference_train(small_dataset, cfg)
+        assert res.train_loss == curve
+        for got, want in zip(res.model.weights + res.model.biases, params):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want.astype(np.float64))
 
     def test_dataset_smaller_than_batch_rejected(self, small_dataset):
         with pytest.raises(ValueError):
@@ -369,3 +476,11 @@ class TestModelSerialization:
         back = load_mlp(path)
         X = rng.normal(size=(8, 5))
         assert np.allclose(back.forward(X), m.forward(X), atol=1e-12)
+
+    def test_trained_model_roundtrip_is_exact(self, small_dataset, tmp_path):
+        cfg = TrainConfig(hidden_sizes=(16, 8), epochs=2, batch_size=64, rng_seed=3)
+        model = mlp_train(small_dataset, cfg).model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        X = small_dataset[:50, :-6]
+        assert np.array_equal(load_mlp(path).forward(X), model.forward(X))

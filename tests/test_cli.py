@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from suturekit.cli import CONFIG_KEYS, build_parser, config_hash, main
+from suturekit.cli import (
+    CONFIG_KEYS,
+    CONFIG_VALUES,
+    _check_config,
+    build_parser,
+    config_hash,
+    main,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -99,6 +106,32 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        (["pose-bench"], {"scenes": "two"}, 'scenes must be an integer, got "two"'),
+        (["pose-bench"], {"scenes": 1.5}, "scenes must be an integer"),
+        (["pose-bench"], {"depth_range_m": [0.1]}, "depth_range_m must be a list of 2"),
+        (["pose-bench"], {"estimator": [3]}, "estimator must be an object, got [3]"),
+        (["pose-bench"], {"estimator": {"max_steps": "9"}},
+         "estimator.max_steps must be an integer"),
+        (["suture-run"], {"shape": 8.0}, "shape must be an object, got 8.0"),
+        (["suture-run"], {"shape": {"radius_mm": "8"}}, "shape.radius_mm must be a number"),
+        (["suture-run"], {"compensate": 1}, "compensate must be true or false"),
+        (["calib", "gen"], {"count": "many"}, 'count must be an integer, got "many"'),
+        (["calib", "train"], {"hidden_sizes": [8, "x"]}, "hidden_sizes must be a list"),
+        (["control-sim"], {"kp": [0.5, 0.5]}, "kp must be a number or a list of 6"),
+        (["control-sim"], {"seed": True}, "seed must be an integer, got true"),
+    ], ids=["scenes-str", "scenes-float", "depth-range", "estimator", "estimator-field",
+            "shape", "shape-field", "compensate", "count", "hidden-sizes", "kp", "seed"])
+    def test_wrong_value_type_is_config_error(self, tmp_path, capsys, command, cfg, message):
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "out"
+        assert run_cli(command + ["--config", path, "--out-dir", str(out)]) == 2
+        assert f"config key {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_accepted_key_has_a_value_type(self):
+        assert set().union(*CONFIG_KEYS.values()) == set(CONFIG_VALUES)
+
     def test_config_must_be_an_object(self, tmp_path):
         path = write_config(tmp_path / "c.json", [1, 2])
         assert run_cli(["control-sim", "--config", path, "--out-dir", str(tmp_path)]) == 2
@@ -108,8 +141,9 @@ class TestExitCodes:
     )
     def test_shipped_config_keys_are_accepted(self, config):
         command = next(c for c in CONFIG_KEYS if config.replace("_", "-").startswith(c))
-        keys = set(json.loads((CONFIGS / config).read_text()))
-        assert keys <= CONFIG_KEYS[command]
+        cfg = json.loads((CONFIGS / config).read_text())
+        assert set(cfg) <= CONFIG_KEYS[command]
+        _check_config(cfg, command)  # and every value has the right type
 
     def test_every_key_the_cli_reads_is_accepted(self):
         source = (CONFIGS.parent / "src" / "suturekit" / "cli.py").read_text()

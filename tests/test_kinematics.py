@@ -8,6 +8,7 @@ from suturekit.psm_kinematics import (
     Unreachable,
     constrained_ik,
     fk,
+    fk_arrays,
     ik,
     verify_unique,
 )
@@ -64,6 +65,26 @@ class TestForwardKinematics:
             a, b = fk(model, q), fk_oracle(model, q)
             assert np.allclose(a.rotation, b.rotation, atol=1e-12)
             assert np.allclose(a.translation, b.translation, atol=1e-12)
+
+    def test_batch_matches_single_calls_bitwise(self):
+        model = KinematicModel()
+        rng = np.random.default_rng(4)
+        Q = np.array([random_in_limit(model, rng, wrist_margin=0.0) for _ in range(200)])
+        R, t = fk_arrays(model, Q)
+        assert R.shape == (200, 3, 3) and t.shape == (200, 3)
+        for q, Ri, ti in zip(Q, R, t):
+            pose = fk(model, q)
+            assert np.array_equal(Ri, pose.rotation)
+            assert np.array_equal(ti, pose.translation)
+
+    def test_single_configuration_is_a_validated_pose(self):
+        model = KinematicModel()
+        q = np.array([0.2, -0.3, 0.1, 1.0, 0.4, -0.5])
+        pose = fk(model, q)
+        assert isinstance(pose, RigidPose)
+        assert np.allclose(pose.rotation.T @ pose.rotation, np.eye(3), atol=1e-12)
+        with pytest.raises(ValueError):
+            fk(model, np.tile(q, (2, 1)))  # a batch is not one pose
 
     def test_pure_insertion_moves_along_z(self):
         model = KinematicModel(pitch_to_yaw=0.0, yaw_to_tip=0.0)
