@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .calibration import (
     DEFAULT_QMSR_REGION,
@@ -19,7 +18,7 @@ from .calibration import (
     detect_features,
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to
-from .geometry import PinholeCamera, RigidPose, StereoRig, rotation_geodesic
+from .geometry import PinholeCamera, RigidPose, StereoRig, quat_to_matrix, rotation_geodesic
 from .needle import BinaryMask, NeedleShape, pose_to_params, rasterize
 from .planning import (
     SuturePorts,
@@ -98,7 +97,9 @@ def random_needle_pose(
         v = rng.uniform(0.25 * cam.height, 0.75 * cam.height)
         center = cam.backproject_ray((u, v)) * Z + cam.center
         quat = rng.normal(size=4)
-        R = Rotation.from_quat(quat / np.linalg.norm(quat)).as_matrix()
+        # quat_to_matrix normalizes again; dropping this first division moves
+        # the last bits of R and so every seeded scene
+        R = quat_to_matrix(quat / np.linalg.norm(quat))
         T = RigidPose(R, center)
         view_dir = center - cam.center
         view_dir /= np.linalg.norm(view_dir)

@@ -12,12 +12,12 @@ The synthetic feature detector stands in for a learned keypoint tracker.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .geometry import PinholeCamera, RigidPose
+from .geometry import PinholeCamera, RigidPose, rotvec_to_matrix
 from .psm_kinematics import (
     JointVector,
     KinematicModel,
@@ -180,7 +180,7 @@ def pose_from_pixels(
             delta = np.linalg.solve(J.T @ J, -J.T @ r)
         except np.linalg.LinAlgError as e:
             raise GaussNewtonDiverged(f"normal equations singular: {e}") from e
-        dR = Rotation.from_rotvec(delta[:3]).as_matrix()
+        dR = rotvec_to_matrix(delta[:3])
         T = RigidPose(dR @ T.rotation, dR @ T.translation + delta[3:])
         if np.linalg.norm(delta) < _GN_STEP_TOL:
             break
@@ -447,6 +447,21 @@ class TrainConfig:
     learning_rate: float = 1e-3
     rng_seed: int = 0
 
+    def __post_init__(self):
+        sizes = tuple(self.hidden_sizes)
+        if not sizes or not all(isinstance(h, (int, np.integer)) and h >= 1 for h in sizes):
+            raise ValueError(
+                f"hidden_sizes must be one or more integers >= 1, got {list(sizes)}"
+            )
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+
 
 @dataclass
 class TrainResult:
@@ -460,15 +475,14 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
 
     `data` is a `generate_dataset` array: inputs `data[:, :-6]`, labels
     `data[:, -6:]`. Raises ValueError unless every epoch runs at least one
-    optimizer step and has a validation loss.
+    optimizer step and has a validation loss; `TrainConfig` checks its own
+    ranges.
 
     The loop (scaled data, weights, Adam moments) runs in float32, about
     three times faster than float64 for the default network; the returned
     model holds the trained weights in float64.
     """
     X, Y = data[:, :-6], data[:, -6:]
-    if config.epochs < 1:
-        raise ValueError("epochs must be >= 1")
     n_val = int(round(_VAL_FRACTION * len(X)))
     if n_val == 0:
         raise ValueError(f"validation split of {len(X)} samples is empty")

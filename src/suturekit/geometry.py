@@ -1,12 +1,19 @@
-"""Rigid poses, pinhole cameras and the stereo rig.
+"""Rigid poses, pinhole cameras, the stereo rig and rotation conversions.
 
 All lengths are meters and all angles radians; degrees/mm appear only at
-file/CLI boundaries. Rotations are stored as 3x3 matrices; quaternions are
-used only for trajectory interpolation (see planning).
+file/CLI boundaries. Rotations are stored as 3x3 matrices. Quaternions
+(x, y, z, w) appear only in the three conversions `quat_to_matrix`
+(random needle orientations), `rotvec_to_matrix` (Gauss-Newton pose updates
+in calibration) and `slerp` (free-motion trajectories in planning). Each
+repeats scipy's `Rotation` arithmetic operation for operation, with libm's
+sin, cos and atan2, so it returns the same bits as
+`Rotation.from_quat(q).as_matrix()`, `Rotation.from_rotvec(v).as_matrix()`
+and `Slerp([0, 1], ...)(fractions).as_matrix()` without importing scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +95,109 @@ def rotation_geodesic(Ra: np.ndarray, Rb: np.ndarray) -> float:
         return float(2.0 * np.arcsin(min(f, 1.0)))
     c = (np.trace(Ra.T @ Rb) - 1.0) / 2.0
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+# Quaternions are (x, y, z, w) tuples of Python floats: one conversion is a
+# few dozen scalar operations, cheaper in plain floats than in numpy calls.
+Quat = tuple[float, float, float, float]
+
+
+def _unit_quat(q: Quat) -> Quat:
+    x, y, z, w = q
+    norm = math.sqrt(x * x + y * y + z * z + w * w)
+    if norm == 0:
+        raise ValueError("zero-norm quaternion")
+    return x / norm, y / norm, z / norm, w / norm
+
+
+def _quat_product(p: Quat, q: Quat) -> Quat:
+    """Normalized Hamilton product p * q."""
+    px, py, pz, pw = p
+    qx, qy, qz, qw = q
+    return _unit_quat((
+        pw * qx + qw * px + (py * qz - pz * qy),
+        pw * qy + qw * py + (pz * qx - px * qz),
+        pw * qz + qw * pz + (px * qy - py * qx),
+        pw * qw - px * qx - py * qy - pz * qz,
+    ))
+
+
+def _quat_matrix(q: Quat) -> list[list[float]]:
+    """Rows of the rotation matrix of a unit quaternion."""
+    x, y, z, w = q
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return [
+        [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+        [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+        [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+    ]
+
+
+def _matrix_quat(R: np.ndarray) -> Quat:
+    """Unit quaternion of a rotation matrix (Shepperd's method: build from the
+    largest of the diagonal and the trace). R is taken as orthonormal; scipy
+    would first project a matrix more than ~1e-12 from orthonormal onto the
+    rotations."""
+    m = R.tolist()
+    trace = m[0][0] + m[1][1] + m[2][2]
+    decision = [m[0][0], m[1][1], m[2][2], trace]
+    i = decision.index(max(decision))
+    if i == 3:
+        return _unit_quat((m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    q = [0.0, 0.0, 0.0, m[k][j] - m[j][k]]
+    q[i] = 1 - trace + 2 * m[i][i]
+    q[j] = m[j][i] + m[i][j]
+    q[k] = m[k][i] + m[i][k]
+    return _unit_quat(tuple(q))
+
+
+def _rotvec_quat(x: float, y: float, z: float) -> Quat:
+    """Unit quaternion of a rotation vector; a series below 1e-3 rad."""
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle <= 1e-3:
+        a2 = angle * angle
+        scale = 0.5 - a2 / 48 + a2 * a2 / 3840  # sin(angle / 2) / angle
+    else:
+        scale = math.sin(angle / 2) / angle
+    return scale * x, scale * y, scale * z, math.cos(angle / 2)
+
+
+def _quat_rotvec(q: Quat) -> tuple[float, float, float]:
+    """Rotation vector (angle in [0, pi]) of a unit quaternion."""
+    x, y, z, w = q
+    if (w, x, y, z) < (0.0, 0.0, 0.0, 0.0):  # first nonzero of w, x, y, z negative
+        x, y, z, w = -x, -y, -z, -w
+    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    if angle <= 1e-3:
+        a2 = angle * angle
+        scale = 2 + a2 / 12 + 7 * a2 * a2 / 2880  # angle / sin(angle / 2)
+    else:
+        scale = angle / math.sin(angle / 2)
+    return scale * x, scale * y, scale * z
+
+
+def quat_to_matrix(quat: np.ndarray) -> np.ndarray:
+    """Rotation matrix of an (x, y, z, w) quaternion, normalized first."""
+    return np.array(_quat_matrix(_unit_quat(_as_array(quat, (4,)).tolist())))
+
+
+def rotvec_to_matrix(rotvec: np.ndarray) -> np.ndarray:
+    """Rotation matrix of a rotation vector (axis times angle, radians)."""
+    return np.array(_quat_matrix(_rotvec_quat(*_as_array(rotvec, (3,)).tolist())))
+
+
+def slerp(R0: np.ndarray, R1: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) rotations a fraction of the way along the shortest arc from
+    R0 (fraction 0) to R1 (fraction 1)."""
+    q0 = _matrix_quat(_as_array(R0, (3, 3)))
+    x, y, z, w = q0
+    ax, ay, az = _quat_rotvec(_quat_product((-x, -y, -z, w), _matrix_quat(_as_array(R1, (3, 3)))))
+    return np.array([
+        _quat_matrix(_quat_product(q0, _rotvec_quat(ax * f, ay * f, az * f)))
+        for f in np.asarray(fractions, dtype=float).tolist()
+    ]).reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True)

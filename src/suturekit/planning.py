@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation, Slerp
 
-from .geometry import RigidPose, rotation_geodesic
+from .geometry import RigidPose, rotation_geodesic, slerp
 from .needle import NeedleShape
 
 
@@ -175,11 +174,8 @@ def linear_trajectory(
         return [Waypoint(start, 0.0, "tool")]
     n = int(np.ceil(max(pos_dist / max_step_pos, rot_dist / max_step_rot))) + 1
     fractions = np.linspace(0.0, 1.0, n)
-    rots = Rotation.from_matrix(np.stack([start.rotation, goal.rotation]))
-    slerp = Slerp([0.0, 1.0], rots)
-    interp = slerp(fractions).as_matrix()
     wps = []
-    for f, R in zip(fractions, interp):
+    for f, R in zip(fractions, slerp(start.rotation, goal.rotation, fractions)):
         t = (1.0 - f) * start.translation + f * goal.translation
         wps.append(Waypoint(RigidPose(R, t), float(f), "tool"))
     # endpoints exact

@@ -417,6 +417,21 @@ class TestTraining:
             assert got.dtype == np.float64
             assert np.array_equal(got, want.astype(np.float64))
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_sizes", ()),
+        ("hidden_sizes", (16, 0)),
+        ("hidden_sizes", (8.5,)),
+        ("epochs", 0),
+        ("batch_size", 0),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1e-3),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+    ])
+    def test_config_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_dataset_smaller_than_batch_rejected(self, small_dataset):
         with pytest.raises(ValueError):
             mlp_train(small_dataset[:10], TrainConfig(batch_size=64))
@@ -429,8 +444,9 @@ class TestTraining:
     def test_untrainable_split_or_epochs_rejected(
         self, small_dataset, count, batch_size, epochs, match
     ):
-        cfg = TrainConfig(hidden_sizes=(8,), epochs=epochs, batch_size=batch_size)
+        # epochs=0 is refused by TrainConfig itself, before training starts
         with pytest.raises(ValueError, match=match):
+            cfg = TrainConfig(hidden_sizes=(8,), epochs=epochs, batch_size=batch_size)
             mlp_train(small_dataset[:count], cfg)
 
 

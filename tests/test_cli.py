@@ -76,6 +76,18 @@ class TestExitCodes:
         assert run_cli(["calib", "train", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
         assert not (tmp_path / "calib_model.json").exists()
 
+    @pytest.mark.parametrize("train_cfg, field", [
+        ({"batch_size": 0}, "batch_size"),
+        ({"hidden_sizes": [0]}, "hidden_sizes"),
+        ({"learning_rate": -1, "epochs": 1}, "learning_rate"),
+    ], ids=["batch_size", "hidden_sizes", "learning_rate"])
+    def test_train_config_out_of_range_is_exit_one(self, tmp_path, capsys, train_cfg, field):
+        cfg = write_config(tmp_path / "c.json", {"count": 300, **train_cfg})
+        assert run_cli(["calib", "gen", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert run_cli(["calib", "train", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "calib_model.json").exists()
+
     def test_scenes_only_on_pose_bench(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["calib", "gen", "--scenes", "5", "--out-dir", str(tmp_path)])

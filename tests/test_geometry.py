@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation, Slerp
 
 from suturekit.geometry import (
     PinholeCamera,
     RigidPose,
     StereoRig,
+    quat_to_matrix,
     rotation_geodesic,
+    rotvec_to_matrix,
+    slerp,
 )
 
 from conftest import pinhole_oracle, random_rotation
@@ -169,6 +173,106 @@ class TestRotationGeodesic:
         rng = np.random.default_rng(7)
         Ra, Rb = random_rotation(rng), random_rotation(rng)
         assert np.isclose(rotation_geodesic(Ra, Rb), rotation_geodesic(Rb, Ra))
+
+
+def scipy_slerp(R0, R1, fractions):
+    return Slerp([0.0, 1.0], Rotation.from_matrix(np.stack([R0, R1])))(fractions).as_matrix()
+
+
+def axis_angle(axis, angle):
+    axis = np.asarray(axis, dtype=float)
+    return Rotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_matrix()
+
+
+class TestRotationConversions:
+    """The rotation conversions return scipy's bits (scipy is the test oracle)."""
+
+    def test_quat_to_matrix_matches_scipy(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            q = rng.normal(size=4) * rng.uniform(0.1, 10.0)  # both normalize first
+            assert np.array_equal(quat_to_matrix(q), Rotation.from_quat(q).as_matrix())
+
+    def test_quat_to_matrix_rejects_zero_quaternion(self):
+        with pytest.raises(ValueError, match="zero-norm"):
+            quat_to_matrix(np.zeros(4))
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-12, 1e-7, 3e-4, 1e-3, 1.0000001e-3, 0.3, 2.0,
+                                       np.pi - 1e-9, np.pi, 5.0])
+    def test_rotvec_to_matrix_matches_scipy(self, angle):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            axis = rng.normal(size=3)
+            v = angle * axis / np.linalg.norm(axis)
+            assert np.array_equal(rotvec_to_matrix(v), Rotation.from_rotvec(v).as_matrix())
+
+    def test_rotvec_series_below_1e3_matches_scipy(self):
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            v = rng.normal(size=3) * 10.0 ** rng.uniform(-9, -3.3)
+            assert np.array_equal(rotvec_to_matrix(v), Rotation.from_rotvec(v).as_matrix())
+
+    def test_slerp_matches_scipy_on_random_pairs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            R0, R1 = random_rotation(rng), random_rotation(rng)
+            fractions = np.linspace(0.0, 1.0, int(rng.integers(2, 20)))
+            assert np.array_equal(slerp(R0, R1, fractions), scipy_slerp(R0, R1, fractions))
+
+    def test_slerp_of_identical_rotations_stays_put(self):
+        rng = np.random.default_rng(4)
+        fractions = np.linspace(0.0, 1.0, 5)
+        for _ in range(20):
+            R = random_rotation(rng)
+            got = slerp(R, R, fractions)
+            assert np.array_equal(got, scipy_slerp(R, R, fractions))
+            assert np.allclose(got, R, atol=1e-15)
+
+    @pytest.mark.parametrize("angle", [1e-9, 1e-6, 1e-4, 9e-4, 2e-3])
+    def test_slerp_over_short_arcs_matches_scipy(self, angle):
+        # arcs below 1e-3 rad take the series branch of the rotation-vector step
+        rng = np.random.default_rng(6)
+        fractions = np.linspace(0.0, 1.0, 5)
+        for _ in range(20):
+            R0 = random_rotation(rng)
+            R1 = axis_angle(rng.normal(size=3), angle) @ R0
+            assert np.array_equal(slerp(R0, R1, fractions), scipy_slerp(R0, R1, fractions))
+
+    def test_slerp_between_exact_half_turns_matches_scipy(self):
+        # relative quaternions with w == 0 exactly: the sign of the first
+        # nonzero of x, y, z decides which way the half turn goes
+        turns = [np.diag(d) for d in ([1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1])]
+        fractions = np.linspace(0.0, 1.0, 5)
+        for R0 in turns:
+            for R1 in turns:
+                assert np.array_equal(slerp(R0, R1, fractions), scipy_slerp(R0, R1, fractions))
+
+    @pytest.mark.parametrize("axis", [[0, 0, 1], [1, 1, 0], [1, -2, 0.5], [-1, 0, 0]])
+    @pytest.mark.parametrize("gap", [0.0, 1e-10, 1e-6, 1e-2])
+    def test_slerp_near_half_turn_matches_scipy(self, axis, gap):
+        R0 = random_rotation(np.random.default_rng(5))
+        R1 = axis_angle(axis, np.pi - gap) @ R0
+        fractions = np.linspace(0.0, 1.0, 7)
+        got = slerp(R0, R1, fractions)
+        assert np.array_equal(got, scipy_slerp(R0, R1, fractions))
+        assert rotation_geodesic(got[3], R0) == pytest.approx((np.pi - gap) / 2, abs=1e-7)
+
+    @pytest.mark.parametrize("tilt", [0.3, 1e-2, 1e-5])
+    def test_slerp_flips_a_relative_quaternion_with_negative_w(self, tilt):
+        # half turns about axes on either side of (1, -1, 0): the matrix-to-
+        # quaternion step builds R0's from its x diagonal and R1's from its y
+        # diagonal, which lands them in opposite hemispheres
+        R0 = axis_angle([1.0, tilt - 1.0, 0.0], np.pi)
+        R1 = axis_angle([1.0 - tilt, -1.0, 0.0], np.pi)
+        relative = Rotation.from_matrix(R0).inv() * Rotation.from_matrix(R1)
+        assert relative.as_quat()[3] < 0  # so the short arc needs the negated quaternion
+        fractions = np.linspace(0.0, 1.0, 9)
+        got = slerp(R0, R1, fractions)
+        assert np.array_equal(got, scipy_slerp(R0, R1, fractions))
+        assert np.allclose(got[-1], R1, atol=1e-14)
+        arc = rotation_geodesic(R0, R1)
+        assert arc < np.pi / 2
+        assert rotation_geodesic(got[4], R0) == pytest.approx(arc / 2, abs=1e-9)
 
 
 class TestStereoRig:
