@@ -137,6 +137,16 @@ class PoseBenchConfig:
     depth_range: tuple = SCENE_DEPTH_RANGE  # places the scenes only
     min_view_angle: float = 0.3
 
+    def __post_init__(self):
+        if self.scenes < 1:
+            raise ValueError(f"scenes must be >= 1, got {self.scenes}")
+        # a fraction of 1 hides the whole arc and ends in EmptyMasks
+        fractions = list(self.occlusion_fractions)
+        if not fractions or not all(0.0 <= f < 1.0 for f in fractions):
+            raise ValueError(
+                f"occlusion_fractions must be one or more numbers in [0, 1), got {fractions}"
+            )
+
 
 @dataclass
 class PoseBenchRow:

@@ -1,9 +1,14 @@
 """Command-line orchestration of the experiments.
 
 Subcommands: pose-bench, calib gen|train|eval, control-sim, suture-run.
-Configs are JSON with CLI overrides; every output file starts with a header
-line carrying the config hash, and all outputs are byte-identical across
-runs with the same seed. Each CSV header also names its units: deg_mm for
+Configs are JSON with CLI overrides. Each subcommand declares its keys once,
+in its table in TABLES: the JSON type of the value, the library keyword it
+sets and its unit conversion. An absent key is not passed on, so the
+library's own default holds; the only defaults kept here are those with no
+library home (calib eval's test_count and seed + 1, control-sim's target,
+max_steps and tol). Every output file starts with a header line carrying
+the config hash, and all outputs are byte-identical across runs with the
+same seed. Each CSV header also names its units: deg_mm for
 the calibration dataset and table, m_rad for the pose-bench and control
 traces, none for the loss curve (losses in scaled space).
 
@@ -35,8 +40,7 @@ from .calibration import (
     write_dataset_csv,
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to, steady_state_error
-from .needle import NeedleShape
-from .pose_estimator import SCENE_DEPTH_RANGE, EstimatorConfig
+from .pose_estimator import EstimatorConfig
 from .psm_kinematics import KinematicModel, PRISMATIC_INDEX
 
 
@@ -84,18 +88,6 @@ def _write_json(path: Path, cfg_hash: str, payload: dict) -> None:
         f.write("\n")
 
 
-# top-level keys each subcommand reads; the three calib steps share one file
-CONFIG_KEYS = {
-    "pose-bench": {"seed", "scenes", "occlusion_fractions", "line_width", "baseline_mm",
-                   "depth_range_m", "min_view_angle_rad", "shape", "estimator"},
-    "calib": {"seed", "count", "delta_range_deg", "noise_px", "epochs", "batch_size",
-              "learning_rate", "hidden_sizes", "test_count"},
-    "control-sim": {"seed", "beta", "kp", "ki", "q_des_deg", "q3_des_mm", "max_steps", "tol"},
-    "suture-run": {"seed", "line_width", "injected_bias_deg", "compensate", "shape",
-                   "estimator"},
-}
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -109,95 +101,120 @@ def _list_of(test, length=None):
                       and all(test(x) for x in v))
 
 
-_INTEGER = ("an integer", _is_integer)
-_NUMBER = ("a number", _is_number)
+# value kinds: (what the error message says it must be, test, cast)
+_INTEGER = ("an integer", _is_integer, int)
+_NUMBER = ("a number", _is_number, float)
+_BOOL = ("true or false", lambda v: isinstance(v, bool), bool)
+_NUMBERS = ("a list of numbers", _list_of(_is_number), tuple)
+_INTEGERS = ("a list of integers", _list_of(_is_integer), tuple)
+_PAIR = ("a list of 2 numbers", _list_of(_is_number, 2), tuple)
+_JOINTS = ("a list of 6 numbers", _list_of(_is_number, 6), tuple)
 _GAINS = ("a number or a list of 6 numbers",
-          lambda v: _is_number(v) or _list_of(_is_number, 6)(v))
+          lambda v: _is_number(v) or _list_of(_is_number, 6)(v), lambda v: v)
 
-# what each config value must be, by key; a nested table stands for a JSON
-# object with those keys only
-CONFIG_VALUES = {
-    "seed": _INTEGER,
-    "scenes": _INTEGER,
-    "occlusion_fractions": ("a list of numbers", _list_of(_is_number)),
-    "line_width": _NUMBER,
-    "baseline_mm": _NUMBER,
-    "depth_range_m": ("a list of 2 numbers", _list_of(_is_number, 2)),
-    "min_view_angle_rad": _NUMBER,
-    "shape": {"radius_mm": _NUMBER, "arc_angle_deg": _NUMBER},
-    "estimator": {f.name: _INTEGER if f.type == "int" else _NUMBER
-                  for f in dataclasses.fields(EstimatorConfig)},
-    "count": _INTEGER,
-    "delta_range_deg": _NUMBER,
-    "noise_px": _NUMBER,
-    "epochs": _INTEGER,
-    "batch_size": _INTEGER,
-    "learning_rate": _NUMBER,
-    "hidden_sizes": ("a list of integers", _list_of(_is_integer)),
-    "test_count": _INTEGER,
-    "beta": _NUMBER,
-    "kp": _GAINS,
-    "ki": _GAINS,
-    "q_des_deg": ("a list of 6 numbers", _list_of(_is_number, 6)),
-    "q3_des_mm": _NUMBER,
-    "max_steps": _INTEGER,
-    "tol": _NUMBER,
-    "injected_bias_deg": _NUMBER,
-    "compensate": ("true or false", lambda v: isinstance(v, bool)),
+
+def _mm(v):
+    return v / 1000.0
+
+
+# Config tables: key -> (value kind, library keyword, unit conversion). A
+# nested table stands for a JSON object with those keys only; its conversion
+# builds the library object from the object's keyword arguments. A keyword
+# of None marks a key that the command reads itself.
+_SHAPE = {
+    "radius_mm": (_NUMBER, "radius", _mm),
+    "arc_angle_deg": (_NUMBER, "arc_angle", np.radians),
+}
+_ESTIMATOR = {f.name: (_INTEGER if f.type == "int" else _NUMBER, f.name, None)
+             for f in dataclasses.fields(EstimatorConfig)}
+_SEED = (_INTEGER, "rng_seed", None)
+_LINE_WIDTH = (_NUMBER, "line_width", None)  # pixels
+_NEEDLE = {
+    "shape": (_SHAPE, "shape", lambda kw: dataclasses.replace(bench.DEFAULT_SHAPE, **kw)),
+    "estimator": (_ESTIMATOR, "estimator", lambda kw: EstimatorConfig(**kw)),
+}
+
+TABLES = {
+    "pose-bench": {
+        "seed": _SEED,
+        "scenes": (_INTEGER, "scenes", None),
+        "occlusion_fractions": (_NUMBERS, "occlusion_fractions", None),
+        "line_width": _LINE_WIDTH,
+        "baseline_mm": (_NUMBER, "baseline", _mm),
+        "depth_range_m": (_PAIR, "depth_range", None),
+        "min_view_angle_rad": (_NUMBER, "min_view_angle", None),
+        **_NEEDLE,
+    },
+    # the three calib steps share one file
+    "calib": {
+        "seed": _SEED,
+        "count": (_INTEGER, "count", None),
+        "delta_range_deg": (_NUMBER, "delta_range", np.radians),
+        "noise_px": (_NUMBER, "noise_px", None),
+        "epochs": (_INTEGER, "epochs", None),
+        "batch_size": (_INTEGER, "batch_size", None),
+        "learning_rate": (_NUMBER, "learning_rate", None),
+        "hidden_sizes": (_INTEGERS, "hidden_sizes", None),
+        "test_count": (_INTEGER, "count", None),
+    },
+    "control-sim": {
+        "seed": (_INTEGER, None, None),  # accepted like everywhere; nothing is drawn
+        "beta": (_NUMBER, "beta", None),
+        "kp": (_GAINS, "kp", None),
+        "ki": (_GAINS, "ki", None),
+        "q_des_deg": (_JOINTS, None, None),
+        "q3_des_mm": (_NUMBER, None, None),
+        "max_steps": (_INTEGER, "max_steps", None),
+        "tol": (_NUMBER, "tol", None),
+    },
+    "suture-run": {
+        "seed": _SEED,
+        "line_width": _LINE_WIDTH,
+        "injected_bias_deg": (_NUMBER, "injected_bias_deg", None),
+        "compensate": (_BOOL, "compensate", None),
+        **_NEEDLE,
+    },
 }
 
 
-def _check_keys(d: dict, known, where: str) -> None:
-    unknown = sorted(set(d) - set(known))
+def check_config(cfg: dict, table: dict, where: str, prefix: str = "") -> None:
+    """Raise ConfigError naming the first unknown key, then the first key
+    whose value has the wrong JSON type; nested objects are walked too."""
+    unknown = sorted(set(cfg) - set(table))
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
-def _check_values(d: dict, kinds: dict, prefix: str = "") -> None:
-    """Raise ConfigError naming the first key whose value has the wrong
-    type; nested objects are checked for unknown keys too."""
-    for key, value in d.items():
-        kind = kinds[key]
+    for key, value in cfg.items():
+        kind = table[key][0]
         if isinstance(kind, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {prefix}{key} must be an object, "
                                   f"got {json.dumps(value)}")
-            _check_keys(value, kind, key)
-            _check_values(value, kind, f"{prefix}{key}.")
+            check_config(value, kind, key, f"{prefix}{key}.")
         elif not kind[1](value):
             raise ConfigError(f"config key {prefix}{key} must be {kind[0]}, "
                               f"got {json.dumps(value)}")
 
 
-def _check_config(cfg: dict, command: str) -> None:
-    _check_keys(cfg, CONFIG_KEYS[command], command)
-    _check_values(cfg, CONFIG_VALUES)
-
-
-def _estimator_config(d: dict) -> EstimatorConfig:
-    return EstimatorConfig(**d.get("estimator", {}))
-
-
-def _shape(d: dict) -> NeedleShape:
-    s = d.get("shape", {})
-    return NeedleShape(s.get("radius_mm", 10.0) / 1000.0,
-                       np.radians(s.get("arc_angle_deg", 180.0)))
+def _kwargs(cfg: dict, table: dict, keys=None) -> dict:
+    """Library keyword arguments for the keys of `cfg` that are in `keys`
+    (default: all of `table`), cast and converted to library units."""
+    out = {}
+    for key in table if keys is None else keys:
+        if key not in cfg:
+            continue
+        kind, keyword, convert = table[key]
+        if isinstance(kind, dict):
+            value = _kwargs(cfg[key], kind)
+        else:
+            value = kind[2](cfg[key])
+        out[keyword] = value if convert is None else convert(value)
+    return out
 
 
 # --- pose-bench -------------------------------------------------------------
 
 def cmd_pose_bench(cfg: dict, out_dir: Path) -> int:
-    pb = bench.PoseBenchConfig(
-        scenes=int(cfg.get("scenes", 100)),
-        rng_seed=int(cfg.get("seed", 0)),
-        occlusion_fractions=tuple(cfg.get("occlusion_fractions", [0.0])),
-        line_width=float(cfg.get("line_width", 1.0)),
-        shape=_shape(cfg),
-        estimator=_estimator_config(cfg),
-        baseline=float(cfg.get("baseline_mm", 20.0)) / 1000.0,
-        depth_range=tuple(cfg.get("depth_range_m", SCENE_DEPTH_RANGE)),
-        min_view_angle=float(cfg.get("min_view_angle_rad", 0.3)),
-    )
+    pb = bench.PoseBenchConfig(**_kwargs(cfg, TABLES["pose-bench"]))
     h = config_hash(cfg)
     rows = bench.run_pose_bench(pb)
     _write_csv(
@@ -226,22 +243,14 @@ def cmd_pose_bench(cfg: dict, out_dir: Path) -> int:
 # --- calib ------------------------------------------------------------------
 
 def _calib_parts():
-    model = KinematicModel()
-    camera = bench.default_mono_camera()
-    fm = FeatureModel()
-    return model, camera, fm
+    return KinematicModel(), bench.default_mono_camera(), FeatureModel()
 
 
 def cmd_calib_gen(cfg: dict, out_dir: Path) -> int:
     model, camera, fm = _calib_parts()
     h = config_hash(cfg)
-    data = generate_dataset(
-        model, camera, fm,
-        count=int(cfg.get("count", 10000)),
-        delta_range=np.radians(float(cfg.get("delta_range_deg", 5.0))),
-        noise_px=float(cfg.get("noise_px", 0.0)),
-        rng_seed=int(cfg.get("seed", 0)),
-    )
+    keys = ("seed", "count", "delta_range_deg", "noise_px")
+    data = generate_dataset(model, camera, fm, **_kwargs(cfg, TABLES["calib"], keys))
     write_dataset_csv(data, out_dir / "calib_dataset.csv", _header(h, "deg_mm"))
     print(f"wrote {len(data)} samples to {out_dir / 'calib_dataset.csv'}")
     return 0
@@ -255,13 +264,8 @@ def cmd_calib_train(cfg: dict, out_dir: Path) -> int:
         return 2
     h = config_hash(cfg)
     data = read_dataset_csv(dataset_path)
-    tc = TrainConfig(
-        hidden_sizes=tuple(cfg.get("hidden_sizes", [400, 300, 200])),
-        epochs=int(cfg.get("epochs", 200)),
-        batch_size=int(cfg.get("batch_size", 256)),
-        learning_rate=float(cfg.get("learning_rate", 1e-3)),
-        rng_seed=int(cfg.get("seed", 0)),
-    )
+    keys = ("seed", "hidden_sizes", "epochs", "batch_size", "learning_rate")
+    tc = TrainConfig(**_kwargs(cfg, TABLES["calib"], keys))
     result = mlp_train(data, tc)
     save_model(result.model, out_dir / "calib_model.json")
     _write_csv(
@@ -288,13 +292,12 @@ def cmd_calib_eval(cfg: dict, out_dir: Path) -> int:
     h = config_hash(cfg)
     model, camera, fm = _calib_parts()
     mlp = load_mlp(model_path)
+    # CLI-only defaults: 1000 test samples, drawn at seed + 1 so they are
+    # disjoint from the training data
+    keys = ("test_count", "delta_range_deg", "noise_px")
     test = generate_dataset(
-        model, camera, fm,
-        count=int(cfg.get("test_count", 1000)),
-        delta_range=np.radians(float(cfg.get("delta_range_deg", 5.0))),
-        noise_px=float(cfg.get("noise_px", 0.0)),
-        rng_seed=int(cfg.get("seed", 0)) + 1,  # disjoint from training data
-        validate=False,
+        model, camera, fm, **{"count": 1000, **_kwargs(cfg, TABLES["calib"], keys)},
+        rng_seed=cfg["seed"] + 1 if "seed" in cfg else 1, validate=False,
     )
     table = evaluate_calibration(mlp, test)
     rows = []
@@ -316,23 +319,22 @@ def cmd_calib_eval(cfg: dict, out_dir: Path) -> int:
 
 def cmd_control_sim(cfg: dict, out_dir: Path) -> int:
     h = config_hash(cfg)
-    plant = PlantModel(beta=float(cfg.get("beta", 0.8)))
-    gains_on = PiGains(
-        kp=np.asarray(cfg.get("kp", 0.5), dtype=float),
-        ki=np.asarray(cfg.get("ki", 0.2), dtype=float),
-    )
+    table = TABLES["control-sim"]
+    plant = PlantModel(**_kwargs(cfg, table, ("beta",)))
+    gains_on = PiGains(**_kwargs(cfg, table, ("kp", "ki")))
     gains_off = PiGains(kp=np.zeros(6), ki=np.zeros(6))
+    # CLI-only defaults: the target, and a longer, tighter servo run than
+    # servo_to's own 200 steps at 1e-6
     q_des = np.radians(np.asarray(cfg.get("q_des_deg", [10, -5, 0, 20, 15, -10]),
                                   dtype=float))
     q_des[PRISMATIC_INDEX] = float(cfg.get("q3_des_mm", 120.0)) / 1000.0
-    max_steps = int(cfg.get("max_steps", 400))
+    servo = {"max_steps": 400, "tol": 1e-8, **_kwargs(cfg, table, ("max_steps", "tol"))}
 
     traces = {}
     converged = {}
     for label, gains in (("pi_off", gains_off), ("pi_on", gains_on)):
         try:
-            tr = servo_to(plant, gains, np.zeros(6), q_des,
-                          max_steps=max_steps, tol=float(cfg.get("tol", 1e-8)))
+            tr = servo_to(plant, gains, np.zeros(6), q_des, **servo)
             converged[label] = True
         except NotConverged as e:
             tr = e.trace
@@ -372,14 +374,7 @@ def cmd_control_sim(cfg: dict, out_dir: Path) -> int:
 
 def cmd_suture_run(cfg: dict, out_dir: Path) -> int:
     h = config_hash(cfg)
-    sr = bench.SutureRunConfig(
-        rng_seed=int(cfg.get("seed", 0)),
-        shape=_shape(cfg),
-        estimator=_estimator_config(cfg),
-        line_width=float(cfg.get("line_width", 1.0)),
-        injected_bias_deg=float(cfg.get("injected_bias_deg", 0.0)),
-        compensate=bool(cfg.get("compensate", True)),
-    )
+    sr = bench.SutureRunConfig(**_kwargs(cfg, TABLES["suture-run"]))
     report = bench.run_suture(sr)
     _write_json(out_dir / "suture_report.json", h, {
         "pose_est_pos_err_mm": report.pose_est_pos_err_m * 1e3,
@@ -424,7 +419,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        _check_config(cfg, args.command)
+        check_config(cfg, TABLES[args.command], args.command)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -136,8 +136,11 @@ def servo_to(
     """Run the compensated closed loop until per-joint convergence.
 
     Raises NotConverged (with the trace attached) when max_steps elapse
-    before every joint's compensated-measurement error drops below tol.
+    before every joint's compensated-measurement error drops below tol, and
+    ValueError when max_steps is below 1 (an empty trace has no final step).
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     q_des = np.asarray(q_des, dtype=float)
     dq_hat = np.asarray(dq_hat, dtype=float)
     q_act = np.zeros(6) if q_act0 is None else np.asarray(q_act0, dtype=float).copy()

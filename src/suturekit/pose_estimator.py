@@ -64,8 +64,14 @@ class EstimatorConfig:
     reject_mean_sq_px: float = 25.0  # reject when J / n_pixels exceeds this
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        # axis_sample_count below 4 leaves the point-to-line Jacobian singular
+        for name, low in (("max_steps", 1), ("axis_sample_count", 4),
+                          ("mask_pixel_cap", 1), ("seed_count", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("empty_view_penalty", "reject_mean_sq_px"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 def _subsample(fg: np.ndarray, cap: int) -> np.ndarray:

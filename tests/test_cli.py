@@ -1,7 +1,6 @@
 import csv
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,14 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from suturekit.cli import (
-    CONFIG_KEYS,
-    CONFIG_VALUES,
-    _check_config,
-    build_parser,
-    config_hash,
-    main,
-)
+from suturekit import bench, cli
+from suturekit.cli import TABLES, build_parser, check_config, config_hash, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -141,9 +134,6 @@ class TestExitCodes:
         assert f"config key {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_every_accepted_key_has_a_value_type(self):
-        assert set().union(*CONFIG_KEYS.values()) == set(CONFIG_VALUES)
-
     def test_config_must_be_an_object(self, tmp_path):
         path = write_config(tmp_path / "c.json", [1, 2])
         assert run_cli(["control-sim", "--config", path, "--out-dir", str(tmp_path)]) == 2
@@ -152,22 +142,116 @@ class TestExitCodes:
         "config", sorted(p.name for p in CONFIGS.glob("*.json")), ids=lambda n: n
     )
     def test_shipped_config_keys_are_accepted(self, config):
-        command = next(c for c in CONFIG_KEYS if config.replace("_", "-").startswith(c))
+        command = next(c for c in TABLES if config.replace("_", "-").startswith(c))
         cfg = json.loads((CONFIGS / config).read_text())
-        assert set(cfg) <= CONFIG_KEYS[command]
-        _check_config(cfg, command)  # and every value has the right type
+        assert set(cfg) <= set(TABLES[command])
+        check_config(cfg, TABLES[command], command)  # and every value has the right type
 
-    def test_every_key_the_cli_reads_is_accepted(self):
-        source = (CONFIGS.parent / "src" / "suturekit" / "cli.py").read_text()
-        read = set(re.findall(r'\.get\("(\w+)"', source))
-        accepted = set().union(*CONFIG_KEYS.values()) | {"radius_mm", "arc_angle_deg"}
-        assert sorted(read - accepted) == []
+    @pytest.mark.parametrize("cfg, message", [
+        ({"scenes": 0}, "scenes must be >= 1"),
+        ({"occlusion_fractions": []}, "occlusion_fractions must be one or more numbers"),
+        ({"occlusion_fractions": [0.0, -0.3]}, "occlusion_fractions must be one or more"),
+        ({"estimator": {"seed_count": 0}}, "seed_count must be >= 1"),
+        ({"estimator": {"mask_pixel_cap": 0}}, "mask_pixel_cap must be >= 1"),
+        ({"estimator": {"axis_sample_count": 3}}, "axis_sample_count must be >= 4"),
+    ], ids=["scenes", "no-fractions", "negative-fraction", "seed_count", "mask_pixel_cap",
+            "axis_sample_count"])
+    def test_pose_bench_config_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "out"
+        assert run_cli(["pose-bench", "--config", path, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_control_sim_without_servo_steps_is_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", {"max_steps": 0})
+        out = tmp_path / "out"
+        assert run_cli(["control-sim", "--config", path, "--out-dir", str(out)]) == 1
+        assert "max_steps must be >= 1, got 0" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_runtime_failure_is_exit_one(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"shape": {"radius_mm": -1.0}})
         code = run_cli(["pose-bench", "--config", cfg, "--out-dir", str(tmp_path),
                         "--scenes", "1"])
         assert code == 1
+
+
+# a value other than the library's (or the CLI-only) default for every key
+# of every table; nested keys are written "table.key"
+NON_DEFAULT = {
+    "seed": 7, "scenes": 3, "occlusion_fractions": [0.0, 0.3], "line_width": 2.0,
+    "baseline_mm": 25.0, "depth_range_m": [0.1, 0.15], "min_view_angle_rad": 0.2,
+    "shape.radius_mm": 8.0, "shape.arc_angle_deg": 150.0,
+    "estimator.max_steps": 50, "estimator.axis_sample_count": 100,
+    "estimator.mask_pixel_cap": 1000, "estimator.seed_count": 2,
+    "estimator.empty_view_penalty": 1e3, "estimator.reject_mean_sq_px": 9.0,
+    "count": 500, "delta_range_deg": 4.0, "noise_px": 0.5, "epochs": 3, "batch_size": 64,
+    "learning_rate": 0.01, "hidden_sizes": [8], "test_count": 50,
+    "beta": 0.5, "kp": 0.4, "ki": [0.1] * 6, "q_des_deg": [1, 2, 3, 4, 5, 6],
+    "q3_des_mm": 100.0, "max_steps": 50, "tol": 1e-6,
+    "injected_bias_deg": 3.0, "compensate": False,
+}
+
+# per command: the library function that receives the config, and how many
+# of its calls to record (control-sim servos twice, PI off then PI on)
+RECEIVERS = {
+    ("pose-bench",): (bench, "run_pose_bench", 1),
+    ("calib", "gen"): (cli, "generate_dataset", 1),
+    ("calib", "train"): (cli, "mlp_train", 1),
+    ("calib", "eval"): (cli, "generate_dataset", 1),
+    ("control-sim",): (cli, "servo_to", 2),
+    ("suture-run",): (bench, "run_suture", 1),
+}
+
+# control-sim accepts seed, as every subcommand does, but draws nothing
+IGNORED = {("control-sim", "seed")}
+
+
+def _table_keys():
+    for command, table in TABLES.items():
+        for key, (kind, _, _) in table.items():
+            nested = kind if isinstance(kind, dict) else {None: None}
+            for sub in nested:
+                yield command, key if sub is None else f"{key}.{sub}"
+
+
+def _received(monkeypatch, out_dir, command, cfg):
+    """The arguments that `command` passes to its library receiver on `cfg`,
+    as text; the receiver raises once they are recorded."""
+    module, name, count = RECEIVERS[command]
+    calls = []
+
+    def record(*args, **kwargs):
+        with np.printoptions(floatmode="unique"):
+            calls.append(repr((args, kwargs)))
+        if len(calls) == count:
+            raise RuntimeError("recorded")
+
+    monkeypatch.setattr(module, name, record)
+    monkeypatch.setattr(cli, "read_dataset_csv", lambda path: None)
+    monkeypatch.setattr(cli, "load_mlp", lambda path: None)
+    out_dir.mkdir(exist_ok=True)
+    for artifact in ("calib_dataset.csv", "calib_model.json"):  # train and eval need them
+        (out_dir / artifact).touch()
+    path = write_config(out_dir / "c.json", cfg)
+    assert main([*command, "--config", path, "--out-dir", str(out_dir)]) == 1
+    assert len(calls) == count
+    return calls
+
+
+@pytest.mark.parametrize("table, key", list(_table_keys()))
+def test_every_key_reaches_the_library(monkeypatch, tmp_path, table, key):
+    """Setting a key to a non-default value changes what the library receives
+    in at least one step of its subcommand: no key is accepted but ignored."""
+    outer, _, inner = key.partition(".")
+    cfg = {outer: {inner: NON_DEFAULT[key]}} if inner else {outer: NON_DEFAULT[key]}
+    changed = [
+        _received(monkeypatch, tmp_path / "default", command, {})
+        != _received(monkeypatch, tmp_path / "set", command, cfg)
+        for command in RECEIVERS if command[0] == table
+    ]
+    assert any(changed) == ((table, key) not in IGNORED)
 
 
 class TestControlSim:

@@ -155,6 +155,11 @@ class TestServo:
             servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des, max_steps=3)
         assert len(exc.value.trace.steps) == 3
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_below_one_rejected(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des, max_steps=max_steps)
+
     def test_deterministic(self):
         a = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
         b = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)

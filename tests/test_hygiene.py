@@ -1,6 +1,7 @@
 """Source hygiene: no module under src/suturekit imports a name it never uses
-or imports scipy (a test-only oracle), and only geometry.py inverts a camera
-pose (PinholeCamera keeps the one camera-from-world transform)."""
+or imports scipy (a test-only oracle), only geometry.py inverts a camera
+pose (PinholeCamera keeps the one camera-from-world transform), and the CLI
+restates no default that a library keyword already has."""
 
 import ast
 import os
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from suturekit.cli import TABLES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "suturekit"
 
@@ -138,3 +141,59 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def restated_defaults(source: str, keys) -> list[str]:
+    """`<expr>.get("key", default)` reads of a config key in `keys`."""
+    return [
+        f"{node.args[0].value} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and len(node.args) == 2
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value in keys
+    ]
+
+
+def library_keys(tables) -> set[str]:
+    """Config keys, at any depth, whose table entry names a library keyword:
+    the library holds their default."""
+    keys = set()
+    for table in tables:
+        for key, (kind, keyword, _) in table.items():
+            if keyword is not None:
+                keys.add(key)
+            if isinstance(kind, dict):
+                keys |= library_keys([kind])
+    return keys
+
+
+def test_cli_restates_no_library_default():
+    keys = library_keys(TABLES.values())
+    assert restated_defaults((SRC / "cli.py").read_text(), keys) == []
+
+
+# how cli.py read the pose-bench and shape keys before the config tables
+OLD_CLI_READS = """\
+def _shape(d: dict) -> NeedleShape:
+    s = d.get("shape", {})
+    return NeedleShape(s.get("radius_mm", 10.0) / 1000.0,
+                       np.radians(s.get("arc_angle_deg", 180.0)))
+
+
+def cmd_pose_bench(cfg: dict, out_dir: Path) -> int:
+    pb = bench.PoseBenchConfig(
+        scenes=int(cfg.get("scenes", 100)),
+        depth_range=tuple(cfg.get("depth_range_m", SCENE_DEPTH_RANGE)),
+    )
+    q3 = float(cfg.get("q3_des_mm", 120.0)) / 1000.0
+"""
+
+
+def test_scan_flags_a_restated_library_default():
+    assert restated_defaults(OLD_CLI_READS, library_keys(TABLES.values())) == [
+        "shape (line 2)", "radius_mm (line 3)", "arc_angle_deg (line 4)",
+        "scenes (line 9)", "depth_range_m (line 10)",
+    ]

@@ -268,8 +268,16 @@ class TestEstimate:
             estimate((empty, empty), hints, shape, rig)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(max_steps=0)
+        # axis_sample_count 1 breaks np.gradient and 2 or 3 leave the
+        # Levenberg-Marquardt system singular; the other zeros divide by zero
+        # or leave no seed to refine
+        for field, value in (("max_steps", 0), ("axis_sample_count", 3),
+                             ("mask_pixel_cap", 0), ("seed_count", 0),
+                             ("empty_view_penalty", 0.0), ("reject_mean_sq_px", -1.0),
+                             ("reject_mean_sq_px", float("nan"))):
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                EstimatorConfig(**{field: value})
+        EstimatorConfig(axis_sample_count=4, mask_pixel_cap=1, seed_count=1)
 
 
 def _left_only(hints, rng):
