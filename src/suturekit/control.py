@@ -50,10 +50,9 @@ class PlantModel:
 def plant_step(
     model: PlantModel, q_act: JointVector, command: JointVector
 ) -> tuple[JointVector, JointVector]:
-    """Advance the plant one tick; returns (new q_act, q_msr)."""
-    q_act = np.asarray(q_act, dtype=float)
-    u = np.asarray(command, dtype=float)
-    q_new = q_act + model.beta * (u - model.disturbance - q_act)
+    """Advance the plant one tick; returns (new q_act, q_msr). Takes float
+    arrays as they are (servo_to converts its inputs once)."""
+    q_new = q_act + model.beta * (command - model.disturbance - q_act)
     return q_new, q_new - model.delta_q
 
 
@@ -88,11 +87,11 @@ def pi_step(
     q_des: JointVector,
     q_msr_compensated: JointVector,
 ) -> tuple[JointVector, np.ndarray]:
-    """One PI update; returns (command, new integrator state)."""
-    e = np.asarray(q_des, dtype=float) - np.asarray(q_msr_compensated, dtype=float)
-    integrator = np.clip(
-        integrator + e, -gains.integrator_clamp, gains.integrator_clamp
-    )
+    """One PI update on float arrays; returns (command, new integrator
+    state). The integrator is clamped to +-integrator_clamp."""
+    e = q_des - q_msr_compensated
+    clamp = gains.integrator_clamp
+    integrator = np.minimum(np.maximum(integrator + e, -clamp), clamp)
     u = q_des + gains.kp * e + gains.ki * integrator
     return u, integrator
 
@@ -102,8 +101,8 @@ def compensate(
 ) -> tuple[JointVector, JointVector]:
     """Dual compensation: measurement shifted to actual-position estimate,
     desired position kept as the PI reference (the plant-side command
-    subtracts dq_hat in the servo loop)."""
-    return np.asarray(q_msr, dtype=float) + dq_hat, np.asarray(q_des, dtype=float)
+    subtracts dq_hat in the servo loop). Takes float arrays as they are."""
+    return q_msr + dq_hat, q_des
 
 
 @dataclass
@@ -165,7 +164,7 @@ def servo_to(
                 "err": err,
             }
         )
-        if np.all(np.abs(err) < tol):
+        if (np.abs(err) < tol).all():
             trace.converged = True
             return trace
     raise NotConverged(f"servo did not converge in {max_steps} steps", trace)

@@ -217,6 +217,9 @@ class PinholeCamera:
             raise ValueError("image size must be positive")
         # the one camera-from-world transform, computed once; world_to_camera applies it
         object.__setattr__(self, "pose_camera_from_world", self.pose_world_from_camera.inverse())
+        # project_many's principal point and focal lengths as arrays, built once
+        object.__setattr__(self, "_c", np.array([self.cx, self.cy]))
+        object.__setattr__(self, "_f", np.array([self.fx, self.fy]))
 
     @property
     def center(self) -> np.ndarray:
@@ -238,7 +241,7 @@ class PinholeCamera:
         pc = self.world_to_camera(np.asarray(points_world, dtype=float))
         valid = pc[..., 2] > 1e-12
         z = np.where(valid, pc[..., 2], np.nan)[..., None]
-        px = np.array([self.cx, self.cy]) + np.array([self.fx, self.fy]) * pc[..., :2] / z
+        px = self._c + self._f * pc[..., :2] / z
         return px, valid
 
     def backproject_ray(self, pixels: np.ndarray) -> np.ndarray:

@@ -95,49 +95,73 @@ def _inter_ray_angle(d_st: np.ndarray, d_ed: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(np.sum(d_st * d_ed, axis=-1), -1.0, 1.0))
 
 
+def _cross(a, b):
+    """Cross product of component triples: the bits of np.cross, which
+    computes the same products and differences."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _unit(v):
+    """Component triple divided by max(norm, 1e-300); the norm sums the
+    squares left to right, as np.linalg.norm over a last axis of 3 does."""
+    v0, v1, v2 = v
+    n = np.maximum(np.sqrt(v0 * v0 + v1 * v1 + v2 * v2), 1e-300)
+    return v0 / n, v1 / n, v2 / n
+
+
 class NeedleFrames(NamedTuple):
     """Batched needle frames; every field has one row per parameter vector."""
 
-    centers: np.ndarray  # (B, 3) arc-circle centers
-    e1: np.ndarray  # (B, 3) body x-axis, center toward the arc midpoint
-    u_ax: np.ndarray  # (B, 3) body y-axis, the chord from start to end
-    mid: np.ndarray  # (B, 3) mid-chord points
-    alpha: np.ndarray  # (B,) inter-ray angle
-    valid: np.ndarray  # (B,) row lies inside the parameter domain
+    centers: np.ndarray  # (..., 3) arc-circle centers
+    e1: np.ndarray  # (..., 3) body x-axis, center toward the arc midpoint
+    u_ax: np.ndarray  # (..., 3) body y-axis, the chord from start to end
+    mid: np.ndarray  # (..., 3) mid-chord points
+    alpha: np.ndarray  # (...) inter-ray angle
+    valid: np.ndarray  # (...) row lies inside the parameter domain
 
 
 def needle_frames(vecs: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -> NeedleFrames:
-    """Triangle construction for a (B, 6) batch of [theta1, theta2, kp_st, kp_ed].
+    """Triangle construction for a (..., 6) batch of [theta1, theta2, kp_st, kp_ed].
 
     The two keypoint rays and the chord form a triangle with interior angle
     theta1 at the start endpoint; theta2 is the dihedral rotation of the arc
     plane about the chord, measured from the rays plane. Rows outside the
     domain (inter-ray angle <= 1e-6, theta1 outside (0, pi - alpha)) are
     flagged in `valid`, not raised; their frames are finite but meaningless.
+    A (6,) vector is a batch of one. Everything but the back-projection is
+    elementwise; the back-projection is one matrix product per (R, 6) slice
+    of the batch, so a slice's results never depend on the other slices.
     """
     vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
-    th1, th2 = vecs[:, 0], vecs[:, 1]
-    d_st = anchor.backproject_ray(vecs[:, 2:4])
-    d_ed = anchor.backproject_ray(vecs[:, 4:6])
+    th1, th2 = vecs[..., 0], vecs[..., 1]
+    d_st = anchor.backproject_ray(vecs[..., 2:4])
+    d_ed = anchor.backproject_ray(vecs[..., 4:6])
     alpha = _inter_ray_angle(d_st, d_ed)
     valid = (alpha > _MIN_RAY_ANGLE) & (th1 > 0.0) & (th1 < np.pi - alpha)
     sa = np.where(alpha > 1e-12, np.sin(alpha), 1.0)
     L = shape.chord_length
     t_ed = L * np.sin(th1) / sa
     t_st = L * np.sin(alpha + th1) / sa
-    C = anchor.center
-    p_st = C + t_st[:, None] * d_st
-    p_ed = C + t_ed[:, None] * d_ed
-    u_ax = p_ed - p_st
-    u_ax /= np.maximum(np.linalg.norm(u_ax, axis=1, keepdims=True), 1e-300)
-    n_rays = np.cross(d_st, d_ed)
-    n_rays /= np.maximum(np.linalg.norm(n_rays, axis=1, keepdims=True), 1e-300)
-    w_ref = np.cross(n_rays, u_ax)
-    w_ref /= np.maximum(np.linalg.norm(w_ref, axis=1, keepdims=True), 1e-300)
-    e1 = np.cos(th2)[:, None] * w_ref + np.sin(th2)[:, None] * np.cross(u_ax, w_ref)
-    mid = 0.5 * (p_st + p_ed)
-    centers = mid - shape.radius * np.cos(shape.arc_angle / 2.0) * e1
-    return NeedleFrames(centers, e1, u_ax, mid, alpha, valid)
+    # component arithmetic: np.cross and np.linalg.norm cost far more in
+    # call overhead than in arithmetic on batches this small
+    C = anchor.center.tolist()
+    ray_st = [d_st[..., k] for k in range(3)]
+    ray_ed = [d_ed[..., k] for k in range(3)]
+    p_st = [c + t_st * d for c, d in zip(C, ray_st)]
+    p_ed = [c + t_ed * d for c, d in zip(C, ray_ed)]
+    u_ax = _unit([b - a for a, b in zip(p_st, p_ed)])
+    n_rays = _unit(_cross(ray_st, ray_ed))
+    w_ref = _unit(_cross(n_rays, u_ax))
+    c2, s2 = np.cos(th2), np.sin(th2)
+    e1 = [c2 * w + s2 * x for w, x in zip(w_ref, _cross(u_ax, w_ref))]
+    mid = [0.5 * (a + b) for a, b in zip(p_st, p_ed)]
+    offset = shape.radius * np.cos(shape.arc_angle / 2.0)
+    centers = [m - offset * x for m, x in zip(mid, e1)]
+    return NeedleFrames(
+        *(np.stack(v, axis=-1) for v in (centers, e1, u_ax, mid)), alpha, valid
+    )
 
 
 def params_to_pose(vec: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -> RigidPose:

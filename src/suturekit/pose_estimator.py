@@ -5,8 +5,12 @@ pixel, the squared distance to the nearest reprojected needle axis point,
 summed over the mask pixels of both views (one-directional, untruncated).
 Optimization runs in the 6-DOF parameter space [theta1, theta2, kp_st,
 kp_ed] by Levenberg-Marquardt on point-to-line residuals, multi-started over
-the dihedral angle. Every objective value comes from one vectorized scene
-evaluator (array math over batches of parameter vectors, no pose objects).
+the dihedral angle. The seeds' descents run in lockstep, batching their
+residual and objective calls, and each seed's result equals, bit for bit,
+a descent from that seed alone. Every objective value comes from one
+vectorized scene evaluator (array math over batches of parameter vectors,
+no pose objects), and a row's value never depends on the rows batched with
+it.
 """
 
 from __future__ import annotations
@@ -81,41 +85,56 @@ def _subsample(fg: np.ndarray, cap: int) -> np.ndarray:
     return fg[::stride]
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances (M, K) between point sets a (M, 2) and b (K, 2): one
-    BLAS product, then |a|^2 + |b|^2 - 2 a.b in place (no large temporaries)."""
-    d2 = a @ b.T
-    d2 *= -2.0
-    d2 += np.einsum("ij,ij->i", a, a)[:, None]
-    d2 += np.einsum("ij,ij->i", b, b)[None, :]
-    return d2
+def _mask_rows(mask_px: np.ndarray) -> np.ndarray:
+    """Left operand of the distance product, built once per scene: rows
+    [-2u, -2v, u^2 + v^2, 1] (M, 4) of the mask pixels (M, 2)."""
+    sq = np.einsum("ij,ij->i", mask_px, mask_px)
+    return np.column_stack([-2.0 * mask_px, sq, np.ones(len(mask_px))])
+
+
+def _sq_dists(mask_rows: np.ndarray, points: np.ndarray):
+    """Squared distances from the mask pixels (as _mask_rows) to each point
+    set of a (B, N, 2) batch: yields one (M, N) array per set, in order.
+
+    Each is one BLAS product with the columns [x, y, 1, x^2 + y^2], i.e.
+    -2 m.p + |m|^2 + |p|^2 summed in that order; it depends on that set
+    alone. Scaling by -2 is exact, so this rounds like -2 (m.p) followed
+    by the two in-place additions, on a BLAS that sums the inner dimension
+    in index order (checked bitwise with OpenBLAS 0.3.31).
+    """
+    cols = np.empty(points.shape[:-1] + (4,))
+    cols[..., :2] = points
+    cols[..., 2] = 1.0
+    cols[..., 3] = np.einsum("...ij,...ij->...i", points, points)
+    for c in np.swapaxes(cols, -1, -2):
+        yield mask_rows @ c
 
 
 def _chamfer(
-    mask_px: np.ndarray, points_px: np.ndarray, visible: np.ndarray, penalty: float
+    mask_rows: np.ndarray, points_px: np.ndarray, visible: np.ndarray, penalty: float
 ) -> np.ndarray:
     """Per batch row: sum over mask pixels of the squared distance to the
     nearest visible point.
 
-    mask_px (M, 2); points_px (B, N, 2), one point set per row, ignored
-    where visible (B, N) is False. A row with no visible point pays
-    penalty per mask pixel. Returns (B,).
+    mask_rows from _mask_rows (M pixels); points_px (B, N, 2), one point
+    set per row, ignored where visible (B, N) is False. A row with no
+    visible point pays penalty per mask pixel. Each row is summed on its
+    own, as a one-row call sums it. Returns (B,).
     """
-    B, N = visible.shape
-    M = len(mask_px)
+    M = len(mask_rows)
     if M == 0:
-        return np.zeros(B)
-    px = np.where(visible[..., None], points_px, 1e9).reshape(-1, 2)  # far sentinel
-    best = _sq_dists(mask_px, px).reshape(M, B, N).min(axis=2)  # (M, B)
-    return np.where(visible.any(axis=1), best.sum(axis=0), penalty * M)
+        return np.zeros(len(visible))
+    px = np.where(visible[..., None], points_px, 1e9)  # far sentinel
+    best = np.stack([d2.min(axis=1) for d2 in _sq_dists(mask_rows, px)])  # (B, M)
+    return np.where(visible.any(axis=1), best.sum(axis=1), penalty * M)
 
 
 class SceneEvaluator:
     """Vectorized objective over batches of raw parameter vectors.
 
-    Precomputes per-scene constants (capped mask pixels, arc body samples)
-    once; project() then runs pure array math, and per_view() adds one
-    distance product per view.
+    Precomputes per-scene constants (capped mask pixels and their distance
+    terms, arc body samples) once; project() then runs pure array math, and
+    per_view() adds one distance product per view and row.
     """
 
     def __init__(self, masks, shape: NeedleShape, rig: StereoRig, config: EstimatorConfig):
@@ -127,29 +146,34 @@ class SceneEvaluator:
         self.mask_px = [
             _subsample(m.foreground, config.mask_pixel_cap).astype(float) for m in masks
         ]
+        self._mask_rows = [_mask_rows(m) for m in self.mask_px]
         body = shape.arc_points_body(np.linspace(0.0, shape.arc_angle, config.axis_sample_count))
         self._body_xy = body[:, :2]  # arc is planar, z = 0 in the body frame
 
     def project(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arc samples of a (B, 6) batch in every view.
+        """Arc samples of a (..., 6) batch in every view.
 
-        Returns pixels (B, V, N, 2), NaN where a sample is not in front of
-        the camera; visibility (B, V, N); and domain validity (B,).
+        Returns pixels (..., V, N, 2), NaN where a sample is not in front of
+        the camera; visibility (..., V, N); and domain validity (...).
         """
         centers, e1, u_ax, _, _, valid = needle_frames(vecs, self.shape, self.rig.left)
         xb, yb = self._body_xy[:, :1], self._body_xy[:, 1:]  # (N, 1) each
-        pts = centers[:, None] + xb * e1[:, None] + yb * u_ax[:, None]  # (B, N, 3) world
+        pts = centers[..., None, :] + xb * e1[..., None, :] + yb * u_ax[..., None, :]
         px, vis = zip(*(cam.project_many(pts) for cam in self.rig.cameras))
-        return np.stack(px, axis=1), np.stack(vis, axis=1), valid
+        return np.stack(px, axis=-3), np.stack(vis, axis=-2), valid
 
     def per_view(self, vecs: np.ndarray) -> np.ndarray:
-        """Per-view objective values, shape (B, 2); inf outside the domain."""
-        px, vis, valid = self.project(vecs)
+        """Per-view objective values, shape (B, 2); inf outside the domain.
+
+        Each row is projected and scored as a batch of its own, so its value
+        is bitwise the one a one-row call gives, whatever the batch.
+        """
+        px, vis, valid = self.project(np.atleast_2d(vecs)[:, None])
         out = np.column_stack([
-            _chamfer(mpx, px[:, k], vis[:, k], self.config.empty_view_penalty)
-            for k, mpx in enumerate(self.mask_px)
+            _chamfer(rows, px[:, 0, k], vis[:, 0, k], self.config.empty_view_penalty)
+            for k, rows in enumerate(self._mask_rows)
         ])
-        out[~valid] = np.inf
+        out[~valid[:, 0]] = np.inf
         return out
 
     def evaluate(self, vecs: np.ndarray) -> np.ndarray:
@@ -157,9 +181,9 @@ class SceneEvaluator:
         outside the domain."""
         return self.per_view(vecs).sum(axis=1)
 
-    def residuals(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Point-to-line residuals at one parameter vector and their
-        Jacobian, shapes (R,) and (R, 6).
+    def residuals(self, vecs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Point-to-line residuals at each row of an (S, 6) batch and their
+        Jacobians: one (r (R,), A (R, 6)) pair per row.
 
         Per view, each mask pixel is paired with its nearest visible arc
         sample. Its residual is the offset from that sample projected on
@@ -167,26 +191,40 @@ class SceneEvaluator:
         a pixel paired with an arc end keeps both offset coordinates, as
         two rows after the one-row pixels. The Jacobian holds pairing and
         normals fixed and forward-differences the projected samples by
-        _JAC_STEPS. Non-finite rows are dropped, so R may be 0.
+        _JAC_STEPS. Non-finite rows are dropped, so R may be 0. The rows
+        share one projection of S x 7 vectors and the array work after the
+        pairing; each row's pair is bitwise the one a one-row call returns.
         """
-        px = self.project(np.vstack([vec, vec + np.diag(_JAC_STEPS)]))[0]
-        dpx = (px[1:] - px[0]) / _JAC_STEPS[:, None, None, None]  # (6, V, N, 2)
-        rows, jac = [np.empty(0)], [np.empty((0, 6))]
-        for k, mpx in enumerate(self.mask_px):
-            p = px[0, k]
-            near = _sq_dists(mpx, np.nan_to_num(p, nan=1e9)).argmin(axis=1)  # far sentinel
-            tan = np.gradient(p, axis=0)
-            normal = np.stack([-tan[:, 1], tan[:, 0]], axis=1)
-            normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-            off = mpx - p[near]  # (M, 2)
-            dp = dpx[:, k, near].transpose(1, 2, 0)  # (M, 2, 6)
-            end = (near == 0) | (near == len(p) - 1)
-            n = normal[near[~end]]
-            rows += [np.einsum("mi,mi->m", off[~end], n), off[end].reshape(-1)]
-            jac += [-np.einsum("mi,mij->mj", n, dp[~end]), -dp[end].reshape(-1, 6)]
-        r, A = np.concatenate(rows), np.concatenate(jac)
-        keep = np.isfinite(r) & np.isfinite(A).all(axis=1)
-        return r[keep], A[keep]
+        vecs = np.atleast_2d(vecs)[:, None]
+        px = self.project(np.concatenate([vecs, vecs + np.diag(_JAC_STEPS)], axis=1))[0]
+        dpx = (px[:, 1:] - px[:, :1]) / _JAC_STEPS[:, None, None, None]  # (S, 6, V, N, 2)
+        parts = []  # per view: one-row residuals, offsets, Jacobians, end flags
+        for k, (mpx, mrows) in enumerate(zip(self.mask_px, self._mask_rows)):
+            p = px[:, 0, k]  # (S, N, 2)
+            near = np.stack([  # (S, M); far sentinel for samples behind the camera
+                d2.argmin(axis=1) for d2 in _sq_dists(mrows, np.nan_to_num(p, nan=1e9))
+            ])
+            tan = np.gradient(p, axis=1)
+            normal = np.stack([-tan[..., 1], tan[..., 0]], axis=-1)
+            normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+            off = mpx - np.take_along_axis(p, near[..., None], axis=1)  # (S, M, 2)
+            n = np.take_along_axis(normal, near[..., None], axis=1)
+            dp = np.take_along_axis(dpx[:, :, k], near[:, None, :, None], axis=2)
+            dp = dp.transpose(0, 2, 3, 1)  # (S, M, 2, 6)
+            end = (near == 0) | (near == p.shape[1] - 1)
+            parts.append((np.einsum("smi,smi->sm", off, n),
+                          -np.einsum("smi,smij->smj", n, dp), off, -dp, end))
+        out = []
+        for s in range(len(vecs)):
+            rows, jac = [], []
+            for r1, j1, off, j2, end in parts:
+                e = end[s]
+                rows += [r1[s][~e], off[s][e].reshape(-1)]
+                jac += [j1[s][~e], j2[s][e].reshape(-1, 6)]
+            r, A = np.concatenate(rows), np.concatenate(jac)
+            keep = np.isfinite(r) & np.isfinite(A).all(axis=1)
+            out.append((r[keep], A[keep]))
+        return out
 
     def report(self, vec: np.ndarray) -> ObjectiveReport:
         """Objective report for one parameter vector."""
@@ -198,39 +236,60 @@ class SceneEvaluator:
         )
 
 
-def _descend(vec: np.ndarray, ev: SceneEvaluator, max_steps: int):
-    """One Levenberg-Marquardt descent from a seed; returns (vec, J, steps).
+def _descend(vecs: np.ndarray, ev: SceneEvaluator, max_steps: int):
+    """Levenberg-Marquardt descents from an (S, 6) batch of seeds, run in
+    lockstep; returns (vecs (S, 6), J (S,), steps (S,)).
 
-    Damping is Marquardt-scaled by diag(A^T A). A step is kept only if the
-    chamfer objective J drops (out-of-domain steps evaluate to inf); a
-    rejected step grows the damping x4, up to 10 tries, an accepted one
-    shrinks it /3. Stops when no damped step lowers J, when the relative
-    drop is <= 1e-10, when no residual row is left, or after max_steps
-    iterations.
+    Per seed: damping is Marquardt-scaled by diag(A^T A). A step is kept
+    only if the chamfer objective J drops (out-of-domain steps evaluate to
+    inf); a rejected step grows the damping x4, up to 10 tries, an accepted
+    one shrinks it /3. A seed stops when no damped step lowers J, when the
+    relative drop is <= 1e-10, when no residual row is left, or after
+    max_steps iterations. Each round makes one residuals call for the seeds
+    that start an iteration and one evaluate call for every seed's pending
+    trial step. Every seed's (vec, J, steps) is bitwise the one a descent
+    from that seed alone returns.
     """
-    J = float(ev.evaluate(vec)[0])
-    lam = 1e-3
-    steps = 0
-    while steps < max_steps:
-        r, A = ev.residuals(vec)
-        if len(r) == 0:
+    vecs = np.array(vecs, dtype=float, ndmin=2)
+    S = len(vecs)
+    J = ev.evaluate(vecs)
+    lam = np.full(S, 1e-3)
+    steps = np.zeros(S, dtype=int)
+    tries = np.zeros(S, dtype=int)  # rejected trials of the current iteration
+    H, g = np.zeros((S, 6, 6)), np.zeros((S, 6))
+    live = np.ones(S, dtype=bool)  # still descending
+    fresh = live.copy()  # starts an iteration: needs residuals at its vec
+    diag = np.arange(6)
+    while True:
+        idx = np.flatnonzero(fresh)
+        for i, (r, A) in zip(idx, ev.residuals(vecs[idx]) if len(idx) else []):
+            if len(r) == 0:
+                live[i] = False
+                continue
+            steps[i] += 1
+            tries[i] = 0
+            H[i], g[i] = A.T @ A, A.T @ r
+        fresh[:] = False
+        idx = np.flatnonzero(live)
+        if len(idx) == 0:
             break
-        steps += 1
-        H = A.T @ A
-        g = A.T @ r
-        for _ in range(10):
-            trial = vec + np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
-            J_trial = float(ev.evaluate(trial)[0])
-            if J_trial < J:
-                break
-            lam *= 4.0
-        else:
-            break
-        lam /= 3.0
-        vec, J, J_prev = trial, J_trial, J
-        if J_prev - J <= 1e-10 * J_prev:
-            break
-    return vec, J, steps
+        damping = np.zeros((len(idx), 6, 6))
+        damping[:, diag, diag] = lam[idx, None] * H[idx][:, diag, diag]
+        trials = vecs[idx] + np.linalg.solve(H[idx] + damping, -g[idx][..., None])[..., 0]
+        J_trial = ev.evaluate(trials)
+        better = J_trial < J[idx]
+        rejected = idx[~better]
+        lam[rejected] *= 4.0
+        tries[rejected] += 1
+        live[rejected[tries[rejected] == 10]] = False
+        kept = idx[better]
+        lam[kept] /= 3.0
+        J_prev = J[kept]
+        vecs[kept], J[kept] = trials[better], J_trial[better]
+        done = (J_prev - J[kept] <= 1e-10 * J_prev) | (steps[kept] >= max_steps)
+        live[kept[done]] = False
+        fresh[kept[~done]] = True
+    return vecs, J, steps
 
 
 @dataclass(frozen=True)
@@ -303,7 +362,7 @@ def estimate(
     SCENE_DEPTH_RANGE when there are no right hints or the triangulated depth
     is not finite and positive), theta2 uniformly over [0, 2*pi).
     The seed_count best-scoring seeds each run one Levenberg-Marquardt
-    descent to convergence, and the lowest objective wins. Returns (pose,
+    descent to convergence, in lockstep, and the lowest objective wins. Returns (pose,
     report, steps), steps counting the descent iterations of all seeds.
     Deterministic for fixed inputs (no rng).
     """
@@ -336,9 +395,9 @@ def estimate(
     )
     order = np.argsort(scores)[: config.seed_count]
 
-    runs = [_descend(cands[i], ev, config.max_steps) for i in order]
-    vec = min(runs, key=lambda run: run[1])[0]
-    total_steps = sum(run[2] for run in runs)
+    vecs, J, steps = _descend(cands[order], ev, config.max_steps)
+    vec = vecs[np.argmin(J)]
+    total_steps = int(steps.sum())
     pose = params_to_pose(vec, shape, rig.left)
     report = ev.report(vec)
     n_px = max(1, sum(report.mask_pixels_used))

@@ -10,6 +10,8 @@ from suturekit.needle import (
     DegenerateRays,
     NeedleShape,
     ThetaOutOfRange,
+    _cross,
+    _unit,
     needle_frames,
     params_to_pose,
     pose_to_params,
@@ -98,6 +100,27 @@ class TestTriangleConstruction:
         n = np.cross(d_st, d_ed)
         n /= np.linalg.norm(n)
         assert np.isclose(n @ (mid_a - cam.center), -(n @ (mid_b - cam.center)), atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 33])
+    def test_component_cross_and_norm_bitwise_equal_numpy(self, rows):
+        rng = np.random.default_rng(rows)
+        a, b = rng.normal(size=(2, rows, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, rows, 1))
+        a[0] = 0.0  # the norm floor keeps a zero vector at zero
+        assert np.stack(_cross(a.T, b.T), axis=-1).tobytes() == np.cross(a, b).tobytes()
+        expected = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-300)
+        assert np.stack(_unit(a.T), axis=-1).tobytes() == expected.tobytes()
+
+    def test_frames_of_a_slice_do_not_depend_on_the_others(self, rig, shape):
+        rng = np.random.default_rng(3)
+        vecs = np.column_stack([
+            rng.uniform(0.2, 2.5, 12), rng.uniform(0.0, 6.0, 12),
+            rng.uniform(200.0, 440.0, (12, 4)),
+        ]).reshape(4, 3, 6)
+        joint = needle_frames(vecs, shape, rig.left)
+        for g, group in enumerate(vecs):
+            alone = needle_frames(group, shape, rig.left)
+            for field, a, b in zip(joint._fields, joint, alone):
+                assert a[g].tobytes() == b.tobytes(), field
 
     def test_theta1_out_of_range(self, rig, shape):
         kp_st, kp_ed = np.array([280.0, 220.0]), np.array([350.0, 250.0])

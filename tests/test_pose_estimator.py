@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -15,10 +16,17 @@ from suturekit.pose_estimator import (
     SceneEvaluator,
     _chamfer,
     _descend,
+    _mask_rows,
     _triangulated_depth,
     estimate,
 )
-from suturekit.geometry import rotation_geodesic
+from suturekit.geometry import (
+    PinholeCamera,
+    RigidPose,
+    StereoRig,
+    rotation_geodesic,
+    rotvec_to_matrix,
+)
 
 
 def make_scene(rig, shape, seed=0, occlusion=None, line_width=1.0):
@@ -40,18 +48,59 @@ def brute_force_objective(x, masks, shape, rig, cfg):
     )
 
 
+def solo_descent(ev, vec, max_steps):
+    """Reference for _descend: the Levenberg-Marquardt loop for one seed,
+    written plainly with one-row evaluator calls. Returns (vec, J, steps,
+    the rule that stopped it)."""
+    J = ev.evaluate(vec)[0]
+    lam = 1e-3
+    steps = 0
+    while steps < max_steps:
+        [(r, A)] = ev.residuals(vec[None])
+        if len(r) == 0:
+            return vec, J, steps, "no residual rows"
+        steps += 1
+        H = A.T @ A
+        g = A.T @ r
+        for _ in range(10):
+            trial = vec + np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            J_trial = ev.evaluate(trial)[0]
+            if J_trial < J:
+                break
+            lam *= 4.0
+        else:
+            return vec, J, steps, "ten rejected steps"
+        lam /= 3.0
+        vec, J, J_prev = trial, J_trial, J
+        if J_prev - J <= 1e-10 * J_prev:
+            return vec, J, steps, "relative drop"
+    return vec, J, steps, "max_steps"
+
+
+def rotated_rig(baseline=0.02):
+    """A stereo rig turned away from the world axes, so that back-projection
+    multiplies by a rotation that is not the identity."""
+    R = rotvec_to_matrix(np.array([0.2, -0.3, 0.1]))
+    return StereoRig(*(
+        PinholeCamera(1000.0, 1000.0, 320.0, 240.0, 640, 480, RigidPose(R, R @ [x, 0.0, 0.0]))
+        for x in (0.0, baseline)
+    ))
+
+
 class TestChamfer:
     def test_single_pair(self):
-        J = _chamfer(np.array([[0.0, 0.0]]), np.array([[[3.0, 4.0]]]), np.ones((1, 1), bool), 1e4)
+        mask = _mask_rows(np.array([[0.0, 0.0]]))
+        J = _chamfer(mask, np.array([[[3.0, 4.0]]]), np.ones((1, 1), bool), 1e4)
         assert J.tolist() == [25.0]
 
     def test_picks_nearest_point(self):
         mask = np.array([[0.0, 0.0], [10.0, 0.0]])
         pts = np.array([[[1.0, 0.0], [9.0, 0.0]]])
-        assert _chamfer(mask, pts, np.ones((1, 2), bool), 1e4).tolist() == [2.0]
+        assert _chamfer(_mask_rows(mask), pts, np.ones((1, 2), bool), 1e4).tolist() == [2.0]
 
     def test_empty_mask_is_zero(self):
-        J = _chamfer(np.empty((0, 2)), np.array([[[1.0, 2.0]]]), np.ones((1, 1), bool), 1e4)
+        mask = _mask_rows(np.empty((0, 2)))
+        J = _chamfer(mask, np.array([[[1.0, 2.0]]]), np.ones((1, 1), bool), 1e4)
         assert J.tolist() == [0.0]
 
     def test_empty_points_pays_penalty(self):
@@ -60,7 +109,7 @@ class TestChamfer:
         mask = np.array([[0.0, 0.0], [1.0, 1.0]])
         pts = np.array([[[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]]])
         visible = np.array([[False, False], [True, True]])
-        assert _chamfer(mask, pts, visible, 1e4).tolist() == [2e4, 0.0]
+        assert _chamfer(_mask_rows(mask), pts, visible, 1e4).tolist() == [2e4, 0.0]
 
 
 class TestObjective:
@@ -121,6 +170,22 @@ class TestSceneEvaluator:
         for row, J in zip(batch, joint):
             assert float(ev.evaluate(row)[0]) == pytest.approx(J, rel=1e-12)
 
+    @pytest.mark.parametrize("turned", [False, True])
+    @pytest.mark.parametrize("occlusion", [None, (0.3, 0.6)])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_batch_rows_bitwise_equal_single_rows(self, rig, shape, seed, occlusion, turned):
+        # the descent batches its trial steps, so a row's value must not
+        # depend on the rows beside it
+        rig = rotated_rig() if turned else rig
+        _, masks, x_true, _ = make_scene(rig, shape, seed=seed, occlusion=occlusion)
+        ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
+        rng = np.random.default_rng(seed)
+        batch = x_true + rng.normal(scale=[0.05, 0.5, 3.0, 3.0, 3.0, 3.0], size=(32, 6))
+        batch[0, 0] = 3.3  # outside the domain
+        single = np.concatenate([ev.evaluate(row) for row in batch])
+        assert ev.evaluate(batch).tobytes() == single.tobytes()
+        assert ev.per_view(batch).tobytes() == np.vstack([ev.per_view(r) for r in batch]).tobytes()
+
     def test_invalid_theta1_is_inf(self, rig, shape):
         _, masks, x_true, _ = make_scene(rig, shape, seed=7)
         ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
@@ -170,13 +235,25 @@ class TestResiduals:
         cfg = EstimatorConfig()
         ev = SceneEvaluator(masks, shape, rig, cfg)
         vec = x_true + np.array([0.05, 0.1, 2.0, -2.0, 1.5, 1.0])
-        r, A = ev.residuals(vec)
+        [(r, A)] = ev.residuals(vec[None])
         r_ref, A_ref = self.oracle(vec, ev.mask_px, shape, rig, cfg, self.STEPS)
         assert r.shape == r_ref.shape and A.shape == (len(r), 6)
         assert len(r) > sum(len(m) for m in ev.mask_px)  # some pixels pair with arc ends
         assert np.abs(r - r_ref).max() < 1e-9
         scale = np.abs(A_ref).max(axis=0)
         assert (np.abs(A - A_ref).max(axis=0) <= 1e-4 * scale).all()
+
+    def test_residuals_rows_bitwise_equal_single_rows(self, rig, shape):
+        _, masks, x_true, _ = make_scene(rig, shape, seed=8, occlusion=(0.4, 0.5))
+        ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
+        batch = x_true + np.array([
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.05, 0.1, 2.0, -2.0, 1.5, 1.0],
+            [0.1, 2.0, 0.0, 0.0, 0.0, 0.0],
+        ])
+        for (r, A), row in zip(ev.residuals(batch), batch):
+            [(r1, A1)] = ev.residuals(row[None])
+            assert r.tobytes() == r1.tobytes() and A.tobytes() == A1.tobytes()
 
 
 class TestDescent:
@@ -186,7 +263,7 @@ class TestDescent:
         ev = SceneEvaluator(masks, shape, rig, cfg)
         vec0 = x_true + np.array([0.05, 0.3, 2.0, -2.0, 1.0, -1.0])
         J0 = float(ev.evaluate(vec0)[0])
-        vec, J_best, steps = _descend(vec0, ev, 100)
+        vec, J_best, steps = (x[0] for x in _descend(vec0[None], ev, 100))
         assert J_best <= J0 and J_best == float(ev.evaluate(vec)[0])
         assert 1 <= steps <= 100
 
@@ -195,18 +272,47 @@ class TestDescent:
         cfg = EstimatorConfig()
         ev = SceneEvaluator(masks, shape, rig, cfg)
         vec0 = x_true
-        best_vec, J_best, _ = _descend(vec0, ev, 200)
+        best_vec, J_best, _ = (x[0] for x in _descend(vec0[None], ev, 200))
         assert J_best <= float(ev.evaluate(vec0)[0])
         assert np.abs(best_vec[2:] - vec0[2:]).max() < 2.0  # keypoints stay put
 
     def test_no_residual_rows_ends_descent(self, rig, shape, monkeypatch):
         _, masks, x_true, _ = make_scene(rig, shape, seed=9)
         ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
-        monkeypatch.setattr(ev, "residuals", lambda vec: (np.empty(0), np.empty((0, 6))))
+        monkeypatch.setattr(
+            ev, "residuals", lambda vecs: [(np.empty(0), np.empty((0, 6)))] * len(vecs)
+        )
         vec0 = x_true
-        vec, J, steps = _descend(vec0, ev, 100)
+        vec, J, steps = (x[0] for x in _descend(vec0[None], ev, 100))
         assert steps == 0 and np.array_equal(vec, vec0)
         assert J == float(ev.evaluate(vec0)[0])
+
+    def test_lockstep_bitwise_equals_solo_descents(self, rig, shape):
+        # seeds near and far from the truth and one whose arc lies behind
+        # both cameras (theta1 = 4 is outside the domain: no residual rows);
+        # together the scenes exercise every stop rule
+        offsets = np.array([
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.02, 0.1, 1.0, -1.0, 0.5, 0.5],
+            [0.1, 1.0, 3.0, -2.0, 2.0, 1.0],
+        ])
+        reasons = set()
+        for scene_rig, seed, occlusion in itertools.product(
+            (rig, rotated_rig()), (0, 1, 2), (None, (0.4, 0.6))
+        ):
+            _, masks, x_true, _ = make_scene(scene_rig, shape, seed=seed, occlusion=occlusion)
+            ev = SceneEvaluator(masks, shape, scene_rig, EstimatorConfig())
+            seeds = np.vstack([x_true + offsets[:2], x_true, x_true + offsets[2]])
+            seeds[2, 0] = 4.0
+            vecs, J, steps = _descend(seeds, ev, 12)
+            for i, seed_vec in enumerate(seeds):
+                vec1, J1, steps1, reason = solo_descent(ev, seed_vec, 12)
+                assert vecs[i].tobytes() == vec1.tobytes(), (seed, occlusion, i)
+                assert J[i].tobytes() == J1.tobytes() and steps[i] == steps1
+                reasons.add(reason)
+        assert reasons == {
+            "no residual rows", "ten rejected steps", "max_steps", "relative drop"
+        }
 
 
 class TestEstimate:
