@@ -33,7 +33,7 @@ from .pose_estimator import (
     NoConvergence,
     estimate,
 )
-from .psm_kinematics import KinematicModel, fk, ik
+from .psm_kinematics import KinematicModel, Unreachable, fk, ik
 
 
 DEFAULT_SHAPE = NeedleShape(radius=0.010, arc_angle=np.pi)
@@ -331,7 +331,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
             q_msr_now = q_act - delta_q
             sols = ik(model, wp.tool_pose, q4_hint=float(q_msr_now[3]))
             if not sols:
-                raise RuntimeError(f"waypoint in segment {seg.label} unreachable")
+                raise Unreachable(f"waypoint in segment {seg.label} unreachable")
             q_des = min(sols, key=lambda s: model.joint_distance(s.q, q_msr_now)).q
             try:
                 trace = servo_to(
@@ -340,7 +340,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
             except NotConverged as e:
                 trace = e.trace
                 converged = False
-            q_act = trace.steps[-1]["q_act"]
+            q_act = trace.q_act[-1]
             tool_real = fk(model, q_act)
             needle_real = tool_real.compose(grasp_inv)
             tip = needle_real.apply(tip_b)

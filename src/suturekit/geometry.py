@@ -18,7 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_ORTHO_TOL = 1e-8
+# |R^T R - I| <= 1e-8 + 1e-5 |I| elementwise is np.allclose(R.T @ R, I,
+# atol=1e-8)'s own rule without its call overhead; NaN and inf fail it as
+# they fail allclose
+_EYE3 = np.eye(3)
+_ORTHO_BOUND = 1e-8 + 1e-5 * _EYE3
 
 
 class GeometryError(Exception):
@@ -46,7 +50,7 @@ class RigidPose:
     def __post_init__(self):
         R = _as_array(self.rotation, (3, 3))
         t = _as_array(self.translation, (3,))
-        if not np.allclose(R.T @ R, np.eye(3), atol=_ORTHO_TOL):
+        if not (np.abs(R.T @ R - _EYE3) <= _ORTHO_BOUND).all():
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-6:
             raise ValueError("rotation determinant is not +1")

@@ -170,6 +170,24 @@ class TestExitCodes:
         assert "max_steps must be >= 1, got 0" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"tol": 0}, "tol must be a finite number above 0, got 0.0"),
+        ({"tol": -1}, "tol must be a finite number above 0, got -1.0"),
+        ({"tol": float("nan")}, "tol must be a finite number above 0, got nan"),
+        ({"tol": float("inf")}, "tol must be a finite number above 0, got inf"),
+        ({"kp": float("nan")}, "kp must be finite"),
+        ({"ki": [0.2, 0.2, float("inf"), 0.2, 0.2, 0.2]}, "ki must be finite"),
+        ({"q_des_deg": [float("nan"), 0, 0, 0, 0, 0]}, "q_des, dq_hat and q_act0 must be"),
+        ({"q3_des_mm": float("inf")}, "q_des, dq_hat and q_act0 must be finite"),
+    ], ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "kp-nan", "ki-inf",
+            "q_des_deg-nan", "q3_des_mm-inf"])
+    def test_control_sim_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "out"
+        assert run_cli(["control-sim", "--config", path, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_runtime_failure_is_exit_one(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"shape": {"radius_mm": -1.0}})
         code = run_cli(["pose-bench", "--config", cfg, "--out-dir", str(tmp_path),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from suturekit.control import (
+    TRACE_COLUMNS,
     NotConverged,
     PiGains,
     PlantModel,
@@ -17,6 +18,53 @@ from suturekit.psm_kinematics import PRISMATIC_INDEX
 
 def zero_plant(beta=1.0):
     return PlantModel(delta_q=np.zeros(6), disturbance=np.zeros(6), beta=beta)
+
+
+def reference_servo(plant, gains, dq_hat, q_des, q_act0=None, max_steps=200, tol=1e-6):
+    """The step-by-step numpy servo loop: (rows of per-step dicts, integrator
+    after each step, converged)."""
+    q_des = np.asarray(q_des, dtype=float)
+    dq_hat = np.asarray(dq_hat, dtype=float)
+    q_act = np.zeros(6) if q_act0 is None else np.asarray(q_act0, dtype=float).copy()
+    integrator = np.zeros(6)
+    steps, integrators = [], []
+    for _ in range(max_steps):
+        q_msr = q_act - plant.delta_q
+        q_msr_comp, q_ref = compensate(q_msr, q_des, dq_hat)
+        u, integrator = pi_step(gains, integrator, q_ref, q_msr_comp)
+        q_cmd = u - dq_hat
+        q_act, q_msr_post = plant_step(plant, q_act, q_cmd)
+        err = q_ref - (q_msr_post + dq_hat)
+        steps.append({"q_cmd": q_cmd, "q_act": q_act.copy(), "q_msr": q_msr,
+                      "q_msr_comp": q_msr_comp, "err": err})
+        integrators.append(integrator)
+        if (np.abs(err) < tol).all():
+            return steps, np.array(integrators), True
+    return steps, np.array(integrators), False
+
+
+def random_case(seed):
+    """A random plant, gains, offset estimate, target and start."""
+    rng = np.random.default_rng(seed)
+    plant = PlantModel(delta_q=rng.normal(0.0, 0.03, 6),
+                       disturbance=rng.normal(0.0, 0.02, 6), beta=rng.uniform(0.2, 1.0))
+    gains = PiGains(kp=rng.uniform(0.0, 1.0, 6), ki=rng.uniform(0.1, 0.4, 6),
+                    integrator_clamp=rng.uniform(0.3, 1.5, 6))
+    return dict(plant=plant, gains=gains, dq_hat=rng.normal(0.0, 0.03, 6),
+                q_des=rng.normal(0.0, 0.5, 6), q_act0=rng.normal(0.0, 0.5, 6),
+                max_steps=300)
+
+
+ORACLE_CASES = {
+    **{f"random-{seed}": random_case(seed) for seed in range(12)},
+    "q_act0-none": {**random_case(12), "q_act0": None},
+    # a clamp far below disturbance / ki saturates the integrator, so the
+    # error settles above tol and the loop runs out of steps
+    "clamp-active": {**random_case(13),
+                     "gains": PiGains(kp=0.3, ki=0.2, integrator_clamp=1e-3)},
+    "not-converged": {**random_case(14), "max_steps": 5},
+    "tight-tol": {**random_case(15), "tol": 1e-12, "max_steps": 400},
+}
 
 
 class TestPlant:
@@ -53,6 +101,20 @@ class TestPlant:
         with pytest.raises(ValueError):
             PlantModel(beta=1.5)
 
+    @pytest.mark.parametrize("field", ["delta_q", "disturbance"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        values = np.zeros(6)
+        values[1] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PlantModel(**{field: values})
+
+    @pytest.mark.parametrize("field", ["delta_q", "disturbance"])
+    def test_scalars_broadcast_and_wrong_shapes_rejected(self, field):
+        assert np.array_equal(getattr(PlantModel(**{field: 0.01}), field), np.full(6, 0.01))
+        with pytest.raises(ValueError, match=f"{field} must be a number or 6 numbers"):
+            PlantModel(**{field: np.zeros((2, 6))})
+
     def test_default_disturbance_units(self):
         d = default_disturbance()
         assert np.isclose(d[0], np.radians(1.5))
@@ -81,10 +143,25 @@ class TestPiStep:
         assert np.allclose(integ, 0.1)
 
     def test_negative_gains_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kp must be >= 0"):
             PiGains(kp=np.full(6, -0.1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ki must be >= 0"):
+            PiGains(ki=-0.1)
+        with pytest.raises(ValueError, match="integrator_clamp must be positive"):
             PiGains(integrator_clamp=np.zeros(6))
+
+    @pytest.mark.parametrize("field", ["kp", "ki", "integrator_clamp"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gains_rejected(self, field, value):
+        values = np.full(6, 0.5)
+        values[3] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PiGains(**{field: values})
+
+    def test_scalars_broadcast_and_wrong_shapes_rejected(self):
+        assert np.array_equal(PiGains(kp=0.3).kp, np.full(6, 0.3))
+        with pytest.raises(ValueError, match="ki must be a number or 6 numbers"):
+            PiGains(ki=np.full(5, 0.2))
 
 
 class TestCompensate:
@@ -160,6 +237,21 @@ class TestServo:
         with pytest.raises(ValueError, match="max_steps must be >= 1"):
             servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des, max_steps=max_steps)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number above 0"):
+            servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des, tol=tol)
+
+    @pytest.mark.parametrize("arg", ["q_des", "dq_hat", "q_act0"])
+    def test_joint_vectors_must_be_six_finite_numbers(self, arg):
+        args = {"dq_hat": np.zeros(6), "q_des": self.q_des, "q_act0": np.zeros(6)}
+        with pytest.raises(ValueError, match="must have shape"):
+            servo_to(PlantModel(), PiGains(), **{**args, arg: np.zeros(5)})
+        bad = np.zeros(6)
+        bad[2] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            servo_to(PlantModel(), PiGains(), **{**args, arg: bad})
+
     def test_deterministic(self):
         a = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
         b = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
@@ -173,3 +265,40 @@ class TestServo:
         col = trace.column("q_act")
         assert col.shape == (len(trace.steps), 6)
         assert np.array_equal(col[-1], trace.steps[-1]["q_act"])
+
+    def test_steps_view_matches_columns(self):
+        trace = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
+        assert len(trace.steps) == len(trace.column("err")) > 1
+        for k, step in enumerate(trace.steps):
+            assert set(step) == set(TRACE_COLUMNS)
+            for name in TRACE_COLUMNS:
+                assert np.array_equal(step[name], trace.column(name)[k])
+        with pytest.raises(KeyError):
+            trace.column("integrator")
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_servo_matches_numpy_loop_bitwise(case):
+    """servo_to's float loop and bulk trace give, bit for bit, the columns,
+    step count and outcome of the step-by-step numpy loop."""
+    kwargs = ORACLE_CASES[case]
+    steps, integrators, converged = reference_servo(**kwargs)
+    try:
+        trace = servo_to(**kwargs)
+    except NotConverged as e:
+        trace = e.trace
+    assert trace.converged == converged
+    assert len(trace.steps) == len(steps)
+    for name in TRACE_COLUMNS:
+        col = trace.column(name)
+        assert col.shape == (len(steps), 6)
+        assert col.tobytes() == np.array([s[name] for s in steps]).tobytes(), name
+
+
+def test_oracle_cases_cover_clamp_and_both_outcomes():
+    outcomes = set()
+    for kwargs in ORACLE_CASES.values():
+        _, integrators, converged = reference_servo(**kwargs)
+        clamped = bool(np.any(np.abs(integrators) == kwargs["gains"].integrator_clamp))
+        outcomes.add((clamped, converged))
+    assert outcomes == {(False, True), (True, True), (True, False)}

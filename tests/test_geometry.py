@@ -159,6 +159,41 @@ class TestRigidPose:
         with pytest.raises(ValueError):
             RigidPose(R, np.zeros(3))
 
+    def test_orthonormality_check_is_allclose(self):
+        """RigidPose accepts exactly the rotations np.allclose(R.T @ R, I,
+        atol=1e-8) accepts (with a +1 determinant), on matrices whose R^T R
+        deviates from I across the 1e-8 off-diagonal and the 1e-8 + 1e-5
+        diagonal bounds."""
+        rng = np.random.default_rng(11)
+        matrices = []
+        for scale in np.linspace(0.98, 1.02, 81):
+            Q = random_rotation(rng)
+            a = scale * 1e-8  # shear: (R^T R)[0, 1] = a
+            shear = np.eye(3)
+            shear[0, 1] = a
+            s = scale * (1e-8 + 1e-5)  # (R^T R) diagonal 1 + s and ~1 - s
+            stretch = np.diag([np.sqrt(1.0 + s), 1.0 / np.sqrt(1.0 + s), 1.0])
+            matrices += [shear, Q @ shear, stretch, Q @ stretch]
+        accepted = []
+        for R in matrices:
+            expected = bool(np.allclose(R.T @ R, np.eye(3), atol=1e-8)
+                            and abs(np.linalg.det(R) - 1.0) <= 1e-6)
+            try:
+                RigidPose(R, np.zeros(3))
+                got = True
+            except ValueError:
+                got = False
+            assert got == expected
+            accepted.append(got)
+        assert 0 < sum(accepted) < len(accepted)  # both sides of the bounds
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rotation(self, value):
+        R = np.eye(3)
+        R[1, 2] = value
+        with pytest.raises(ValueError, match="not orthonormal"):
+            RigidPose(R, np.zeros(3))
+
 
 class TestRotationGeodesic:
     def test_identity_is_zero(self):

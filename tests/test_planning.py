@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suturekit import bench
 from suturekit.geometry import RigidPose, rotation_geodesic
 from suturekit.needle import NeedleShape
 from suturekit.planning import (
@@ -16,6 +17,7 @@ from suturekit.planning import (
     plan_suture_pass,
     suture_circle,
 )
+from suturekit.psm_kinematics import Unreachable
 
 from conftest import random_rotation
 
@@ -245,3 +247,9 @@ class TestPlanSuturePass:
         start = segments[3].waypoints[0].pose.translation
         end = segments[3].waypoints[-1].pose.translation
         assert np.allclose(end - start, cfg.retreat_distance * ports.tissue_normal, atol=1e-12)
+
+
+def test_run_suture_unreachable_waypoint_is_typed(monkeypatch):
+    monkeypatch.setattr(bench, "ik", lambda *args, **kwargs: [])
+    with pytest.raises(Unreachable, match="waypoint in segment insertion unreachable"):
+        bench.run_suture(bench.SutureRunConfig(compensate=False))
