@@ -7,6 +7,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +51,16 @@ def default_rig(baseline: float = 0.02) -> StereoRig:
     return StereoRig(left, right)
 
 
-def default_mono_camera(standoff: float = 0.08) -> PinholeCamera:
-    """Monocular calibration camera aimed at the nominal tool tip.
+# Pixel sensitivity to rotations of the marker out of the image plane
+# scales with (marker size / standoff)^2, so a short standoff is what makes
+# the z-axis joints (base yaw, shaft roll, jaw yaw) resolvable per joint. At
+# 8 cm the full offset range keeps the marker comfortably in frame.
+_MONO_STANDOFF = 0.08
 
-    Pixel sensitivity to rotations of the marker out of the image plane
-    scales with (marker size / standoff)^2, so a short standoff is what makes
-    the z-axis joints (base yaw, shaft roll, jaw yaw) resolvable per joint.
-    At 8 cm the full offset range keeps the marker comfortably in frame.
-    """
+
+def default_mono_camera() -> PinholeCamera:
+    """Monocular calibration camera _MONO_STANDOFF meters from the nominal
+    tool tip, aimed at it."""
     tip = fk(KinematicModel(), DEFAULT_QMSR_REGION.center).translation
     d = np.array([1.0, 0.3, 0.5])
     d /= np.linalg.norm(d)
@@ -65,15 +68,19 @@ def default_mono_camera(standoff: float = 0.08) -> PinholeCamera:
     x = np.cross(np.array([0.0, 0.0, 1.0]), z)
     x /= np.linalg.norm(x)
     y = np.cross(z, x)
-    pose = RigidPose(np.column_stack([x, y, z]), tip + standoff * d)
+    pose = RigidPose(np.column_stack([x, y, z]), tip + _MONO_STANDOFF * d)
     return PinholeCamera(1200.0, 1200.0, 640.0, 480.0, 1280, 960, pose)
 
 
-def _in_view(cam: PinholeCamera, pts: np.ndarray, margin_px: float) -> bool:
+_MARGIN_PX = 12.0  # sampled needles keep this far inside every image border
+_MAX_TRIES = 500  # rejection-sampling draws before random_needle_pose gives up
+
+
+def _in_view(cam: PinholeCamera, pts: np.ndarray) -> bool:
     """Every point projects in front of cam into [margin, size - margin)."""
     px, valid = cam.project_many(pts)
     size = np.array([cam.width, cam.height])
-    return bool(valid.all() and np.all((px >= margin_px) & (px < size - margin_px)))
+    return bool(valid.all() and np.all((px >= _MARGIN_PX) & (px < size - _MARGIN_PX)))
 
 
 def random_needle_pose(
@@ -81,9 +88,7 @@ def random_needle_pose(
     rig: StereoRig,
     shape: NeedleShape,
     depth_range=SCENE_DEPTH_RANGE,
-    margin_px: float = 12.0,
     min_view_angle: float = 0.3,
-    max_tries: int = 500,
 ) -> RigidPose:
     """Rejection-sample a needle pose fully visible in both views.
 
@@ -91,7 +96,7 @@ def random_needle_pose(
     projection degenerates to a line segment.
     """
     cam = rig.left
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         Z = rng.uniform(*depth_range)
         u = rng.uniform(0.25 * cam.width, 0.75 * cam.width)
         v = rng.uniform(0.25 * cam.height, 0.75 * cam.height)
@@ -106,7 +111,7 @@ def random_needle_pose(
         if abs(R[:, 2] @ view_dir) < np.sin(min_view_angle):
             continue
         pts = T.apply(shape.arc_points_body(np.linspace(0, shape.arc_angle, 64)))
-        if all(_in_view(c, pts, margin_px) for c in rig.cameras):
+        if all(_in_view(c, pts) for c in rig.cameras):
             return T
     raise RuntimeError("could not sample an in-view needle pose")
 
@@ -125,6 +130,13 @@ def observe(
     return masks, hints
 
 
+def _check_line_width(line_width: float) -> None:
+    # NaN passes rasterize's own line_width < 1 check and fails later as a
+    # raw conversion error
+    if not (1.0 <= line_width < math.inf):
+        raise ValueError(f"line_width must be a finite number >= 1, got {line_width}")
+
+
 @dataclass(frozen=True)
 class PoseBenchConfig:
     scenes: int = 100
@@ -135,11 +147,16 @@ class PoseBenchConfig:
     estimator: EstimatorConfig = EstimatorConfig()
     baseline: float = 0.02
     depth_range: tuple = SCENE_DEPTH_RANGE  # places the scenes only
-    min_view_angle: float = 0.3
 
     def __post_init__(self):
         if self.scenes < 1:
             raise ValueError(f"scenes must be >= 1, got {self.scenes}")
+        _check_line_width(self.line_width)
+        lo, hi = self.depth_range
+        if not (0.0 < lo < hi < math.inf):
+            raise ValueError(
+                f"depth_range must be finite with 0 < lo < hi, got {list(self.depth_range)}"
+            )
         # a fraction of 1 hides the whole arc and ends in EmptyMasks
         fractions = list(self.occlusion_fractions)
         if not fractions or not all(0.0 <= f < 1.0 for f in fractions):
@@ -165,9 +182,7 @@ def run_pose_scene(
 ) -> PoseBenchRow:
     rng = np.random.default_rng([cfg.rng_seed, scene_id])
     shape = cfg.shape
-    T_true = random_needle_pose(
-        rng, rig, shape, cfg.depth_range, min_view_angle=cfg.min_view_angle
-    )
+    T_true = random_needle_pose(rng, rig, shape, cfg.depth_range)
     occ = None
     if occlusion_frac > 0:
         start = rng.uniform(0.0, 1.0 - occlusion_frac)
@@ -228,6 +243,9 @@ class SutureRunConfig:
     line_width: float = 1.0
     injected_bias_deg: float = 0.0  # per revolute joint, alternating sign
     compensate: bool = True
+
+    def __post_init__(self):
+        _check_line_width(self.line_width)
 
 
 @dataclass
@@ -297,7 +315,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
     if cfg.compensate:
         q_msr_cal = DEFAULT_QMSR_REGION.center
         jaw_true = fk(model, q_msr_cal + delta_q)
-        px = detect_features(mono, jaw_true, fm, noise_px=0.0)
+        px = detect_features(mono, jaw_true, fm)
         dq_hat = calibrate_direct(model, mono, fm, q_msr_cal, px, _CALIB_BOUND)
     else:
         dq_hat = np.zeros(6)
@@ -332,7 +350,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
             sols = ik(model, wp.tool_pose, q4_hint=float(q_msr_now[3]))
             if not sols:
                 raise Unreachable(f"waypoint in segment {seg.label} unreachable")
-            q_des = min(sols, key=lambda s: model.joint_distance(s.q, q_msr_now)).q
+            q_des = min(sols, key=lambda q: model.joint_distance(q, q_msr_now))
             try:
                 trace = servo_to(
                     plant, gains, dq_hat, q_des, q_act0=q_act, max_steps=_SERVO_MAX_STEPS

@@ -103,20 +103,9 @@ def _feature_pixels(
     return px
 
 
-def detect_features(
-    camera: PinholeCamera,
-    jaw_pose: RigidPose,
-    fm: FeatureModel,
-    noise_px: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Feature pixel positions with isotropic Gaussian pixel noise."""
-    px = _feature_pixels(camera, jaw_pose.rotation, jaw_pose.translation, fm)
-    if noise_px > 0:
-        if rng is None:
-            raise ValueError("rng required when noise_px > 0")
-        px = px + rng.normal(0.0, noise_px, px.shape)
-    return px
+def detect_features(camera: PinholeCamera, jaw_pose: RigidPose, fm: FeatureModel) -> np.ndarray:
+    """Noise-free feature pixel positions (N, 2) of the jaw at jaw_pose."""
+    return _feature_pixels(camera, jaw_pose.rotation, jaw_pose.translation, fm)
 
 
 _GN_MAX_ITERATIONS = 100
@@ -207,7 +196,7 @@ def calibrate_direct(
         raise NoSolution("constrained solution set is empty")
     if len(sols) > 1:
         raise AmbiguousSolution(f"{len(sols)} solutions in the constrained set")
-    return sols[0].q - q_msr
+    return sols[0] - q_msr
 
 
 # --- dataset ----------------------------------------------------------------
@@ -246,18 +235,14 @@ _REGION_PROBES = 20
 _TRIALS_PER_PROBE = 50
 
 
-def validate_region(
-    model: KinematicModel,
-    region: QmsrRegion,
-    bound: float,
-    rng_seed: int = 0,
-) -> None:
-    """Check the single-solution property across the region; raises
-    RegionNotUnique on any failure."""
+def validate_region(model: KinematicModel, rng_seed: int = 0) -> None:
+    """Check the single-solution property of constrained IK (box
+    _TRAIN_BOUND) across DEFAULT_TRAIN_REGION, the region generate_dataset
+    samples; raises RegionNotUnique on any failure."""
     rng = np.random.default_rng(rng_seed)
     for i in range(_REGION_PROBES):
-        q = region.sample(rng)
-        frac = verify_unique(model, q, bound, _TRIALS_PER_PROBE, rng_seed=rng_seed + i + 1)
+        q = DEFAULT_TRAIN_REGION.sample(rng)
+        frac = verify_unique(model, q, _TRAIN_BOUND, _TRIALS_PER_PROBE, rng_seed=rng_seed + i + 1)
         if frac < 1.0:
             raise RegionNotUnique(
                 f"probe {i} at q_msr={q} has unique fraction {frac} < 1"
@@ -272,7 +257,6 @@ def generate_dataset(
     delta_range: float = np.radians(5.0),
     noise_px: float = 0.0,
     rng_seed: int = 0,
-    validate: bool = True,
 ) -> np.ndarray:
     """Synthetic calibration dataset, one row per sample in internal units:
     measured joints (6), feature pixels (x, y per point) and the injected
@@ -281,12 +265,11 @@ def generate_dataset(
     Per-sample rng streams derive from (rng_seed, index), so generation is
     order-independent and reproducible. Each stream draws q_msr, the offset
     and the pixel noise in that order; forward kinematics and the feature
-    projection then run once over the whole batch.
+    projection then run once over the whole batch. It does not check the
+    region: `calib gen` runs `validate_region` first, at the same seed.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if validate:
-        validate_region(model, DEFAULT_TRAIN_REGION, _TRAIN_BOUND, rng_seed=rng_seed)
     data = np.empty((count, 12 + 2 * len(fm)))
     noise = np.empty((count, len(fm), 2))
     for i, row in enumerate(data):

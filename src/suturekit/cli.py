@@ -37,6 +37,7 @@ from .calibration import (
     mlp_train,
     read_dataset_csv,
     save_model,
+    validate_region,
     write_dataset_csv,
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to, steady_state_error
@@ -142,7 +143,6 @@ TABLES = {
         "line_width": _LINE_WIDTH,
         "baseline_mm": (_NUMBER, "baseline", _mm),
         "depth_range_m": (_PAIR, "depth_range", None),
-        "min_view_angle_rad": (_NUMBER, "min_view_angle", None),
         **_NEEDLE,
     },
     # the three calib steps share one file
@@ -249,6 +249,9 @@ def _calib_parts():
 def cmd_calib_gen(cfg: dict, out_dir: Path) -> int:
     model, camera, fm = _calib_parts()
     h = config_hash(cfg)
+    # the region check runs here, once per dataset, at the dataset's seed;
+    # calib eval draws from the same region and skips it
+    validate_region(model, **_kwargs(cfg, TABLES["calib"], ("seed",)))
     keys = ("seed", "count", "delta_range_deg", "noise_px")
     data = generate_dataset(model, camera, fm, **_kwargs(cfg, TABLES["calib"], keys))
     write_dataset_csv(data, out_dir / "calib_dataset.csv", _header(h, "deg_mm"))
@@ -297,7 +300,7 @@ def cmd_calib_eval(cfg: dict, out_dir: Path) -> int:
     keys = ("test_count", "delta_range_deg", "noise_px")
     test = generate_dataset(
         model, camera, fm, **{"count": 1000, **_kwargs(cfg, TABLES["calib"], keys)},
-        rng_seed=cfg["seed"] + 1 if "seed" in cfg else 1, validate=False,
+        rng_seed=cfg["seed"] + 1 if "seed" in cfg else 1,
     )
     table = evaluate_calibration(mlp, test)
     rows = []
@@ -343,14 +346,11 @@ def cmd_control_sim(cfg: dict, out_dir: Path) -> int:
 
     rows = []
     for label, tr in traces.items():
-        for k, step in enumerate(tr.steps):
+        columns = (tr.q_cmd, tr.q_act, tr.q_msr, tr.q_msr_comp, tr.err)
+        for k in tr.steps:
             for j in range(6):
-                rows.append([
-                    label, k, j + 1,
-                    f"{q_des[j]:.9e}", f"{step['q_cmd'][j]:.9e}",
-                    f"{step['q_act'][j]:.9e}", f"{step['q_msr'][j]:.9e}",
-                    f"{step['q_msr_comp'][j]:.9e}", f"{step['err'][j]:.9e}",
-                ])
+                rows.append([label, k, j + 1, f"{q_des[j]:.9e}",
+                             *(f"{c[k, j]:.9e}" for c in columns)])
     _write_csv(out_dir / "control_trace.csv", h, "m_rad",
                ["run", "step", "j", "q_des", "q_cmd", "q_act", "q_msr",
                 "q_msr_comp", "err"], rows)

@@ -15,7 +15,6 @@ functions, all steps at once.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,14 +125,12 @@ def compensate(
     return q_msr + dq_hat, q_des
 
 
-TRACE_COLUMNS = ("q_cmd", "q_act", "q_msr", "q_msr_comp", "err")
-
-
 @dataclass(frozen=True)
 class ServoTrace:
-    """One servo run, one (steps, 6) array per column of TRACE_COLUMNS: the
-    plant command, the actual position after the step, the measurement and
-    the compensated measurement before it, and the error after it."""
+    """One servo run: the target q_des (6,) and five (steps, 6) arrays, one
+    row per step. They hold the plant command (q_cmd), the actual position
+    after the step (q_act), the measurement and the compensated measurement
+    before it (q_msr, q_msr_comp), and the error after it (err)."""
 
     q_des: np.ndarray
     q_cmd: np.ndarray
@@ -143,35 +140,10 @@ class ServoTrace:
     err: np.ndarray
     converged: bool
 
-    def column(self, name: str) -> np.ndarray:
-        if name not in TRACE_COLUMNS:
-            raise KeyError(name)
-        return getattr(self, name)
-
     @property
-    def steps(self) -> _Steps:
-        """The trace step by step: steps[k] maps each column name to its
-        row k."""
-        return _Steps(self)
-
-    @property
-    def final_error(self) -> np.ndarray:
-        return self.err[-1]
-
-    @property
-    def final_actual_error(self) -> np.ndarray:
-        return np.abs(self.q_des - self.q_act[-1])
-
-
-class _Steps(Sequence):
-    def __init__(self, trace: ServoTrace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.err)
-
-    def __getitem__(self, k: int) -> dict:
-        return {name: self._trace.column(name)[k] for name in TRACE_COLUMNS}
+    def steps(self) -> range:
+        """The step indices, one per row of the arrays."""
+        return range(len(self.err))
 
 
 def servo_to(
@@ -260,7 +232,10 @@ def servo_to(
     return trace
 
 
-def steady_state_error(trace: ServoTrace, window: int = 10) -> np.ndarray:
-    """Mean absolute compensated-measurement error over the final window."""
-    errs = trace.column("err")[-window:]
-    return np.mean(np.abs(errs), axis=0)
+_STEADY_STATE_WINDOW = 10  # final steps averaged by steady_state_error
+
+
+def steady_state_error(trace: ServoTrace) -> np.ndarray:
+    """Mean absolute compensated-measurement error over the final
+    _STEADY_STATE_WINDOW steps."""
+    return np.mean(np.abs(trace.err[-_STEADY_STATE_WINDOW:]), axis=0)

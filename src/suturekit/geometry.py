@@ -82,11 +82,6 @@ class RigidPose:
         T[:3, 3] = self.translation
         return T
 
-    @staticmethod
-    def from_matrix(T: np.ndarray) -> "RigidPose":
-        T = _as_array(T, (4, 4))
-        return RigidPose(T[:3, :3], T[:3, 3])
-
 
 def rotation_geodesic(Ra: np.ndarray, Rb: np.ndarray) -> float:
     """Geodesic angle between two rotation matrices, radians in [0, pi].

@@ -43,8 +43,8 @@ class NeedleShape:
     arc_angle: float = np.pi
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be a finite number > 0, got {self.radius}")
         if not (0 < self.arc_angle <= 2 * np.pi - 1e-6):
             raise ValueError("arc_angle must lie in (0, 2*pi - 1e-6]")
 
@@ -190,26 +190,20 @@ def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> n
     if not valid.all():
         raise NonPositiveDepth("needle endpoint at or behind the anchor camera")
 
-    C = anchor.center
-    v_c = C - p_st
+    v_c = anchor.center - p_st
     v_e = p_ed - p_st
     theta1 = float(
         np.arccos(np.clip(v_c @ v_e / (np.linalg.norm(v_c) * np.linalg.norm(v_e)), -1.0, 1.0))
     )
 
-    d_st, d_ed = anchor.backproject_ray(np.stack([kp_st, kp_ed]))
-    alpha = float(_inter_ray_angle(d_st, d_ed))
+    # at theta2 = 0 the frame's e1 is the rays-plane reference w_ref, and its
+    # u_ax the chord direction
+    f = needle_frames(np.array([theta1, 0.0, *kp_st, *kp_ed]), shape, anchor)
+    alpha = float(f.alpha[0])
     if alpha <= _MIN_RAY_ANGLE:
         raise DegenerateRays(f"inter-ray angle {alpha} <= {_MIN_RAY_ANGLE}")
-    n_rays = np.cross(d_st, d_ed)
-    n_rays /= np.linalg.norm(n_rays)
-    u = v_e / np.linalg.norm(v_e)
-    w_ref = np.cross(n_rays, u)
-    w_ref /= np.linalg.norm(w_ref)
-    mid = 0.5 * (p_st + p_ed)
-    arc_mid = T.apply(np.array([shape.radius, 0.0, 0.0]))
-    e1 = arc_mid - mid
-    e1 /= np.linalg.norm(e1)
+    w_ref, u = f.e1[0], f.u_ax[0]
+    e1 = T.rotation[:, 0]  # body x: center toward the arc midpoint
     theta2 = float(np.arctan2(e1 @ np.cross(u, w_ref), e1 @ w_ref)) % (2.0 * np.pi)
     return np.array([theta1, theta2, *kp_st, *kp_ed])
 

@@ -30,6 +30,14 @@ class DegenerateNormal(PlanningError):
     pass
 
 
+# plan_suture_pass: waypoints over the whole circular sweep, the step limits
+# of the linear moves (meters, radians) and the retreat lift (meters)
+_CIRCLE_WAYPOINTS = 64
+_MAX_STEP_POS = 0.005
+_MAX_STEP_ROT = 0.1
+_RETREAT_DISTANCE = 0.02
+
+
 @dataclass(frozen=True)
 class SuturePorts:
     entry: np.ndarray
@@ -56,7 +64,6 @@ class SuturePorts:
 class Waypoint:
     pose: RigidPose
     arc_param: float  # circle angle (rad) or path fraction for linear moves
-    frame: str = "needle"  # "needle" or "tool"
     tool_pose: RigidPose | None = None
 
 
@@ -150,7 +157,7 @@ def circular_trajectory(
     for theta in np.linspace(t0, t1, waypoint_count):
         pose = _needle_pose_at(circle, shape, float(theta))
         tool = pose.compose(grasp_offset) if grasp_offset is not None else None
-        wps.append(Waypoint(pose, float(theta), "needle", tool))
+        wps.append(Waypoint(pose, float(theta), tool))
     return wps
 
 
@@ -171,16 +178,16 @@ def linear_trajectory(
     pos_dist = float(np.linalg.norm(goal.translation - start.translation))
     rot_dist = rotation_geodesic(start.rotation, goal.rotation)
     if pos_dist == 0.0 and rot_dist == 0.0:
-        return [Waypoint(start, 0.0, "tool")]
+        return [Waypoint(start, 0.0)]
     n = int(np.ceil(max(pos_dist / max_step_pos, rot_dist / max_step_rot))) + 1
     fractions = np.linspace(0.0, 1.0, n)
     wps = []
     for f, R in zip(fractions, slerp(start.rotation, goal.rotation, fractions)):
         t = (1.0 - f) * start.translation + f * goal.translation
-        wps.append(Waypoint(RigidPose(R, t), float(f), "tool"))
+        wps.append(Waypoint(RigidPose(R, t), float(f)))
     # endpoints exact
-    wps[0] = Waypoint(start, 0.0, "tool")
-    wps[-1] = Waypoint(goal, 1.0, "tool")
+    wps[0] = Waypoint(start, 0.0)
+    wps[-1] = Waypoint(goal, 1.0)
     return wps
 
 
@@ -190,28 +197,19 @@ class TrajectorySegment:
     waypoints: list[Waypoint]
 
 
-@dataclass(frozen=True)
-class PlanConfig:
-    circle_waypoints: int = 64
-    max_step_pos: float = 0.005
-    max_step_rot: float = 0.1
-    retreat_distance: float = 0.02
-
-
 def plan_suture_pass(
     grasp_pose: RigidPose,
     ports: SuturePorts,
     shape: NeedleShape,
     grasp_offset: RigidPose,
-    config: PlanConfig = PlanConfig(),
 ) -> list[TrajectorySegment]:
     """Approach, circular insertion to the deepest point, circular
     extraction to the exit, and linear retreat; all segment junctions are
     pose-continuous."""
     circle = suture_circle(ports, shape)
     frac_deep = (circle.theta_deepest - circle.theta_entry) / circle.sweep
-    n_ins = max(2, int(round(frac_deep * config.circle_waypoints)))
-    n_ext = max(2, config.circle_waypoints - n_ins + 1)
+    n_ins = max(2, int(round(frac_deep * _CIRCLE_WAYPOINTS)))
+    n_ext = max(2, _CIRCLE_WAYPOINTS - n_ins + 1)
     insertion = circular_trajectory(
         ports, shape, n_ins, grasp_offset,
         theta_start=circle.theta_entry, theta_end=circle.theta_deepest,
@@ -220,15 +218,13 @@ def plan_suture_pass(
         ports, shape, n_ext, grasp_offset,
         theta_start=circle.theta_deepest, theta_end=circle.theta_exit,
     )
-    approach = linear_trajectory(
-        grasp_pose, insertion[0].tool_pose, config.max_step_pos, config.max_step_rot
-    )
+    approach = linear_trajectory(grasp_pose, insertion[0].tool_pose, _MAX_STEP_POS, _MAX_STEP_ROT)
     last_tool = extraction[-1].tool_pose
     lifted = RigidPose(
         last_tool.rotation,
-        last_tool.translation + config.retreat_distance * ports.tissue_normal,
+        last_tool.translation + _RETREAT_DISTANCE * ports.tissue_normal,
     )
-    retreat = linear_trajectory(last_tool, lifted, config.max_step_pos, config.max_step_rot)
+    retreat = linear_trajectory(last_tool, lifted, _MAX_STEP_POS, _MAX_STEP_ROT)
     return [
         TrajectorySegment("approach", approach),
         TrajectorySegment("insertion", insertion),

@@ -26,6 +26,11 @@ from .needle import BinaryMask, NeedleShape, needle_frames, params_to_pose
 # scenes (bench.random_needle_pose, pose-bench) default to the same range
 SCENE_DEPTH_RANGE = (0.08, 0.2)
 
+# mask pixels scored per view; a larger mask is strided down to at most this
+_MASK_PIXEL_CAP = 2000
+# squared pixels charged per mask pixel of a view that no arc sample reaches
+_EMPTY_VIEW_PENALTY = 1e4
+
 # forward-difference steps of the residual Jacobian: theta1, theta2 in
 # radians, then the four keypoint coordinates in pixels
 _JAC_STEPS = np.array([1e-6, 1e-6, 1e-4, 1e-4, 1e-4, 1e-4])
@@ -62,26 +67,22 @@ class ObjectiveReport:
 class EstimatorConfig:
     max_steps: int = 100  # Levenberg-Marquardt iterations per seed
     axis_sample_count: int = 200
-    mask_pixel_cap: int = 2000
     seed_count: int = 4
-    empty_view_penalty: float = 1e4  # squared pixels per mask pixel
     reject_mean_sq_px: float = 25.0  # reject when J / n_pixels exceeds this
 
     def __post_init__(self):
         # axis_sample_count below 4 leaves the point-to-line Jacobian singular
-        for name, low in (("max_steps", 1), ("axis_sample_count", 4),
-                          ("mask_pixel_cap", 1), ("seed_count", 1)):
+        for name, low in (("max_steps", 1), ("axis_sample_count", 4), ("seed_count", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("empty_view_penalty", "reject_mean_sq_px"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.reject_mean_sq_px > 0:
+            raise ValueError(f"reject_mean_sq_px must be > 0, got {self.reject_mean_sq_px}")
 
 
-def _subsample(fg: np.ndarray, cap: int) -> np.ndarray:
-    if len(fg) <= cap:
+def _subsample(fg: np.ndarray) -> np.ndarray:
+    if len(fg) <= _MASK_PIXEL_CAP:
         return fg
-    stride = int(np.ceil(len(fg) / cap))
+    stride = int(np.ceil(len(fg) / _MASK_PIXEL_CAP))
     return fg[::stride]
 
 
@@ -110,23 +111,21 @@ def _sq_dists(mask_rows: np.ndarray, points: np.ndarray):
         yield mask_rows @ c
 
 
-def _chamfer(
-    mask_rows: np.ndarray, points_px: np.ndarray, visible: np.ndarray, penalty: float
-) -> np.ndarray:
+def _chamfer(mask_rows: np.ndarray, points_px: np.ndarray, visible: np.ndarray) -> np.ndarray:
     """Per batch row: sum over mask pixels of the squared distance to the
     nearest visible point.
 
     mask_rows from _mask_rows (M pixels); points_px (B, N, 2), one point
     set per row, ignored where visible (B, N) is False. A row with no
-    visible point pays penalty per mask pixel. Each row is summed on its
-    own, as a one-row call sums it. Returns (B,).
+    visible point pays _EMPTY_VIEW_PENALTY per mask pixel. Each row is
+    summed on its own, as a one-row call sums it. Returns (B,).
     """
     M = len(mask_rows)
     if M == 0:
         return np.zeros(len(visible))
     px = np.where(visible[..., None], points_px, 1e9)  # far sentinel
     best = np.stack([d2.min(axis=1) for d2 in _sq_dists(mask_rows, px)])  # (B, M)
-    return np.where(visible.any(axis=1), best.sum(axis=1), penalty * M)
+    return np.where(visible.any(axis=1), best.sum(axis=1), _EMPTY_VIEW_PENALTY * M)
 
 
 class SceneEvaluator:
@@ -143,9 +142,7 @@ class SceneEvaluator:
         self.shape = shape
         self.rig = rig
         self.config = config
-        self.mask_px = [
-            _subsample(m.foreground, config.mask_pixel_cap).astype(float) for m in masks
-        ]
+        self.mask_px = [_subsample(m.foreground).astype(float) for m in masks]
         self._mask_rows = [_mask_rows(m) for m in self.mask_px]
         body = shape.arc_points_body(np.linspace(0.0, shape.arc_angle, config.axis_sample_count))
         self._body_xy = body[:, :2]  # arc is planar, z = 0 in the body frame
@@ -170,7 +167,7 @@ class SceneEvaluator:
         """
         px, vis, valid = self.project(np.atleast_2d(vecs)[:, None])
         out = np.column_stack([
-            _chamfer(rows, px[:, 0, k], vis[:, 0, k], self.config.empty_view_penalty)
+            _chamfer(rows, px[:, 0, k], vis[:, 0, k])
             for k, rows in enumerate(self._mask_rows)
         ])
         out[~valid[:, 0]] = np.inf

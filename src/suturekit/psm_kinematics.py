@@ -119,30 +119,17 @@ def fk(model: KinematicModel, q: JointVector) -> RigidPose:
     return RigidPose(*fk_arrays(model, q))
 
 
-@dataclass(frozen=True)
-class IkSolution:
-    q: JointVector
-    in_limits: bool
-    singular_wrist: bool = False
-
-
 def _wrap(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def ik(
-    model: KinematicModel,
-    target: RigidPose,
-    include_out_of_limits: bool = False,
-    q4_hint: float = 0.0,
-) -> list[IkSolution]:
-    """All closed-form joint solutions reaching the target tool pose.
+def ik(model: KinematicModel, target: RigidPose, q4_hint: float = 0.0) -> list[JointVector]:
+    """All closed-form joint solutions within the joint limits that reach
+    the target tool pose.
 
-    Enumerates the shoulder branch pair and both wrist-pitch branches;
-    solutions violating joint limits are dropped unless
-    include_out_of_limits is set. At a wrist singularity (|sin q5| < 1e-9)
-    q4 is frozen at q4_hint and the residual assigned to q6. Output sorted
-    lexicographically by joint values.
+    Enumerates the shoulder branch pair and both wrist-pitch branches. At a
+    wrist singularity (|sin q5| < 1e-9) q4 is frozen at q4_hint and the
+    residual assigned to q6. Output sorted lexicographically by joint values.
     """
     R = target.rotation
     w = target.translation - model.yaw_to_tip * R[:, 2]
@@ -154,7 +141,7 @@ def ik(
     d = w / nw
 
     dz = float(np.clip(d[2], -1.0, 1.0))
-    sols: list[IkSolution] = []
+    sols: list[JointVector] = []
     shoulder = []
     q2a = float(np.arccos(dz))
     if abs(np.sin(q2a)) < 1e-12:
@@ -176,16 +163,13 @@ def ik(
             else:
                 diff = float(np.arctan2(Rw[1, 0], Rw[0, 0]))  # q4 - q6
                 q4, q6 = q4_hint, _wrap(q4_hint - diff)
-            branches = [(q4, q5, q6, True)]
+            branches = [(q4, q5, q6)]
         else:
             b = float(np.arctan2(sb, cb))
             a = float(np.arctan2(Rw[0, 2], -Rw[1, 2]))
             c = float(np.arctan2(Rw[2, 0], Rw[2, 1]))
-            branches = [
-                (a, b, c, False),
-                (_wrap(a + np.pi), -b, _wrap(c + np.pi), False),
-            ]
-        for q4, q5, q6, singular in branches:
+            branches = [(a, b, c), (_wrap(a + np.pi), -b, _wrap(c + np.pi))]
+        for q4, q5, q6 in branches:
             q = np.array([q1, q2, q3, q4, q5, q6])
             # revolute ranges wider than 2*pi admit shifted copies of the
             # wrapped solution; enumerate the ones inside the limits
@@ -201,12 +185,8 @@ def ik(
                             v2[j] += shift
                             grown.append(v2)
                 variants = grown
-            for v in variants:
-                sols.append(IkSolution(v, model.in_limits(v), singular))
-
-    if not include_out_of_limits:
-        sols = [s_ for s_ in sols if s_.in_limits]
-    sols.sort(key=lambda s_: tuple(s_.q))
+            sols += [v for v in variants if model.in_limits(v)]
+    sols.sort(key=tuple)
     return sols
 
 
@@ -215,7 +195,7 @@ def constrained_ik(
     target: RigidPose,
     q_msr: JointVector,
     bound: float,
-) -> list[IkSolution]:
+) -> list[JointVector]:
     """IK solutions within the mixed-unit infinity-norm ball around q_msr."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -223,7 +203,7 @@ def constrained_ik(
         sols = ik(model, target)
     except Unreachable:
         return []
-    return [s for s in sols if model.joint_distance(s.q, q_msr) <= bound]
+    return [q for q in sols if model.joint_distance(q, q_msr) <= bound]
 
 
 def verify_unique(

@@ -28,7 +28,6 @@ from suturekit.control import NotConverged, PiGains, PlantModel, servo_to, stead
 from suturekit.geometry import RigidPose, rotation_geodesic
 from suturekit.needle import NeedleShape
 from suturekit.planning import (
-    PlanConfig,
     SuturePorts,
     linear_trajectory,
     needle_tip_body,
@@ -109,9 +108,7 @@ class TestAcceptance:
         fm = FeatureModel()
         t0 = time.time()
         train = generate_dataset(model, camera, fm, count=10000, rng_seed=0)
-        held_out = generate_dataset(
-            model, camera, fm, count=2000, rng_seed=1, validate=False
-        )
+        held_out = generate_dataset(model, camera, fm, count=2000, rng_seed=1)
         result = mlp_train(train, TrainConfig())
         elapsed = time.time() - t0
         table = evaluate_calibration(result.model, held_out)
@@ -158,7 +155,7 @@ class TestAcceptance:
                 float(np.abs(pose.translation - oracle.translation).max()),
             )
             sols = ik(model, pose)
-            worst_ik = max(worst_ik, min(float(np.abs(s.q - q).max()) for s in sols))
+            worst_ik = max(worst_ik, min(float(np.abs(s - q).max()) for s in sols))
         ok = worst_fk < 1e-12 and worst_ik < 1e-9
         report(
             6, ok,
@@ -185,7 +182,7 @@ class TestAcceptance:
             circle = suture_circle(ports, shape)
             offset = RigidPose(np.eye(3), np.array([0.0, 0.0, 0.004]))
             grasp = RigidPose(random_rotation(rng), center + rng.normal(0.0, 0.03, 3))
-            segments = plan_suture_pass(grasp, ports, shape, offset, PlanConfig())
+            segments = plan_suture_pass(grasp, ports, shape, offset)
             tip_b = needle_tip_body(shape)
             for seg in segments[1:3]:
                 for wp in seg.waypoints:

@@ -52,26 +52,6 @@ class TestDetectFeatures:
         for row, p in zip(px, pts):
             assert np.allclose(row, pinhole_oracle(camera, p), atol=1e-12)
 
-    def test_noise_statistics(self, parts):
-        model, camera, fm = parts
-        jaw = fk(model, DEFAULT_QMSR_REGION.center)
-        clean = detect_features(camera, jaw, fm)
-        rng = np.random.default_rng(0)
-        devs = np.concatenate(
-            [
-                (detect_features(camera, jaw, fm, noise_px=2.0, rng=rng) - clean).ravel()
-                for _ in range(500)
-            ]
-        )
-        assert abs(devs.mean()) < 0.1
-        assert abs(devs.std() - 2.0) < 0.1
-
-    def test_noise_requires_rng(self, parts):
-        model, camera, fm = parts
-        jaw = fk(model, DEFAULT_QMSR_REGION.center)
-        with pytest.raises(ValueError):
-            detect_features(camera, jaw, fm, noise_px=1.0)
-
     def test_behind_camera(self, parts):
         model, camera, fm = parts
         behind = RigidPose(np.eye(3), camera.center + 10.0 * camera.pose_world_from_camera.rotation[:, 2] * -1.0)
@@ -148,7 +128,7 @@ class TestDataset:
     def test_count_and_label_range(self, parts):
         model, camera, fm = parts
         delta = np.radians(5.0)
-        data = generate_dataset(model, camera, fm, count=200, rng_seed=0, validate=False)
+        data = generate_dataset(model, camera, fm, count=200, rng_seed=0)
         assert data.shape == (200, 12 + 2 * len(fm))
         Y = data[:, -6:]
         rev = np.delete(np.arange(6), PRISMATIC_INDEX)
@@ -157,15 +137,15 @@ class TestDataset:
 
     def test_determinism(self, parts):
         model, camera, fm = parts
-        a = generate_dataset(model, camera, fm, count=50, rng_seed=3, validate=False)
-        b = generate_dataset(model, camera, fm, count=50, rng_seed=3, validate=False)
+        a = generate_dataset(model, camera, fm, count=50, rng_seed=3)
+        b = generate_dataset(model, camera, fm, count=50, rng_seed=3)
         assert np.array_equal(a, b)
 
     def test_prefix_property(self, parts):
         # per-sample rng streams: a shorter run is a prefix of a longer one
         model, camera, fm = parts
-        a = generate_dataset(model, camera, fm, count=20, rng_seed=4, validate=False)
-        b = generate_dataset(model, camera, fm, count=40, rng_seed=4, validate=False)
+        a = generate_dataset(model, camera, fm, count=20, rng_seed=4)
+        b = generate_dataset(model, camera, fm, count=40, rng_seed=4)
         assert np.array_equal(a[:, -6:], b[:20, -6:])
 
     @pytest.mark.parametrize("rng_seed, noise_px, count", [
@@ -178,7 +158,7 @@ class TestDataset:
         model, camera, fm = parts
         delta = np.radians(5.0)
         data = generate_dataset(model, camera, fm, count=count, delta_range=delta,
-                                noise_px=noise_px, rng_seed=rng_seed, validate=False)
+                                noise_px=noise_px, rng_seed=rng_seed)
         expected = reference_dataset(model, camera, fm, count, delta, noise_px, rng_seed)
         assert np.array_equal(data, expected)
 
@@ -189,11 +169,11 @@ class TestDataset:
         away = dataclasses.replace(
             camera, pose_world_from_camera=RigidPose(R, camera.center))
         with pytest.raises(FeatureBehindCamera):
-            generate_dataset(model, away, fm, count=5, validate=False)
+            generate_dataset(model, away, fm, count=5)
 
     def test_csv_roundtrip(self, parts, tmp_path):
         model, camera, fm = parts
-        data = generate_dataset(model, camera, fm, count=20, rng_seed=5, validate=False)
+        data = generate_dataset(model, camera, fm, count=20, rng_seed=5)
         path = tmp_path / "ds.csv"
         write_dataset_csv(data, path, "# test")
         back = read_dataset_csv(path)
@@ -353,7 +333,7 @@ class TestBackprop:
 @pytest.fixture(scope="module")
 def small_dataset(parts):
     model, camera, fm = parts
-    return generate_dataset(model, camera, fm, count=400, rng_seed=11, validate=False)
+    return generate_dataset(model, camera, fm, count=400, rng_seed=11)
 
 
 def reference_train(data, config):

@@ -1,8 +1,5 @@
 import csv
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +100,15 @@ class TestExitCodes:
         (["calib", "gen"], {"count": 300, "epoch": 3}, "unknown calib keys: epoch"),
         (["control-sim"], {"scenes": 2}, "unknown control-sim keys: scenes"),
         (["suture-run"], {"shape": {"radius": 8.0}}, "unknown shape keys: radius"),
-    ], ids=["pose-bench", "calib", "control-sim", "shape"])
+        # settings that became constants
+        (["pose-bench"], {"min_view_angle_rad": float("nan")},
+         "unknown pose-bench keys: min_view_angle_rad"),
+        (["pose-bench"], {"estimator": {"mask_pixel_cap": 1000}},
+         "unknown estimator keys: mask_pixel_cap"),
+        (["suture-run"], {"estimator": {"empty_view_penalty": 1e3}},
+         "unknown estimator keys: empty_view_penalty"),
+    ], ids=["pose-bench", "calib", "control-sim", "shape", "min_view_angle_rad",
+            "mask_pixel_cap", "empty_view_penalty"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, command, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -152,15 +157,28 @@ class TestExitCodes:
         ({"occlusion_fractions": []}, "occlusion_fractions must be one or more numbers"),
         ({"occlusion_fractions": [0.0, -0.3]}, "occlusion_fractions must be one or more"),
         ({"estimator": {"seed_count": 0}}, "seed_count must be >= 1"),
-        ({"estimator": {"mask_pixel_cap": 0}}, "mask_pixel_cap must be >= 1"),
         ({"estimator": {"axis_sample_count": 3}}, "axis_sample_count must be >= 4"),
-    ], ids=["scenes", "no-fractions", "negative-fraction", "seed_count", "mask_pixel_cap",
-            "axis_sample_count"])
+        ({"shape": {"radius_mm": float("nan")}}, "radius must be a finite number > 0, got nan"),
+        ({"shape": {"radius_mm": float("inf")}}, "radius must be a finite number > 0, got inf"),
+        ({"line_width": float("nan")}, "line_width must be a finite number >= 1, got nan"),
+        ({"line_width": 0.5}, "line_width must be a finite number >= 1, got 0.5"),
+        ({"depth_range_m": [0.2, 0.08]}, "depth_range must be finite with 0 < lo < hi"),
+        ({"depth_range_m": [0.08, float("inf")]}, "depth_range must be finite with 0 < lo"),
+    ], ids=["scenes", "no-fractions", "negative-fraction", "seed_count", "axis_sample_count",
+            "radius-nan", "radius-inf", "line_width-nan", "line_width-below-one",
+            "depth-range-reversed", "depth-range-infinite"])
     def test_pose_bench_config_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
         assert run_cli(["pose-bench", "--config", path, "--out-dir", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_suture_run_line_width_out_of_range_is_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", {"line_width": float("nan")})
+        out = tmp_path / "out"
+        assert run_cli(["suture-run", "--config", path, "--out-dir", str(out)]) == 1
+        assert "line_width must be a finite number >= 1, got nan" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_control_sim_without_servo_steps_is_exit_one(self, tmp_path, capsys):
@@ -199,11 +217,10 @@ class TestExitCodes:
 # of every table; nested keys are written "table.key"
 NON_DEFAULT = {
     "seed": 7, "scenes": 3, "occlusion_fractions": [0.0, 0.3], "line_width": 2.0,
-    "baseline_mm": 25.0, "depth_range_m": [0.1, 0.15], "min_view_angle_rad": 0.2,
+    "baseline_mm": 25.0, "depth_range_m": [0.1, 0.15],
     "shape.radius_mm": 8.0, "shape.arc_angle_deg": 150.0,
     "estimator.max_steps": 50, "estimator.axis_sample_count": 100,
-    "estimator.mask_pixel_cap": 1000, "estimator.seed_count": 2,
-    "estimator.empty_view_penalty": 1e3, "estimator.reject_mean_sq_px": 9.0,
+    "estimator.seed_count": 2, "estimator.reject_mean_sq_px": 9.0,
     "count": 500, "delta_range_deg": 4.0, "noise_px": 0.5, "epochs": 3, "batch_size": 64,
     "learning_rate": 0.01, "hidden_sizes": [8], "test_count": 50,
     "beta": 0.5, "kp": 0.4, "ki": [0.1] * 6, "q_des_deg": [1, 2, 3, 4, 5, 6],
@@ -247,6 +264,7 @@ def _received(monkeypatch, out_dir, command, cfg):
             raise RuntimeError("recorded")
 
     monkeypatch.setattr(module, name, record)
+    monkeypatch.setattr(cli, "validate_region", lambda model, **kwargs: None)
     monkeypatch.setattr(cli, "read_dataset_csv", lambda path: None)
     monkeypatch.setattr(cli, "load_mlp", lambda path: None)
     out_dir.mkdir(exist_ok=True)
@@ -270,6 +288,26 @@ def test_every_key_reaches_the_library(monkeypatch, tmp_path, table, key):
         for command in RECEIVERS if command[0] == table
     ]
     assert any(changed) == ((table, key) not in IGNORED)
+
+
+def test_calib_gen_checks_the_region_first_at_the_dataset_seed(monkeypatch, tmp_path):
+    """calib gen runs validate_region once, before generate_dataset and at
+    its seed; calib eval draws from the same region and skips the check."""
+    calls = []
+
+    def generate(*args, **kwargs):
+        calls.append(("generate", kwargs["rng_seed"]))
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(cli, "validate_region",
+                        lambda model, **kwargs: calls.append(("validate", kwargs)))
+    monkeypatch.setattr(cli, "generate_dataset", generate)
+    monkeypatch.setattr(cli, "load_mlp", lambda path: None)
+    (tmp_path / "calib_model.json").touch()
+    path = write_config(tmp_path / "c.json", {"seed": 7})
+    for step in ("gen", "eval"):
+        assert main(["calib", step, "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert calls == [("validate", {"rng_seed": 7}), ("generate", 7), ("generate", 8)]
 
 
 class TestControlSim:
@@ -369,21 +407,3 @@ class TestPoseBench:
             assert r["converged"] == "1"
             assert float(r["pos_err_m"]) <= 1e-3, r
             assert float(r["ang_err_rad"]) <= np.radians(3.0), r
-
-
-def test_suture_demo_keeps_configs_in_out_dir(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    env = {**os.environ, "TMPDIR": str(scratch),
-           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_suture_demo.py"),
-         "--out-dir", str(tmp_path / "out")],
-        env=env, check=True, capture_output=True,
-    )
-    for label, compensate in (("compensated", True), ("uncompensated", False)):
-        d = tmp_path / "out" / label
-        assert json.loads((d / "cfg.json").read_text())["compensate"] is compensate
-        assert (d / "suture_report.json").exists()
-    assert list(scratch.iterdir()) == []

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from suturekit.control import (
-    TRACE_COLUMNS,
     NotConverged,
     PiGains,
     PlantModel,
@@ -14,6 +13,15 @@ from suturekit.control import (
     steady_state_error,
 )
 from suturekit.psm_kinematics import PRISMATIC_INDEX
+
+
+# the (steps, 6) arrays of a ServoTrace
+COLUMNS = ("q_cmd", "q_act", "q_msr", "q_msr_comp", "err")
+
+
+def actual_error(trace):
+    """|q_des - q_act| after the last step."""
+    return np.abs(trace.q_des - trace.q_act[-1])
 
 
 def zero_plant(beta=1.0):
@@ -180,10 +188,10 @@ class TestServo:
     def test_converges_with_default_plant(self):
         trace = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
         assert trace.converged
-        assert np.all(np.abs(trace.final_error) < 1e-6)
+        assert np.all(np.abs(trace.err[-1]) < 1e-6)
         # measurement equals actual here (no bias), so the actual position
         # also reaches the target despite the input disturbance
-        assert np.all(trace.final_actual_error < 1e-5)
+        assert np.all(actual_error(trace) < 1e-5)
 
     def test_kp_only_fixed_point(self):
         # proportional-only loop: u = q_des + kp e and the plant settles at
@@ -193,7 +201,7 @@ class TestServo:
         gains = PiGains(kp=np.full(6, kp), ki=np.zeros(6))
         with pytest.raises(NotConverged) as exc:
             servo_to(plant, gains, np.zeros(6), self.q_des, max_steps=300, tol=1e-9)
-        err = exc.value.trace.final_error
+        err = exc.value.trace.err[-1]
         assert np.allclose(err, plant.disturbance / (1.0 + kp), atol=1e-9)
 
     def test_pi_off_leaves_full_disturbance(self):
@@ -209,7 +217,7 @@ class TestServo:
         plant = PlantModel(delta_q=dq)
         trace = servo_to(plant, PiGains(), dq.copy(), self.q_des)
         assert trace.converged
-        assert np.all(trace.final_actual_error < 1e-5)
+        assert np.all(actual_error(trace) < 1e-5)
 
     def test_no_compensation_leaves_bias_sized_actual_error(self):
         dq = np.full(6, 0.02)
@@ -218,14 +226,14 @@ class TestServo:
         assert trace.converged
         # loop converges on the measurement, but the actual position misses
         # the target by the unmodeled bias
-        assert np.allclose(trace.final_actual_error, 0.02, atol=1e-5)
+        assert np.allclose(actual_error(trace), 0.02, atol=1e-5)
 
     def test_offset_estimate_error_maps_to_actual_error(self):
         dq = np.full(6, 0.02)
         eps = 0.005
         plant = PlantModel(delta_q=dq)
         trace = servo_to(plant, PiGains(), dq + eps, self.q_des)
-        assert np.allclose(trace.final_actual_error, eps, atol=1e-5)
+        assert np.allclose(actual_error(trace), eps, atol=1e-5)
 
     def test_not_converged_carries_trace(self):
         with pytest.raises(NotConverged) as exc:
@@ -255,26 +263,19 @@ class TestServo:
     def test_deterministic(self):
         a = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
         b = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
-        assert len(a.steps) == len(b.steps)
-        for sa, sb in zip(a.steps, b.steps):
-            assert np.array_equal(sa["q_act"], sb["q_act"])
-            assert np.array_equal(sa["err"], sb["err"])
+        assert a.steps == b.steps
+        assert np.array_equal(a.q_act, b.q_act)
+        assert np.array_equal(a.err, b.err)
 
     def test_trace_columns(self):
         trace = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
-        col = trace.column("q_act")
-        assert col.shape == (len(trace.steps), 6)
-        assert np.array_equal(col[-1], trace.steps[-1]["q_act"])
+        for name in COLUMNS:
+            assert getattr(trace, name).shape == (len(trace.steps), 6), name
 
     def test_steps_view_matches_columns(self):
         trace = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
-        assert len(trace.steps) == len(trace.column("err")) > 1
-        for k, step in enumerate(trace.steps):
-            assert set(step) == set(TRACE_COLUMNS)
-            for name in TRACE_COLUMNS:
-                assert np.array_equal(step[name], trace.column(name)[k])
-        with pytest.raises(KeyError):
-            trace.column("integrator")
+        assert trace.steps == range(len(trace.err))
+        assert len(trace.steps) > 1
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
@@ -289,8 +290,8 @@ def test_servo_matches_numpy_loop_bitwise(case):
         trace = e.trace
     assert trace.converged == converged
     assert len(trace.steps) == len(steps)
-    for name in TRACE_COLUMNS:
-        col = trace.column(name)
+    for name in COLUMNS:
+        col = getattr(trace, name)
         assert col.shape == (len(steps), 6)
         assert col.tobytes() == np.array([s[name] for s in steps]).tobytes(), name
 

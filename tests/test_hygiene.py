@@ -1,7 +1,9 @@
 """Source hygiene: no module under src/suturekit imports a name it never uses
 or imports scipy (a test-only oracle), only geometry.py inverts a camera
-pose (PinholeCamera keeps the one camera-from-world transform), and the CLI
-restates no default that a library keyword already has."""
+pose (PinholeCamera keeps the one camera-from-world transform), the CLI
+restates no default that a library keyword already has, and every function,
+class, method and property is read by the program or the benchmark, not
+only by tests."""
 
 import ast
 import os
@@ -196,4 +198,77 @@ def test_scan_flags_a_restated_library_default():
     assert restated_defaults(OLD_CLI_READS, library_keys(TABLES.values())) == [
         "shape (line 2)", "radius_mm (line 3)", "arc_angle_deg (line 4)",
         "scenes (line 9)", "depth_range_m (line 10)",
+    ]
+
+
+# Read only by tests, as independent oracles the program is checked against
+TEST_ORACLES = ["geometry.RigidPose.matrix", "needle.reproject", "planning.SutureCircle.point"]
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def definitions(source: str, module: str) -> list[tuple[str, str]]:
+    """(qualified name, name) of each top-level function and class of
+    `source` and of each method and property of those classes; dunder
+    methods, which the language calls, are left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((f"{module}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{module}.{node.name}.{item.name}", item.name) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+    return out
+
+
+def names_read(source: str) -> set[str]:
+    """Identifiers that `source` reads, as a bare name or as an attribute."""
+    nodes = [n for n in ast.walk(ast.parse(source))
+             if isinstance(getattr(n, "ctx", None), ast.Load)]
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """Qualified names of the definitions in `modules` (name -> source) whose
+    name no source in `readers` reads."""
+    read = set().union(*map(names_read, readers))
+    return sorted(qualified for module, source in modules.items()
+                  for qualified, name in definitions(source, module) if name not in read)
+
+
+def test_every_definition_is_read_by_the_program():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [*modules.values(), *(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))]
+    assert unread_definitions(modules, readers) == TEST_ORACLES
+
+
+# control.py's trace accessors before the trace became its five arrays
+OLD_TRACE = """\
+class ServoTrace:
+    err: np.ndarray
+
+    def __len__(self):
+        return len(self.err)
+
+    @property
+    def final_error(self):
+        return self.err[-1]
+
+    def column(self, name):
+        return getattr(self, name)
+
+
+def steady_state_error(trace, window=10):
+    return np.mean(np.abs(trace.column("err")[-window:]), axis=0)
+
+
+def _unused(trace):
+    trace.final_error = None  # a write, not a read
+"""
+
+
+def test_scan_flags_an_unread_definition():
+    readers = [OLD_TRACE, "e = control.steady_state_error(control.ServoTrace(err))\n"]
+    assert unread_definitions({"control": OLD_TRACE}, readers) == [
+        "control.ServoTrace.final_error", "control._unused",
     ]

@@ -45,7 +45,7 @@ def fk_oracle(model, q):
         @ _hom(t=[0.0, 0.0, model.yaw_to_tip])
         @ _rz4(q[5])
     )
-    return RigidPose.from_matrix(T)
+    return RigidPose(T[:3, :3], T[:3, 3])
 
 
 def random_in_limit(model, rng, wrist_margin=1e-3):
@@ -106,7 +106,7 @@ class TestInverseKinematics:
             q = random_in_limit(model, rng)
             sols = ik(model, fk(model, q))
             assert sols, "no in-limit solution for an in-limit configuration"
-            best = min(np.max(np.abs(s.q - q)) for s in sols)
+            best = min(np.max(np.abs(s - q)) for s in sols)
             assert best < 1e-9
 
     def test_solutions_reach_target(self):
@@ -115,7 +115,8 @@ class TestInverseKinematics:
         for _ in range(100):
             target = fk(model, random_in_limit(model, rng))
             for s in ik(model, target):
-                reached = fk(model, s.q)
+                assert model.in_limits(s)
+                reached = fk(model, s)
                 assert np.allclose(reached.rotation, target.rotation, atol=1e-9)
                 assert np.allclose(reached.translation, target.translation, atol=1e-12)
 
@@ -137,7 +138,7 @@ class TestInverseKinematics:
         model = KinematicModel()
         q = np.array([0.1, 0.2, 0.1, 3.5, 0.4, 0.1])
         sols = ik(model, fk(model, q))
-        q4s = sorted(s.q[3] for s in sols)
+        q4s = sorted(s[3] for s in sols)
         assert any(abs(v - 3.5) < 1e-9 for v in q4s)
         assert any(abs(v - (3.5 - 2.0 * np.pi)) < 1e-9 for v in q4s)
 
@@ -145,23 +146,15 @@ class TestInverseKinematics:
         model = KinematicModel()
         q = np.array([0.2, 0.3, 0.1, 0.7, 0.0, 0.4])
         sols = ik(model, fk(model, q), q4_hint=0.7)
-        assert all(s.singular_wrist for s in sols)
-        match = min(sols, key=lambda s: np.max(np.abs(s.q - q)))
-        assert np.allclose(match.q, q, atol=1e-9)
+        assert sols and all(s[3] == 0.7 for s in sols)  # q4 frozen at the hint
+        match = min(sols, key=lambda s: np.max(np.abs(s - q)))
+        assert np.allclose(match, q, atol=1e-9)
 
     def test_unreachable_at_rcm(self):
         model = KinematicModel()
         target = RigidPose(np.eye(3), np.array([0.0, 0.0, model.yaw_to_tip]))
         with pytest.raises(Unreachable):
             ik(model, target)
-
-    def test_include_out_of_limits(self):
-        model = KinematicModel()
-        q = np.array([0.1, 0.2, 0.1, 0.5, 0.4, 0.1])
-        all_sols = ik(model, fk(model, q), include_out_of_limits=True)
-        in_limit = ik(model, fk(model, q))
-        assert len(all_sols) >= len(in_limit)
-        assert all(s.in_limits for s in in_limit)
 
 
 class TestConstrainedIk:
@@ -174,7 +167,7 @@ class TestConstrainedIk:
             dq[PRISMATIC_INDEX] /= model.prismatic_scale
             q_true = q_msr + dq
             sols = constrained_ik(model, fk(model, q_true), q_msr, 0.1)
-            assert any(np.max(np.abs(s.q - q_true)) < 1e-9 for s in sols)
+            assert any(np.max(np.abs(s - q_true)) < 1e-9 for s in sols)
 
     def test_zero_bound_requires_exact_match(self):
         model = KinematicModel()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suturekit import bench
 from suturekit.bench import random_needle_pose
 from suturekit.geometry import NonPositiveDepth, RigidPose
 from suturekit.needle import (
@@ -40,8 +41,9 @@ class TestShape:
         assert np.allclose(pts[:, 2], 0.0)
 
     def test_rejects_bad_radius_and_angle(self):
-        with pytest.raises(ValueError):
-            NeedleShape(0.0)
+        for radius in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius must be a finite number > 0"):
+                NeedleShape(radius)
         with pytest.raises(ValueError):
             NeedleShape(0.01, 2.0 * np.pi)
 
@@ -144,6 +146,18 @@ class TestParamsRoundtrip:
         assert np.linalg.norm(T2.translation - T.translation) < 1e-9
         assert np.allclose(T2.rotation, T.rotation, atol=1e-8)
 
+    @pytest.mark.parametrize("pose_kw", [
+        {}, {"min_view_angle": 0.1}, {"depth_range": (0.22, 0.4)},
+    ], ids=["default", "near_edge_on", "beyond_seeding"])
+    def test_pose_params_pose_many(self, rig, shape, pose_kw):
+        # 100 scenes per kind, 300 in all; the ray-plane basis of
+        # pose_to_params comes from needle_frames
+        for i in range(100):
+            T = random_needle_pose(np.random.default_rng([31, i]), rig, shape, **pose_kw)
+            T2 = params_to_pose(pose_to_params(T, shape, rig.left), shape, rig.left)
+            assert np.linalg.norm(T2.translation - T.translation) < 1e-9, i
+            assert np.allclose(T2.rotation, T.rotation, atol=1e-8), i
+
     def test_params_pose_params(self, rig, shape):
         x = np.array([1.2, 2.5, 280.0, 225.0, 345.0, 255.0])
         T = params_to_pose(x, shape, rig.left)
@@ -164,12 +178,12 @@ class TestParamsRoundtrip:
 
 
 class TestRandomNeedlePose:
-    @pytest.mark.parametrize("margin_px", [12.0, 40.0])
+    @pytest.mark.parametrize("margin_px", [bench._MARGIN_PX])
     def test_arc_inside_margin(self, rig, shape, margin_px):
         # needles this close span most of the image, so the margin binds
         for seed in range(10):
             rng = np.random.default_rng([21, seed])
-            T = random_needle_pose(rng, rig, shape, (0.045, 0.065), margin_px=margin_px)
+            T = random_needle_pose(rng, rig, shape, (0.045, 0.065))
             pts = T.apply(shape.arc_points_body(np.linspace(0, shape.arc_angle, 64)))
             for cam in rig.cameras:
                 px = np.array([pinhole_oracle(cam, p) for p in pts])

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from suturekit import bench
 from suturekit.geometry import RigidPose, rotation_geodesic
 from suturekit.needle import NeedleShape
+from suturekit import planning
 from suturekit.planning import (
     ChordTooLong,
     DegenerateNormal,
-    PlanConfig,
     SuturePorts,
     circular_trajectory,
     linear_trajectory,
@@ -243,10 +243,9 @@ class TestPlanSuturePass:
 
     def test_retreat_lifts_along_normal(self, plan):
         ports, segments = plan
-        cfg = PlanConfig()
         start = segments[3].waypoints[0].pose.translation
         end = segments[3].waypoints[-1].pose.translation
-        assert np.allclose(end - start, cfg.retreat_distance * ports.tissue_normal, atol=1e-12)
+        assert np.allclose(end - start, planning._RETREAT_DISTANCE * ports.tissue_normal, atol=1e-12)
 
 
 def test_run_suture_unreachable_waypoint_is_typed(monkeypatch):

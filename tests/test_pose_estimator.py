@@ -90,17 +90,17 @@ def rotated_rig(baseline=0.02):
 class TestChamfer:
     def test_single_pair(self):
         mask = _mask_rows(np.array([[0.0, 0.0]]))
-        J = _chamfer(mask, np.array([[[3.0, 4.0]]]), np.ones((1, 1), bool), 1e4)
+        J = _chamfer(mask, np.array([[[3.0, 4.0]]]), np.ones((1, 1), bool))
         assert J.tolist() == [25.0]
 
     def test_picks_nearest_point(self):
         mask = np.array([[0.0, 0.0], [10.0, 0.0]])
         pts = np.array([[[1.0, 0.0], [9.0, 0.0]]])
-        assert _chamfer(_mask_rows(mask), pts, np.ones((1, 2), bool), 1e4).tolist() == [2.0]
+        assert _chamfer(_mask_rows(mask), pts, np.ones((1, 2), bool)).tolist() == [2.0]
 
     def test_empty_mask_is_zero(self):
         mask = _mask_rows(np.empty((0, 2)))
-        J = _chamfer(mask, np.array([[[1.0, 2.0]]]), np.ones((1, 1), bool), 1e4)
+        J = _chamfer(mask, np.array([[[1.0, 2.0]]]), np.ones((1, 1), bool))
         assert J.tolist() == [0.0]
 
     def test_empty_points_pays_penalty(self):
@@ -109,7 +109,7 @@ class TestChamfer:
         mask = np.array([[0.0, 0.0], [1.0, 1.0]])
         pts = np.array([[[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]]])
         visible = np.array([[False, False], [True, True]])
-        assert _chamfer(_mask_rows(mask), pts, visible, 1e4).tolist() == [2e4, 0.0]
+        assert _chamfer(_mask_rows(mask), pts, visible).tolist() == [2e4, 0.0]
 
 
 class TestObjective:
@@ -378,12 +378,11 @@ class TestEstimate:
         # Levenberg-Marquardt system singular; the other zeros divide by zero
         # or leave no seed to refine
         for field, value in (("max_steps", 0), ("axis_sample_count", 3),
-                             ("mask_pixel_cap", 0), ("seed_count", 0),
-                             ("empty_view_penalty", 0.0), ("reject_mean_sq_px", -1.0),
+                             ("seed_count", 0), ("reject_mean_sq_px", -1.0),
                              ("reject_mean_sq_px", float("nan"))):
             with pytest.raises(ValueError, match=f"{field} must be"):
                 EstimatorConfig(**{field: value})
-        EstimatorConfig(axis_sample_count=4, mask_pixel_cap=1, seed_count=1)
+        EstimatorConfig(axis_sample_count=4, seed_count=1)
 
 
 def _left_only(hints, rng):

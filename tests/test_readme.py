@@ -36,11 +36,6 @@ def test_readme_command_parses(line):
     build_parser().parse_args(shlex.split(line)[1:])  # SystemExit(2) on a bad command
 
 
-@pytest.mark.parametrize("line", _shell_lines("python3 scripts/"))
-def test_readme_script_exists(line):
-    assert (ROOT / shlex.split(line)[1]).is_file()
-
-
 @pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
 def test_readme_names_every_config_key(config):
     text = _cli_section()
