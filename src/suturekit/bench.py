@@ -130,13 +130,6 @@ def observe(
     return masks, hints
 
 
-def _check_line_width(line_width: float) -> None:
-    # NaN passes rasterize's own line_width < 1 check and fails later as a
-    # raw conversion error
-    if not (1.0 <= line_width < math.inf):
-        raise ValueError(f"line_width must be a finite number >= 1, got {line_width}")
-
-
 @dataclass(frozen=True)
 class PoseBenchConfig:
     scenes: int = 100
@@ -151,7 +144,6 @@ class PoseBenchConfig:
     def __post_init__(self):
         if self.scenes < 1:
             raise ValueError(f"scenes must be >= 1, got {self.scenes}")
-        _check_line_width(self.line_width)
         lo, hi = self.depth_range
         if not (0.0 < lo < hi < math.inf):
             raise ValueError(
@@ -243,9 +235,6 @@ class SutureRunConfig:
     line_width: float = 1.0
     injected_bias_deg: float = 0.0  # per revolute joint, alternating sign
     compensate: bool = True
-
-    def __post_init__(self):
-        _check_line_width(self.line_width)
 
 
 @dataclass

@@ -26,7 +26,6 @@ from .psm_kinematics import (
     constrained_ik,
     fk,
     fk_arrays,
-    verify_unique,
 )
 
 
@@ -47,10 +46,6 @@ class NoSolution(CalibrationError):
 
 
 class AmbiguousSolution(CalibrationError):
-    pass
-
-
-class RegionNotUnique(CalibrationError):
     pass
 
 
@@ -221,33 +216,6 @@ DEFAULT_QMSR_REGION = QmsrRegion(
     half_width=np.array([0.15, 0.15, 0.02, 0.2, 0.25, 0.2]),
 )
 
-# Training default: the encoder readout is held at one nominal configuration
-# so every pixel of variation in the dataset is attributable to the offset.
-# With q_msr varying, the configuration-induced pixel motion swamps the tiny
-# out-of-image-plane signature of the three z-axis joints (base yaw, shaft
-# roll, jaw yaw) and the regressor cannot separate them per joint.
-DEFAULT_TRAIN_REGION = QmsrRegion(
-    center=DEFAULT_QMSR_REGION.center,
-    half_width=np.zeros(6),
-)
-_TRAIN_BOUND = np.radians(10.0)  # constrained-IK box checked by validate_region
-_REGION_PROBES = 20
-_TRIALS_PER_PROBE = 50
-
-
-def validate_region(model: KinematicModel, rng_seed: int = 0) -> None:
-    """Check the single-solution property of constrained IK (box
-    _TRAIN_BOUND) across DEFAULT_TRAIN_REGION, the region generate_dataset
-    samples; raises RegionNotUnique on any failure."""
-    rng = np.random.default_rng(rng_seed)
-    for i in range(_REGION_PROBES):
-        q = DEFAULT_TRAIN_REGION.sample(rng)
-        frac = verify_unique(model, q, _TRAIN_BOUND, _TRIALS_PER_PROBE, rng_seed=rng_seed + i + 1)
-        if frac < 1.0:
-            raise RegionNotUnique(
-                f"probe {i} at q_msr={q} has unique fraction {frac} < 1"
-            )
-
 
 def generate_dataset(
     model: KinematicModel,
@@ -263,18 +231,26 @@ def generate_dataset(
     offset label (6), shape (count, 12 + 2N).
 
     Per-sample rng streams derive from (rng_seed, index), so generation is
-    order-independent and reproducible. Each stream draws q_msr, the offset
-    and the pixel noise in that order; forward kinematics and the feature
-    projection then run once over the whole batch. It does not check the
-    region: `calib gen` runs `validate_region` first, at the same seed.
+    order-independent and reproducible. Each stream draws six unused values,
+    the offset and the pixel noise, in that order; forward kinematics and the
+    feature projection then run once over the whole batch.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    for name, value in (("delta_range", delta_range), ("noise_px", noise_px)):
+        if not (0.0 <= value < math.inf):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value}")
     data = np.empty((count, 12 + 2 * len(fm)))
     noise = np.empty((count, len(fm), 2))
     for i, row in enumerate(data):
         rng = np.random.default_rng([rng_seed, i])
-        row[:6] = DEFAULT_TRAIN_REGION.sample(rng)  # zero width, but keeps the rng stream
+        # q_msr stays at the nominal configuration so that all pixel variation
+        # comes from the offset: with q_msr varying, the configuration's pixel
+        # motion swamps the tiny out-of-image-plane signature of the three
+        # z-axis joints (base yaw, shaft roll, jaw yaw), and the regressor
+        # cannot separate them per joint
+        row[:6] = DEFAULT_QMSR_REGION.center
+        rng.uniform(-1.0, 1.0, 6)  # the unused q_msr draw keeps each stream's bits
         dq = rng.uniform(-delta_range, delta_range, 6)
         dq[PRISMATIC_INDEX] /= model.prismatic_scale
         row[-6:] = dq

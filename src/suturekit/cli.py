@@ -37,7 +37,6 @@ from .calibration import (
     mlp_train,
     read_dataset_csv,
     save_model,
-    validate_region,
     write_dataset_csv,
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to, steady_state_error
@@ -249,9 +248,6 @@ def _calib_parts():
 def cmd_calib_gen(cfg: dict, out_dir: Path) -> int:
     model, camera, fm = _calib_parts()
     h = config_hash(cfg)
-    # the region check runs here, once per dataset, at the dataset's seed;
-    # calib eval draws from the same region and skips it
-    validate_region(model, **_kwargs(cfg, TABLES["calib"], ("seed",)))
     keys = ("seed", "count", "delta_range_deg", "noise_px")
     data = generate_dataset(model, camera, fm, **_kwargs(cfg, TABLES["calib"], keys))
     write_dataset_csv(data, out_dir / "calib_dataset.csv", _header(h, "deg_mm"))

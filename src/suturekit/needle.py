@@ -261,8 +261,8 @@ def rasterize(
     The arc is sampled at ~4 samples per pixel of projected arc length and
     every integer pixel within line_width/2 of a sample is set.
     """
-    if line_width < 1:
-        raise ValueError("line_width must be >= 1")
+    if not 1 <= line_width < np.inf:
+        raise ValueError(f"line_width must be a finite number >= 1, got {line_width}")
     # coarse pass to estimate projected arc length
     coarse = sample_axis_points(T, shape, 257, occlusion)
     px, valid = camera.project_many(coarse)

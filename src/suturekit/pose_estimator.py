@@ -387,10 +387,7 @@ def estimate(
             for th2 in theta2s
         ]
     )
-    scores = np.concatenate(
-        [ev.evaluate(cands[i : i + 32]) for i in range(0, len(cands), 32)]
-    )
-    order = np.argsort(scores)[: config.seed_count]
+    order = np.argsort(ev.evaluate(cands))[: config.seed_count]
 
     vecs, J, steps = _descend(cands[order], ev, config.max_steps)
     vec = vecs[np.argmin(J)]

@@ -204,31 +204,3 @@ def constrained_ik(
     except Unreachable:
         return []
     return [q for q in sols if model.joint_distance(q, q_msr) <= bound]
-
-
-def verify_unique(
-    model: KinematicModel,
-    q_msr: JointVector,
-    bound: float,
-    trial_count: int,
-    rng_seed: int = 0,
-) -> float:
-    """Fraction of random offsets for which the constrained solution set is
-    a singleton.
-
-    Offsets are uniform in [-bound, bound] per joint (prismatic entry in
-    radian equivalents), the target is the fk of the offset configuration.
-    """
-    if trial_count < 1:
-        raise ValueError("trial_count must be >= 1")
-    q_msr = np.asarray(q_msr, dtype=float)
-    rng = np.random.default_rng(rng_seed)
-    unique = 0
-    for _ in range(trial_count):
-        dq = rng.uniform(-bound, bound, 6)
-        dq[PRISMATIC_INDEX] /= model.prismatic_scale
-        target = fk(model, q_msr + dq)
-        if len(constrained_ik(model, target, q_msr, bound)) == 1:
-            unique += 1
-    return unique / trial_count
-

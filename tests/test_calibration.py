@@ -5,7 +5,6 @@ import pytest
 
 from suturekit.calibration import (
     DEFAULT_QMSR_REGION,
-    DEFAULT_TRAIN_REGION,
     FeatureBehindCamera,
     FeatureModel,
     Scaler,
@@ -113,7 +112,8 @@ def reference_dataset(model, camera, fm, count, delta_range, noise_px, rng_seed)
     data = np.empty((count, 12 + 2 * len(fm)))
     for i, row in enumerate(data):
         rng = np.random.default_rng([rng_seed, i])
-        q_msr = DEFAULT_TRAIN_REGION.sample(rng)
+        q_msr = DEFAULT_QMSR_REGION.center
+        rng.uniform(-1.0, 1.0, 6)
         dq = rng.uniform(-delta_range, delta_range, 6)
         dq[PRISMATIC_INDEX] /= model.prismatic_scale
         px, valid = camera.project_many(fk(model, q_msr + dq).apply(fm.body_points))

@@ -78,6 +78,26 @@ class TestExitCodes:
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "calib_model.json").exists()
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"noise_px": -1}, "noise_px must be a finite number >= 0, got -1.0"),
+        ({"noise_px": float("nan")}, "noise_px must be a finite number >= 0, got nan"),
+        ({"delta_range_deg": float("nan")}, "delta_range must be a finite number >= 0, got nan"),
+        ({"delta_range_deg": -5}, "delta_range must be a finite number >= 0, got -0.08"),
+    ], ids=["noise_px-negative", "noise_px-nan", "delta_range_deg-nan",
+            "delta_range_deg-negative"])
+    def test_calib_config_out_of_range_is_exit_one(self, workdir, tmp_path, capsys, cfg,
+                                                   message):
+        path = write_config(tmp_path / "c.json", cfg)
+        gen, ev = tmp_path / "gen", tmp_path / "eval"
+        ev.mkdir()
+        (ev / "calib_model.json").write_bytes((workdir / "calib_model.json").read_bytes())
+        assert run_cli(["calib", "gen", "--config", path, "--out-dir", str(gen)]) == 1
+        assert run_cli(["calib", "eval", "--config", path, "--out-dir", str(ev)]) == 1
+        err = capsys.readouterr().err
+        assert err.count(message) == 2
+        assert list(gen.iterdir()) == []
+        assert [p.name for p in ev.iterdir()] == ["calib_model.json"]
+
     def test_scenes_only_on_pose_bench(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["calib", "gen", "--scenes", "5", "--out-dir", str(tmp_path)])
@@ -264,7 +284,6 @@ def _received(monkeypatch, out_dir, command, cfg):
             raise RuntimeError("recorded")
 
     monkeypatch.setattr(module, name, record)
-    monkeypatch.setattr(cli, "validate_region", lambda model, **kwargs: None)
     monkeypatch.setattr(cli, "read_dataset_csv", lambda path: None)
     monkeypatch.setattr(cli, "load_mlp", lambda path: None)
     out_dir.mkdir(exist_ok=True)
@@ -290,24 +309,21 @@ def test_every_key_reaches_the_library(monkeypatch, tmp_path, table, key):
     assert any(changed) == ((table, key) not in IGNORED)
 
 
-def test_calib_gen_checks_the_region_first_at_the_dataset_seed(monkeypatch, tmp_path):
-    """calib gen runs validate_region once, before generate_dataset and at
-    its seed; calib eval draws from the same region and skips the check."""
-    calls = []
+def test_calib_gen_draws_at_the_seed_and_eval_at_seed_plus_one(monkeypatch, tmp_path):
+    """calib eval's test set is drawn at seed + 1, disjoint from gen's."""
+    seeds = []
 
     def generate(*args, **kwargs):
-        calls.append(("generate", kwargs["rng_seed"]))
+        seeds.append(kwargs["rng_seed"])
         raise RuntimeError("recorded")
 
-    monkeypatch.setattr(cli, "validate_region",
-                        lambda model, **kwargs: calls.append(("validate", kwargs)))
     monkeypatch.setattr(cli, "generate_dataset", generate)
     monkeypatch.setattr(cli, "load_mlp", lambda path: None)
     (tmp_path / "calib_model.json").touch()
     path = write_config(tmp_path / "c.json", {"seed": 7})
     for step in ("gen", "eval"):
         assert main(["calib", step, "--config", path, "--out-dir", str(tmp_path)]) == 1
-    assert calls == [("validate", {"rng_seed": 7}), ("generate", 7), ("generate", 8)]
+    assert seeds == [7, 8]
 
 
 class TestControlSim:

@@ -302,8 +302,10 @@ class TestReprojectAndRasterize:
         assert len(thick) > len(thin)
 
     def test_line_width_below_one_rejected(self, rig, shape):
-        with pytest.raises(ValueError):
-            rasterize(RigidPose.identity(), shape, rig.left, line_width=0.5)
+        # NaN and inf are rejected too, before any stamping
+        for line_width in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="line_width must be a finite number >= 1"):
+                rasterize(RigidPose.identity(), shape, rig.left, line_width=line_width)
 
 
 class TestMaskValidation:
