@@ -1,8 +1,9 @@
 """Joint-offset identification from monocular images of jaw feature points.
 
 Two routes to the offset between actual and measured joint positions:
-  * direct: Gauss-Newton pose fit of the jaw from feature pixels, then the
-    constrained-IK branch nearest the measured configuration;
+  * direct: one Levenberg-Marquardt solve over the offset itself, matching
+    the projected jaw features at the corrected joints to the observed
+    pixels in one or more images;
   * learned: a from-scratch MLP regressing the offset from measured joints
     plus feature pixels, trained on a synthetically generated dataset.
 
@@ -17,14 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PinholeCamera, RigidPose, rotvec_to_matrix
+from .geometry import PinholeCamera, RigidPose
 from .psm_kinematics import (
     JointVector,
     KinematicModel,
     PRISMATIC_INDEX,
     REVOLUTE,
-    constrained_ik,
-    fk,
     fk_arrays,
 )
 
@@ -34,18 +33,6 @@ class CalibrationError(Exception):
 
 
 class FeatureBehindCamera(CalibrationError):
-    pass
-
-
-class GaussNewtonDiverged(CalibrationError):
-    pass
-
-
-class NoSolution(CalibrationError):
-    pass
-
-
-class AmbiguousSolution(CalibrationError):
     pass
 
 
@@ -103,76 +90,8 @@ def detect_features(camera: PinholeCamera, jaw_pose: RigidPose, fm: FeatureModel
     return _feature_pixels(camera, jaw_pose.rotation, jaw_pose.translation, fm)
 
 
-_GN_MAX_ITERATIONS = 100
-_GN_STEP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PoseFit:
-    pose: RigidPose
-    residual: float  # summed squared pixel error
-    iterations: int
-
-
-def pose_from_pixels(
-    camera: PinholeCamera,
-    fm: FeatureModel,
-    pixels: np.ndarray,
-    initial: RigidPose,
-) -> PoseFit:
-    """Gauss-Newton pose refinement of the jaw from feature pixels.
-
-    Minimizes summed squared reprojection error over SE(3) with a
-    left-multiplied twist parameterization.
-    """
-    pixels = np.asarray(pixels, dtype=float).reshape(len(fm), 2)
-    Rc = camera.pose_camera_from_world.rotation  # d p_camera / d p_world
-    T = initial
-    grow_streak = 0
-    prev_cost = np.inf
-    for it in range(_GN_MAX_ITERATIONS):
-        pw = T.apply(fm.body_points)
-        proj, valid = camera.project_many(pw)
-        if not valid.all():
-            raise FeatureBehindCamera("feature depth went non-positive during fit")
-        pc = camera.world_to_camera(pw)
-        Z = pc[:, 2]
-        r = (proj - pixels).reshape(-1)
-        cost = float(r @ r)
-        if cost >= prev_cost:
-            grow_streak += 1
-            if grow_streak >= 10:
-                raise GaussNewtonDiverged(f"residual grew for {grow_streak} iterations")
-        else:
-            grow_streak = 0
-        prev_cost = cost
-
-        J = np.zeros((2 * len(fm), 6))
-        for i, p in enumerate(pw):
-            dpx_dpc = np.array(
-                [
-                    [camera.fx / Z[i], 0.0, -camera.fx * pc[i, 0] / Z[i] ** 2],
-                    [0.0, camera.fy / Z[i], -camera.fy * pc[i, 1] / Z[i] ** 2],
-                ]
-            )
-            skew = np.array(
-                [[0, -p[2], p[1]], [p[2], 0, -p[0]], [-p[1], p[0], 0]]
-            )
-            dpw = np.hstack([-skew, np.eye(3)])  # d p_w / d (omega, t)
-            J[2 * i : 2 * i + 2] = dpx_dpc @ Rc @ dpw
-        try:
-            delta = np.linalg.solve(J.T @ J, -J.T @ r)
-        except np.linalg.LinAlgError as e:
-            raise GaussNewtonDiverged(f"normal equations singular: {e}") from e
-        dR = rotvec_to_matrix(delta[:3])
-        T = RigidPose(dR @ T.rotation, dR @ T.translation + delta[3:])
-        if np.linalg.norm(delta) < _GN_STEP_TOL:
-            break
-    proj, valid = camera.project_many(T.apply(fm.body_points))
-    if not valid.all():
-        raise FeatureBehindCamera("feature depth went non-positive during fit")
-    r = proj - pixels
-    return PoseFit(T, float(np.sum(r * r)), it + 1)
+_LM_MAX_ITERATIONS = 100
+_FD_STEP = 1e-7  # rad; the prismatic joint's step is this over prismatic_scale
 
 
 def calibrate_direct(
@@ -183,15 +102,66 @@ def calibrate_direct(
     pixels: np.ndarray,
     bound: float,
 ) -> JointVector:
-    """Offset estimate via pose fit and the unique constrained-IK branch."""
+    """Joint offset dq that brings the features of the jaw at q_msr + dq
+    onto `pixels`: one Levenberg-Marquardt solve over dq from dq = 0.
+
+    `q_msr` (6,) with `pixels` (N, 2) is one image; (K, 6) with (K, N, 2)
+    is K images of the same offset. The Jacobian is a forward difference
+    over the 7 configurations dq and dq plus one step per joint, evaluated
+    together. Damping and stop rules are `pose_estimator._descend`'s, plus a
+    stop when no step entry reaches 1e-12, before the round-off floor
+    spends the 10 damped tries. Raises ValueError on malformed input, and
+    CalibrationError when the solve does not converge within
+    _LM_MAX_ITERATIONS or the offset leaves the `bound` box
+    (`model.joint_distance`).
+    """
     q_msr = np.asarray(q_msr, dtype=float)
-    fit = pose_from_pixels(camera, fm, pixels, initial=fk(model, q_msr))
-    sols = constrained_ik(model, fit.pose, q_msr, bound)
-    if not sols:
-        raise NoSolution("constrained solution set is empty")
-    if len(sols) > 1:
-        raise AmbiguousSolution(f"{len(sols)} solutions in the constrained set")
-    return sols[0] - q_msr
+    pixels = np.asarray(pixels, dtype=float)
+    if q_msr.ndim not in (1, 2) or q_msr.shape[-1] != 6 or not np.isfinite(q_msr).all():
+        raise ValueError(f"q_msr must be finite with shape (6,) or (K, 6), got {q_msr.shape}")
+    px_shape = q_msr.shape[:-1] + (len(fm), 2)
+    if pixels.shape != px_shape or not np.isfinite(pixels).all():
+        raise ValueError(f"pixels must be finite with shape {px_shape}, got {pixels.shape}")
+    if not bound >= 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    h = _FD_STEP / np.where(REVOLUTE, 1.0, model.prismatic_scale)
+    probes = np.vstack([np.zeros(6), np.diag(h)])[:, None]  # (7, 1, 6)
+    target = pixels.reshape(-1)
+
+    def linearize(dq):
+        """Pixel residual (2KN,) and its Jacobian (2KN, 6) at offset dq."""
+        px = _feature_pixels(camera, *fk_arrays(model, q_msr + dq + probes), fm)
+        px = px.reshape(7, -1)
+        return px[0] - target, ((px[1:] - px[0]) / h[:, None]).T
+
+    dq, lam = np.zeros(6), 1e-3
+    r, J = linearize(dq)
+    cost = r @ r
+    for _ in range(_LM_MAX_ITERATIONS):
+        H, g = J.T @ J, J.T @ r
+        kept = False
+        for _ in range(10):
+            step = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            if np.abs(step).max() < 1e-12:
+                break
+            r_trial, J_trial = linearize(dq + step)
+            kept = r_trial @ r_trial < cost
+            if kept:
+                break
+            lam *= 4.0
+        if not kept:  # the step fell below 1e-12 or no damped step lowers the cost
+            break
+        lam /= 3.0
+        dq, r, J, prev = dq + step, r_trial, J_trial, cost
+        cost = r @ r
+        if prev - cost <= 1e-10 * prev:
+            break
+    else:
+        raise CalibrationError(f"offset solve did not converge in {_LM_MAX_ITERATIONS} iterations")
+    size = model.joint_distance(dq, 0.0)
+    if size > bound:
+        raise CalibrationError(f"offset of size {size:.4g} leaves the bound {bound:.4g}")
+    return dq
 
 
 # --- dataset ----------------------------------------------------------------
@@ -331,6 +301,12 @@ class MlpModel:
         self.biases = [np.asarray(b, dtype=float) for b in biases]
         self.input_scaler = input_scaler
         self.output_scaler = output_scaler
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ValueError(f"{len(self.weights)} weight matrices but {len(self.biases)} biases")
+        for name, scaler, width in (("input", input_scaler, self.weights[0].shape[0]),
+                                    ("output", output_scaler, self.weights[-1].shape[1])):
+            if scaler.mean.shape != (width,) or scaler.std.shape != (width,):
+                raise ValueError(f"{name} scaler size differs from the layer width {width}")
         for W, b in zip(self.weights, self.biases):
             if W.shape[1] != b.shape[0]:
                 raise ValueError("inconsistent layer shapes")

@@ -2,13 +2,13 @@
 
 All lengths are meters and all angles radians; degrees/mm appear only at
 file/CLI boundaries. Rotations are stored as 3x3 matrices. Quaternions
-(x, y, z, w) appear only in the three conversions `quat_to_matrix`
-(random needle orientations), `rotvec_to_matrix` (Gauss-Newton pose updates
-in calibration) and `slerp` (free-motion trajectories in planning). Each
-repeats scipy's `Rotation` arithmetic operation for operation, with libm's
-sin, cos and atan2, so it returns the same bits as
-`Rotation.from_quat(q).as_matrix()`, `Rotation.from_rotvec(v).as_matrix()`
-and `Slerp([0, 1], ...)(fractions).as_matrix()` without importing scipy.
+(x, y, z, w) appear only in the two conversions `quat_to_matrix` (random
+needle orientations) and `slerp` (free-motion trajectories in planning).
+Each repeats scipy's `Rotation` arithmetic operation for operation, with
+libm's sin, cos and atan2, so it returns the same bits as
+`Rotation.from_quat(q).as_matrix()` and
+`Slerp([0, 1], ...)(fractions).as_matrix()` without importing scipy; the
+rotation-vector step inside `slerp` matches `Rotation.from_rotvec(v)`.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # |R^T R - I| <= 1e-8 + 1e-5 |I| elementwise is np.allclose(R.T @ R, I,
-# atol=1e-8)'s own rule without its call overhead; NaN and inf fail it as
-# they fail allclose
+# atol=1e-8)'s own rule without its call overhead; RigidPose checks
+# finiteness first, so a NaN or inf entry never reaches the product
 _EYE3 = np.eye(3)
 _ORTHO_BOUND = 1e-8 + 1e-5 * _EYE3
 
@@ -50,7 +50,9 @@ class RigidPose:
     def __post_init__(self):
         R = _as_array(self.rotation, (3, 3))
         t = _as_array(self.translation, (3,))
-        if not (np.abs(R.T @ R - _EYE3) <= _ORTHO_BOUND).all():
+        if not np.isfinite(t).all():
+            raise ValueError("translation is not finite")
+        if not (np.isfinite(R).all() and (np.abs(R.T @ R - _EYE3) <= _ORTHO_BOUND).all()):
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-6:
             raise ValueError("rotation determinant is not +1")
@@ -180,11 +182,6 @@ def _quat_rotvec(q: Quat) -> tuple[float, float, float]:
 def quat_to_matrix(quat: np.ndarray) -> np.ndarray:
     """Rotation matrix of an (x, y, z, w) quaternion, normalized first."""
     return np.array(_quat_matrix(_unit_quat(_as_array(quat, (4,)).tolist())))
-
-
-def rotvec_to_matrix(rotvec: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a rotation vector (axis times angle, radians)."""
-    return np.array(_quat_matrix(_rotvec_quat(*_as_array(rotvec, (3,)).tolist())))
 
 
 def slerp(R0: np.ndarray, R1: np.ndarray, fractions: np.ndarray) -> np.ndarray:

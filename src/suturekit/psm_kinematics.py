@@ -189,18 +189,3 @@ def ik(model: KinematicModel, target: RigidPose, q4_hint: float = 0.0) -> list[J
     sols.sort(key=tuple)
     return sols
 
-
-def constrained_ik(
-    model: KinematicModel,
-    target: RigidPose,
-    q_msr: JointVector,
-    bound: float,
-) -> list[JointVector]:
-    """IK solutions within the mixed-unit infinity-norm ball around q_msr."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    try:
-        sols = ik(model, target)
-    except Unreachable:
-        return []
-    return [q for q in sols if model.joint_distance(q, q_msr) <= bound]

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from suturekit.calibration import DEFAULT_QMSR_REGION
 from suturekit.geometry import RigidPose
 from suturekit.psm_kinematics import (
     KinematicModel,
     PRISMATIC_INDEX,
     Unreachable,
-    constrained_ik,
     fk,
     fk_arrays,
     ik,
@@ -155,72 +153,6 @@ class TestInverseKinematics:
         target = RigidPose(np.eye(3), np.array([0.0, 0.0, model.yaw_to_tip]))
         with pytest.raises(Unreachable):
             ik(model, target)
-
-
-class TestConstrainedIk:
-    def test_contains_truth_within_bound(self):
-        model = KinematicModel()
-        rng = np.random.default_rng(4)
-        q_msr = np.array([0.15, 0.1, 0.12, 0.3, 0.5, 0.2])
-        for _ in range(50):
-            dq = rng.uniform(-0.1, 0.1, 6)
-            dq[PRISMATIC_INDEX] /= model.prismatic_scale
-            q_true = q_msr + dq
-            sols = constrained_ik(model, fk(model, q_true), q_msr, 0.1)
-            assert any(np.max(np.abs(s - q_true)) < 1e-9 for s in sols)
-
-    def test_zero_bound_requires_exact_match(self):
-        model = KinematicModel()
-        q = np.array([0.15, 0.1, 0.12, 0.3, 0.5, 0.2])
-        sols = constrained_ik(model, fk(model, q), q, 1e-9)
-        assert len(sols) == 1
-        assert constrained_ik(model, fk(model, q + 0.05), q, 1e-9) == []
-
-    def test_monotone_in_bound(self):
-        model = KinematicModel()
-        q_msr = np.array([0.15, 0.1, 0.12, 0.3, 0.5, 0.2])
-        target = fk(model, q_msr + 0.05)
-        prev = 0
-        for bound in (0.01, 0.1, 1.0, np.pi):
-            n = len(constrained_ik(model, target, q_msr, bound))
-            assert n >= prev
-            prev = n
-
-    def test_negative_bound_rejected(self):
-        model = KinematicModel()
-        with pytest.raises(ValueError):
-            constrained_ik(model, fk(model, np.full(6, 0.1)), np.zeros(6), -1.0)
-
-    def test_unreachable_target_gives_empty_set(self):
-        model = KinematicModel()
-        target = RigidPose(np.eye(3), np.array([0.0, 0.0, model.yaw_to_tip]))
-        assert constrained_ik(model, target, np.zeros(6), 1.0) == []
-
-
-def _unique_fraction(bound, trials):
-    """Fraction of random offsets within `bound` of the nominal calibration
-    configuration whose constrained IK set is a single solution; the target
-    is the fk of the offset configuration."""
-    model = KinematicModel()
-    q_msr = DEFAULT_QMSR_REGION.center
-    rng = np.random.default_rng(0)
-    unique = 0
-    for _ in range(trials):
-        dq = rng.uniform(-bound, bound, 6)
-        dq[PRISMATIC_INDEX] /= model.prismatic_scale
-        unique += len(constrained_ik(model, fk(model, q_msr + dq), q_msr, bound)) == 1
-    return unique / trials
-
-
-class TestVerifyUnique:
-    """The calibration dataset holds q_msr at the nominal configuration;
-    within 10 degrees of it, constrained IK must return exactly one branch."""
-
-    def test_default_region_center_is_unique(self):
-        assert _unique_fraction(np.radians(10.0), 1000) == 1.0
-
-    def test_large_bound_breaks_uniqueness(self):
-        assert _unique_fraction(np.pi, 200) < 1.0
 
 
 class TestModelUtilities:

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
+from scipy.spatial.transform import Rotation
 
 from suturekit.bench import observe, random_needle_pose
 from suturekit import pose_estimator
@@ -25,7 +26,6 @@ from suturekit.geometry import (
     RigidPose,
     StereoRig,
     rotation_geodesic,
-    rotvec_to_matrix,
 )
 
 
@@ -80,7 +80,7 @@ def solo_descent(ev, vec, max_steps):
 def rotated_rig(baseline=0.02):
     """A stereo rig turned away from the world axes, so that back-projection
     multiplies by a rotation that is not the identity."""
-    R = rotvec_to_matrix(np.array([0.2, -0.3, 0.1]))
+    R = Rotation.from_rotvec([0.2, -0.3, 0.1]).as_matrix()
     return StereoRig(*(
         PinholeCamera(1000.0, 1000.0, 320.0, 240.0, 640, 480, RigidPose(R, R @ [x, 0.0, 0.0]))
         for x in (0.0, baseline)
