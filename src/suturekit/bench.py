@@ -28,7 +28,6 @@ from .planning import (
     suture_circle,
 )
 from .pose_estimator import (
-    SCENE_DEPTH_RANGE,
     EstimatorConfig,
     KeypointHints,
     NoConvergence,
@@ -38,6 +37,10 @@ from .psm_kinematics import KinematicModel, Unreachable, fk, ik
 
 
 DEFAULT_SHAPE = NeedleShape(radius=0.010, arc_angle=np.pi)
+
+# distances in meters from the left camera to the synthetic needles' arc
+# centers (random_needle_pose, pose-bench); the estimator assumes no range
+SCENE_DEPTH_RANGE = (0.08, 0.2)
 
 
 def default_rig(baseline: float = 0.02) -> StereoRig:
@@ -120,14 +123,10 @@ def observe(
     T: RigidPose, shape: NeedleShape, rig: StereoRig, line_width: float, occlusion=None
 ) -> tuple[tuple[BinaryMask, BinaryMask], KeypointHints]:
     """Synthetic perception of a needle pose: both views' masks plus the
-    exact endpoint pixels of each view as estimator hints."""
+    exact endpoint pixels of the left view as estimator hints."""
     masks = tuple(rasterize(T, shape, cam, line_width, occlusion) for cam in rig.cameras)
     x_l = pose_to_params(T, shape, rig.left)
-    x_r = pose_to_params(T, shape, rig.right)
-    hints = KeypointHints(
-        left_start=x_l[2:4], left_end=x_l[4:6], right_start=x_r[2:4], right_end=x_r[4:6]
-    )
-    return masks, hints
+    return masks, KeypointHints(left_start=x_l[2:4], left_end=x_l[4:6])
 
 
 @dataclass(frozen=True)

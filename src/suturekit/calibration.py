@@ -108,9 +108,11 @@ def calibrate_direct(
     `q_msr` (6,) with `pixels` (N, 2) is one image; (K, 6) with (K, N, 2)
     is K images of the same offset. The Jacobian is a forward difference
     over the 7 configurations dq and dq plus one step per joint, evaluated
-    together. Damping and stop rules are `pose_estimator._descend`'s, plus a
-    stop when no step entry reaches 1e-12, before the round-off floor
-    spends the 10 damped tries. Raises ValueError on malformed input, and
+    together. Damping is Marquardt-scaled by diag(J^T J), from 1e-3, x4 on
+    a rejected step (up to 10 tries) and /3 on a kept one. The solve stops
+    when no damped step lowers the squared error, when its relative drop is
+    <= 1e-10, or when no step entry reaches 1e-12, before the round-off
+    floor spends the 10 damped tries. Raises ValueError on malformed input, and
     CalibrationError when the solve does not converge within
     _LM_MAX_ITERATIONS or the offset leaves the `bound` box
     (`model.joint_distance`).

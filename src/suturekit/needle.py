@@ -117,7 +117,6 @@ class NeedleFrames(NamedTuple):
     centers: np.ndarray  # (..., 3) arc-circle centers
     e1: np.ndarray  # (..., 3) body x-axis, center toward the arc midpoint
     u_ax: np.ndarray  # (..., 3) body y-axis, the chord from start to end
-    mid: np.ndarray  # (..., 3) mid-chord points
     alpha: np.ndarray  # (...) inter-ray angle
     valid: np.ndarray  # (...) row lies inside the parameter domain
 
@@ -130,9 +129,7 @@ def needle_frames(vecs: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -
     plane about the chord, measured from the rays plane. Rows outside the
     domain (inter-ray angle <= 1e-6, theta1 outside (0, pi - alpha)) are
     flagged in `valid`, not raised; their frames are finite but meaningless.
-    A (6,) vector is a batch of one. Everything but the back-projection is
-    elementwise; the back-projection is one matrix product per (R, 6) slice
-    of the batch, so a slice's results never depend on the other slices.
+    A (6,) vector is a batch of one.
     """
     vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
     th1, th2 = vecs[..., 0], vecs[..., 1]
@@ -159,9 +156,7 @@ def needle_frames(vecs: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -
     mid = [0.5 * (a + b) for a, b in zip(p_st, p_ed)]
     offset = shape.radius * np.cos(shape.arc_angle / 2.0)
     centers = [m - offset * x for m, x in zip(mid, e1)]
-    return NeedleFrames(
-        *(np.stack(v, axis=-1) for v in (centers, e1, u_ax, mid)), alpha, valid
-    )
+    return NeedleFrames(*(np.stack(v, axis=-1) for v in (centers, e1, u_ax)), alpha, valid)
 
 
 def params_to_pose(vec: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -> RigidPose:

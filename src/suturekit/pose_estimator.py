@@ -3,14 +3,12 @@
 Minimizes the two-view reprojection offset error: for each foreground mask
 pixel, the squared distance to the nearest reprojected needle axis point,
 summed over the mask pixels of both views (one-directional, untruncated).
-Optimization runs in the 6-DOF parameter space [theta1, theta2, kp_st,
-kp_ed] by Levenberg-Marquardt on point-to-line residuals, multi-started over
-the dihedral angle. The seeds' descents run in lockstep, batching their
-residual and objective calls, and each seed's result equals, bit for bit,
-a descent from that seed alone. Every objective value comes from one
-vectorized scene evaluator (array math over batches of parameter vectors,
-no pose objects), and a row's value never depends on the rows batched with
-it.
+The seed is algebraic: the masks' rectified rows are triangulated, a plane
+is fitted to the points, and the left keypoint hints' rays meet it at the
+chord. One Levenberg-Marquardt descent on point-to-line residuals then
+refines the 6-DOF parameter vector [theta1, theta2, kp_st, kp_ed]. Every
+objective value comes from one scene evaluator (array math on parameter
+vectors, no pose objects).
 """
 
 from __future__ import annotations
@@ -19,12 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PinholeCamera, RigidPose, StereoRig
-from .needle import BinaryMask, NeedleShape, needle_frames, params_to_pose
-
-# mid-chord depths in meters that the left-only seeding grid spans; synthetic
-# scenes (bench.random_needle_pose, pose-bench) default to the same range
-SCENE_DEPTH_RANGE = (0.08, 0.2)
+from .geometry import RigidPose, StereoRig
+from .needle import BinaryMask, NeedleShape, needle_frames, params_to_pose, pose_to_params
 
 # mask pixels scored per view; a larger mask is strided down to at most this
 _MASK_PIXEL_CAP = 2000
@@ -35,6 +29,10 @@ _EMPTY_VIEW_PENALTY = 1e4
 # radians, then the four keypoint coordinates in pixels
 _JAC_STEPS = np.array([1e-6, 1e-6, 1e-4, 1e-4, 1e-4, 1e-4])
 
+# rectified mask pixels of one row more than this many pixels apart belong
+# to different runs
+_RUN_GAP_PX = 1.5
+
 
 class EstimatorError(Exception):
     pass
@@ -44,8 +42,14 @@ class EmptyMasks(EstimatorError):
     """Both views have empty foreground."""
 
 
+class NoSeed(EstimatorError):
+    """The masks and hints do not determine a seed pose: fewer than 3
+    triangulated points, a hint ray that meets the arc plane behind the
+    camera, or a baseline parallel to the left optical axis."""
+
+
 class NoConvergence(EstimatorError):
-    """Best objective across seeds exceeded the reject threshold.
+    """The descent ended above the reject threshold.
 
     Carries the offending (pose, report, steps) so callers can still
     inspect it.
@@ -65,18 +69,33 @@ class ObjectiveReport:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    max_steps: int = 100  # Levenberg-Marquardt iterations per seed
+    max_steps: int = 100  # Levenberg-Marquardt iterations of the descent
     axis_sample_count: int = 200
-    seed_count: int = 4
     reject_mean_sq_px: float = 25.0  # reject when J / n_pixels exceeds this
 
     def __post_init__(self):
         # axis_sample_count below 4 leaves the point-to-line Jacobian singular
-        for name, low in (("max_steps", 1), ("axis_sample_count", 4), ("seed_count", 1)):
+        for name, low in (("max_steps", 1), ("axis_sample_count", 4)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.reject_mean_sq_px > 0:
             raise ValueError(f"reject_mean_sq_px must be > 0, got {self.reject_mean_sq_px}")
+
+
+@dataclass(frozen=True)
+class KeypointHints:
+    """Start/end needle endpoint pixels in the left view."""
+
+    left_start: np.ndarray
+    left_end: np.ndarray
+
+    def __post_init__(self):
+        for name in ("left_start", "left_end"):
+            value = getattr(self, name)
+            h = np.asarray(value, dtype=float)
+            if h.shape != (2,) or not np.isfinite(h).all():
+                raise ValueError(f"{name} must be 2 finite numbers, got {value!r}")
+            object.__setattr__(self, name, h)
 
 
 def _subsample(fg: np.ndarray) -> np.ndarray:
@@ -93,47 +112,35 @@ def _mask_rows(mask_px: np.ndarray) -> np.ndarray:
     return np.column_stack([-2.0 * mask_px, sq, np.ones(len(mask_px))])
 
 
-def _sq_dists(mask_rows: np.ndarray, points: np.ndarray):
-    """Squared distances from the mask pixels (as _mask_rows) to each point
-    set of a (B, N, 2) batch: yields one (M, N) array per set, in order.
-
-    Each is one BLAS product with the columns [x, y, 1, x^2 + y^2], i.e.
-    -2 m.p + |m|^2 + |p|^2 summed in that order; it depends on that set
-    alone. Scaling by -2 is exact, so this rounds like -2 (m.p) followed
-    by the two in-place additions, on a BLAS that sums the inner dimension
-    in index order (checked bitwise with OpenBLAS 0.3.31).
-    """
-    cols = np.empty(points.shape[:-1] + (4,))
-    cols[..., :2] = points
-    cols[..., 2] = 1.0
-    cols[..., 3] = np.einsum("...ij,...ij->...i", points, points)
-    for c in np.swapaxes(cols, -1, -2):
-        yield mask_rows @ c
+def _sq_dists(mask_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Squared distances (M, N) from the mask pixels (as _mask_rows) to the
+    points (N, 2): one product with the columns [x, y, 1, x^2 + y^2]."""
+    sq = np.einsum("ij,ij->i", points, points)
+    return mask_rows @ np.column_stack([points, np.ones(len(points)), sq]).T
 
 
-def _chamfer(mask_rows: np.ndarray, points_px: np.ndarray, visible: np.ndarray) -> np.ndarray:
-    """Per batch row: sum over mask pixels of the squared distance to the
-    nearest visible point.
+def _chamfer(mask_rows: np.ndarray, points_px: np.ndarray, visible: np.ndarray) -> float:
+    """Sum over mask pixels of the squared distance to the nearest visible
+    point.
 
-    mask_rows from _mask_rows (M pixels); points_px (B, N, 2), one point
-    set per row, ignored where visible (B, N) is False. A row with no
-    visible point pays _EMPTY_VIEW_PENALTY per mask pixel. Each row is
-    summed on its own, as a one-row call sums it. Returns (B,).
+    mask_rows from _mask_rows (M pixels); points_px (N, 2), ignored where
+    visible (N,) is False. With no visible point every mask pixel pays
+    _EMPTY_VIEW_PENALTY.
     """
     M = len(mask_rows)
     if M == 0:
-        return np.zeros(len(visible))
-    px = np.where(visible[..., None], points_px, 1e9)  # far sentinel
-    best = np.stack([d2.min(axis=1) for d2 in _sq_dists(mask_rows, px)])  # (B, M)
-    return np.where(visible.any(axis=1), best.sum(axis=1), _EMPTY_VIEW_PENALTY * M)
+        return 0.0
+    if not visible.any():
+        return _EMPTY_VIEW_PENALTY * M
+    return float(_sq_dists(mask_rows, points_px[visible]).min(axis=1).sum())
 
 
 class SceneEvaluator:
-    """Vectorized objective over batches of raw parameter vectors.
+    """Objective and residuals of raw parameter vectors.
 
     Precomputes per-scene constants (capped mask pixels and their distance
     terms, arc body samples) once; project() then runs pure array math, and
-    per_view() adds one distance product per view and row.
+    per_view() adds one distance product per view.
     """
 
     def __init__(self, masks, shape: NeedleShape, rig: StereoRig, config: EstimatorConfig):
@@ -148,39 +155,34 @@ class SceneEvaluator:
         self._body_xy = body[:, :2]  # arc is planar, z = 0 in the body frame
 
     def project(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arc samples of a (..., 6) batch in every view.
+        """Arc samples of a (B, 6) batch in every view; a (6,) vector is a
+        batch of one.
 
-        Returns pixels (..., V, N, 2), NaN where a sample is not in front of
-        the camera; visibility (..., V, N); and domain validity (...).
+        Returns pixels (B, V, N, 2), NaN where a sample is not in front of
+        the camera; visibility (B, V, N); and domain validity (B,).
         """
-        centers, e1, u_ax, _, _, valid = needle_frames(vecs, self.shape, self.rig.left)
+        centers, e1, u_ax, _, valid = needle_frames(vecs, self.shape, self.rig.left)
         xb, yb = self._body_xy[:, :1], self._body_xy[:, 1:]  # (N, 1) each
         pts = centers[..., None, :] + xb * e1[..., None, :] + yb * u_ax[..., None, :]
         px, vis = zip(*(cam.project_many(pts) for cam in self.rig.cameras))
         return np.stack(px, axis=-3), np.stack(vis, axis=-2), valid
 
-    def per_view(self, vecs: np.ndarray) -> np.ndarray:
-        """Per-view objective values, shape (B, 2); inf outside the domain.
+    def per_view(self, vec: np.ndarray) -> np.ndarray:
+        """Per-view objective values (2,) of one vector; inf outside the domain."""
+        px, vis, valid = self.project(vec)
+        if not valid[0]:
+            return np.full(len(self._mask_rows), np.inf)
+        return np.array([_chamfer(rows, px[0, k], vis[0, k])
+                         for k, rows in enumerate(self._mask_rows)])
 
-        Each row is projected and scored as a batch of its own, so its value
-        is bitwise the one a one-row call gives, whatever the batch.
-        """
-        px, vis, valid = self.project(np.atleast_2d(vecs)[:, None])
-        out = np.column_stack([
-            _chamfer(rows, px[:, 0, k], vis[:, 0, k])
-            for k, rows in enumerate(self._mask_rows)
-        ])
-        out[~valid[:, 0]] = np.inf
-        return out
+    def evaluate(self, vec: np.ndarray) -> float:
+        """Objective value of one vector (per_view summed); inf outside the
+        domain."""
+        return float(self.per_view(vec).sum())
 
-    def evaluate(self, vecs: np.ndarray) -> np.ndarray:
-        """Objective values for a (B, 6) batch (per_view summed); inf
-        outside the domain."""
-        return self.per_view(vecs).sum(axis=1)
-
-    def residuals(self, vecs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Point-to-line residuals at each row of an (S, 6) batch and their
-        Jacobians: one (r (R,), A (R, 6)) pair per row.
+    def residuals(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Point-to-line residuals r (R,) at one vector and their Jacobian
+        A (R, 6).
 
         Per view, each mask pixel is paired with its nearest visible arc
         sample. Its residual is the offset from that sample projected on
@@ -188,44 +190,32 @@ class SceneEvaluator:
         a pixel paired with an arc end keeps both offset coordinates, as
         two rows after the one-row pixels. The Jacobian holds pairing and
         normals fixed and forward-differences the projected samples by
-        _JAC_STEPS. Non-finite rows are dropped, so R may be 0. The rows
-        share one projection of S x 7 vectors and the array work after the
-        pairing; each row's pair is bitwise the one a one-row call returns.
+        _JAC_STEPS, all 7 vectors in one projection. Non-finite rows are
+        dropped, so R may be 0.
         """
-        vecs = np.atleast_2d(vecs)[:, None]
-        px = self.project(np.concatenate([vecs, vecs + np.diag(_JAC_STEPS)], axis=1))[0]
-        dpx = (px[:, 1:] - px[:, :1]) / _JAC_STEPS[:, None, None, None]  # (S, 6, V, N, 2)
-        parts = []  # per view: one-row residuals, offsets, Jacobians, end flags
+        px = self.project(vec + np.vstack([np.zeros(6), np.diag(_JAC_STEPS)]))[0]
+        dpx = (px[1:] - px[:1]) / _JAC_STEPS[:, None, None, None]  # (6, V, N, 2)
+        rows, jac = [], []
         for k, (mpx, mrows) in enumerate(zip(self.mask_px, self._mask_rows)):
-            p = px[:, 0, k]  # (S, N, 2)
-            near = np.stack([  # (S, M); far sentinel for samples behind the camera
-                d2.argmin(axis=1) for d2 in _sq_dists(mrows, np.nan_to_num(p, nan=1e9))
-            ])
-            tan = np.gradient(p, axis=1)
-            normal = np.stack([-tan[..., 1], tan[..., 0]], axis=-1)
-            normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-            off = mpx - np.take_along_axis(p, near[..., None], axis=1)  # (S, M, 2)
-            n = np.take_along_axis(normal, near[..., None], axis=1)
-            dp = np.take_along_axis(dpx[:, :, k], near[:, None, :, None], axis=2)
-            dp = dp.transpose(0, 2, 3, 1)  # (S, M, 2, 6)
-            end = (near == 0) | (near == p.shape[1] - 1)
-            parts.append((np.einsum("smi,smi->sm", off, n),
-                          -np.einsum("smi,smij->smj", n, dp), off, -dp, end))
-        out = []
-        for s in range(len(vecs)):
-            rows, jac = [], []
-            for r1, j1, off, j2, end in parts:
-                e = end[s]
-                rows += [r1[s][~e], off[s][e].reshape(-1)]
-                jac += [j1[s][~e], j2[s][e].reshape(-1, 6)]
-            r, A = np.concatenate(rows), np.concatenate(jac)
-            keep = np.isfinite(r) & np.isfinite(A).all(axis=1)
-            out.append((r[keep], A[keep]))
-        return out
+            p = px[0, k]  # (N, 2)
+            # far sentinel for samples behind the camera
+            near = _sq_dists(mrows, np.nan_to_num(p, nan=1e9)).argmin(axis=1)  # (M,)
+            tan = np.gradient(p, axis=0)
+            normal = np.column_stack([-tan[:, 1], tan[:, 0]])
+            normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+            off = mpx - p[near]  # (M, 2)
+            n = normal[near]
+            dp = dpx[:, k, near].transpose(1, 2, 0)  # (M, 2, 6)
+            end = (near == 0) | (near == len(p) - 1)
+            rows += [np.einsum("mi,mi->m", off[~end], n[~end]), off[end].reshape(-1)]
+            jac += [-np.einsum("mi,mij->mj", n[~end], dp[~end]), -dp[end].reshape(-1, 6)]
+        r, A = np.concatenate(rows), np.concatenate(jac)
+        keep = np.isfinite(r) & np.isfinite(A).all(axis=1)
+        return r[keep], A[keep]
 
     def report(self, vec: np.ndarray) -> ObjectiveReport:
         """Objective report for one parameter vector."""
-        per_view = tuple(float(v) for v in self.per_view(vec)[0])
+        per_view = tuple(float(v) for v in self.per_view(vec))
         return ObjectiveReport(
             value=sum(per_view),
             per_view_value=per_view,
@@ -233,116 +223,124 @@ class SceneEvaluator:
         )
 
 
-def _descend(vecs: np.ndarray, ev: SceneEvaluator, max_steps: int):
-    """Levenberg-Marquardt descents from an (S, 6) batch of seeds, run in
-    lockstep; returns (vecs (S, 6), J (S,), steps (S,)).
+def _descend(vec: np.ndarray, ev: SceneEvaluator, max_steps: int):
+    """Levenberg-Marquardt descent from one seed; returns (vec, J, steps).
 
-    Per seed: damping is Marquardt-scaled by diag(A^T A). A step is kept
-    only if the chamfer objective J drops (out-of-domain steps evaluate to
-    inf); a rejected step grows the damping x4, up to 10 tries, an accepted
-    one shrinks it /3. A seed stops when no damped step lowers J, when the
+    Damping is Marquardt-scaled by diag(A^T A). A step is kept only if the
+    chamfer objective J drops (out-of-domain steps evaluate to inf); a
+    rejected step grows the damping x4, up to 10 tries, a kept one shrinks
+    it /3. The descent stops when no damped step lowers J, when the
     relative drop is <= 1e-10, when no residual row is left, or after
-    max_steps iterations. Each round makes one residuals call for the seeds
-    that start an iteration and one evaluate call for every seed's pending
-    trial step. Every seed's (vec, J, steps) is bitwise the one a descent
-    from that seed alone returns.
+    max_steps iterations.
     """
-    vecs = np.array(vecs, dtype=float, ndmin=2)
-    S = len(vecs)
-    J = ev.evaluate(vecs)
-    lam = np.full(S, 1e-3)
-    steps = np.zeros(S, dtype=int)
-    tries = np.zeros(S, dtype=int)  # rejected trials of the current iteration
-    H, g = np.zeros((S, 6, 6)), np.zeros((S, 6))
-    live = np.ones(S, dtype=bool)  # still descending
-    fresh = live.copy()  # starts an iteration: needs residuals at its vec
-    diag = np.arange(6)
-    while True:
-        idx = np.flatnonzero(fresh)
-        for i, (r, A) in zip(idx, ev.residuals(vecs[idx]) if len(idx) else []):
-            if len(r) == 0:
-                live[i] = False
-                continue
-            steps[i] += 1
-            tries[i] = 0
-            H[i], g[i] = A.T @ A, A.T @ r
-        fresh[:] = False
-        idx = np.flatnonzero(live)
-        if len(idx) == 0:
+    J = ev.evaluate(vec)
+    lam = 1e-3
+    steps = 0
+    while steps < max_steps:
+        r, A = ev.residuals(vec)
+        if len(r) == 0:
             break
-        damping = np.zeros((len(idx), 6, 6))
-        damping[:, diag, diag] = lam[idx, None] * H[idx][:, diag, diag]
-        trials = vecs[idx] + np.linalg.solve(H[idx] + damping, -g[idx][..., None])[..., 0]
-        J_trial = ev.evaluate(trials)
-        better = J_trial < J[idx]
-        rejected = idx[~better]
-        lam[rejected] *= 4.0
-        tries[rejected] += 1
-        live[rejected[tries[rejected] == 10]] = False
-        kept = idx[better]
-        lam[kept] /= 3.0
-        J_prev = J[kept]
-        vecs[kept], J[kept] = trials[better], J_trial[better]
-        done = (J_prev - J[kept] <= 1e-10 * J_prev) | (steps[kept] >= max_steps)
-        live[kept[done]] = False
-        fresh[kept[~done]] = True
-    return vecs, J, steps
+        steps += 1
+        H, g = A.T @ A, A.T @ r
+        for _ in range(10):
+            trial = vec + np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            J_trial = ev.evaluate(trial)
+            if J_trial < J:
+                break
+            lam *= 4.0
+        else:
+            break
+        lam /= 3.0
+        J_prev, vec, J = J, trial, J_trial
+        if J_prev - J <= 1e-10 * J_prev:
+            break
+    return vec, J, steps
 
 
-@dataclass(frozen=True)
-class KeypointHints:
-    """Start/end needle endpoint pixels per view (left used for seeding)."""
+def _run_centroids(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and mean u of each run of rectified pixels uv (M, 2), ordered by
+    row, then u. A row is v rounded; a run is a stretch of its pixels with
+    gaps of at most _RUN_GAP_PX."""
+    row = np.rint(uv[:, 1])
+    order = np.lexsort((uv[:, 0], row))
+    u, row = uv[order, 0], row[order]
+    new = np.ones(len(u), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (np.diff(u) > _RUN_GAP_PX)
+    run = np.cumsum(new) - 1
+    return row[new], np.bincount(run, u) / np.bincount(run)
 
-    left_start: np.ndarray
-    left_end: np.ndarray
-    right_start: np.ndarray | None = None
-    right_end: np.ndarray | None = None
 
+def _triangulated_points(masks, rig: StereoRig) -> np.ndarray:
+    """World points (P, 3) triangulated from the two masks.
 
-def _triangulated_depth(rig: StereoRig, left_px, right_px) -> float:
-    """Mid-chord depth (anchor frame) from stereo keypoint pairs.
-
-    Midpoint triangulation of each endpoint: closest point between the two
-    back-projected rays.
+    Every mask pixel's ray is rotated into a rectified frame: x along the
+    baseline, z the left optical axis made orthogonal to it. Its rectified
+    pixel is f (x, y) / z with f the left camera's fy; rays that do not
+    point forward in that frame are dropped. On each rectified row that
+    both masks reach with the same number of runs, the run centroids are
+    paired in order and triangulated from their disparity; pairs of
+    non-positive disparity are dropped. Raises NoSeed when the baseline is
+    parallel to the left optical axis.
     """
-    pts = []
-    for lp, rp in zip(left_px, right_px):
-        o1, d1 = rig.left.center, rig.left.backproject_ray(lp)
-        o2, d2 = rig.right.center, rig.right.backproject_ray(rp)
-        # least-squares along-ray parameters for the common perpendicular
-        b = d1 @ d2
-        w = o1 - o2
-        denom = 1.0 - b * b
-        if denom < 1e-12:
-            return np.nan
-        t1 = (b * (d2 @ w) - (d1 @ w)) / denom
-        t2 = ((d2 @ w) - b * (d1 @ w)) / denom
-        pts.append(0.5 * (o1 + t1 * d1 + o2 + t2 * d2))
-    return float(rig.left.world_to_camera(np.mean(pts, axis=0))[2])
+    left = rig.left
+    baseline = rig.right.center - left.center
+    B = np.linalg.norm(baseline)
+    x = baseline / B
+    axis = left.pose_world_from_camera.rotation[:, 2]
+    z = axis - (axis @ x) * x
+    if np.linalg.norm(z) < 1e-6:
+        raise NoSeed("the stereo baseline is parallel to the left optical axis")
+    z /= np.linalg.norm(z)
+    R = np.array([x, np.cross(z, x), z])  # rows: rectified axes in the world frame
+    f = left.fy
+    runs = []
+    for cam, mask in zip(rig.cameras, masks):
+        d = cam.backproject_ray(mask.foreground) @ R.T
+        d = d[d[:, 2] > 0]
+        runs.append(_run_centroids(f * d[:, :2] / d[:, 2:]))
+    (row_l, u_l), (row_r, u_r) = runs
+    rows_l, n_l = np.unique(row_l, return_counts=True)
+    rows_r, n_r = np.unique(row_r, return_counts=True)
+    common, i_l, i_r = np.intersect1d(rows_l, rows_r, return_indices=True)
+    paired = common[n_l[i_l] == n_r[i_r]]
+    in_l, in_r = np.isin(row_l, paired), np.isin(row_r, paired)
+    u, v, disparity = u_l[in_l], row_l[in_l], u_l[in_l] - u_r[in_r]
+    ahead = disparity > 0
+    rect = np.column_stack([u, v, np.full(len(u), f)])[ahead] * (B / disparity[ahead])[:, None]
+    return left.center + rect @ R
 
 
-def _theta1_candidates(
-    shape: NeedleShape, anchor: PinholeCamera, kp_st, kp_ed, target_depth: float
-) -> list[float]:
-    """theta1 values whose mid-chord depth is closest to target.
+def _seed(masks, hints: KeypointHints, shape: NeedleShape, rig: StereoRig) -> np.ndarray:
+    """Algebraic seed vector from the triangulated masks and the left hints.
 
-    Depth is a single-humped function of theta1, so a target depth below
-    the peak is hit on two branches; both are returned (grid search on
-    each side of the peak).
+    The arc plane is the smallest singular vector of the centred
+    triangulated points; the two left hint rays meet it at the chord ends.
+    e1 is the in-plane normal of the chord that points toward the points,
+    and the center lies r cos(arc / 2) behind the chord's middle along it.
+    pose_to_params converts that pose, and the keypoints are put back at
+    the hints. Raises NoSeed when fewer than 3 points triangulate or a hint
+    ray meets the plane behind the camera.
     """
-    kps = np.concatenate([kp_st, kp_ed])
-    alpha = float(needle_frames(np.concatenate([[0.0, 0.0], kps]), shape, anchor).alpha[0])
-    t1 = np.linspace(1e-3, np.pi - alpha - 1e-3, 512)
-    grid = np.column_stack([t1, np.zeros_like(t1), np.tile(kps, (len(t1), 1))])
-    depth = anchor.world_to_camera(needle_frames(grid, shape, anchor).mid)[:, 2]
-    peak = int(np.argmax(depth))
-    out = []
-    for sl in (slice(0, peak + 1), slice(peak, None)):
-        err = np.abs(depth[sl] - target_depth)
-        out.append(float(t1[sl][np.argmin(err)]))
-    if abs(out[0] - out[1]) < 1e-6:
-        out = out[:1]
-    return out
+    pts = _triangulated_points(masks, rig)
+    if len(pts) < 3:
+        raise NoSeed(f"{len(pts)} mask points triangulated, 3 needed")
+    c = pts.mean(axis=0)
+    normal = np.linalg.svd(pts - c, full_matrices=False)[2][-1]
+    kps = np.stack([hints.left_start, hints.left_end])
+    origin, rays = rig.left.center, rig.left.backproject_ray(kps)
+    along, across = (c - origin) @ normal, rays @ normal
+    if not np.all(along * across > 0):
+        raise NoSeed("a hint ray meets the arc plane behind the left camera")
+    p_st, p_ed = origin + (along / across)[:, None] * rays
+    u = (p_ed - p_st) / np.linalg.norm(p_ed - p_st)
+    mid = 0.5 * (p_st + p_ed)
+    e1 = np.cross(normal, u)
+    e1 *= np.sign(e1 @ (c - mid)) / np.linalg.norm(e1)
+    center = mid - shape.radius * np.cos(shape.arc_angle / 2.0) * e1
+    vec = pose_to_params(RigidPose(np.column_stack([e1, u, np.cross(e1, u)]), center),
+                         shape, rig.left)
+    vec[2:] = kps.reshape(-1)
+    return vec
 
 
 def estimate(
@@ -352,46 +350,17 @@ def estimate(
     rig: StereoRig,
     config: EstimatorConfig = EstimatorConfig(),
 ) -> tuple[RigidPose, ObjectiveReport, int]:
-    """Multi-start estimation of the needle pose from stereo masks.
+    """Needle pose from stereo masks and the left keypoint hints.
 
-    Keypoints are seeded at the anchor-view hints, theta1 so the mid-chord
-    depth is the one triangulated from the stereo hints (a 4-point grid over
-    SCENE_DEPTH_RANGE when there are no right hints or the triangulated depth
-    is not finite and positive), theta2 uniformly over [0, 2*pi).
-    The seed_count best-scoring seeds each run one Levenberg-Marquardt
-    descent to convergence, in lockstep, and the lowest objective wins. Returns (pose,
-    report, steps), steps counting the descent iterations of all seeds.
-    Deterministic for fixed inputs (no rng).
+    One Levenberg-Marquardt descent from the algebraic seed (_seed).
+    Returns (pose, report, steps), steps counting the descent's iterations.
+    Raises NoConvergence when the mean squared pixel error exceeds
+    config.reject_mean_sq_px, NoSeed when no seed can be formed and
+    EmptyMasks when both masks are empty. Deterministic for fixed inputs
+    (no rng).
     """
     ev = SceneEvaluator(masks, shape, rig, config)
-    kp_st = np.asarray(hints.left_start, dtype=float)
-    kp_ed = np.asarray(hints.left_end, dtype=float)
-
-    # seed theta1 at the triangulated mid-chord depth, unclipped (raw grid J
-    # is a poor basin predictor because J is extremely steep in theta1); a
-    # depth <= 0, e.g. from swapped left/right hints, falls back to the grid
-    d = np.nan
-    if hints.right_start is not None and hints.right_end is not None:
-        d = _triangulated_depth(
-            rig,
-            (kp_st, kp_ed),
-            (np.asarray(hints.right_start, float), np.asarray(hints.right_end, float)),
-        )
-    depths = [d] if 0.0 < d < np.inf else list(np.linspace(*SCENE_DEPTH_RANGE, 4))
-    theta2s = np.arange(16) * 2.0 * np.pi / 16
-    cands = np.array(
-        [
-            [t1, th2, *kp_st, *kp_ed]
-            for d in depths
-            for t1 in _theta1_candidates(shape, rig.left, kp_st, kp_ed, d)
-            for th2 in theta2s
-        ]
-    )
-    order = np.argsort(ev.evaluate(cands))[: config.seed_count]
-
-    vecs, J, steps = _descend(cands[order], ev, config.max_steps)
-    vec = vecs[np.argmin(J)]
-    total_steps = int(steps.sum())
+    vec, _, steps = _descend(_seed(masks, hints, shape, rig), ev, config.max_steps)
     pose = params_to_pose(vec, shape, rig.left)
     report = ev.report(vec)
     n_px = max(1, sum(report.mask_pixels_used))
@@ -399,6 +368,6 @@ def estimate(
         raise NoConvergence(
             f"mean squared pixel error {report.value / n_px:.2f} exceeds "
             f"{config.reject_mean_sq_px}",
-            result=(pose, report, total_steps),
+            result=(pose, report, steps),
         )
-    return pose, report, total_steps
+    return pose, report, steps

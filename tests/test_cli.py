@@ -127,8 +127,11 @@ class TestExitCodes:
          "unknown estimator keys: mask_pixel_cap"),
         (["suture-run"], {"estimator": {"empty_view_penalty": 1e3}},
          "unknown estimator keys: empty_view_penalty"),
+        # one algebraic seed replaced the best seed_count grid seeds
+        (["pose-bench"], {"estimator": {"seed_count": 0}},
+         "unknown estimator keys: seed_count"),
     ], ids=["pose-bench", "calib", "control-sim", "shape", "min_view_angle_rad",
-            "mask_pixel_cap", "empty_view_penalty"])
+            "mask_pixel_cap", "empty_view_penalty", "seed_count"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, command, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -176,7 +179,6 @@ class TestExitCodes:
         ({"scenes": 0}, "scenes must be >= 1"),
         ({"occlusion_fractions": []}, "occlusion_fractions must be one or more numbers"),
         ({"occlusion_fractions": [0.0, -0.3]}, "occlusion_fractions must be one or more"),
-        ({"estimator": {"seed_count": 0}}, "seed_count must be >= 1"),
         ({"estimator": {"axis_sample_count": 3}}, "axis_sample_count must be >= 4"),
         ({"shape": {"radius_mm": float("nan")}}, "radius must be a finite number > 0, got nan"),
         ({"shape": {"radius_mm": float("inf")}}, "radius must be a finite number > 0, got inf"),
@@ -184,7 +186,7 @@ class TestExitCodes:
         ({"line_width": 0.5}, "line_width must be a finite number >= 1, got 0.5"),
         ({"depth_range_m": [0.2, 0.08]}, "depth_range must be finite with 0 < lo < hi"),
         ({"depth_range_m": [0.08, float("inf")]}, "depth_range must be finite with 0 < lo"),
-    ], ids=["scenes", "no-fractions", "negative-fraction", "seed_count", "axis_sample_count",
+    ], ids=["scenes", "no-fractions", "negative-fraction", "axis_sample_count",
             "radius-nan", "radius-inf", "line_width-nan", "line_width-below-one",
             "depth-range-reversed", "depth-range-infinite"])
     def test_pose_bench_config_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
@@ -240,7 +242,7 @@ NON_DEFAULT = {
     "baseline_mm": 25.0, "depth_range_m": [0.1, 0.15],
     "shape.radius_mm": 8.0, "shape.arc_angle_deg": 150.0,
     "estimator.max_steps": 50, "estimator.axis_sample_count": 100,
-    "estimator.seed_count": 2, "estimator.reject_mean_sq_px": 9.0,
+    "estimator.reject_mean_sq_px": 9.0,
     "count": 500, "delta_range_deg": 4.0, "noise_px": 0.5, "epochs": 3, "batch_size": 64,
     "learning_rate": 0.01, "hidden_sizes": [8], "test_count": 50,
     "beta": 0.5, "kp": 0.4, "ki": [0.1] * 6, "q_des_deg": [1, 2, 3, 4, 5, 6],
@@ -410,9 +412,8 @@ class TestPoseBench:
         assert agg["pos_err_mm_mean"] < 1.0
 
     def test_scenes_beyond_default_depth_range(self, tmp_path):
-        # depth_range_m only places the scenes; stereo seeding must start from
-        # the triangulated depth, or these needles beyond the 0.2 m default
-        # come back at a wrong pose that is still flagged converged
+        # depth_range_m only places the scenes; the seed is triangulated from
+        # the masks, so needles beyond the 0.2 m default must come back right
         cfg = write_config(tmp_path / "c.json", {"scenes": 2, "depth_range_m": [0.3, 0.4]})
         assert run_cli(["pose-bench", "--config", cfg, "--seed", "0",
                         "--out-dir", str(tmp_path)]) == 0
