@@ -6,9 +6,11 @@ summed over the mask pixels of both views (one-directional, untruncated).
 The seed is algebraic: the masks' rectified rows are triangulated, a plane
 is fitted to the points, and the left keypoint hints' rays meet it at the
 chord. One Levenberg-Marquardt descent on point-to-line residuals then
-refines the 6-DOF parameter vector [theta1, theta2, kp_st, kp_ed]. Every
-objective value comes from one scene evaluator (array math on parameter
-vectors, no pose objects).
+refines the 6-DOF parameter vector [theta1, theta2, kp_st, kp_ed]; it stops
+once a damped step would move no residual by 0.01 px (_MIN_STEP_PX), after
+10 rejected tries, on a singular damped system, with no residual row left,
+or after max_steps iterations. Every objective value comes from one scene
+evaluator (array math on parameter vectors, no pose objects).
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ _EMPTY_VIEW_PENALTY = 1e4
 # forward-difference steps of the residual Jacobian: theta1, theta2 in
 # radians, then the four keypoint coordinates in pixels
 _JAC_STEPS = np.array([1e-6, 1e-6, 1e-4, 1e-4, 1e-4, 1e-4])
+
+# the descent stops once a damped step is predicted to move no residual by
+# this many pixels or more: a hundredth of the pixel grid the masks are on
+_MIN_STEP_PX = 0.01
 
 # rectified mask pixels of one row more than this many pixels apart belong
 # to different runs
@@ -229,9 +235,11 @@ def _descend(vec: np.ndarray, ev: SceneEvaluator, max_steps: int):
     Damping is Marquardt-scaled by diag(A^T A). A step is kept only if the
     chamfer objective J drops (out-of-domain steps evaluate to inf); a
     rejected step grows the damping x4, up to 10 tries, a kept one shrinks
-    it /3. The descent stops when no damped step lowers J, when the
-    relative drop is <= 1e-10, when no residual row is left, or after
-    max_steps iterations.
+    it /3. The descent stops when a damped step moves no residual by
+    _MIN_STEP_PX or more (A @ step, checked before the step is evaluated:
+    more damping only shortens it), when 10 tries in a row do not lower J,
+    when the damped system is singular, when no residual row is left, or
+    after max_steps iterations.
     """
     J = ev.evaluate(vec)
     lam = 1e-3
@@ -243,7 +251,13 @@ def _descend(vec: np.ndarray, ev: SceneEvaluator, max_steps: int):
         steps += 1
         H, g = A.T @ A, A.T @ r
         for _ in range(10):
-            trial = vec + np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            try:
+                step = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            except np.linalg.LinAlgError:
+                return vec, J, steps
+            if np.abs(A @ step).max() < _MIN_STEP_PX:
+                return vec, J, steps
+            trial = vec + step
             J_trial = ev.evaluate(trial)
             if J_trial < J:
                 break
@@ -251,9 +265,7 @@ def _descend(vec: np.ndarray, ev: SceneEvaluator, max_steps: int):
         else:
             break
         lam /= 3.0
-        J_prev, vec, J = J, trial, J_trial
-        if J_prev - J <= 1e-10 * J_prev:
-            break
+        vec, J = trial, J_trial
     return vec, J, steps
 
 

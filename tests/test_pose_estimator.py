@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
-from suturekit.bench import observe, random_needle_pose
-from suturekit.needle import BinaryMask, params_to_pose, pose_to_params, reproject
+from suturekit.bench import PoseBenchConfig, observe, random_needle_pose, run_pose_bench
+from suturekit.needle import BinaryMask, needle_frames, params_to_pose, pose_to_params, reproject
 from suturekit.pose_estimator import (
     EmptyMasks,
     EstimatorConfig,
@@ -219,14 +219,46 @@ class TestDescent:
         assert J == ev.evaluate(vec0)
 
     def test_max_steps_ends_descent(self, rig, shape):
-        # far enough from the truth that neither a relative drop of 1e-10 nor
-        # ten rejected tries ends the descent within 3 iterations
+        # far enough from the truth that neither a step below _MIN_STEP_PX
+        # nor ten rejected tries ends the descent within 3 iterations
         _, masks, x_true, _ = make_scene(rig, shape, seed=9)
         ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
         vec0 = x_true + np.array([0.1, 1.0, 3.0, -2.0, 2.0, 1.0])
         _, J3, steps3 = _descend(vec0, ev, 3)
         _, J, steps = _descend(vec0, ev, 100)
         assert steps3 == 3 and steps > 3 and J < J3
+
+    def test_restart_from_result_evaluates_once(self, rig, shape, monkeypatch):
+        # the first damped step from a converged vector is below _MIN_STEP_PX,
+        # so only the start value is evaluated
+        _, masks, x_true, _ = make_scene(rig, shape, seed=9)
+        ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
+        vec1, J1, _ = _descend(x_true + np.array([0.05, 0.3, 2.0, -2.0, 1.0, -1.0]), ev, 100)
+        calls = []
+        evaluate = ev.evaluate
+        monkeypatch.setattr(ev, "evaluate", lambda vec: calls.append(vec) or evaluate(vec))
+        vec, J, _ = _descend(vec1, ev, 100)
+        assert len(calls) == 1 and np.array_equal(calls[0], vec1)
+        assert np.array_equal(vec, vec1) and J == J1
+
+    def test_singular_damped_system_ends_descent(self, rig, shape):
+        # just outside the domain the theta2 column of the Jacobian is zero,
+        # so H + lam diag(H) is singular
+        _, masks, x_true, _ = make_scene(rig, shape, seed=3)
+        ev = SceneEvaluator(masks, shape, rig, EstimatorConfig())
+        vec0 = x_true.copy()
+        vec0[0] = np.pi - needle_frames(x_true, shape, rig.left).alpha[0] + 0.01
+        vec, J, steps = _descend(vec0, ev, 100)
+        assert np.array_equal(vec, vec0) and J == np.inf and steps == 1
+
+    def test_evaluate_calls_per_scene(self, monkeypatch):
+        # criterion 1's configuration; a count, so it does not depend on timing
+        calls = []
+        evaluate = SceneEvaluator.evaluate
+        monkeypatch.setattr(SceneEvaluator, "evaluate",
+                            lambda self, vec: calls.append(1) or evaluate(self, vec))
+        run_pose_bench(PoseBenchConfig(scenes=10))
+        assert len(calls) / 10 <= 8
 
 
 class TestEstimate:
