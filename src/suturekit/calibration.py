@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lm
 from .geometry import PinholeCamera, RigidPose
 from .psm_kinematics import (
     JointVector,
@@ -92,6 +93,7 @@ def detect_features(camera: PinholeCamera, jaw_pose: RigidPose, fm: FeatureModel
 
 _LM_MAX_ITERATIONS = 100
 _FD_STEP = 1e-7  # rad; the prismatic joint's step is this over prismatic_scale
+_MIN_MOVE_PX = 1e-11  # lm.solve's step rule; noiseless offsets within 3e-11 rad
 
 
 def calibrate_direct(
@@ -103,19 +105,17 @@ def calibrate_direct(
     bound: float,
 ) -> JointVector:
     """Joint offset dq that brings the features of the jaw at q_msr + dq
-    onto `pixels`: one Levenberg-Marquardt solve over dq from dq = 0.
+    onto `pixels`: one Levenberg-Marquardt solve, lm.solve, from dq = 0.
 
     `q_msr` (6,) with `pixels` (N, 2) is one image; (K, 6) with (K, N, 2)
     is K images of the same offset. The Jacobian is a forward difference
     over the 7 configurations dq and dq plus one step per joint, evaluated
-    together. Damping is Marquardt-scaled by diag(J^T J), from 1e-3, x4 on
-    a rejected step (up to 10 tries) and /3 on a kept one. The solve stops
-    when no damped step lowers the squared error, when its relative drop is
-    <= 1e-10, or when no step entry reaches 1e-12, before the round-off
-    floor spends the 10 damped tries. Raises ValueError on malformed input, and
+    together, once per trial offset. The solve stops when a damped step
+    moves no pixel residual by _MIN_MOVE_PX or more, or when no damped step
+    lowers the squared error. Raises ValueError on malformed input, and
     CalibrationError when the solve does not converge within
-    _LM_MAX_ITERATIONS or the offset leaves the `bound` box
-    (`model.joint_distance`).
+    _LM_MAX_ITERATIONS, when its damped system is singular or when the
+    offset leaves the `bound` box (`model.joint_distance`).
     """
     q_msr = np.asarray(q_msr, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
@@ -130,36 +130,17 @@ def calibrate_direct(
     probes = np.vstack([np.zeros(6), np.diag(h)])[:, None]  # (7, 1, 6)
     target = pixels.reshape(-1)
 
-    def linearize(dq):
-        """Pixel residual (2KN,) and its Jacobian (2KN, 6) at offset dq."""
+    def trial(dq):
+        """Squared pixel error at offset dq, and the pixel residual (2KN,)
+        with its Jacobian (2KN, 6) there, deferred."""
         px = _feature_pixels(camera, *fk_arrays(model, q_msr + dq + probes), fm)
         px = px.reshape(7, -1)
-        return px[0] - target, ((px[1:] - px[0]) / h[:, None]).T
+        r = px[0] - target
+        return r @ r, lambda: (r, ((px[1:] - px[0]) / h[:, None]).T)
 
-    dq, lam = np.zeros(6), 1e-3
-    r, J = linearize(dq)
-    cost = r @ r
-    for _ in range(_LM_MAX_ITERATIONS):
-        H, g = J.T @ J, J.T @ r
-        kept = False
-        for _ in range(10):
-            step = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
-            if np.abs(step).max() < 1e-12:
-                break
-            r_trial, J_trial = linearize(dq + step)
-            kept = r_trial @ r_trial < cost
-            if kept:
-                break
-            lam *= 4.0
-        if not kept:  # the step fell below 1e-12 or no damped step lowers the cost
-            break
-        lam /= 3.0
-        dq, r, J, prev = dq + step, r_trial, J_trial, cost
-        cost = r @ r
-        if prev - cost <= 1e-10 * prev:
-            break
-    else:
-        raise CalibrationError(f"offset solve did not converge in {_LM_MAX_ITERATIONS} iterations")
+    dq, _, iterations, stop = lm.solve(np.zeros(6), trial, _MIN_MOVE_PX, _LM_MAX_ITERATIONS)
+    if stop in ("max", "singular"):
+        raise CalibrationError(f"offset solve stopped at {stop} after {iterations} iterations")
     size = model.joint_distance(dq, 0.0)
     if size > bound:
         raise CalibrationError(f"offset of size {size:.4g} leaves the bound {bound:.4g}")

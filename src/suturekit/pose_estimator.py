@@ -5,12 +5,12 @@ pixel, the squared distance to the nearest reprojected needle axis point,
 summed over the mask pixels of both views (one-directional, untruncated).
 The seed is algebraic: the masks' rectified rows are triangulated, a plane
 is fitted to the points, and the left keypoint hints' rays meet it at the
-chord. One Levenberg-Marquardt descent on point-to-line residuals then
-refines the 6-DOF parameter vector [theta1, theta2, kp_st, kp_ed]; it stops
-once a damped step would move no residual by 0.01 px (_MIN_STEP_PX), after
-10 rejected tries, on a singular damped system, with no residual row left,
-or after max_steps iterations. Every objective value comes from one scene
-evaluator (array math on parameter vectors, no pose objects).
+chord. One Levenberg-Marquardt descent (lm.solve) on point-to-line
+residuals then refines the 6-DOF parameter vector [theta1, theta2, kp_st,
+kp_ed]; it stops once a damped step would move no residual by 0.01 px
+(_MIN_STEP_PX), after 10 rejected tries, on a singular damped system, with
+no residual row left, or after max_steps iterations. Every objective value
+comes from one scene evaluator (array math on vectors, no pose objects).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lm, needle
 from .geometry import RigidPose, StereoRig
 from .needle import BinaryMask, NeedleShape, needle_frames, params_to_pose, pose_to_params
 
@@ -50,8 +51,8 @@ class EmptyMasks(EstimatorError):
 
 class NoSeed(EstimatorError):
     """The masks and hints do not determine a seed pose: fewer than 3
-    triangulated points, a hint ray that meets the arc plane behind the
-    camera, or a baseline parallel to the left optical axis."""
+    triangulated points, (near) parallel hint rays, a hint ray that meets
+    the arc plane behind the camera, or a baseline along the left axis."""
 
 
 class NoConvergence(EstimatorError):
@@ -84,8 +85,9 @@ class EstimatorConfig:
         for name, low in (("max_steps", 1), ("axis_sample_count", 4)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.reject_mean_sq_px > 0:
-            raise ValueError(f"reject_mean_sq_px must be > 0, got {self.reject_mean_sq_px}")
+        if not 0 < self.reject_mean_sq_px < np.inf:
+            raise ValueError(
+                f"reject_mean_sq_px must be a finite number > 0, got {self.reject_mean_sq_px}")
 
 
 @dataclass(frozen=True)
@@ -230,43 +232,9 @@ class SceneEvaluator:
 
 
 def _descend(vec: np.ndarray, ev: SceneEvaluator, max_steps: int):
-    """Levenberg-Marquardt descent from one seed; returns (vec, J, steps).
-
-    Damping is Marquardt-scaled by diag(A^T A). A step is kept only if the
-    chamfer objective J drops (out-of-domain steps evaluate to inf); a
-    rejected step grows the damping x4, up to 10 tries, a kept one shrinks
-    it /3. The descent stops when a damped step moves no residual by
-    _MIN_STEP_PX or more (A @ step, checked before the step is evaluated:
-    more damping only shortens it), when 10 tries in a row do not lower J,
-    when the damped system is singular, when no residual row is left, or
-    after max_steps iterations.
-    """
-    J = ev.evaluate(vec)
-    lam = 1e-3
-    steps = 0
-    while steps < max_steps:
-        r, A = ev.residuals(vec)
-        if len(r) == 0:
-            break
-        steps += 1
-        H, g = A.T @ A, A.T @ r
-        for _ in range(10):
-            try:
-                step = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
-            except np.linalg.LinAlgError:
-                return vec, J, steps
-            if np.abs(A @ step).max() < _MIN_STEP_PX:
-                return vec, J, steps
-            trial = vec + step
-            J_trial = ev.evaluate(trial)
-            if J_trial < J:
-                break
-            lam *= 4.0
-        else:
-            break
-        lam /= 3.0
-        vec, J = trial, J_trial
-    return vec, J, steps
+    """lm.solve on the chamfer objective J from one seed: (vec, J, steps)."""
+    trial = lambda v: (ev.evaluate(v), lambda: ev.residuals(v))
+    return lm.solve(vec, trial, _MIN_STEP_PX, max_steps)[:3]
 
 
 def _run_centroids(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,8 +298,9 @@ def _seed(masks, hints: KeypointHints, shape: NeedleShape, rig: StereoRig) -> np
     e1 is the in-plane normal of the chord that points toward the points,
     and the center lies r cos(arc / 2) behind the chord's middle along it.
     pose_to_params converts that pose, and the keypoints are put back at
-    the hints. Raises NoSeed when fewer than 3 points triangulate or a hint
-    ray meets the plane behind the camera.
+    the hints. Raises NoSeed when fewer than 3 points triangulate, the two
+    hint rays are at most needle._MIN_RAY_ANGLE apart or a hint ray meets
+    the plane behind the camera.
     """
     pts = _triangulated_points(masks, rig)
     if len(pts) < 3:
@@ -340,6 +309,9 @@ def _seed(masks, hints: KeypointHints, shape: NeedleShape, rig: StereoRig) -> np
     normal = np.linalg.svd(pts - c, full_matrices=False)[2][-1]
     kps = np.stack([hints.left_start, hints.left_end])
     origin, rays = rig.left.center, rig.left.backproject_ray(kps)
+    angle = float(needle._inter_ray_angle(*rays))
+    if angle <= needle._MIN_RAY_ANGLE:
+        raise NoSeed(f"the hint rays are {angle:.3g} rad apart, at most {needle._MIN_RAY_ANGLE}")
     along, across = (c - origin) @ normal, rays @ normal
     if not np.all(along * across > 0):
         raise NoSeed("a hint ray meets the arc plane behind the left camera")

@@ -180,6 +180,8 @@ class TestExitCodes:
         ({"occlusion_fractions": []}, "occlusion_fractions must be one or more numbers"),
         ({"occlusion_fractions": [0.0, -0.3]}, "occlusion_fractions must be one or more"),
         ({"estimator": {"axis_sample_count": 3}}, "axis_sample_count must be >= 4"),
+        ({"estimator": {"reject_mean_sq_px": float("inf")}},
+         "reject_mean_sq_px must be a finite number > 0, got inf"),
         ({"shape": {"radius_mm": float("nan")}}, "radius must be a finite number > 0, got nan"),
         ({"shape": {"radius_mm": float("inf")}}, "radius must be a finite number > 0, got inf"),
         ({"line_width": float("nan")}, "line_width must be a finite number >= 1, got nan"),
@@ -187,7 +189,7 @@ class TestExitCodes:
         ({"depth_range_m": [0.2, 0.08]}, "depth_range must be finite with 0 < lo < hi"),
         ({"depth_range_m": [0.08, float("inf")]}, "depth_range must be finite with 0 < lo"),
     ], ids=["scenes", "no-fractions", "negative-fraction", "axis_sample_count",
-            "radius-nan", "radius-inf", "line_width-nan", "line_width-below-one",
+            "reject-infinite", "radius-nan", "radius-inf", "line_width-nan", "line_width-below-one",
             "depth-range-reversed", "depth-range-infinite"])
     def test_pose_bench_config_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)

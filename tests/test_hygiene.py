@@ -1,6 +1,7 @@
 """Source hygiene: no module under src/suturekit imports a name it never uses
 or imports scipy (a test-only oracle), only geometry.py inverts a camera
-pose (PinholeCamera keeps the one camera-from-world transform), the CLI
+pose (PinholeCamera keeps the one camera-from-world transform), only lm.py
+solves a linear system (the one Levenberg-Marquardt loop), the CLI
 restates no default that a library keyword already has, and every function,
 class, method and property is read by the program or the benchmark, not
 only by tests."""
@@ -73,6 +74,92 @@ def test_scan_flags_a_camera_pose_inversion():
         "x = f(rig.left.pose_world_from_camera.inverse().apply(p))\n"
     )
     assert camera_pose_inversions(source) == [1, 4]
+
+
+def linear_solves(source: str) -> list[int]:
+    """Lines that call `<expr>.linalg.solve(...)`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "solve"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "linalg"
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "lm.py"), ids=lambda p: p.name
+)
+def test_only_lm_solves_linear_systems(path):
+    assert linear_solves(path.read_text()) == []
+
+
+# pose_estimator._descend and the loop of calibration.calibrate_direct
+# before both ran lm.solve
+OLD_DESCEND = """\
+def _descend(vec, ev, max_steps):
+    J = ev.evaluate(vec)
+    lam = 1e-3
+    steps = 0
+    while steps < max_steps:
+        r, A = ev.residuals(vec)
+        if len(r) == 0:
+            break
+        steps += 1
+        H, g = A.T @ A, A.T @ r
+        for _ in range(10):
+            try:
+                step = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            except np.linalg.LinAlgError:
+                return vec, J, steps
+            if np.abs(A @ step).max() < _MIN_STEP_PX:
+                return vec, J, steps
+            trial = vec + step
+            J_trial = ev.evaluate(trial)
+            if J_trial < J:
+                break
+            lam *= 4.0
+        else:
+            break
+        lam /= 3.0
+        vec, J = trial, J_trial
+    return vec, J, steps
+"""
+OLD_CALIBRATE_DIRECT = """\
+dq, lam = np.zeros(6), 1e-3
+r, J = linearize(dq)
+cost = r @ r
+for _ in range(_LM_MAX_ITERATIONS):
+    H, g = J.T @ J, J.T @ r
+    kept = False
+    for _ in range(10):
+        step = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+        if np.abs(step).max() < 1e-12:
+            break
+        r_trial, J_trial = linearize(dq + step)
+        kept = r_trial @ r_trial < cost
+        if kept:
+            break
+        lam *= 4.0
+    if not kept:
+        break
+    lam /= 3.0
+    dq, r, J, prev = dq + step, r_trial, J_trial, cost
+    cost = r @ r
+    if prev - cost <= 1e-10 * prev:
+        break
+else:
+    raise CalibrationError("offset solve did not converge")
+"""
+
+
+def test_scan_flags_a_linear_solve():
+    assert linear_solves(OLD_DESCEND) == [13]
+    assert linear_solves(OLD_CALIBRATE_DIRECT) == [8]
+    source = "x = np.linalg.lstsq(A, b)\ny = solve(A, b)\nz = numpy.linalg.solve(A, b)\n"
+    assert linear_solves(source) == [3]
 
 
 def scipy_imports(source: str) -> list[int]:

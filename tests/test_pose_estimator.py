@@ -314,6 +314,13 @@ class TestEstimate:
             with pytest.raises(NoSeed, match="0 mask points triangulated"):
                 estimate(pair, hints, shape, rig)
 
+    @pytest.mark.parametrize("gap_px", [0.0, 1e-9, 1e-4])
+    def test_coincident_hints_raise(self, rig, shape, gap_px):
+        _, masks, _, hints = make_scene(rig, shape, seed=0)
+        start = hints.left_start
+        with pytest.raises(NoSeed, match="hint rays are"):
+            estimate(masks, KeypointHints(start, start + [gap_px, 0.0]), shape, rig)
+
     def test_baseline_along_the_optical_axis_raises(self, shape):
         cams = [PinholeCamera(1000.0, 1000.0, 320.0, 240.0, 640, 480,
                               RigidPose(np.eye(3), np.array([0.0, 0.0, z]))) for z in (0.0, 0.02)]
@@ -356,7 +363,8 @@ class TestEstimate:
         # unrefined
         for field, value in (("max_steps", 0), ("axis_sample_count", 3),
                              ("reject_mean_sq_px", -1.0),
-                             ("reject_mean_sq_px", float("nan"))):
+                             ("reject_mean_sq_px", float("nan")),
+                             ("reject_mean_sq_px", float("inf"))):
             with pytest.raises(ValueError, match=f"{field} must be"):
                 EstimatorConfig(**{field: value})
         EstimatorConfig(axis_sample_count=4, max_steps=1)
