@@ -27,12 +27,7 @@ from .planning import (
     plan_suture_pass,
     suture_circle,
 )
-from .pose_estimator import (
-    EstimatorConfig,
-    KeypointHints,
-    NoConvergence,
-    estimate,
-)
+from .pose_estimator import KeypointHints, NoConvergence, estimate
 from .psm_kinematics import KinematicModel, Unreachable, fk, ik
 
 
@@ -136,7 +131,6 @@ class PoseBenchConfig:
     occlusion_fractions: tuple = (0.0,)
     line_width: float = 1.0  # thin masks keep the chamfer evaluation cheap
     shape: NeedleShape = DEFAULT_SHAPE
-    estimator: EstimatorConfig = EstimatorConfig()
     baseline: float = 0.02
     depth_range: tuple = SCENE_DEPTH_RANGE  # places the scenes only
 
@@ -181,14 +175,14 @@ def run_pose_scene(
     masks, hints = observe(T_true, shape, rig, cfg.line_width, occ)
     converged = True
     try:
-        pose, report, steps = estimate(masks, hints, shape, rig, cfg.estimator)
+        pose, J, steps = estimate(masks, hints, shape, rig)
     except NoConvergence as e:
-        pose, report, steps = e.result
+        pose, J, steps = e.result
         converged = False
     pos_err = float(np.linalg.norm(pose.translation - T_true.translation))
     ang_err = rotation_geodesic(pose.rotation, T_true.rotation)
     return PoseBenchRow(
-        scene_id, pos_err, ang_err, report.value, steps,
+        scene_id, pos_err, ang_err, J, steps,
         occlusion_frac, cfg.rng_seed, converged,
     )
 
@@ -230,7 +224,6 @@ _CALIB_BOUND = np.radians(10.0)  # calibrate_direct search bound per joint
 class SutureRunConfig:
     rng_seed: int = 0
     shape: NeedleShape = DEFAULT_SHAPE
-    estimator: EstimatorConfig = EstimatorConfig()
     line_width: float = 1.0
     injected_bias_deg: float = 0.0  # per revolute joint, alternating sign
     compensate: bool = True
@@ -295,7 +288,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
     # --- perception + needle pose estimation ----------------------------
     T_needle = random_needle_pose(rng, rig, shape)
     masks, hints = observe(T_needle, shape, rig, cfg.line_width)
-    T_est, _, _ = estimate(masks, hints, shape, rig, cfg.estimator)
+    T_est, _, _ = estimate(masks, hints, shape, rig)
     est_pos_err = float(np.linalg.norm(T_est.translation - T_needle.translation))
     est_ang_err = rotation_geodesic(T_est.rotation, T_needle.rotation)
 

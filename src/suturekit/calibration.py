@@ -394,7 +394,8 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
     `data` is a `generate_dataset` array: inputs `data[:, :-6]`, labels
     `data[:, -6:]`. Raises ValueError unless every epoch runs at least one
     optimizer step and has a validation loss; `TrainConfig` checks its own
-    ranges.
+    ranges. Raises NonFiniteLoss, naming the epoch, when training diverges:
+    a loss, gradient, moment or weight overflows or turns invalid.
 
     The loop (scaled data, weights, Adam moments) runs in float32, about
     three times faster than float64 for the default network; the returned
@@ -429,42 +430,48 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
     decay = _LR_FINAL_FRACTION ** (1.0 / config.epochs)
     lr = config.learning_rate
     train_curve, val_curve = [], []
-    for epoch in range(config.epochs):
-        order = rng.permutation(train_idx)
-        epoch_losses = []
-        for start in range(0, len(order) - config.batch_size + 1, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, dW, db = mlp_backprop(model, Xs[idx], Ys[idx])
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss non-finite at epoch {epoch}")
-            epoch_losses.append(loss)
-            t += 1
-            c1 = 1.0 - _BETA1 ** t
-            c2 = 1.0 - _BETA2 ** t
-            # in place, in the operation order of
-            #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-            #   p -= lr (m / c1) / (sqrt(v / c2) + eps)
-            # so it rounds exactly as those expressions do; g, used once,
-            # doubles as the second scratch buffer
-            for p, g, m_, v_, s in zip(params, dW + db, m, v, scratch):
-                m_ *= _BETA1
-                np.multiply(g, 1 - _BETA1, out=s)
-                m_ += s
-                v_ *= _BETA2
-                np.multiply(g, g, out=s)
-                s *= 1 - _BETA2
-                v_ += s
-                np.divide(v_, c2, out=s)
-                np.sqrt(s, out=s)
-                s += _EPS
-                np.divide(m_, c1, out=g)
-                g *= lr
-                g /= s
-                p -= g
-        lr *= decay
-        train_curve.append(float(np.mean(epoch_losses)))
-        _, out = model._forward_scaled(Xs[val_idx])
-        val_curve.append(float(np.mean((out - Ys[val_idx]) ** 2)))
+    # an overflow or invalid value stops training at once; left to run, it
+    # freezes the weights at inf and a model with a huge loss comes back
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(config.epochs):
+                order = rng.permutation(train_idx)
+                epoch_losses = []
+                for start in range(0, len(order) - config.batch_size + 1, config.batch_size):
+                    idx = order[start : start + config.batch_size]
+                    loss, dW, db = mlp_backprop(model, Xs[idx], Ys[idx])
+                    if not np.isfinite(loss):
+                        raise NonFiniteLoss(f"loss non-finite at epoch {epoch}")
+                    epoch_losses.append(loss)
+                    t += 1
+                    c1 = 1.0 - _BETA1 ** t
+                    c2 = 1.0 - _BETA2 ** t
+                    # in place, in the operation order of
+                    #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+                    #   p -= lr (m / c1) / (sqrt(v / c2) + eps)
+                    # so it rounds exactly as those expressions do; g, used once,
+                    # doubles as the second scratch buffer
+                    for p, g, m_, v_, s in zip(params, dW + db, m, v, scratch):
+                        m_ *= _BETA1
+                        np.multiply(g, 1 - _BETA1, out=s)
+                        m_ += s
+                        v_ *= _BETA2
+                        np.multiply(g, g, out=s)
+                        s *= 1 - _BETA2
+                        v_ += s
+                        np.divide(v_, c2, out=s)
+                        np.sqrt(s, out=s)
+                        s += _EPS
+                        np.divide(m_, c1, out=g)
+                        g *= lr
+                        g /= s
+                        p -= g
+                lr *= decay
+                train_curve.append(float(np.mean(epoch_losses)))
+                _, out = model._forward_scaled(Xs[val_idx])
+                val_curve.append(float(np.mean((out - Ys[val_idx]) ** 2)))
+    except FloatingPointError as e:
+        raise NonFiniteLoss(f"training diverged at epoch {epoch}: {e}") from e
     model = MlpModel(model.weights, model.biases, in_scaler, out_scaler)
     return TrainResult(model, train_curve, val_curve)
 

@@ -10,7 +10,9 @@ max_steps and tol). Every output file starts with a header line carrying
 the config hash, and all outputs are byte-identical across runs with the
 same seed. Each CSV header also names its units: deg_mm for
 the calibration dataset and table, m_rad for the pose-bench and control
-traces, none for the loss curve (losses in scaled space).
+traces, none for the loss curve (losses in scaled space). In pose_bench.csv
+m_rad covers the error columns; J_final, the chamfer objective, is in
+squared pixels.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
@@ -40,7 +42,6 @@ from .calibration import (
     write_dataset_csv,
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to, steady_state_error
-from .pose_estimator import EstimatorConfig
 from .psm_kinematics import KinematicModel, PRISMATIC_INDEX
 
 
@@ -121,18 +122,11 @@ def _mm(v):
 # nested table stands for a JSON object with those keys only; its conversion
 # builds the library object from the object's keyword arguments. A keyword
 # of None marks a key that the command reads itself.
-_SHAPE = {
-    "radius_mm": (_NUMBER, "radius", _mm),
-    "arc_angle_deg": (_NUMBER, "arc_angle", np.radians),
-}
-_ESTIMATOR = {f.name: (_INTEGER if f.type == "int" else _NUMBER, f.name, None)
-             for f in dataclasses.fields(EstimatorConfig)}
+_SHAPE = ({"radius_mm": (_NUMBER, "radius", _mm),
+           "arc_angle_deg": (_NUMBER, "arc_angle", np.radians)},
+          "shape", lambda kw: dataclasses.replace(bench.DEFAULT_SHAPE, **kw))
 _SEED = (_INTEGER, "rng_seed", None)
 _LINE_WIDTH = (_NUMBER, "line_width", None)  # pixels
-_NEEDLE = {
-    "shape": (_SHAPE, "shape", lambda kw: dataclasses.replace(bench.DEFAULT_SHAPE, **kw)),
-    "estimator": (_ESTIMATOR, "estimator", lambda kw: EstimatorConfig(**kw)),
-}
 
 TABLES = {
     "pose-bench": {
@@ -142,7 +136,7 @@ TABLES = {
         "line_width": _LINE_WIDTH,
         "baseline_mm": (_NUMBER, "baseline", _mm),
         "depth_range_m": (_PAIR, "depth_range", None),
-        **_NEEDLE,
+        "shape": _SHAPE,
     },
     # the three calib steps share one file
     "calib": {
@@ -171,7 +165,7 @@ TABLES = {
         "line_width": _LINE_WIDTH,
         "injected_bias_deg": (_NUMBER, "injected_bias_deg", None),
         "compensate": (_BOOL, "compensate", None),
-        **_NEEDLE,
+        "shape": _SHAPE,
     },
 }
 

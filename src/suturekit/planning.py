@@ -63,7 +63,6 @@ class SuturePorts:
 @dataclass(frozen=True)
 class Waypoint:
     pose: RigidPose
-    arc_param: float  # circle angle (rad) or path fraction for linear moves
     tool_pose: RigidPose | None = None
 
 
@@ -157,7 +156,7 @@ def circular_trajectory(
     for theta in np.linspace(t0, t1, waypoint_count):
         pose = _needle_pose_at(circle, shape, float(theta))
         tool = pose.compose(grasp_offset) if grasp_offset is not None else None
-        wps.append(Waypoint(pose, float(theta), tool))
+        wps.append(Waypoint(pose, tool))
     return wps
 
 
@@ -178,16 +177,16 @@ def linear_trajectory(
     pos_dist = float(np.linalg.norm(goal.translation - start.translation))
     rot_dist = rotation_geodesic(start.rotation, goal.rotation)
     if pos_dist == 0.0 and rot_dist == 0.0:
-        return [Waypoint(start, 0.0)]
+        return [Waypoint(start)]
     n = int(np.ceil(max(pos_dist / max_step_pos, rot_dist / max_step_rot))) + 1
     fractions = np.linspace(0.0, 1.0, n)
     wps = []
     for f, R in zip(fractions, slerp(start.rotation, goal.rotation, fractions)):
         t = (1.0 - f) * start.translation + f * goal.translation
-        wps.append(Waypoint(RigidPose(R, t), float(f)))
+        wps.append(Waypoint(RigidPose(R, t)))
     # endpoints exact
-    wps[0] = Waypoint(start, 0.0)
-    wps[-1] = Waypoint(goal, 1.0)
+    wps[0] = Waypoint(start)
+    wps[-1] = Waypoint(goal)
     return wps
 
 

@@ -9,8 +9,10 @@ chord. One Levenberg-Marquardt descent (lm.solve) on point-to-line
 residuals then refines the 6-DOF parameter vector [theta1, theta2, kp_st,
 kp_ed]; it stops once a damped step would move no residual by 0.01 px
 (_MIN_STEP_PX), after 10 rejected tries, on a singular damped system, with
-no residual row left, or after max_steps iterations. Every objective value
-comes from one scene evaluator (array math on vectors, no pose objects).
+no residual row left, or after _MAX_ITERATIONS iterations. One scene
+evaluator gives the objective value and the residuals of every vector from
+one projection and one nearest-sample pairing (array math on vectors, no
+pose objects).
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .needle import BinaryMask, NeedleShape, needle_frames, params_to_pose, pose
 
 # mask pixels scored per view; a larger mask is strided down to at most this
 _MASK_PIXEL_CAP = 2000
+# arc samples projected per view; below 4 the point-to-line Jacobian is
+# singular
+_AXIS_SAMPLE_COUNT = 200
 # squared pixels charged per mask pixel of a view that no arc sample reaches
 _EMPTY_VIEW_PENALTY = 1e4
 
@@ -35,6 +40,10 @@ _JAC_STEPS = np.array([1e-6, 1e-6, 1e-4, 1e-4, 1e-4, 1e-4])
 # the descent stops once a damped step is predicted to move no residual by
 # this many pixels or more: a hundredth of the pixel grid the masks are on
 _MIN_STEP_PX = 0.01
+# Levenberg-Marquardt iterations of the descent
+_MAX_ITERATIONS = 100
+# the estimate is rejected when J per mask pixel exceeds this
+_REJECT_MEAN_SQ_PX = 25.0
 
 # rectified mask pixels of one row more than this many pixels apart belong
 # to different runs
@@ -58,36 +67,12 @@ class NoSeed(EstimatorError):
 class NoConvergence(EstimatorError):
     """The descent ended above the reject threshold.
 
-    Carries the offending (pose, report, steps) so callers can still
-    inspect it.
+    Carries the offending (pose, J, steps) so callers can still inspect it.
     """
 
     def __init__(self, msg, result=None):
         super().__init__(msg)
         self.result = result
-
-
-@dataclass(frozen=True)
-class ObjectiveReport:
-    value: float
-    per_view_value: tuple[float, float]
-    mask_pixels_used: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    max_steps: int = 100  # Levenberg-Marquardt iterations of the descent
-    axis_sample_count: int = 200
-    reject_mean_sq_px: float = 25.0  # reject when J / n_pixels exceeds this
-
-    def __post_init__(self):
-        # axis_sample_count below 4 leaves the point-to-line Jacobian singular
-        for name, low in (("max_steps", 1), ("axis_sample_count", 4)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not 0 < self.reject_mean_sq_px < np.inf:
-            raise ValueError(
-                f"reject_mean_sq_px must be a finite number > 0, got {self.reject_mean_sq_px}")
 
 
 @dataclass(frozen=True)
@@ -127,20 +112,24 @@ def _sq_dists(mask_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     return mask_rows @ np.column_stack([points, np.ones(len(points)), sq]).T
 
 
-def _chamfer(mask_rows: np.ndarray, points_px: np.ndarray, visible: np.ndarray) -> float:
-    """Sum over mask pixels of the squared distance to the nearest visible
-    point.
+def _nearest(mask_rows: np.ndarray, points_px: np.ndarray,
+             visible: np.ndarray) -> tuple[float, np.ndarray]:
+    """One view's chamfer value and pairing from one distance product.
 
     mask_rows from _mask_rows (M pixels); points_px (N, 2), ignored where
-    visible (N,) is False. With no visible point every mask pixel pays
-    _EMPTY_VIEW_PENALTY.
+    visible (N,) is False. Returns the sum over mask pixels of the squared
+    distance to the nearest visible point, and that point's index (M,).
+    The value is 0 with no mask pixel; with no visible point every mask
+    pixel pays _EMPTY_VIEW_PENALTY (and pairs with a hidden point).
     """
-    M = len(mask_rows)
-    if M == 0:
-        return 0.0
+    # far sentinel for hidden points
+    d2 = _sq_dists(mask_rows, np.where(visible[:, None], points_px, 1e9))
+    near = d2.argmin(axis=1)
+    if len(near) == 0:
+        return 0.0, near
     if not visible.any():
-        return _EMPTY_VIEW_PENALTY * M
-    return float(_sq_dists(mask_rows, points_px[visible]).min(axis=1).sum())
+        return _EMPTY_VIEW_PENALTY * len(near), near
+    return float(d2[np.arange(len(near)), near].sum()), near
 
 
 class SceneEvaluator:
@@ -148,18 +137,17 @@ class SceneEvaluator:
 
     Precomputes per-scene constants (capped mask pixels and their distance
     terms, arc body samples) once; project() then runs pure array math, and
-    per_view() adds one distance product per view.
+    trial() adds one distance product per view.
     """
 
-    def __init__(self, masks, shape: NeedleShape, rig: StereoRig, config: EstimatorConfig):
+    def __init__(self, masks, shape: NeedleShape, rig: StereoRig):
         if all(len(m) == 0 for m in masks):
             raise EmptyMasks("both views have empty masks")
         self.shape = shape
         self.rig = rig
-        self.config = config
         self.mask_px = [_subsample(m.foreground).astype(float) for m in masks]
         self._mask_rows = [_mask_rows(m) for m in self.mask_px]
-        body = shape.arc_points_body(np.linspace(0.0, shape.arc_angle, config.axis_sample_count))
+        body = shape.arc_points_body(np.linspace(0.0, shape.arc_angle, _AXIS_SAMPLE_COUNT))
         self._body_xy = body[:, :2]  # arc is planar, z = 0 in the body frame
 
     def project(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,66 +163,46 @@ class SceneEvaluator:
         px, vis = zip(*(cam.project_many(pts) for cam in self.rig.cameras))
         return np.stack(px, axis=-3), np.stack(vis, axis=-2), valid
 
-    def per_view(self, vec: np.ndarray) -> np.ndarray:
-        """Per-view objective values (2,) of one vector; inf outside the domain."""
-        px, vis, valid = self.project(vec)
-        if not valid[0]:
-            return np.full(len(self._mask_rows), np.inf)
-        return np.array([_chamfer(rows, px[0, k], vis[0, k])
-                         for k, rows in enumerate(self._mask_rows)])
+    def trial(self, vec: np.ndarray):
+        """The chamfer objective J of one vector and a callable for its
+        point-to-line residuals, in lm.solve's trial shape.
 
-    def evaluate(self, vec: np.ndarray) -> float:
-        """Objective value of one vector (per_view summed); inf outside the
-        domain."""
-        return float(self.per_view(vec).sum())
-
-    def residuals(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Point-to-line residuals r (R,) at one vector and their Jacobian
-        A (R, 6).
-
-        Per view, each mask pixel is paired with its nearest visible arc
-        sample. Its residual is the offset from that sample projected on
-        the sample's normal (tangent from np.gradient over the samples);
-        a pixel paired with an arc end keeps both offset coordinates, as
-        two rows after the one-row pixels. The Jacobian holds pairing and
-        normals fixed and forward-differences the projected samples by
-        _JAC_STEPS, all 7 vectors in one projection. Non-finite rows are
-        dropped, so R may be 0.
+        J sums the per-view _nearest values; it is inf outside the domain.
+        The callable returns residuals r (R,) and their Jacobian A (R, 6),
+        also outside the domain. Each mask pixel's residual is its offset
+        from the sample it was paired with, projected on the sample's normal
+        (tangent from np.gradient over the samples); a pixel paired with an
+        arc end keeps both offset coordinates, as two rows after the one-row
+        pixels. The Jacobian holds pairing and normals fixed and
+        forward-differences the projected samples by _JAC_STEPS, the 6
+        probes in one projection. Non-finite rows are dropped, so R may be 0.
         """
-        px = self.project(vec + np.vstack([np.zeros(6), np.diag(_JAC_STEPS)]))[0]
-        dpx = (px[1:] - px[:1]) / _JAC_STEPS[:, None, None, None]  # (6, V, N, 2)
-        rows, jac = [], []
-        for k, (mpx, mrows) in enumerate(zip(self.mask_px, self._mask_rows)):
-            p = px[0, k]  # (N, 2)
-            # far sentinel for samples behind the camera
-            near = _sq_dists(mrows, np.nan_to_num(p, nan=1e9)).argmin(axis=1)  # (M,)
-            tan = np.gradient(p, axis=0)
-            normal = np.column_stack([-tan[:, 1], tan[:, 0]])
-            normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-            off = mpx - p[near]  # (M, 2)
-            n = normal[near]
-            dp = dpx[:, k, near].transpose(1, 2, 0)  # (M, 2, 6)
-            end = (near == 0) | (near == len(p) - 1)
-            rows += [np.einsum("mi,mi->m", off[~end], n[~end]), off[end].reshape(-1)]
-            jac += [-np.einsum("mi,mij->mj", n[~end], dp[~end]), -dp[end].reshape(-1, 6)]
-        r, A = np.concatenate(rows), np.concatenate(jac)
-        keep = np.isfinite(r) & np.isfinite(A).all(axis=1)
-        return r[keep], A[keep]
+        px, vis, valid = self.project(vec)
+        px, vis = px[0], vis[0]
+        values, pairs = zip(*(_nearest(rows, p, v)
+                              for rows, p, v in zip(self._mask_rows, px, vis)))
+        J = sum(values) if valid[0] else np.inf
 
-    def report(self, vec: np.ndarray) -> ObjectiveReport:
-        """Objective report for one parameter vector."""
-        per_view = tuple(float(v) for v in self.per_view(vec))
-        return ObjectiveReport(
-            value=sum(per_view),
-            per_view_value=per_view,
-            mask_pixels_used=tuple(len(mp) for mp in self.mask_px),
-        )
+        def linearize():
+            probes = self.project(vec + np.diag(_JAC_STEPS))[0]
+            dpx = (probes - px) / _JAC_STEPS[:, None, None, None]  # (6, V, N, 2)
+            rows, jac = [], []
+            for k, (mpx, near) in enumerate(zip(self.mask_px, pairs)):
+                p = px[k]  # (N, 2)
+                tan = np.gradient(p, axis=0)
+                normal = np.column_stack([-tan[:, 1], tan[:, 0]])
+                normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+                off = mpx - p[near]  # (M, 2)
+                n = normal[near]
+                dp = dpx[:, k, near].transpose(1, 2, 0)  # (M, 2, 6)
+                end = (near == 0) | (near == len(p) - 1)
+                rows += [np.einsum("mi,mi->m", off[~end], n[~end]), off[end].reshape(-1)]
+                jac += [-np.einsum("mi,mij->mj", n[~end], dp[~end]), -dp[end].reshape(-1, 6)]
+            r, A = np.concatenate(rows), np.concatenate(jac)
+            keep = np.isfinite(r) & np.isfinite(A).all(axis=1)
+            return r[keep], A[keep]
 
-
-def _descend(vec: np.ndarray, ev: SceneEvaluator, max_steps: int):
-    """lm.solve on the chamfer objective J from one seed: (vec, J, steps)."""
-    trial = lambda v: (ev.evaluate(v), lambda: ev.residuals(v))
-    return lm.solve(vec, trial, _MIN_STEP_PX, max_steps)[:3]
+        return J, linearize
 
 
 def _run_centroids(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,26 +300,24 @@ def estimate(
     hints: KeypointHints,
     shape: NeedleShape,
     rig: StereoRig,
-    config: EstimatorConfig = EstimatorConfig(),
-) -> tuple[RigidPose, ObjectiveReport, int]:
+) -> tuple[RigidPose, float, int]:
     """Needle pose from stereo masks and the left keypoint hints.
 
     One Levenberg-Marquardt descent from the algebraic seed (_seed).
-    Returns (pose, report, steps), steps counting the descent's iterations.
-    Raises NoConvergence when the mean squared pixel error exceeds
-    config.reject_mean_sq_px, NoSeed when no seed can be formed and
-    EmptyMasks when both masks are empty. Deterministic for fixed inputs
-    (no rng).
+    Returns (pose, J, steps): J is the chamfer objective (squared pixels)
+    at the pose, steps the descent's iterations. Raises NoConvergence when
+    J per mask pixel exceeds _REJECT_MEAN_SQ_PX, NoSeed when no seed can be
+    formed and EmptyMasks when both masks are empty. Deterministic for
+    fixed inputs (no rng).
     """
-    ev = SceneEvaluator(masks, shape, rig, config)
-    vec, _, steps = _descend(_seed(masks, hints, shape, rig), ev, config.max_steps)
+    ev = SceneEvaluator(masks, shape, rig)
+    vec, J, steps, _ = lm.solve(_seed(masks, hints, shape, rig), ev.trial, _MIN_STEP_PX,
+                                _MAX_ITERATIONS)
     pose = params_to_pose(vec, shape, rig.left)
-    report = ev.report(vec)
-    n_px = max(1, sum(report.mask_pixels_used))
-    if report.value / n_px > config.reject_mean_sq_px:
+    mean_sq_px = J / max(1, sum(len(m) for m in ev.mask_px))
+    if mean_sq_px > _REJECT_MEAN_SQ_PX:
         raise NoConvergence(
-            f"mean squared pixel error {report.value / n_px:.2f} exceeds "
-            f"{config.reject_mean_sq_px}",
-            result=(pose, report, steps),
+            f"mean squared pixel error {mean_sq_px:.2f} exceeds {_REJECT_MEAN_SQ_PX}",
+            result=(pose, J, steps),
         )
-    return pose, report, steps
+    return pose, J, steps

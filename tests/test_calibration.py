@@ -9,6 +9,7 @@ from suturekit.calibration import (
     CalibrationError,
     FeatureBehindCamera,
     FeatureModel,
+    NonFiniteLoss,
     Scaler,
     TrainConfig,
     calibrate_direct,
@@ -468,6 +469,15 @@ class TestTraining:
     def test_config_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("learning_rate", [1e6, 1e10])
+    def test_diverging_training_raises(self, parts, learning_rate):
+        # at 1e6 Adam's second moment overflows and used to freeze the
+        # weights at inf; at 1e10 the loss itself overflows
+        data = generate_dataset(*parts, count=600)
+        cfg = TrainConfig(hidden_sizes=(8,), epochs=5, batch_size=64, learning_rate=learning_rate)
+        with pytest.raises(NonFiniteLoss, match=r"training diverged at epoch \d+: overflow"):
+            mlp_train(data, cfg)
 
     def test_dataset_smaller_than_batch_rejected(self, small_dataset):
         with pytest.raises(ValueError):

@@ -78,6 +78,16 @@ class TestExitCodes:
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "calib_model.json").exists()
 
+    def test_diverging_training_is_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "count": 600, "hidden_sizes": [8], "epochs": 5, "batch_size": 64,
+            "learning_rate": 1e10,
+        })
+        assert run_cli(["calib", "gen", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert run_cli(["calib", "train", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert "NonFiniteLoss: training diverged at epoch" in capsys.readouterr().err
+        assert not (tmp_path / "calib_model.json").exists()
+
     @pytest.mark.parametrize("cfg, message", [
         ({"noise_px": -1}, "noise_px must be a finite number >= 0, got -1.0"),
         ({"noise_px": float("nan")}, "noise_px must be a finite number >= 0, got nan"),
@@ -103,15 +113,18 @@ class TestExitCodes:
             run_cli(["calib", "gen", "--scenes", "5", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command, key", [
-        (["pose-bench", "--scenes", "1"], "depth_range"),
-        (["suture-run"], "lr_px"),
+    # the estimator's knobs became constants: an estimator object, with any
+    # of its former keys, is an unknown key (axis_sample_count 10 once
+    # passed a scene 1.2 mm off as converged)
+    @pytest.mark.parametrize("command, estimator", [
+        (["pose-bench", "--scenes", "1"], {"axis_sample_count": 10}),
+        (["suture-run"], {"max_steps": 50, "reject_mean_sq_px": 9.0}),
     ], ids=["pose-bench", "suture-run"])
-    def test_unknown_estimator_key_is_config_error(self, tmp_path, capsys, command, key):
-        cfg = write_config(tmp_path / "c.json", {"estimator": {key: [0.2, 0.3]}})
+    def test_unknown_estimator_key_is_config_error(self, tmp_path, capsys, command, estimator):
+        cfg = write_config(tmp_path / "c.json", {"estimator": estimator})
         code = run_cli(command + ["--config", cfg, "--out-dir", str(tmp_path)])
         assert code == 2
-        assert f"unknown estimator keys: {key}" in capsys.readouterr().err
+        assert f"unknown {command[0]} keys: estimator" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize("command, cfg, message", [
@@ -120,16 +133,14 @@ class TestExitCodes:
         (["calib", "gen"], {"count": 300, "epoch": 3}, "unknown calib keys: epoch"),
         (["control-sim"], {"scenes": 2}, "unknown control-sim keys: scenes"),
         (["suture-run"], {"shape": {"radius": 8.0}}, "unknown shape keys: radius"),
-        # settings that became constants
+        # settings that became constants, at the top level too
         (["pose-bench"], {"min_view_angle_rad": float("nan")},
          "unknown pose-bench keys: min_view_angle_rad"),
-        (["pose-bench"], {"estimator": {"mask_pixel_cap": 1000}},
-         "unknown estimator keys: mask_pixel_cap"),
-        (["suture-run"], {"estimator": {"empty_view_penalty": 1e3}},
-         "unknown estimator keys: empty_view_penalty"),
+        (["pose-bench"], {"mask_pixel_cap": 1000}, "unknown pose-bench keys: mask_pixel_cap"),
+        (["suture-run"], {"empty_view_penalty": 1e3},
+         "unknown suture-run keys: empty_view_penalty"),
         # one algebraic seed replaced the best seed_count grid seeds
-        (["pose-bench"], {"estimator": {"seed_count": 0}},
-         "unknown estimator keys: seed_count"),
+        (["pose-bench"], {"seed_count": 0}, "unknown pose-bench keys: seed_count"),
     ], ids=["pose-bench", "calib", "control-sim", "shape", "min_view_angle_rad",
             "mask_pixel_cap", "empty_view_penalty", "seed_count"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, command, cfg, message):
@@ -143,9 +154,6 @@ class TestExitCodes:
         (["pose-bench"], {"scenes": "two"}, 'scenes must be an integer, got "two"'),
         (["pose-bench"], {"scenes": 1.5}, "scenes must be an integer"),
         (["pose-bench"], {"depth_range_m": [0.1]}, "depth_range_m must be a list of 2"),
-        (["pose-bench"], {"estimator": [3]}, "estimator must be an object, got [3]"),
-        (["pose-bench"], {"estimator": {"max_steps": "9"}},
-         "estimator.max_steps must be an integer"),
         (["suture-run"], {"shape": 8.0}, "shape must be an object, got 8.0"),
         (["suture-run"], {"shape": {"radius_mm": "8"}}, "shape.radius_mm must be a number"),
         (["suture-run"], {"compensate": 1}, "compensate must be true or false"),
@@ -153,8 +161,8 @@ class TestExitCodes:
         (["calib", "train"], {"hidden_sizes": [8, "x"]}, "hidden_sizes must be a list"),
         (["control-sim"], {"kp": [0.5, 0.5]}, "kp must be a number or a list of 6"),
         (["control-sim"], {"seed": True}, "seed must be an integer, got true"),
-    ], ids=["scenes-str", "scenes-float", "depth-range", "estimator", "estimator-field",
-            "shape", "shape-field", "compensate", "count", "hidden-sizes", "kp", "seed"])
+    ], ids=["scenes-str", "scenes-float", "depth-range", "shape", "shape-field", "compensate",
+            "count", "hidden-sizes", "kp", "seed"])
     def test_wrong_value_type_is_config_error(self, tmp_path, capsys, command, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -179,18 +187,15 @@ class TestExitCodes:
         ({"scenes": 0}, "scenes must be >= 1"),
         ({"occlusion_fractions": []}, "occlusion_fractions must be one or more numbers"),
         ({"occlusion_fractions": [0.0, -0.3]}, "occlusion_fractions must be one or more"),
-        ({"estimator": {"axis_sample_count": 3}}, "axis_sample_count must be >= 4"),
-        ({"estimator": {"reject_mean_sq_px": float("inf")}},
-         "reject_mean_sq_px must be a finite number > 0, got inf"),
         ({"shape": {"radius_mm": float("nan")}}, "radius must be a finite number > 0, got nan"),
         ({"shape": {"radius_mm": float("inf")}}, "radius must be a finite number > 0, got inf"),
         ({"line_width": float("nan")}, "line_width must be a finite number >= 1, got nan"),
         ({"line_width": 0.5}, "line_width must be a finite number >= 1, got 0.5"),
         ({"depth_range_m": [0.2, 0.08]}, "depth_range must be finite with 0 < lo < hi"),
         ({"depth_range_m": [0.08, float("inf")]}, "depth_range must be finite with 0 < lo"),
-    ], ids=["scenes", "no-fractions", "negative-fraction", "axis_sample_count",
-            "reject-infinite", "radius-nan", "radius-inf", "line_width-nan", "line_width-below-one",
-            "depth-range-reversed", "depth-range-infinite"])
+    ], ids=["scenes", "no-fractions", "negative-fraction", "radius-nan", "radius-inf",
+            "line_width-nan", "line_width-below-one", "depth-range-reversed",
+            "depth-range-infinite"])
     def test_pose_bench_config_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -243,8 +248,6 @@ NON_DEFAULT = {
     "seed": 7, "scenes": 3, "occlusion_fractions": [0.0, 0.3], "line_width": 2.0,
     "baseline_mm": 25.0, "depth_range_m": [0.1, 0.15],
     "shape.radius_mm": 8.0, "shape.arc_angle_deg": 150.0,
-    "estimator.max_steps": 50, "estimator.axis_sample_count": 100,
-    "estimator.reject_mean_sq_px": 9.0,
     "count": 500, "delta_range_deg": 4.0, "noise_px": 0.5, "epochs": 3, "batch_size": 64,
     "learning_rate": 0.01, "hidden_sizes": [8], "test_count": 50,
     "beta": 0.5, "kp": 0.4, "ki": [0.1] * 6, "q_des_deg": [1, 2, 3, 4, 5, 6],

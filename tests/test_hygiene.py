@@ -3,8 +3,8 @@ or imports scipy (a test-only oracle), only geometry.py inverts a camera
 pose (PinholeCamera keeps the one camera-from-world transform), only lm.py
 solves a linear system (the one Levenberg-Marquardt loop), the CLI
 restates no default that a library keyword already has, and every function,
-class, method and property is read by the program or the benchmark, not
-only by tests."""
+class, method, property and class field is read by the program or the
+benchmark, not only by tests."""
 
 import ast
 import os
@@ -295,15 +295,19 @@ PERFBENCH = SRC.parents[1] / "perfbench"
 
 def definitions(source: str, module: str) -> list[tuple[str, str]]:
     """(qualified name, name) of each top-level function and class of
-    `source` and of each method and property of those classes; dunder
-    methods, which the language calls, are left out."""
+    `source` and of each method, property and annotated field (dataclass
+    and NamedTuple fields) of those classes; dunder methods, which the
+    language calls, are left out."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((f"{module}.{node.name}", node.name))
         if isinstance(node, ast.ClassDef):
-            out += [(f"{module}.{node.name}.{item.name}", item.name) for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+            names = [item.name for item in node.body
+                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+            names += [item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            out += [(f"{module}.{node.name}.{name}", name) for name in names]
     return out
 
 
@@ -354,8 +358,22 @@ def _unused(trace):
 """
 
 
+# planning.py's waypoint while it recorded a circle angle that only tests read
+OLD_WAYPOINT = """\
+@dataclass(frozen=True)
+class Waypoint:
+    pose: RigidPose
+    arc_param: float  # circle angle (rad) or path fraction for linear moves
+    tool_pose: RigidPose | None = None
+"""
+
+
 def test_scan_flags_an_unread_definition():
     readers = [OLD_TRACE, "e = control.steady_state_error(control.ServoTrace(err))\n"]
     assert unread_definitions({"control": OLD_TRACE}, readers) == [
         "control.ServoTrace.final_error", "control._unused",
+    ]
+    readers = [OLD_WAYPOINT, "wp = Waypoint(pose, 0.0)\nik(wp.tool_pose or wp.pose)\n"]
+    assert unread_definitions({"planning": OLD_WAYPOINT}, readers) == [
+        "planning.Waypoint.arc_param",
     ]

@@ -24,6 +24,14 @@ from conftest import random_rotation
 SHAPE = NeedleShape(0.01)
 
 
+def tip_angle(circle, wp):
+    """Circle angle of the waypoint's needle tip, from atan2 in the circle
+    frame, taken within half a turn of the deepest point."""
+    d = wp.pose.apply(needle_tip_body(SHAPE)) - circle.center
+    a = np.arctan2(d @ circle.in_plane_y, d @ circle.in_plane_x) - circle.theta_deepest
+    return circle.theta_deepest + (a + np.pi) % (2.0 * np.pi) - np.pi
+
+
 def make_ports(chord=0.012, normal=(0.0, 0.0, 1.0), center=(0.0, 0.0, 0.0)):
     center = np.asarray(center, dtype=float)
     n = np.asarray(normal, dtype=float)
@@ -111,9 +119,10 @@ class TestCircularTrajectory:
         c = suture_circle(ports, SHAPE)
         tip_b = needle_tip_body(SHAPE)
         wps = circular_trajectory(ports, SHAPE, 33)
-        for wp in wps:
+        for wp, theta in zip(wps, np.linspace(c.theta_entry, c.theta_exit, 33)):
             tip = wp.pose.apply(tip_b)
-            assert np.allclose(tip, c.point(wp.arc_param), atol=1e-9)
+            assert np.isclose(tip_angle(c, wp), theta, atol=1e-9)
+            assert np.allclose(tip, c.point(theta), atol=1e-9)
             assert np.allclose(wp.pose.translation, c.center, atol=1e-12)
 
     def test_entry_and_exit_incidence(self):
@@ -227,19 +236,20 @@ class TestPlanSuturePass:
             assert rotation_geodesic(pa.rotation, pb.rotation) < 1e-9
 
     def test_monotone_arc_parameters(self, plan):
-        _, segments = plan
+        ports, segments = plan
+        circle = suture_circle(ports, SHAPE)
         for seg in segments[1:3]:
-            params = [wp.arc_param for wp in seg.waypoints]
+            params = [tip_angle(circle, wp) for wp in seg.waypoints]
             assert np.all(np.diff(params) > 0)
 
     def test_insertion_spans_entry_to_deepest(self, plan):
         ports, segments = plan
         circle = suture_circle(ports, SHAPE)
         ins, ext = segments[1], segments[2]
-        assert np.isclose(ins.waypoints[0].arc_param, circle.theta_entry)
-        assert np.isclose(ins.waypoints[-1].arc_param, circle.theta_deepest)
-        assert np.isclose(ext.waypoints[0].arc_param, circle.theta_deepest)
-        assert np.isclose(ext.waypoints[-1].arc_param, circle.theta_exit)
+        assert np.isclose(tip_angle(circle, ins.waypoints[0]), circle.theta_entry)
+        assert np.isclose(tip_angle(circle, ins.waypoints[-1]), circle.theta_deepest)
+        assert np.isclose(tip_angle(circle, ext.waypoints[0]), circle.theta_deepest)
+        assert np.isclose(tip_angle(circle, ext.waypoints[-1]), circle.theta_exit)
 
     def test_retreat_lifts_along_normal(self, plan):
         ports, segments = plan
