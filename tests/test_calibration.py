@@ -396,8 +396,9 @@ def small_dataset(parts):
 
 def reference_train(data, config):
     """mlp_train's float32 loop with the Adam update written out of place,
-    one expression per moment; returns the float32 parameters and the
-    per-epoch mean training loss."""
+    one expression per moment and without the subnormal flush; returns the
+    float32 parameters, the per-epoch mean training loss and the number of
+    subnormal first-moment entries held at each epoch end."""
     X, Y = data[:, :-6], data[:, -6:]
     rng = np.random.default_rng(config.rng_seed)
     perm = rng.permutation(len(X))
@@ -412,7 +413,8 @@ def reference_train(data, config):
     params = model.weights + model.biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
-    t, lr, curve = 0, config.learning_rate, []
+    t, lr, curve, subnormals = 0, config.learning_rate, [], []
+    tiny = np.finfo(np.float32).tiny
     for _ in range(config.epochs):
         order = rng.permutation(train_idx)
         losses = []
@@ -428,7 +430,8 @@ def reference_train(data, config):
                 params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + _EPS)
         lr *= _LR_FINAL_FRACTION ** (1.0 / config.epochs)
         curve.append(float(np.mean(losses)))
-    return params, curve
+        subnormals.append(sum(int(np.count_nonzero((mi != 0) & (np.abs(mi) < tiny))) for mi in m))
+    return params, curve, subnormals
 
 
 class TestTraining:
@@ -449,10 +452,23 @@ class TestTraining:
     def test_matches_out_of_place_adam_in_float32(self, small_dataset):
         cfg = TrainConfig(hidden_sizes=(16, 8), epochs=4, batch_size=32, rng_seed=2)
         res = mlp_train(small_dataset, cfg)
-        params, curve = reference_train(small_dataset, cfg)
+        params, curve, _ = reference_train(small_dataset, cfg)
         assert res.train_loss == curve
         for got, want in zip(res.model.weights + res.model.biases, params):
             assert got.dtype == np.float64
+            assert np.array_equal(got, want.astype(np.float64))
+
+    def test_subnormal_flush_is_exact(self, small_dataset):
+        # at this rate dead units leave subnormal first moments at many epoch
+        # ends; mlp_train zeroes them there and must still match, bit for bit,
+        # a reference that keeps them
+        cfg = TrainConfig(hidden_sizes=(64, 32), epochs=150, batch_size=32,
+                          learning_rate=1e-2, rng_seed=2)
+        res = mlp_train(small_dataset, cfg)
+        params, curve, subnormals = reference_train(small_dataset, cfg)
+        assert max(subnormals) > 0
+        assert res.train_loss == curve
+        for got, want in zip(res.model.weights + res.model.biases, params):
             assert np.array_equal(got, want.astype(np.float64))
 
     @pytest.mark.parametrize("field, value", [
@@ -539,6 +555,26 @@ class TestModelSerialization:
         back = load_mlp(path)
         X = rng.normal(size=(8, 5))
         assert np.allclose(back.forward(X), m.forward(X), atol=1e-12)
+
+    def test_bytes_match_json_dump(self, tmp_path):
+        # 14 x 400 = 5600 weights span two of save_model's 4096-value slices
+        rng = np.random.default_rng(15)
+        sc_in = Scaler(rng.normal(size=14), np.abs(rng.normal(size=14)) + 0.1)
+        sc_out = Scaler(rng.normal(size=6), np.abs(rng.normal(size=6)) + 0.1)
+        m = mlp_init([14, 400, 6], sc_in, sc_out, rng)
+        m.biases = [rng.normal(size=len(b)) for b in m.biases]
+        payload = {
+            "layer_sizes": [14, 400, 6],
+            "input_scaler": {"mean": sc_in.mean.tolist(), "std": sc_in.std.tolist()},
+            "output_scaler": {"mean": sc_out.mean.tolist(), "std": sc_out.std.tolist()},
+            "weights": [W.reshape(-1).tolist() for W in m.weights],
+            "biases": [b.tolist() for b in m.biases],
+        }
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        with open(tmp_path / "reference.json", "w") as f:
+            json.dump(payload, f)
+        assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     @pytest.mark.parametrize("tamper", ["extra bias", "input scaler", "output scaler"])
     def test_tampered_layer_lists_rejected(self, tmp_path, tamper):
