@@ -81,7 +81,8 @@ class BinaryMask:
                 raise ValueError("foreground u out of bounds")
             if fg[:, 1].min() < 0 or fg[:, 1].max() >= self.height:
                 raise ValueError("foreground v out of bounds")
-            if len(np.unique(fg[:, 0] * self.height + fg[:, 1])) != len(fg):
+            key = np.sort(fg[:, 0] * self.height + fg[:, 1])
+            if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate foreground pixels")
         object.__setattr__(self, "foreground", fg)
 
@@ -279,7 +280,8 @@ def rasterize(
     near = np.hypot(diff[..., 0], diff[..., 1]) <= radius
     cu, cv = cand[near].astype(int).T
     inside = (cu >= 0) & (cu < camera.width) & (cv >= 0) & (cv < camera.height)
-    key = np.unique(cu[inside] * camera.height + cv[inside])  # sorted by (u, v)
+    key = np.sort(cu[inside] * camera.height + cv[inside])  # sorted by (u, v)
+    key = key[np.diff(key, prepend=-1) != 0]  # each pixel once; keys are >= 0
     fg = np.column_stack([key // camera.height, key % camera.height])
     return BinaryMask(camera.width, camera.height, fg)
 

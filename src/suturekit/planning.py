@@ -124,16 +124,6 @@ def suture_circle(ports: SuturePorts, shape: NeedleShape) -> SutureCircle:
     )
 
 
-def _needle_pose_at(circle: SutureCircle, shape: NeedleShape, theta: float) -> RigidPose:
-    """Needle pose whose tip sits at circle angle theta, tangent to travel."""
-    half = shape.arc_angle / 2.0
-    a = theta - half  # in-plane angle of the needle frame x axis
-    x_n = np.cos(a) * circle.in_plane_x + np.sin(a) * circle.in_plane_y
-    y_n = -np.sin(a) * circle.in_plane_x + np.cos(a) * circle.in_plane_y
-    R = np.column_stack([x_n, y_n, circle.normal])
-    return RigidPose(R, circle.center)
-
-
 def circular_trajectory(
     ports: SuturePorts,
     shape: NeedleShape,
@@ -144,20 +134,24 @@ def circular_trajectory(
 ) -> list[Waypoint]:
     """Needle waypoints sweeping the under-tissue arc from entry to exit.
 
-    When grasp_offset is given, each waypoint also carries the tool pose
-    (needle pose composed with the offset).
+    The needle tip sits at each circle angle, tangent to travel; the frames
+    of all angles are computed in one pass. When grasp_offset is given, each
+    waypoint also carries the tool pose (needle pose composed with the offset).
     """
     if waypoint_count < 2:
         raise ValueError("waypoint_count must be >= 2")
     circle = suture_circle(ports, shape)
     t0 = circle.theta_entry if theta_start is None else theta_start
     t1 = circle.theta_exit if theta_end is None else theta_end
-    wps = []
-    for theta in np.linspace(t0, t1, waypoint_count):
-        pose = _needle_pose_at(circle, shape, float(theta))
-        tool = pose.compose(grasp_offset) if grasp_offset is not None else None
-        wps.append(Waypoint(pose, tool))
-    return wps
+    # in-plane angle of each needle frame's x axis
+    a = np.linspace(t0, t1, waypoint_count)[:, None] - shape.arc_angle / 2.0
+    c, s = np.cos(a), np.sin(a)
+    x, y = circle.in_plane_x, circle.in_plane_y
+    normal = np.broadcast_to(circle.normal, (waypoint_count, 3))
+    frames = np.stack([c * x + s * y, -s * x + c * y, normal], axis=-1)  # columns x, y, z
+    poses = [RigidPose(R, circle.center) for R in frames]
+    return [Waypoint(p, p.compose(grasp_offset) if grasp_offset is not None else None)
+            for p in poses]
 
 
 def needle_tip_body(shape: NeedleShape) -> np.ndarray:

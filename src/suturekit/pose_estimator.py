@@ -249,9 +249,10 @@ def _triangulated_points(masks, rig: StereoRig) -> np.ndarray:
     (row_l, u_l), (row_r, u_r) = runs
     rows_l, n_l = np.unique(row_l, return_counts=True)
     rows_r, n_r = np.unique(row_r, return_counts=True)
-    common, i_l, i_r = np.intersect1d(rows_l, rows_r, return_indices=True)
-    paired = common[n_l[i_l] == n_r[i_r]]
-    in_l, in_r = np.isin(row_l, paired), np.isin(row_r, paired)
+    common, i_l, i_r = np.intersect1d(rows_l, rows_r, assume_unique=True, return_indices=True)
+    paired = common[n_l[i_l] == n_r[i_r]]  # sorted
+    in_l, in_r = (np.searchsorted(paired, row, "right") > np.searchsorted(paired, row)
+                  for row in (row_l, row_r))
     u, v, disparity = u_l[in_l], row_l[in_l], u_l[in_l] - u_r[in_r]
     ahead = disparity > 0
     rect = np.column_stack([u, v, np.full(len(u), f)])[ahead] * (B / disparity[ahead])[:, None]

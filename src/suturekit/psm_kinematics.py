@@ -30,6 +30,7 @@ JointVector = np.ndarray
 
 REVOLUTE = np.array([True, True, False, True, True, True])
 PRISMATIC_INDEX = 2
+_REVOLUTE_INDICES = tuple(np.flatnonzero(REVOLUTE).tolist())
 
 # yaw width stays below pi so the mirrored shoulder branch is always out of
 # limits; the instrument roll spans far past 2*pi to drive long needle sweeps
@@ -86,12 +87,14 @@ class KinematicModel:
         if np.any(lim[:, 0] >= lim[:, 1]):
             raise ValueError("joint limits must satisfy lo < hi")
         object.__setattr__(self, "joint_limits", lim)
+        # (lo, hi) float pairs: in_limits and ik compare Python floats
+        object.__setattr__(self, "_limit_pairs", tuple(map(tuple, lim.tolist())))
 
-    def in_limits(self, q: JointVector, tol: float = 1e-9) -> bool:
-        return bool(
-            np.all(q >= self.joint_limits[:, 0] - tol)
-            and np.all(q <= self.joint_limits[:, 1] + tol)
-        )
+    def in_limits(self, q, tol: float = 1e-9) -> bool:
+        for v, (lo, hi) in zip(q, self._limit_pairs):
+            if not lo - tol <= v <= hi + tol:
+                return False
+        return True
 
     def joint_distance(self, qa: JointVector, qb: JointVector) -> float:
         """Per-joint infinity norm with the prismatic entry in radian
@@ -138,44 +141,38 @@ def ik(model: KinematicModel, target: RigidPose, q4_hint: float = 0.0) -> list[J
     if s <= 1e-12:
         raise Unreachable("wrist point at or behind the remote center of motion")
     q3 = s - model.shaft_offset
-    d = w / nw
+    dx, dy, dz = (w / nw).tolist()  # Python floats; min/max clip them as np.clip does
 
-    dz = float(np.clip(d[2], -1.0, 1.0))
-    sols: list[JointVector] = []
+    sols: list[list[float]] = []
     shoulder = []
-    q2a = float(np.arccos(dz))
+    q2a = float(np.arccos(min(max(dz, -1.0), 1.0)))
     if abs(np.sin(q2a)) < 1e-12:
         # shaft along base z: q1 undetermined, freeze at 0
         shoulder.append((0.0, q2a))
     else:
-        shoulder.append((float(np.arctan2(d[0], -d[1])), q2a))
-        shoulder.append((float(np.arctan2(-d[0], d[1])), -q2a))
+        shoulder.append((float(np.arctan2(dx, -dy)), q2a))
+        shoulder.append((float(np.arctan2(-dx, dy)), -q2a))
 
     for q1, q2 in shoulder:
-        Rw = (_rz(q1) @ _rx(q2)).T @ R  # = Rz(q4) Rx(q5) Rz(q6)
-        cb = float(np.clip(Rw[2, 2], -1.0, 1.0))
-        sb = float(np.hypot(Rw[0, 2], Rw[1, 2]))
+        Rw = ((_rz(q1) @ _rx(q2)).T @ R).tolist()  # = Rz(q4) Rx(q5) Rz(q6)
+        cb = min(max(Rw[2][2], -1.0), 1.0)
+        sb = float(np.hypot(Rw[0][2], Rw[1][2]))
         if sb < 1e-9:
-            q5 = 0.0 if cb > 0 else np.pi
-            if cb > 0:
-                total = float(np.arctan2(Rw[1, 0], Rw[0, 0]))  # q4 + q6
-                q4, q6 = q4_hint, _wrap(total - q4_hint)
-            else:
-                diff = float(np.arctan2(Rw[1, 0], Rw[0, 0]))  # q4 - q6
-                q4, q6 = q4_hint, _wrap(q4_hint - diff)
-            branches = [(q4, q5, q6)]
+            # the angle is q4 + q6 at q5 = 0 and q4 - q6 at q5 = pi
+            angle = float(np.arctan2(Rw[1][0], Rw[0][0]))
+            q6 = _wrap(angle - q4_hint) if cb > 0 else _wrap(q4_hint - angle)
+            branches = [(q4_hint, 0.0 if cb > 0 else np.pi, q6)]
         else:
             b = float(np.arctan2(sb, cb))
-            a = float(np.arctan2(Rw[0, 2], -Rw[1, 2]))
-            c = float(np.arctan2(Rw[2, 0], Rw[2, 1]))
+            a = float(np.arctan2(Rw[0][2], -Rw[1][2]))
+            c = float(np.arctan2(Rw[2][0], Rw[2][1]))
             branches = [(a, b, c), (_wrap(a + np.pi), -b, _wrap(c + np.pi))]
         for q4, q5, q6 in branches:
-            q = np.array([q1, q2, q3, q4, q5, q6])
             # revolute ranges wider than 2*pi admit shifted copies of the
             # wrapped solution; enumerate the ones inside the limits
-            variants = [q]
-            for j in np.flatnonzero(REVOLUTE):
-                lo, hi = model.joint_limits[j]
+            variants = [[q1, q2, q3, q4, q5, q6]]
+            for j in _REVOLUTE_INDICES:
+                lo, hi = model._limit_pairs[j]
                 grown = []
                 for v in variants:
                     grown.append(v)
@@ -186,6 +183,6 @@ def ik(model: KinematicModel, target: RigidPose, q4_hint: float = 0.0) -> list[J
                             grown.append(v2)
                 variants = grown
             sols += [v for v in variants if model.in_limits(v)]
-    sols.sort(key=tuple)
-    return sols
+    sols.sort()
+    return [np.array(v) for v in sols]
 

@@ -1,10 +1,10 @@
 """Source hygiene: no module under src/suturekit imports a name it never uses
-or imports scipy (a test-only oracle), only geometry.py inverts a camera
-pose (PinholeCamera keeps the one camera-from-world transform), only lm.py
-solves a linear system (the one Levenberg-Marquardt loop), the CLI
-restates no default that a library keyword already has, and every function,
-class, method, property and class field is read by the program or the
-benchmark, not only by tests."""
+or imports scipy (a test-only oracle), pose-bench and suture-run never load
+numpy.ma, only geometry.py inverts a camera pose (PinholeCamera keeps the
+one camera-from-world transform), only lm.py solves a linear system (the
+one Levenberg-Marquardt loop), the CLI restates no default that a library
+keyword already has, and every function, class, method, property and class
+field is read by the program or the benchmark, not only by tests."""
 
 import ast
 import os
@@ -230,6 +230,29 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_pose_and_suture_runs_load_no_numpy_ma(tmp_path):
+    """numpy imports numpy.ma on first use (about 12 ms and 1 MB); np.unique
+    without index or count outputs, np.isin on floats and np.intersect1d
+    without assume_unique all reach it, so the pose and suture paths avoid
+    them."""
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from suturekit.cli import main\n"
+        "root = Path(sys.argv[1])\n"
+        "for cmd, cfg in (('pose-bench', {'scenes': 1}), ('suture-run', {})):\n"
+        "    path = root / (cmd + '.json')\n"
+        "    path.write_text(json.dumps(cfg))\n"
+        "    assert main([cmd, '--config', str(path), '--out-dir', str(root / cmd)]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 def restated_defaults(source: str, keys) -> list[str]:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from suturekit.geometry import RigidPose
 from suturekit.psm_kinematics import (
     KinematicModel,
     PRISMATIC_INDEX,
+    REVOLUTE,
     Unreachable,
     fk,
     fk_arrays,
@@ -147,6 +150,47 @@ class TestInverseKinematics:
         assert sols and all(s[3] == 0.7 for s in sols)  # q4 frozen at the hint
         match = min(sols, key=lambda s: np.max(np.abs(s - q)))
         assert np.allclose(match, q, atol=1e-9)
+
+    @pytest.mark.parametrize("case", ["random", "roll_near_limit", "wrist_pitch_near_zero"])
+    def test_matches_brute_force_shift_product(self, case):
+        """ik returns exactly the in-limit members of the product of
+        {-2 pi, 0, +2 pi} shifts over the revolute joints of the wrapped
+        branch solutions, bit for bit and in sorted order. The wrapped
+        solutions are ik's under revolute limits of [-pi, pi]."""
+        model = KinematicModel()
+        wrapped = model.joint_limits.copy()
+        wrapped[REVOLUTE] = [-np.pi, np.pi]
+        wrapped_model = KinematicModel(joint_limits=wrapped)
+        lo, hi = model.joint_limits.T
+        shifts = (-2.0 * np.pi, 0.0, 2.0 * np.pi)
+        revolute = np.flatnonzero(REVOLUTE)
+        rng = np.random.default_rng(["random", "roll_near_limit",
+                                     "wrist_pitch_near_zero"].index(case))
+        for _ in range(40):
+            q = random_in_limit(model, rng, wrist_margin=0.0)
+            if case == "roll_near_limit":
+                # on either side of the 1e-9 limit tolerance
+                q[3] = rng.choice([-1.0, 1.0]) * (4.5 + rng.uniform(-2e-9, 2e-9))
+            if case == "wrist_pitch_near_zero":
+                q[4] = rng.choice([0.0, 1e-12, -1e-7, 1e-4])
+            hint = (q[3] + np.pi) % (2.0 * np.pi) - np.pi  # the wrapped roll
+            target = fk(model, q)
+            expected = []
+            for base in ik(wrapped_model, target, q4_hint=hint):
+                for combo in itertools.product(shifts, repeat=len(revolute)):
+                    v = [float(x) for x in base]
+                    for j, shift in zip(revolute, combo):
+                        if shift:
+                            v[j] += shift
+                    v = np.array(v)
+                    if np.all(v >= lo - 1e-9) and np.all(v <= hi + 1e-9):
+                        expected.append(v)
+            expected.sort(key=tuple)
+            got = ik(model, target, q4_hint=hint)
+            assert got, "no in-limit solution for an in-limit configuration"
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()
 
     def test_unreachable_at_rcm(self):
         model = KinematicModel()

@@ -275,6 +275,12 @@ class TestReprojectAndRasterize:
         T = RigidPose(np.eye(3), np.array([0.0, 0.0, -0.1]))
         assert len(rasterize(T, shape, rig.left)) == 0
 
+    def test_rasterize_in_front_but_out_of_image_is_empty(self, rig, shape):
+        # every stamped candidate falls outside the image: an empty key
+        T = RigidPose(np.eye(3), np.array([1.0, 0.0, 0.1]))
+        mask = rasterize(T, shape, rig.left)
+        assert len(mask) == 0 and mask.foreground.shape == (0, 2)
+
     def test_mask_pixels_near_projected_curve(self, rig, shape):
         rng = np.random.default_rng(13)
         T = random_needle_pose(rng, rig, shape)
@@ -316,4 +322,7 @@ class TestMaskValidation:
     def test_duplicate_pixels_rejected(self):
         with pytest.raises(ValueError):
             BinaryMask(10, 10, np.array([[1, 1], [1, 1]]))
+        with pytest.raises(ValueError, match="duplicate"):
+            BinaryMask(10, 10, np.array([[4, 2], [0, 9], [1, 3], [0, 9]]))
+        assert len(BinaryMask(10, 10, np.array([[4, 2], [0, 9], [2, 4], [9, 0]]))) == 4
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from suturekit.planning import (
     plan_suture_pass,
     suture_circle,
 )
-from suturekit.psm_kinematics import Unreachable
+from suturekit.control import NotConverged, servo_to
+from suturekit.psm_kinematics import KinematicModel, Unreachable, fk
 
 from conftest import random_rotation
 
@@ -155,6 +158,24 @@ class TestCircularTrajectory:
                 wp.tool_pose.matrix(), wp.pose.compose(offset).matrix(), atol=1e-12
             )
 
+    def test_matches_per_angle_construction_bitwise(self):
+        """One pass over all angles gives the bits of building each needle
+        pose on its own from the angle."""
+        ports = make_ports(normal=(0.2, -0.1, 1.0))
+        offset = RigidPose(random_rotation(np.random.default_rng(5)), np.array([0.0, 0.001, 0.004]))
+        circle = suture_circle(ports, SHAPE)
+        wps = circular_trajectory(ports, SHAPE, 17, offset)
+        for theta, wp in zip(np.linspace(circle.theta_entry, circle.theta_exit, 17), wps):
+            a = float(theta) - SHAPE.arc_angle / 2.0
+            x_n = np.cos(a) * circle.in_plane_x + np.sin(a) * circle.in_plane_y
+            y_n = -np.sin(a) * circle.in_plane_x + np.cos(a) * circle.in_plane_y
+            pose = RigidPose(np.column_stack([x_n, y_n, circle.normal]), circle.center)
+            tool = pose.compose(offset)
+            assert wp.pose.rotation.tobytes() == pose.rotation.tobytes()
+            assert wp.pose.translation.tobytes() == pose.translation.tobytes()
+            assert wp.tool_pose.rotation.tobytes() == tool.rotation.tobytes()
+            assert wp.tool_pose.translation.tobytes() == tool.translation.tobytes()
+
     def test_waypoint_count_validated(self):
         with pytest.raises(ValueError):
             circular_trajectory(make_ports(), SHAPE, 1)
@@ -262,3 +283,52 @@ def test_run_suture_unreachable_waypoint_is_typed(monkeypatch):
     monkeypatch.setattr(bench, "ik", lambda *args, **kwargs: [])
     with pytest.raises(Unreachable, match="waypoint in segment insertion unreachable"):
         bench.run_suture(bench.SutureRunConfig(compensate=False))
+
+
+@pytest.mark.parametrize("compensate", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_run_suture_scores_match_per_waypoint_reference(monkeypatch, seed, compensate):
+    """run_suture's report equals, field for field and bit for bit, scoring
+    each executed waypoint on its own: fk, compose with the inverse grasp,
+    apply to the body tip, then 1-D dots with the circle axes."""
+    finals, planned = [], []
+
+    def recording_servo(*args, **kwargs):
+        try:
+            trace = servo_to(*args, **kwargs)
+        except NotConverged as e:
+            finals.append(e.trace.q_act[-1])
+            raise
+        finals.append(trace.q_act[-1])
+        return trace
+
+    def recording_plan(grasp_pose, ports, shape, grasp_offset):
+        planned.append((ports, shape, grasp_offset))
+        return plan_suture_pass(grasp_pose, ports, shape, grasp_offset)
+
+    monkeypatch.setattr(bench, "servo_to", recording_servo)
+    monkeypatch.setattr(bench, "plan_suture_pass", recording_plan)
+    report = bench.run_suture(bench.SutureRunConfig(
+        rng_seed=seed, injected_bias_deg=3.0, compensate=compensate))
+
+    (ports, shape, grasp_offset), = planned
+    model = KinematicModel()
+    circle = suture_circle(ports, shape)
+    tip_b = needle_tip_body(shape)
+    grasp_inv = grasp_offset.inverse()
+    deviations = []
+    for q_act in finals:
+        tip = fk(model, q_act).compose(grasp_inv).apply(tip_b)
+        rel = tip - circle.center
+        in_x = rel @ circle.in_plane_x
+        in_y = rel @ circle.in_plane_y
+        off_plane = rel @ circle.normal
+        deviations.append(float(np.hypot(np.hypot(in_x, in_y) - circle.radius, off_plane)))
+    reference = dataclasses.replace(
+        report,
+        max_circle_dev_m=float(np.max(deviations)),
+        exit_miss_m=float(np.linalg.norm(tip - ports.exit)),
+        waypoints_executed=len(finals),
+    )
+    # repr shows each float's shortest round-trip digits and its type
+    assert repr(report) == repr(reference)
