@@ -228,6 +228,10 @@ class SutureRunConfig:
     injected_bias_deg: float = 0.0  # per revolute joint, alternating sign
     compensate: bool = True
 
+    def __post_init__(self):
+        if not math.isfinite(self.injected_bias_deg):
+            raise ValueError(f"injected_bias_deg must be finite, got {self.injected_bias_deg}")
+
 
 @dataclass
 class SutureRunReport:

@@ -4,11 +4,10 @@ All lengths are meters and all angles radians; degrees/mm appear only at
 file/CLI boundaries. Rotations are stored as 3x3 matrices. Quaternions
 (x, y, z, w) appear only in the two conversions `quat_to_matrix` (random
 needle orientations) and `slerp` (free-motion trajectories in planning).
-Each repeats scipy's `Rotation` arithmetic operation for operation, with
-libm's sin, cos and atan2, so it returns the same bits as
-`Rotation.from_quat(q).as_matrix()` and
-`Slerp([0, 1], ...)(fractions).as_matrix()` without importing scipy; the
-rotation-vector step inside `slerp` matches `Rotation.from_rotvec(v)`.
+`quat_to_matrix` repeats scipy's `Rotation` arithmetic operation for
+operation, so it returns the same bits as `Rotation.from_quat(q).as_matrix()`
+without importing scipy. `slerp` is Shoemake's closed form and agrees with
+scipy's `Slerp` to within 1e-14.
 """
 
 from __future__ import annotations
@@ -111,18 +110,6 @@ def _unit_quat(q: Quat) -> Quat:
     return x / norm, y / norm, z / norm, w / norm
 
 
-def _quat_product(p: Quat, q: Quat) -> Quat:
-    """Normalized Hamilton product p * q."""
-    px, py, pz, pw = p
-    qx, qy, qz, qw = q
-    return _unit_quat((
-        pw * qx + qw * px + (py * qz - pz * qy),
-        pw * qy + qw * py + (pz * qx - px * qz),
-        pw * qz + qw * pz + (px * qy - py * qx),
-        pw * qw - px * qx - py * qy - pz * qz,
-    ))
-
-
 def _quat_matrix(q: Quat) -> list[list[float]]:
     """Rows of the rotation matrix of a unit quaternion."""
     x, y, z, w = q
@@ -154,46 +141,30 @@ def _matrix_quat(R: np.ndarray) -> Quat:
     return _unit_quat(tuple(q))
 
 
-def _rotvec_quat(x: float, y: float, z: float) -> Quat:
-    """Unit quaternion of a rotation vector; a series below 1e-3 rad."""
-    angle = math.sqrt(x * x + y * y + z * z)
-    if angle <= 1e-3:
-        a2 = angle * angle
-        scale = 0.5 - a2 / 48 + a2 * a2 / 3840  # sin(angle / 2) / angle
-    else:
-        scale = math.sin(angle / 2) / angle
-    return scale * x, scale * y, scale * z, math.cos(angle / 2)
-
-
-def _quat_rotvec(q: Quat) -> tuple[float, float, float]:
-    """Rotation vector (angle in [0, pi]) of a unit quaternion."""
-    x, y, z, w = q
-    if (w, x, y, z) < (0.0, 0.0, 0.0, 0.0):  # first nonzero of w, x, y, z negative
-        x, y, z, w = -x, -y, -z, -w
-    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
-    if angle <= 1e-3:
-        a2 = angle * angle
-        scale = 2 + a2 / 12 + 7 * a2 * a2 / 2880  # angle / sin(angle / 2)
-    else:
-        scale = angle / math.sin(angle / 2)
-    return scale * x, scale * y, scale * z
-
-
 def quat_to_matrix(quat: np.ndarray) -> np.ndarray:
     """Rotation matrix of an (x, y, z, w) quaternion, normalized first."""
     return np.array(_quat_matrix(_unit_quat(_as_array(quat, (4,)).tolist())))
 
 
 def slerp(R0: np.ndarray, R1: np.ndarray, fractions: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) rotations a fraction of the way along the shortest arc from
-    R0 (fraction 0) to R1 (fraction 1)."""
-    q0 = _matrix_quat(_as_array(R0, (3, 3)))
-    x, y, z, w = q0
-    ax, ay, az = _quat_rotvec(_quat_product((-x, -y, -z, w), _matrix_quat(_as_array(R1, (3, 3)))))
-    return np.array([
-        _quat_matrix(_quat_product(q0, _rotvec_quat(ax * f, ay * f, az * f)))
-        for f in np.asarray(fractions, dtype=float).tolist()
-    ]).reshape(-1, 3, 3)
+    """(n, 3, 3) rotations a fraction f along the shortest arc from R0 (f = 0)
+    to R1 (f = 1): Shoemake's normalized sin((1 - f) omega) q0 + sin(f omega) q1,
+    q0 . q1 = cos(omega) >= 0, with weights (1 - f, f) below omega = 1e-6."""
+    x0, y0, z0, w0 = _matrix_quat(_as_array(R0, (3, 3)))
+    x1, y1, z1, w1 = _matrix_quat(_as_array(R1, (3, 3)))
+    dot = x0 * x1 + y0 * y1 + z0 * z1 + w0 * w1
+    if dot < 0:  # q1 and -q1 are the same rotation; -q1 is the short way round
+        x1, y1, z1, w1, dot = -x1, -y1, -z1, -w1, -dot
+    omega = math.acos(min(dot, 1.0))
+    rows = []
+    for f in np.asarray(fractions, dtype=float).tolist():
+        if omega < 1e-6:
+            a, b = 1.0 - f, f
+        else:
+            a, b = math.sin((1.0 - f) * omega), math.sin(f * omega)
+        q = (a * x0 + b * x1, a * y0 + b * y1, a * z0 + b * z1, a * w0 + b * w1)
+        rows.append(_quat_matrix(_unit_quat(q)))
+    return np.array(rows).reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True)

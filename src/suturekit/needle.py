@@ -21,6 +21,7 @@ import numpy as np
 from .geometry import NonPositiveDepth, PinholeCamera, RigidPose, StereoRig
 
 _MIN_RAY_ANGLE = 1e-6
+_MAX_LINE_WIDTH = 16.0  # pixels; rasterize's docstring gives the reason
 
 
 class NeedleError(Exception):
@@ -255,10 +256,15 @@ def rasterize(
     """Synthetic fine-mask stand-in: stamp the projected arc into a mask.
 
     The arc is sampled at ~4 samples per pixel of projected arc length and
-    every integer pixel within line_width/2 of a sample is set.
+    every integer pixel within line_width/2 of a sample is set. line_width is
+    capped at 16 px: each sample stamps a (2*ceil(w/2) + 1)^2 pixel square into
+    two float64 arrays, so a face-on needle at 0.08 m peaks at 31 MB of RSS at
+    w = 1, 58 MB at 16 and 134 MB at 32.
     """
     if not 1 <= line_width < np.inf:
         raise ValueError(f"line_width must be a finite number >= 1, got {line_width}")
+    if line_width > _MAX_LINE_WIDTH:
+        raise ValueError(f"line_width must be at most {_MAX_LINE_WIDTH:g} px, got {line_width}")
     # coarse pass to estimate projected arc length
     coarse = sample_axis_points(T, shape, 257, occlusion)
     px, valid = camera.project_many(coarse)

@@ -19,6 +19,7 @@ wrist branches.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,6 @@ JointVector = np.ndarray
 
 REVOLUTE = np.array([True, True, False, True, True, True])
 PRISMATIC_INDEX = 2
-_REVOLUTE_INDICES = tuple(np.flatnonzero(REVOLUTE).tolist())
 
 # yaw width stays below pi so the mirrored shoulder branch is always out of
 # limits; the instrument roll spans far past 2*pi to drive long needle sweeps
@@ -87,14 +87,8 @@ class KinematicModel:
         if np.any(lim[:, 0] >= lim[:, 1]):
             raise ValueError("joint limits must satisfy lo < hi")
         object.__setattr__(self, "joint_limits", lim)
-        # (lo, hi) float pairs: in_limits and ik compare Python floats
+        # (lo, hi) float pairs: ik compares Python floats against them
         object.__setattr__(self, "_limit_pairs", tuple(map(tuple, lim.tolist())))
-
-    def in_limits(self, q, tol: float = 1e-9) -> bool:
-        for v, (lo, hi) in zip(q, self._limit_pairs):
-            if not lo - tol <= v <= hi + tol:
-                return False
-        return True
 
     def joint_distance(self, qa: JointVector, qb: JointVector) -> float:
         """Per-joint infinity norm with the prismatic entry in radian
@@ -127,8 +121,8 @@ def _wrap(a):
 
 
 def ik(model: KinematicModel, target: RigidPose, q4_hint: float = 0.0) -> list[JointVector]:
-    """All closed-form joint solutions within the joint limits that reach
-    the target tool pose.
+    """All closed-form joint solutions within the joint limits (to 1e-9)
+    that reach the target tool pose.
 
     Enumerates the shoulder branch pair and both wrist-pitch branches. At a
     wrist singularity (|sin q5| < 1e-9) q4 is frozen at q4_hint and the
@@ -143,7 +137,7 @@ def ik(model: KinematicModel, target: RigidPose, q4_hint: float = 0.0) -> list[J
     q3 = s - model.shaft_offset
     dx, dy, dz = (w / nw).tolist()  # Python floats; min/max clip them as np.clip does
 
-    sols: list[list[float]] = []
+    sols: list[tuple[float, ...]] = []
     shoulder = []
     q2a = float(np.arccos(min(max(dz, -1.0), 1.0)))
     if abs(np.sin(q2a)) < 1e-12:
@@ -169,20 +163,14 @@ def ik(model: KinematicModel, target: RigidPose, q4_hint: float = 0.0) -> list[J
             branches = [(a, b, c), (_wrap(a + np.pi), -b, _wrap(c + np.pi))]
         for q4, q5, q6 in branches:
             # revolute ranges wider than 2*pi admit shifted copies of the
-            # wrapped solution; enumerate the ones inside the limits
-            variants = [[q1, q2, q3, q4, q5, q6]]
-            for j in _REVOLUTE_INDICES:
-                lo, hi = model._limit_pairs[j]
-                grown = []
-                for v in variants:
-                    grown.append(v)
-                    for shift in (-2.0 * np.pi, 2.0 * np.pi):
-                        if lo - 1e-9 <= v[j] + shift <= hi + 1e-9:
-                            v2 = v.copy()
-                            v2[j] += shift
-                            grown.append(v2)
-                variants = grown
-            sols += [v for v in variants if model.in_limits(v)]
+            # wrapped solution: each joint's in-limit values, then their product
+            candidates = []
+            for j, (v, (lo, hi)) in enumerate(zip((q1, q2, q3, q4, q5, q6), model._limit_pairs)):
+                values = (v,) if j == PRISMATIC_INDEX else (v, v - 2.0 * np.pi, v + 2.0 * np.pi)
+                candidates.append([x for x in values if lo - 1e-9 <= x <= hi + 1e-9])
+                if not candidates[-1]:
+                    break  # the product is empty; skip the remaining joints
+            sols += itertools.product(*candidates)
     sols.sort()
     return [np.array(v) for v in sols]
 

@@ -191,10 +191,13 @@ class TestExitCodes:
         ({"shape": {"radius_mm": float("inf")}}, "radius must be a finite number > 0, got inf"),
         ({"line_width": float("nan")}, "line_width must be a finite number >= 1, got nan"),
         ({"line_width": 0.5}, "line_width must be a finite number >= 1, got 0.5"),
+        ({"line_width": 1e300}, "line_width must be at most 16 px, got 1e+300"),
+        ({"line_width": 16.5}, "line_width must be at most 16 px, got 16.5"),
         ({"depth_range_m": [0.2, 0.08]}, "depth_range must be finite with 0 < lo < hi"),
         ({"depth_range_m": [0.08, float("inf")]}, "depth_range must be finite with 0 < lo"),
     ], ids=["scenes", "no-fractions", "negative-fraction", "radius-nan", "radius-inf",
-            "line_width-nan", "line_width-below-one", "depth-range-reversed",
+            "line_width-nan", "line_width-below-one", "line_width-huge",
+            "line_width-above-bound", "depth-range-reversed",
             "depth-range-infinite"])
     def test_pose_bench_config_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
@@ -208,6 +211,19 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli(["suture-run", "--config", path, "--out-dir", str(out)]) == 1
         assert "line_width must be a finite number >= 1, got nan" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"line_width": 1e300}, "line_width must be at most 16 px, got 1e+300"),
+        ({"line_width": 16.5}, "line_width must be at most 16 px, got 16.5"),
+        ({"injected_bias_deg": float("nan")}, "injected_bias_deg must be finite, got nan"),
+        ({"injected_bias_deg": float("inf")}, "injected_bias_deg must be finite, got inf"),
+    ], ids=["line_width-huge", "line_width-above-bound", "bias-nan", "bias-inf"])
+    def test_suture_run_config_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "out"
+        assert run_cli(["suture-run", "--config", path, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_control_sim_without_servo_steps_is_exit_one(self, tmp_path, capsys):
