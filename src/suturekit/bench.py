@@ -20,7 +20,7 @@ from .calibration import (
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to
 from .geometry import PinholeCamera, RigidPose, StereoRig, quat_to_matrix, rotation_geodesic
-from .needle import BinaryMask, NeedleShape, pose_to_params, rasterize
+from .needle import BinaryMask, NeedleError, NeedleShape, pose_to_params, rasterize
 from .planning import (
     SuturePorts,
     needle_tip_body,
@@ -74,6 +74,10 @@ _MARGIN_PX = 12.0  # sampled needles keep this far inside every image border
 _MAX_TRIES = 500  # rejection-sampling draws before random_needle_pose gives up
 
 
+class NoInViewPose(NeedleError):
+    """random_needle_pose drew no needle pose in view of both cameras."""
+
+
 def _in_view(cam: PinholeCamera, pts: np.ndarray) -> bool:
     """Every point projects in front of cam into [margin, size - margin)."""
     px, valid = cam.project_many(pts)
@@ -91,7 +95,9 @@ def random_needle_pose(
     """Rejection-sample a needle pose fully visible in both views.
 
     min_view_angle keeps the arc plane away from edge-on viewing, where the
-    projection degenerates to a line segment.
+    projection degenerates to a line segment. Raises NoInViewPose, naming the
+    radius, the depth range and the draw count, when _MAX_TRIES draws give
+    no such pose (a needle too large for the image at those depths, say).
     """
     cam = rig.left
     for _ in range(_MAX_TRIES):
@@ -111,7 +117,10 @@ def random_needle_pose(
         pts = T.apply(shape.arc_points_body(np.linspace(0, shape.arc_angle, 64)))
         if all(_in_view(c, pts) for c in rig.cameras):
             return T
-    raise RuntimeError("could not sample an in-view needle pose")
+    raise NoInViewPose(
+        f"no needle pose of radius {shape.radius * 1e3:g} mm at depths "
+        f"[{depth_range[0]:g}, {depth_range[1]:g}] m was in view of both cameras "
+        f"in {_MAX_TRIES} draws")
 
 
 def observe(
@@ -251,20 +260,29 @@ def _injected_bias(deg: float) -> np.ndarray:
     return dq
 
 
-def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
-    """Full pipeline on one synthetic scene: perception, needle pose
-    estimation, joint calibration, planning and servoed execution. The
-    needle tips are scored after execution, in one batched pass."""
-    rng = np.random.default_rng([cfg.rng_seed, 0])
-    shape = cfg.shape
-    rig = default_rig()
-    model = KinematicModel()
-    fm = FeatureModel()
-    mono = default_mono_camera()
+@dataclass(frozen=True)
+class SutureScene:
+    """One suture-run scene: the ports on the tissue, the needle the cameras
+    see, the plant's hidden joint bias and the measured joint values the
+    instrument starts at."""
 
-    # --- scene: ports on a tilted tissue patch -----------------------------
+    ports: SuturePorts
+    needle: RigidPose
+    delta_q: np.ndarray
+    q_start: np.ndarray
+
+
+def suture_scene(cfg: SutureRunConfig) -> SutureScene:
+    """Ports on a tilted tissue patch, the injected bias and a needle drawn
+    by random_needle_pose from default_rng([rng_seed, 0]). Only the needle
+    depends on the seed."""
+    shape = cfg.shape
     # the suture-circle normal is aligned with the instrument shaft so the
-    # long needle sweep maps onto the roll joint, whose range covers it
+    # long needle sweep maps onto the roll joint, whose +-257.8 deg range
+    # does not cover the sweep: at criterion 10's compensated 3 deg bias the
+    # executed roll climbs from 38 to 254.3 deg, turns 355.6 deg back to
+    # -101.3 deg between waypoints 49 and 50, needle in tissue, and ends at
+    # -38 deg (ROADMAP.md, item 11)
     q_yaw, q_pitch = 0.1, 0.35
     shaft_dir = np.array(
         [
@@ -284,30 +302,36 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
         port_center + 0.5 * chord * chord_dir,
         up,
     )
-
-    # --- plant with hidden bias ------------------------------------------
     delta_q = _injected_bias(cfg.injected_bias_deg)
-    plant = PlantModel(delta_q=delta_q)
-    gains = PiGains()
+    needle = random_needle_pose(np.random.default_rng([cfg.rng_seed, 0]), default_rig(), shape)
+    return SutureScene(ports, needle, delta_q, np.array([0.1, 0.05, 0.1, 0.2, 0.4, 0.1]))
 
-    # --- perception + needle pose estimation ----------------------------
-    T_needle = random_needle_pose(rng, rig, shape)
-    masks, hints = observe(T_needle, shape, rig, cfg.line_width)
-    T_est, _, _ = estimate(masks, hints, shape, rig)
-    est_pos_err = float(np.linalg.norm(T_est.translation - T_needle.translation))
-    est_ang_err = rotation_geodesic(T_est.rotation, T_needle.rotation)
 
-    # --- joint calibration (monocular, noiseless features) ---------------
-    if cfg.compensate:
-        q_msr_cal = DEFAULT_QMSR_REGION.center
-        jaw_true = fk(model, q_msr_cal + delta_q)
-        px = detect_features(mono, jaw_true, fm)
-        dq_hat = calibrate_direct(model, mono, fm, q_msr_cal, px, _CALIB_BOUND)
-    else:
-        dq_hat = np.zeros(6)
-    dq_err = float(np.max(np.abs(dq_hat - delta_q)))
+def perceive(needle: RigidPose, shape: NeedleShape, line_width: float) -> RigidPose:
+    """The pose estimate from the default rig's two masks of the needle."""
+    rig = default_rig()
+    masks, hints = observe(needle, shape, rig, line_width)
+    return estimate(masks, hints, shape, rig)[0]
 
-    # --- plan ------------------------------------------------------------
+
+def calibrate(delta_q: np.ndarray) -> np.ndarray:
+    """The joint offset estimate from one noiseless image of the jaw marker,
+    taken by the monocular calibration camera at DEFAULT_QMSR_REGION.center."""
+    model = KinematicModel()
+    mono = default_mono_camera()
+    fm = FeatureModel()
+    q_msr = DEFAULT_QMSR_REGION.center
+    px = detect_features(mono, fk(model, q_msr + delta_q), fm)
+    return calibrate_direct(model, mono, fm, q_msr, px, _CALIB_BOUND)
+
+
+def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray]:
+    """The grasp offset (the tool pose in the needle frame) and the (n, 6)
+    joint targets of the insertion and extraction waypoints of
+    plan_suture_pass, planned from the tool pose at q_start. Each target is
+    the ik solution nearest the one before it, the first nearest q_start;
+    Unreachable names the segment of a waypoint ik cannot reach."""
+    model = KinematicModel()
     # tool grasps the needle with a slight wrist pitch so the sweep stays
     # clear of the q5 = 0 singularity
     cp, sp = np.cos(0.15), np.sin(0.15)
@@ -315,37 +339,51 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
         np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]]),
         np.array([0.0, 0.0, 0.004]),
     )
-    q_start = np.array([0.1, 0.05, 0.1, 0.2, 0.4, 0.1])
-    grasp_pose = fk(model, q_start)
-    segments = plan_suture_pass(grasp_pose, ports, shape, grasp_offset)
-
-    # --- execute the circular segments under servo control ---------------
-    q_act = q_start + delta_q  # plant starts at the actual grasp config
-    finals = []  # q_act at the end of each executed waypoint
-    converged = True
+    segments = plan_suture_pass(fk(model, scene.q_start), scene.ports, shape, grasp_offset)
+    q, path = scene.q_start, []
     for seg in segments:
         if seg.label not in ("insertion", "extraction"):
             continue
         for wp in seg.waypoints:
-            q_msr_now = q_act - delta_q
-            sols = ik(model, wp.tool_pose, q4_hint=float(q_msr_now[3]))
+            sols = ik(model, wp.tool_pose, q4_hint=float(q[3]))
             if not sols:
                 raise Unreachable(f"waypoint in segment {seg.label} unreachable")
-            q_des = min(sols, key=lambda q: model.joint_distance(q, q_msr_now))
-            try:
-                trace = servo_to(
-                    plant, gains, dq_hat, q_des, q_act0=q_act, max_steps=_SERVO_MAX_STEPS
-                )
-            except NotConverged as e:
-                trace = e.trace
-                converged = False
-            q_act = trace.q_act[-1]
-            finals.append(q_act)
+            q = min(sols, key=lambda s: model.joint_distance(s, q))
+            path.append(q)
+    return grasp_offset, np.array(path)
 
-    # --- score the executed needle tips, fk(q) o grasp^-1, in one pass -----
+
+def execute(
+    scene: SutureScene, dq_hat: np.ndarray, path: np.ndarray
+) -> tuple[list[np.ndarray], bool]:
+    """Servo the biased plant, from the actual joints q_start + delta_q,
+    through each joint target of path in turn, with dq_hat fed forward.
+    Returns every tick's actual joint values, one (steps, 6) array per
+    target, and whether every target converged within _SERVO_MAX_STEPS."""
+    plant = PlantModel(delta_q=scene.delta_q)
+    gains = PiGains()
+    q_act = scene.q_start + scene.delta_q
+    ticks, converged = [], True
+    for q_des in path:
+        try:
+            trace = servo_to(plant, gains, dq_hat, q_des, q_act0=q_act, max_steps=_SERVO_MAX_STEPS)
+        except NotConverged as e:
+            trace = e.trace
+            converged = False
+        ticks.append(trace.q_act)
+        q_act = trace.q_act[-1]
+    return ticks, converged
+
+
+def score(
+    ports: SuturePorts, shape: NeedleShape, grasp_offset: RigidPose, q: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Scores the needle tips, fk(q) o grasp^-1, of (n, 6) joint rows in one
+    pass: each tip's distance from the suture circle, and the last tip's
+    distance from the exit port."""
     circle = suture_circle(ports, shape)
     grasp_inv = grasp_offset.inverse()
-    R, t = fk_arrays(model, np.array(finals))
+    R, t = fk_arrays(KinematicModel(), q)
     Rn, tn = R @ grasp_inv.rotation, R @ grasp_inv.translation + t
     tips = needle_tip_body(shape) @ np.swapaxes(Rn, -1, -2) + tn
     rel = tips - circle.center
@@ -353,13 +391,29 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
     in_x, in_y, off_plane = (np.vecdot(rel, axis) for axis in
                              (circle.in_plane_x, circle.in_plane_y, circle.normal))
     deviations = np.hypot(np.hypot(in_x, in_y) - circle.radius, off_plane)
-    exit_miss = float(np.linalg.norm(tips[-1] - ports.exit))
+    return deviations, float(np.linalg.norm(tips[-1] - ports.exit))
+
+
+def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
+    """The whole pipeline on one synthetic scene, as a chain of stages that
+    pass plain data: suture_scene, perceive (stereo masks and needle pose
+    estimate), calibrate (the joint offset; zeros when not compensating),
+    plan (the joint path), execute (servo control) and score. Each pose plan
+    takes from plan_suture_pass has been checked exactly once, in the stack
+    the planner built it in (RigidPose.from_stack)."""
+    scene = suture_scene(cfg)
+    T_est = perceive(scene.needle, cfg.shape, cfg.line_width)
+    dq_hat = calibrate(scene.delta_q) if cfg.compensate else np.zeros(6)
+    grasp_offset, path = plan(scene, cfg.shape)
+    ticks, converged = execute(scene, dq_hat, path)
+    deviations, exit_miss = score(scene.ports, cfg.shape, grasp_offset,
+                                  np.array([q[-1] for q in ticks]))
     return SutureRunReport(
-        pose_est_pos_err_m=est_pos_err,
-        pose_est_ang_err_rad=est_ang_err,
-        dq_hat_err_rad=dq_err,
+        pose_est_pos_err_m=float(np.linalg.norm(T_est.translation - scene.needle.translation)),
+        pose_est_ang_err_rad=rotation_geodesic(T_est.rotation, scene.needle.rotation),
+        dq_hat_err_rad=float(np.max(np.abs(dq_hat - scene.delta_q))),
         max_circle_dev_m=float(np.max(deviations)),
         exit_miss_m=exit_miss,
-        waypoints_executed=len(finals),
+        waypoints_executed=len(ticks),
         servo_converged=converged,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # |R^T R - I| <= 1e-8 + 1e-5 |I| elementwise is np.allclose(R.T @ R, I,
-# atol=1e-8)'s own rule without its call overhead; RigidPose checks
+# atol=1e-8)'s own rule without its call overhead; _check_rigid checks
 # finiteness first, so a NaN or inf entry never reaches the product
 _EYE3 = np.eye(3)
 _ORTHO_BOUND = 1e-8 + 1e-5 * _EYE3
@@ -39,6 +39,20 @@ def _as_array(x, shape):
     return a
 
 
+def _check_rigid(R: np.ndarray, t: np.ndarray) -> None:
+    """RigidPose's four checks, on one pose ((3, 3) and (3,)) or on a stack
+    ((n, 3, 3) and (n, 3)) in one vectorized pass: finite translation,
+    finite rotation, |R^T R - I| within _ORTHO_BOUND and |det R - 1| <= 1e-6.
+    Raises ValueError naming the first check that any pose fails."""
+    if not np.isfinite(t).all():
+        raise ValueError("translation is not finite")
+    if not (np.isfinite(R).all() and (np.abs(R.mT @ R - _EYE3) <= _ORTHO_BOUND).all()):
+        raise ValueError("rotation is not orthonormal")
+    # reduced in Python floats: a numpy .all() adds ~1 us to a single pose's check
+    if not all(abs(d - 1.0) <= 1e-6 for d in np.linalg.det(R.reshape(-1, 3, 3)).tolist()):
+        raise ValueError("rotation determinant is not +1")
+
+
 @dataclass(frozen=True)
 class RigidPose:
     """SE(3) transform: p_out = rotation @ p_in + translation."""
@@ -49,14 +63,27 @@ class RigidPose:
     def __post_init__(self):
         R = _as_array(self.rotation, (3, 3))
         t = _as_array(self.translation, (3,))
-        if not np.isfinite(t).all():
-            raise ValueError("translation is not finite")
-        if not (np.isfinite(R).all() and (np.abs(R.T @ R - _EYE3) <= _ORTHO_BOUND).all()):
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > 1e-6:
-            raise ValueError("rotation determinant is not +1")
+        _check_rigid(R, t)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
+
+    @classmethod
+    def from_stack(cls, rotations: np.ndarray, translations: np.ndarray) -> list["RigidPose"]:
+        """One pose per row of (n, 3, 3) rotations and (n, 3) translations.
+        The rows are checked once, together, by the checks every pose gets;
+        each pose holds views of its rows."""
+        R = np.asarray(rotations, dtype=float)
+        t = np.asarray(translations, dtype=float)
+        if R.shape[1:] != (3, 3) or t.shape != (len(R), 3):
+            raise ValueError(f"expected shapes (n, 3, 3) and (n, 3), got {R.shape} and {t.shape}")
+        _check_rigid(R, t)
+        poses = []
+        for Ri, ti in zip(R, t):
+            pose = object.__new__(cls)  # skips __post_init__: the rows are checked
+            object.__setattr__(pose, "rotation", Ri)
+            object.__setattr__(pose, "translation", ti)
+            poses.append(pose)
+        return poses
 
     @staticmethod
     def identity() -> "RigidPose":
@@ -66,12 +93,6 @@ class RigidPose:
         """Transform a 3-vector or an (N, 3) array of points."""
         p = np.asarray(points, dtype=float)
         return p @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidPose") -> "RigidPose":
-        return RigidPose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
     def inverse(self) -> "RigidPose":
         Rt = self.rotation.T

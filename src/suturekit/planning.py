@@ -134,9 +134,11 @@ def circular_trajectory(
 ) -> list[Waypoint]:
     """Needle waypoints sweeping the under-tissue arc from entry to exit.
 
-    The needle tip sits at each circle angle, tangent to travel; the frames
-    of all angles are computed in one pass. When grasp_offset is given, each
-    waypoint also carries the tool pose (needle pose composed with the offset).
+    The needle tip sits at each circle angle, tangent to travel. When
+    grasp_offset is given, each waypoint also carries the tool pose, the
+    needle pose composed with the offset. The frames of all angles are
+    computed as stacked arrays, and RigidPose.from_stack checks each stack
+    once.
     """
     if waypoint_count < 2:
         raise ValueError("waypoint_count must be >= 2")
@@ -149,9 +151,13 @@ def circular_trajectory(
     x, y = circle.in_plane_x, circle.in_plane_y
     normal = np.broadcast_to(circle.normal, (waypoint_count, 3))
     frames = np.stack([c * x + s * y, -s * x + c * y, normal], axis=-1)  # columns x, y, z
-    poses = [RigidPose(R, circle.center) for R in frames]
-    return [Waypoint(p, p.compose(grasp_offset) if grasp_offset is not None else None)
-            for p in poses]
+    center = np.broadcast_to(circle.center, (waypoint_count, 3))
+    poses = RigidPose.from_stack(frames, center)
+    if grasp_offset is None:
+        return [Waypoint(p) for p in poses]
+    tools = RigidPose.from_stack(frames @ grasp_offset.rotation,
+                                 frames @ grasp_offset.translation + center)
+    return [Waypoint(p, tool) for p, tool in zip(poses, tools)]
 
 
 def needle_tip_body(shape: NeedleShape) -> np.ndarray:
@@ -165,7 +171,9 @@ def linear_trajectory(
     max_step_pos: float,
     max_step_rot: float,
 ) -> list[Waypoint]:
-    """Straight-line position and shortest-path rotation interpolation."""
+    """Straight-line position and shortest-path rotation interpolation. The
+    endpoints are start and goal themselves; the poses between them are
+    computed as stacked arrays, which RigidPose.from_stack checks once."""
     if max_step_pos <= 0 or max_step_rot <= 0:
         raise ValueError("step limits must be positive")
     pos_dist = float(np.linalg.norm(goal.translation - start.translation))
@@ -173,15 +181,10 @@ def linear_trajectory(
     if pos_dist == 0.0 and rot_dist == 0.0:
         return [Waypoint(start)]
     n = int(np.ceil(max(pos_dist / max_step_pos, rot_dist / max_step_rot))) + 1
-    fractions = np.linspace(0.0, 1.0, n)
-    wps = []
-    for f, R in zip(fractions, slerp(start.rotation, goal.rotation, fractions)):
-        t = (1.0 - f) * start.translation + f * goal.translation
-        wps.append(Waypoint(RigidPose(R, t)))
-    # endpoints exact
-    wps[0] = Waypoint(start)
-    wps[-1] = Waypoint(goal)
-    return wps
+    f = np.linspace(0.0, 1.0, n)[1:-1, None]
+    inner = RigidPose.from_stack(slerp(start.rotation, goal.rotation, f[:, 0]),
+                                 (1.0 - f) * start.translation + f * goal.translation)
+    return [Waypoint(p) for p in (start, *inner, goal)]
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,15 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["pose-bench", "suture-run"])
+    def test_needle_too_large_for_the_scene_is_exit_one(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "c.json", {"shape": {"radius_mm": 100}})
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", path, "--out-dir", str(out)]) == 1
+        assert (f"error [{command}]: NoInViewPose: no needle pose of radius 100 mm at depths "
+                "[0.08, 0.2] m was in view of both cameras in 500 draws") in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_control_sim_without_servo_steps_is_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", {"max_steps": 0})
         out = tmp_path / "out"

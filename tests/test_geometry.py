@@ -117,22 +117,11 @@ class TestRigidPose:
         p = np.array([1.0, 2.0, 3.0])
         assert np.allclose(RigidPose.identity().apply(p), p)
 
-    def test_compose_translations(self):
-        a = RigidPose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        b = RigidPose(np.eye(3), np.array([0.0, 2.0, 0.0]))
-        assert np.allclose(a.compose(b).translation, [1.0, 2.0, 0.0])
-
-    def test_compose_rotation_then_translation(self):
-        a = RigidPose(rot_z(np.pi / 2.0), np.zeros(3))
-        b = RigidPose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(a.compose(b).translation, [0.0, 1.0, 0.0], atol=1e-12)
-
     def test_inverse_cancels(self):
         rng = np.random.default_rng(3)
         a = RigidPose(random_rotation(rng), rng.normal(size=3))
-        ident = a.compose(a.inverse())
-        assert np.allclose(ident.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(ident.translation, 0.0, atol=1e-12)
+        assert np.allclose(a.matrix() @ a.inverse().matrix(), np.eye(4), atol=1e-12)
+        assert np.allclose(a.inverse().apply(a.apply(np.eye(3))), np.eye(3), atol=1e-12)
 
     def test_apply_matches_matrix_form(self):
         rng = np.random.default_rng(4)
@@ -142,10 +131,14 @@ class TestRigidPose:
         assert np.allclose(a.apply(p), hom[:3], atol=1e-12)
 
     def test_long_chain_stays_orthonormal(self):
+        """A product of 1000 random rotations stays well inside the check's
+        bound, so chained poses are still poses."""
         rng = np.random.default_rng(5)
         acc = RigidPose.identity()
         for _ in range(1000):
-            acc = acc.compose(RigidPose(random_rotation(rng), rng.normal(size=3)))
+            step = RigidPose(random_rotation(rng), rng.normal(size=3))
+            acc = RigidPose(acc.rotation @ step.rotation,
+                            acc.rotation @ step.translation + acc.translation)
             R = acc.rotation
             assert np.allclose(R.T @ R, np.eye(3), atol=1e-10)
 
@@ -197,6 +190,86 @@ class TestRigidPose:
     def test_rejects_non_finite_translation(self, value):
         with pytest.raises(ValueError, match="translation is not finite"):
             RigidPose(np.eye(3), np.array([value, 0.0, 0.0]))
+
+
+def valid_stack(n=7, seed=12):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_rotation(rng) for _ in range(n)]), rng.normal(size=(n, 3))
+
+
+def shear(a):
+    """A matrix whose R^T R has the off-diagonal entry a, and det 1."""
+    R = np.eye(3)
+    R[0, 1] = a
+    return R
+
+
+class TestFromStack:
+    def test_poses_bit_equal_to_per_pose_construction(self):
+        R, t = valid_stack()
+        poses = RigidPose.from_stack(R, t)
+        assert len(poses) == len(R)
+        for pose, Ri, ti in zip(poses, R, t):
+            one = RigidPose(Ri, ti)
+            assert pose.rotation.tobytes() == one.rotation.tobytes()
+            assert pose.translation.tobytes() == one.translation.tobytes()
+            assert type(pose) is RigidPose and repr(pose) == repr(one)
+
+    def test_empty_stack(self):
+        assert RigidPose.from_stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == []
+
+    # (rotation, translation) of one bad pose, with the message RigidPose raises
+    BAD = {
+        "nan-translation": (np.eye(3), [0.0, np.nan, 0.0], "translation is not finite"),
+        "inf-translation": (np.eye(3), [np.inf, 0.0, 0.0], "translation is not finite"),
+        "nan-rotation": (np.where(np.eye(3) == 1, np.nan, 0.0), np.zeros(3), "not orthonormal"),
+        "inf-rotation": (shear(-np.inf), np.zeros(3), "not orthonormal"),
+        "shear-past-bound": (shear(1.01e-8), np.zeros(3), "not orthonormal"),
+        "reflection": (np.diag([1.0, 1.0, -1.0]), np.zeros(3), "determinant is not"),
+        "scaled-past-det": (np.eye(3) * (1.0 + 1e-6), np.zeros(3), "determinant is not"),
+    }
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("case", BAD)
+    def test_one_bad_pose_raises_the_single_pose_message(self, case, row):
+        bad_R, bad_t, message = self.BAD[case]
+        with pytest.raises(ValueError, match=message) as single:
+            RigidPose(bad_R, np.asarray(bad_t))
+        R, t = valid_stack()
+        R[row], t[row] = bad_R, bad_t
+        with pytest.raises(ValueError, match=message) as stacked:
+            RigidPose.from_stack(R, t)
+        assert str(stacked.value) == str(single.value)
+
+    def test_accepts_exactly_what_rigid_pose_accepts(self):
+        """Across both sides of the orthonormality bound (shears of about
+        1e-8) and of the determinant bound (scalings of about 1e-6 / 3), a
+        matrix in a valid stack is accepted exactly when RigidPose accepts it."""
+        R, t = valid_stack()
+        accepted = []
+        for scale in np.linspace(0.9, 1.1, 21):
+            for bad in (shear(scale * 1e-8), np.eye(3) * (1.0 + scale * 1e-6 / 3.0)):
+                try:
+                    RigidPose(bad, np.zeros(3))
+                    single = True
+                except ValueError:
+                    single = False
+                R[4] = bad
+                try:
+                    RigidPose.from_stack(R, t)
+                    stacked = True
+                except ValueError:
+                    stacked = False
+                assert stacked == single
+                accepted.append(single)
+        assert 0 < sum(accepted) < len(accepted)
+
+    @pytest.mark.parametrize("shapes", [((3, 3), (1, 3)), ((2, 3, 3), (3, 3)),
+                                        ((2, 3, 3), (2, 2)), ((2, 2, 3), (2, 3))])
+    def test_rejects_wrong_shapes(self, shapes):
+        R_shape, t_shape = shapes
+        with pytest.raises(ValueError, match="expected shapes"):
+            RigidPose.from_stack(np.zeros(R_shape), np.zeros(t_shape))
 
 
 class TestRotationGeodesic:

@@ -9,6 +9,7 @@ from suturekit.geometry import NonPositiveDepth, RigidPose
 from suturekit.needle import (
     BinaryMask,
     DegenerateRays,
+    NeedleError,
     NeedleShape,
     ThetaOutOfRange,
     _cross,
@@ -189,6 +190,14 @@ class TestRandomNeedlePose:
                 px = np.array([pinhole_oracle(cam, p) for p in pts])
                 assert (px >= margin_px).all(), seed
                 assert (px < np.array([cam.width, cam.height]) - margin_px).all(), seed
+
+    def test_no_in_view_pose_is_typed(self, rig):
+        """A needle too large for the images at every scene depth exhausts
+        the draws with an error naming the radius, depths and draw count."""
+        with pytest.raises(bench.NoInViewPose, match=r"^no needle pose of radius 100 mm at "
+                           r"depths \[0.08, 0.2\] m was in view of both cameras in 500 draws$"):
+            random_needle_pose(np.random.default_rng(0), rig, NeedleShape(0.1))
+        assert issubclass(bench.NoInViewPose, NeedleError)
 
 
 class TestSampling:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suturekit import bench
+from suturekit import bench, geometry
 from suturekit.geometry import RigidPose, rotation_geodesic
 from suturekit.needle import NeedleShape
 from suturekit import planning
@@ -19,7 +19,6 @@ from suturekit.planning import (
     plan_suture_pass,
     suture_circle,
 )
-from suturekit.control import NotConverged, servo_to
 from suturekit.psm_kinematics import KinematicModel, Unreachable, fk
 
 from conftest import random_rotation
@@ -155,12 +154,13 @@ class TestCircularTrajectory:
         wps = circular_trajectory(ports, SHAPE, 9, grasp_offset=offset)
         for wp in wps:
             assert np.allclose(
-                wp.tool_pose.matrix(), wp.pose.compose(offset).matrix(), atol=1e-12
+                wp.tool_pose.matrix(), wp.pose.matrix() @ offset.matrix(), atol=1e-12
             )
 
     def test_matches_per_angle_construction_bitwise(self):
         """One pass over all angles gives the bits of building each needle
-        pose on its own from the angle."""
+        pose on its own from the angle, and each tool pose on its own as
+        R_n R_g and R_n t_g + t_n."""
         ports = make_ports(normal=(0.2, -0.1, 1.0))
         offset = RigidPose(random_rotation(np.random.default_rng(5)), np.array([0.0, 0.001, 0.004]))
         circle = suture_circle(ports, SHAPE)
@@ -170,7 +170,8 @@ class TestCircularTrajectory:
             x_n = np.cos(a) * circle.in_plane_x + np.sin(a) * circle.in_plane_y
             y_n = -np.sin(a) * circle.in_plane_x + np.cos(a) * circle.in_plane_y
             pose = RigidPose(np.column_stack([x_n, y_n, circle.normal]), circle.center)
-            tool = pose.compose(offset)
+            tool = RigidPose(pose.rotation @ offset.rotation,
+                             pose.rotation @ offset.translation + pose.translation)
             assert wp.pose.rotation.tobytes() == pose.rotation.tobytes()
             assert wp.pose.translation.tobytes() == pose.translation.tobytes()
             assert wp.tool_pose.rotation.tobytes() == tool.rotation.tobytes()
@@ -287,38 +288,28 @@ def test_run_suture_unreachable_waypoint_is_typed(monkeypatch):
 
 @pytest.mark.parametrize("compensate", [True, False])
 @pytest.mark.parametrize("seed", range(4))
-def test_run_suture_scores_match_per_waypoint_reference(monkeypatch, seed, compensate):
+def test_run_suture_scores_match_per_waypoint_reference(seed, compensate):
     """run_suture's report equals, field for field and bit for bit, scoring
-    each executed waypoint on its own: fk, compose with the inverse grasp,
-    apply to the body tip, then 1-D dots with the circle axes."""
-    finals, planned = [], []
+    each waypoint that the plan and execute stages reach on its own: fk,
+    compose with the inverse grasp, apply to the body tip, then 1-D dots
+    with the circle axes."""
+    cfg = bench.SutureRunConfig(rng_seed=seed, injected_bias_deg=3.0, compensate=compensate)
+    report = bench.run_suture(cfg)
 
-    def recording_servo(*args, **kwargs):
-        try:
-            trace = servo_to(*args, **kwargs)
-        except NotConverged as e:
-            finals.append(e.trace.q_act[-1])
-            raise
-        finals.append(trace.q_act[-1])
-        return trace
-
-    def recording_plan(grasp_pose, ports, shape, grasp_offset):
-        planned.append((ports, shape, grasp_offset))
-        return plan_suture_pass(grasp_pose, ports, shape, grasp_offset)
-
-    monkeypatch.setattr(bench, "servo_to", recording_servo)
-    monkeypatch.setattr(bench, "plan_suture_pass", recording_plan)
-    report = bench.run_suture(bench.SutureRunConfig(
-        rng_seed=seed, injected_bias_deg=3.0, compensate=compensate))
-
-    (ports, shape, grasp_offset), = planned
+    scene = bench.suture_scene(cfg)
+    dq_hat = bench.calibrate(scene.delta_q) if compensate else np.zeros(6)
+    grasp_offset, path = bench.plan(scene, cfg.shape)
+    ticks, _ = bench.execute(scene, dq_hat, path)
     model = KinematicModel()
-    circle = suture_circle(ports, shape)
-    tip_b = needle_tip_body(shape)
+    circle = suture_circle(scene.ports, cfg.shape)
+    tip_b = needle_tip_body(cfg.shape)
     grasp_inv = grasp_offset.inverse()
     deviations = []
-    for q_act in finals:
-        tip = fk(model, q_act).compose(grasp_inv).apply(tip_b)
+    for q in ticks:
+        T = fk(model, q[-1])
+        R = T.rotation @ grasp_inv.rotation
+        t = T.rotation @ grasp_inv.translation + T.translation
+        tip = tip_b @ R.T + t
         rel = tip - circle.center
         in_x = rel @ circle.in_plane_x
         in_y = rel @ circle.in_plane_y
@@ -327,8 +318,35 @@ def test_run_suture_scores_match_per_waypoint_reference(monkeypatch, seed, compe
     reference = dataclasses.replace(
         report,
         max_circle_dev_m=float(np.max(deviations)),
-        exit_miss_m=float(np.linalg.norm(tip - ports.exit)),
-        waypoints_executed=len(finals),
+        exit_miss_m=float(np.linalg.norm(tip - scene.ports.exit)),
+        waypoints_executed=len(path),
     )
     # repr shows each float's shortest round-trip digits and its type
     assert repr(report) == repr(reference)
+
+
+def test_plan_checks_each_planned_pose_once(monkeypatch):
+    """Every pose plan_suture_pass builds passes RigidPose's checks exactly
+    once: the rows the check function sees during the call add up to the
+    distinct poses returned, less the caller's grasp pose."""
+    checked = []
+    check = geometry._check_rigid
+
+    def counting(R, t):
+        checked.append(len(np.reshape(t, (-1, 3))))
+        check(R, t)
+
+    monkeypatch.setattr(geometry, "_check_rigid", counting)
+    ports = make_ports(normal=(0.1, 0.0, 1.0))
+    offset = RigidPose(random_rotation(np.random.default_rng(8)), np.array([0.0, 0.001, 0.004]))
+    grasp = RigidPose(random_rotation(np.random.default_rng(9)), np.array([0.02, 0.01, 0.05]))
+    checked.clear()
+    segments = plan_suture_pass(grasp, ports, SHAPE, offset)
+    poses = {id(p): p for seg in segments for wp in seg.waypoints
+             for p in (wp.pose, wp.tool_pose) if p is not None}
+    assert id(grasp) in poses
+    assert sum(checked) == len(poses) - 1
+    # and RigidPose(R, t) still checks every pose it is given
+    checked.clear()
+    RigidPose(grasp.rotation, grasp.translation)
+    assert checked == [1]
