@@ -118,14 +118,26 @@ def _mm(v):
     return v / 1000.0
 
 
+def _at_least(low, key):
+    """A conversion that keeps a value of at least `low` and raises a
+    ValueError naming `key` for one below it, where the library would name
+    another keyword or nothing."""
+    def check(v):
+        if v < low:
+            raise ValueError(f"{key} must be >= {low}, got {v}")
+        return v
+    return check
+
+
 # Config tables: key -> (value kind, library keyword, unit conversion). A
+# conversion may also reject an out-of-range value by the key's name. A
 # nested table stands for a JSON object with those keys only; its conversion
 # builds the library object from the object's keyword arguments. A keyword
 # of None marks a key that the command reads itself.
 _SHAPE = ({"radius_mm": (_NUMBER, "radius", _mm),
            "arc_angle_deg": (_NUMBER, "arc_angle", np.radians)},
           "shape", lambda kw: dataclasses.replace(bench.DEFAULT_SHAPE, **kw))
-_SEED = (_INTEGER, "rng_seed", None)
+_SEED = (_INTEGER, "rng_seed", _at_least(0, "seed"))  # numpy's rngs take no negative seed
 _LINE_WIDTH = (_NUMBER, "line_width", None)  # pixels
 
 TABLES = {
@@ -148,7 +160,7 @@ TABLES = {
         "batch_size": (_INTEGER, "batch_size", None),
         "learning_rate": (_NUMBER, "learning_rate", None),
         "hidden_sizes": (_INTEGERS, "hidden_sizes", None),
-        "test_count": (_INTEGER, "count", None),
+        "test_count": (_INTEGER, "count", _at_least(1, "test_count")),
     },
     "control-sim": {
         "seed": (_INTEGER, None, None),  # accepted like everywhere; nothing is drawn
@@ -287,11 +299,10 @@ def cmd_calib_eval(cfg: dict, out_dir: Path) -> int:
     mlp = load_mlp(model_path)
     # CLI-only defaults: 1000 test samples, drawn at seed + 1 so they are
     # disjoint from the training data
-    keys = ("test_count", "delta_range_deg", "noise_px")
-    test = generate_dataset(
-        model, camera, fm, **{"count": 1000, **_kwargs(cfg, TABLES["calib"], keys)},
-        rng_seed=cfg["seed"] + 1 if "seed" in cfg else 1,
-    )
+    keys = ("seed", "test_count", "delta_range_deg", "noise_px")
+    kwargs = {"count": 1000, **_kwargs(cfg, TABLES["calib"], keys)}
+    kwargs["rng_seed"] = kwargs.get("rng_seed", 0) + 1
+    test = generate_dataset(model, camera, fm, **kwargs)
     table = evaluate_calibration(mlp, test)
     rows = []
     for j in range(6):

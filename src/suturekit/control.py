@@ -6,10 +6,10 @@ steady-state error) and a hidden constant measurement bias. The high-level
 PI loop runs on compensated measurements; the plant command additionally
 subtracts the offset estimate.
 
-`plant_step`, `pi_step` and `compensate` define one tick on float arrays.
-`servo_to` runs the same recurrence on Python floats, joint by joint, and
-then derives its trace from the recorded states with those three
-functions, all steps at once.
+`servo_to`'s loop is the one definition of a tick. It runs on Python
+floats, joint by joint, and records each step's command, position and
+error as it computes them; the measurement columns follow from the
+positions.
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ class PlantModel:
                            _joint_array("disturbance", self.disturbance))
 
 
-def plant_step(
-    model: PlantModel, q_act: JointVector, command: JointVector
-) -> tuple[JointVector, JointVector]:
-    """Advance the plant one tick; returns (new q_act, q_msr). Takes float
-    arrays as they are, (6,) for one tick or (steps, 6) for many."""
-    q_new = q_act + model.beta * (command - model.disturbance - q_act)
-    return q_new, q_new - model.delta_q
-
-
 def default_clamp() -> np.ndarray:
     # must exceed (disturbance + offset estimate) / ki at steady state, or
     # the integrator saturates and leaves a residual error
@@ -101,44 +92,18 @@ class PiGains:
         object.__setattr__(self, "integrator_clamp", clamp)
 
 
-def pi_step(
-    gains: PiGains,
-    integrator: np.ndarray,
-    q_des: JointVector,
-    q_msr_compensated: JointVector,
-) -> tuple[JointVector, np.ndarray]:
-    """One PI update on float arrays, (6,) or (steps, 6); returns (command,
-    new integrator state). The integrator is clamped to +-integrator_clamp."""
-    e = q_des - q_msr_compensated
-    clamp = gains.integrator_clamp
-    integrator = np.minimum(np.maximum(integrator + e, -clamp), clamp)
-    u = q_des + gains.kp * e + gains.ki * integrator
-    return u, integrator
-
-
-def compensate(
-    q_msr: JointVector, q_des: JointVector, dq_hat: JointVector
-) -> tuple[JointVector, JointVector]:
-    """Dual compensation: measurement shifted to actual-position estimate,
-    desired position kept as the PI reference (the plant-side command
-    subtracts dq_hat in the servo loop). Takes float arrays as they are."""
-    return q_msr + dq_hat, q_des
-
-
 @dataclass(frozen=True)
 class ServoTrace:
-    """One servo run: the target q_des (6,) and five (steps, 6) arrays, one
-    row per step. They hold the plant command (q_cmd), the actual position
-    after the step (q_act), the measurement and the compensated measurement
-    before it (q_msr, q_msr_comp), and the error after it (err)."""
+    """One servo run: five (steps, 6) arrays, one row per step. They hold
+    the plant command (q_cmd), the actual position after the step (q_act),
+    the measurement and the compensated measurement before it (q_msr,
+    q_msr_comp), and the error after it (err)."""
 
-    q_des: np.ndarray
     q_cmd: np.ndarray
     q_act: np.ndarray
     q_msr: np.ndarray
     q_msr_comp: np.ndarray
     err: np.ndarray
-    converged: bool
 
     @property
     def steps(self) -> range:
@@ -157,14 +122,15 @@ def servo_to(
 ) -> ServoTrace:
     """Run the compensated closed loop until per-joint convergence.
 
-    Each step measures (compensate), updates the clamped PI integrator and
-    command (pi_step) and advances the plant (plant_step); the loop stops
-    once every joint's error after the step is below tol. The loop runs
-    that recurrence on Python floats, with the operations of those three
-    functions in their order, and records only the position and integrator
-    entering each step. The trace columns are then computed from those
-    states by the three functions over all steps at once, so they hold the
-    bits a step-by-step numpy loop would give.
+    One tick, per joint: the measurement q_msr = q_act - delta_q is
+    compensated to q_msr + dq_hat, the PI error is e = q_des - (q_msr +
+    dq_hat), the integrator I + e is clamped to +-integrator_clamp, the
+    plant command is q_cmd = q_des + kp e + ki I - dq_hat, and the plant
+    moves to q_act + beta (q_cmd - disturbance - q_act). The loop stops once
+    every joint's error after the step is below tol. The trace keeps each
+    step's command, position and error as the loop computes them; its
+    measurements are the positions entering the steps (q_act0, then
+    q_act[:-1]) minus delta_q.
 
     Raises NotConverged (with the trace attached) when max_steps elapse
     before every joint's compensated-measurement error drops below tol, and
@@ -189,14 +155,12 @@ def servo_to(
         plant.disturbance.tolist(), gains.kp.tolist(), gains.ki.tolist(),
         gains.integrator_clamp.tolist(),
     )))
-    q, integ = q_act0.tolist(), [0.0] * 6
+    q, integ, cmd = q_act0.tolist(), [0.0] * 6, [0.0] * 6
     # e is q_des minus the compensated measurement: the PI error entering a
     # step, and the convergence error after the one before
     e = (q_des - ((q_act0 - plant.delta_q) + dq_hat)).tolist()
-    q_hist, integ_hist = [], []  # the state entering each step, 6 floats each
+    cmd_rows, q_rows, e_rows = [], [], []  # 6 floats per step each
     for _ in range(max_steps):
-        q_hist += q
-        integ_hist += integ
         converged = True
         for j, (d, h, dl, dist, kp, ki, c) in joints:
             ej = e[j]
@@ -205,8 +169,9 @@ def servo_to(
                 i = -c
             elif i > c:
                 i = c
+            u = ((d + kp * ej) + ki * i) - h
             a = q[j]
-            a = a + beta * (((((d + kp * ej) + ki * i) - h) - dist) - a)
+            a = a + beta * ((u - dist) - a)
             ej = d - ((a - dl) + h)
             # convergence is judged on the post-step measurement: the
             # pre-step error is trivially small when starting at the target,
@@ -214,19 +179,20 @@ def servo_to(
             # integrator winds up
             if converged and not abs(ej) < tol:
                 converged = False
-            q[j], integ[j], e[j] = a, i, ej
+            q[j] = a
+            integ[j] = i
+            e[j] = ej
+            cmd[j] = u
+        cmd_rows += cmd
+        q_rows += q
+        e_rows += e
         if converged:
             break
 
-    q_prev = np.fromiter(q_hist, float, len(q_hist)).reshape(-1, 6)
-    q_msr = q_prev - plant.delta_q
-    q_msr_comp, q_ref = compensate(q_msr, q_des, dq_hat)
-    integ_prev = np.fromiter(integ_hist, float, len(integ_hist)).reshape(-1, 6)
-    u, _ = pi_step(gains, integ_prev, q_ref, q_msr_comp)
-    q_cmd = u - dq_hat
-    q_act, q_msr_post = plant_step(plant, q_prev, q_cmd)
-    err = q_ref - (q_msr_post + dq_hat)
-    trace = ServoTrace(q_des, q_cmd, q_act, q_msr, q_msr_comp, err, converged)
+    q_cmd, q_act, err = (np.fromiter(rows, float, len(rows)).reshape(-1, 6)
+                         for rows in (cmd_rows, q_rows, e_rows))
+    q_msr = np.vstack((q_act0, q_act[:-1])) - plant.delta_q
+    trace = ServoTrace(q_cmd, q_act, q_msr, q_msr + dq_hat, err)
     if not converged:
         raise NotConverged(f"servo did not converge in {max_steps} steps", trace)
     return trace

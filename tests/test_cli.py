@@ -108,6 +108,38 @@ class TestExitCodes:
         assert list(gen.iterdir()) == []
         assert [p.name for p in ev.iterdir()] == ["calib_model.json"]
 
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    @pytest.mark.parametrize("command, needs", [
+        (["pose-bench", "--scenes", "1"], None),
+        (["suture-run"], None),
+        (["calib", "gen"], None),
+        (["calib", "train"], "calib_dataset.csv"),
+        (["calib", "eval"], "calib_model.json"),
+    ], ids=["pose-bench", "suture-run", "calib-gen", "calib-train", "calib-eval"])
+    def test_negative_seed_is_exit_one(self, workdir, tmp_path, capsys, command, needs, how):
+        out = tmp_path / "out"
+        out.mkdir()
+        if needs:  # the step's input, so that it gets as far as the seed
+            (out / needs).write_bytes((workdir / needs).read_bytes())
+        seed = (["--config", write_config(tmp_path / "c.json", {"seed": -1})]
+                if how == "config" else ["--seed", "-1"])
+        assert run_cli(command + seed + ["--out-dir", str(out)]) == 1
+        assert "ValueError: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ([needs] if needs else [])
+
+    def test_control_sim_accepts_a_negative_seed(self, tmp_path):
+        # control-sim draws nothing, so any integer seed will do
+        assert run_cli(["control-sim", "--seed", "-1", "--out-dir", str(tmp_path)]) == 0
+
+    def test_calib_eval_test_count_below_one_is_exit_one(self, workdir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "calib_model.json").write_bytes((workdir / "calib_model.json").read_bytes())
+        path = write_config(tmp_path / "c.json", {"test_count": 0})
+        assert run_cli(["calib", "eval", "--config", path, "--out-dir", str(out)]) == 1
+        assert "ValueError: test_count must be >= 1, got 0" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["calib_model.json"]
+
     def test_scenes_only_on_pose_bench(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["calib", "gen", "--scenes", "5", "--out-dir", str(tmp_path)])
@@ -225,6 +257,20 @@ class TestExitCodes:
         assert run_cli(["suture-run", "--config", path, "--out-dir", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_suture_run_bias_beyond_the_calibration_bound(self, tmp_path, capsys):
+        # calibrate_direct searches offsets within 10 deg per joint, so a
+        # 12 deg bias fails the compensated run; the uncompensated one does
+        # not calibrate
+        comp, uncomp = tmp_path / "comp", tmp_path / "uncomp"
+        for out, compensate in ((comp, True), (uncomp, False)):
+            cfg = {"injected_bias_deg": 12, "compensate": compensate}
+            path = write_config(tmp_path / f"{out.name}.json", cfg)
+            assert run_cli(["suture-run", "--config", path, "--out-dir", str(out)]) == int(compensate)
+        assert ("error [suture-run]: CalibrationError: offset of size 0.2094 leaves the "
+                "bound 0.1745") in capsys.readouterr().err
+        assert list(comp.iterdir()) == []
+        assert [p.name for p in uncomp.iterdir()] == ["suture_report.json"]
 
     @pytest.mark.parametrize("command", ["pose-bench", "suture-run"])
     def test_needle_too_large_for_the_scene_is_exit_one(self, tmp_path, capsys, command):

@@ -5,10 +5,7 @@ from suturekit.control import (
     NotConverged,
     PiGains,
     PlantModel,
-    compensate,
     default_disturbance,
-    pi_step,
-    plant_step,
     servo_to,
     steady_state_error,
 )
@@ -19,31 +16,42 @@ from suturekit.psm_kinematics import PRISMATIC_INDEX
 COLUMNS = ("q_cmd", "q_act", "q_msr", "q_msr_comp", "err")
 
 
-def actual_error(trace):
+def actual_error(trace, q_des):
     """|q_des - q_act| after the last step."""
-    return np.abs(trace.q_des - trace.q_act[-1])
+    return np.abs(q_des - trace.q_act[-1])
 
 
 def zero_plant(beta=1.0):
     return PlantModel(delta_q=np.zeros(6), disturbance=np.zeros(6), beta=beta)
 
 
+# with the PI terms off, the plant command is q_des - dq_hat at every step
+PI_OFF = PiGains(kp=0.0, ki=0.0)
+
+
 def reference_servo(plant, gains, dq_hat, q_des, q_act0=None, max_steps=200, tol=1e-6):
-    """The step-by-step numpy servo loop: (rows of per-step dicts, integrator
-    after each step, converged)."""
+    """The step-by-step numpy servo loop, written out independently of
+    servo_to: (rows of per-step dicts, integrator after each step,
+    converged)."""
     q_des = np.asarray(q_des, dtype=float)
     dq_hat = np.asarray(dq_hat, dtype=float)
-    q_act = np.zeros(6) if q_act0 is None else np.asarray(q_act0, dtype=float).copy()
+    q_act = np.zeros(6) if q_act0 is None else np.asarray(q_act0, dtype=float)
+    clamp = gains.integrator_clamp
     integrator = np.zeros(6)
     steps, integrators = [], []
     for _ in range(max_steps):
+        # measure, then compensate: the PI reference stays q_des
         q_msr = q_act - plant.delta_q
-        q_msr_comp, q_ref = compensate(q_msr, q_des, dq_hat)
-        u, integrator = pi_step(gains, integrator, q_ref, q_msr_comp)
+        q_msr_comp = q_msr + dq_hat
+        # clamped PI update
+        e = q_des - q_msr_comp
+        integrator = np.minimum(np.maximum(integrator + e, -clamp), clamp)
+        u = q_des + gains.kp * e + gains.ki * integrator
+        # the plant command subtracts the offset estimate; first-order plant
         q_cmd = u - dq_hat
-        q_act, q_msr_post = plant_step(plant, q_act, q_cmd)
-        err = q_ref - (q_msr_post + dq_hat)
-        steps.append({"q_cmd": q_cmd, "q_act": q_act.copy(), "q_msr": q_msr,
+        q_act = q_act + plant.beta * (q_cmd - plant.disturbance - q_act)
+        err = q_des - ((q_act - plant.delta_q) + dq_hat)
+        steps.append({"q_cmd": q_cmd, "q_act": q_act, "q_msr": q_msr,
                       "q_msr_comp": q_msr_comp, "err": err})
         integrators.append(integrator)
         if (np.abs(err) < tol).all():
@@ -77,31 +85,37 @@ ORACLE_CASES = {
 
 class TestPlant:
     def test_unit_beta_tracks_command_exactly(self):
-        plant = zero_plant(beta=1.0)
         u = np.array([0.1, -0.2, 0.05, 0.3, 0.0, -0.1])
-        q_act, q_msr = plant_step(plant, np.zeros(6), u)
-        assert np.allclose(q_act, u)
-        assert np.allclose(q_msr, u)
+        trace = servo_to(zero_plant(beta=1.0), PI_OFF, np.zeros(6), u)
+        assert np.array_equal(trace.q_cmd, [u])
+        assert np.allclose(trace.q_act, [u])
+        # the measurement after the step is u too, so the error is zero
+        assert np.allclose(trace.err, 0.0)
 
     def test_first_order_lag(self):
-        plant = zero_plant(beta=0.5)
-        q_act, _ = plant_step(plant, np.zeros(6), np.ones(6))
-        assert np.allclose(q_act, 0.5)
+        trace = servo_to(zero_plant(beta=0.5), PI_OFF, np.zeros(6), np.ones(6))
+        assert np.allclose(trace.q_act[0], 0.5)
+        halvings = 0.5 ** np.arange(1, len(trace.steps) + 1)
+        assert np.allclose(trace.q_act, 1.0 - halvings[:, None])
 
     def test_disturbance_steady_state(self):
         d = default_disturbance()
         plant = PlantModel(delta_q=np.zeros(6), disturbance=d, beta=0.8)
         u = np.array([0.1, -0.2, 0.05, 0.3, 0.0, -0.1])
-        q_act = np.zeros(6)
-        for _ in range(200):
-            q_act, _ = plant_step(plant, q_act, u)
-        assert np.allclose(q_act, u - d, atol=1e-12)
+        with pytest.raises(NotConverged) as exc:
+            servo_to(plant, PI_OFF, np.zeros(6), u, max_steps=200)
+        assert np.allclose(exc.value.trace.q_act[-1], u - d, atol=1e-12)
 
     def test_measurement_bias(self):
         dq = np.full(6, 0.01)
         plant = PlantModel(delta_q=dq, disturbance=np.zeros(6), beta=1.0)
-        q_act, q_msr = plant_step(plant, np.zeros(6), np.ones(6))
-        assert np.allclose(q_msr, q_act - dq)
+        q_act0 = np.full(6, 0.3)
+        with pytest.raises(NotConverged) as exc:
+            servo_to(plant, PI_OFF, np.zeros(6), np.ones(6), q_act0=q_act0, max_steps=3)
+        trace = exc.value.trace
+        # each step's measurement is the position entering it minus the bias
+        assert np.allclose(trace.q_msr, np.vstack((q_act0, trace.q_act[:-1])) - dq)
+        assert np.allclose(trace.err, 0.01)
 
     def test_beta_validated(self):
         with pytest.raises(ValueError):
@@ -130,25 +144,40 @@ class TestPlant:
 
 
 class TestPiStep:
+    """The PI update inside servo_to's tick."""
+
     def test_zero_error_passes_setpoint_through(self):
-        gains = PiGains()
+        # starting at the target with no bias or disturbance: the error and
+        # the integrator stay zero, so the command is q_des and one step ends it
         q_des = np.array([0.1, 0.2, 0.0, -0.1, 0.3, 0.0])
-        u, integ = pi_step(gains, np.zeros(6), q_des, q_des.copy())
-        assert np.allclose(u, q_des)
-        assert np.allclose(integ, 0.0)
+        trace = servo_to(zero_plant(beta=0.8), PiGains(), np.zeros(6), q_des, q_act0=q_des)
+        assert np.array_equal(trace.q_cmd, [q_des])
+        assert np.array_equal(trace.err, np.zeros((1, 6)))
 
     def test_proportional_term(self):
         gains = PiGains(kp=np.full(6, 0.5), ki=np.zeros(6))
-        u, _ = pi_step(gains, np.zeros(6), np.ones(6), np.zeros(6))
-        assert np.allclose(u, 1.5)
+        trace = servo_to(zero_plant(), gains, np.zeros(6), np.ones(6))
+        assert np.allclose(trace.q_cmd[0], 1.5)
+        assert np.allclose(trace.q_cmd, 1.0 + 0.5 * (1.0 - trace.q_msr_comp))
 
     def test_integrator_accumulates_and_clamps(self):
+        # a disturbance of 0.2 needs an integrator of 0.2 to cancel, twice
+        # the clamp; with kp = 0 and ki = 1 the command minus q_des is the
+        # integrator itself
         clamp = np.full(6, 0.1)
         gains = PiGains(kp=np.zeros(6), ki=np.ones(6), integrator_clamp=clamp)
-        integ = np.zeros(6)
-        for _ in range(100):
-            _, integ = pi_step(gains, integ, np.ones(6), np.zeros(6))
-        assert np.allclose(integ, 0.1)
+        plant = PlantModel(delta_q=np.zeros(6), disturbance=np.full(6, 0.2), beta=0.5)
+        with pytest.raises(NotConverged) as exc:
+            servo_to(plant, gains, np.zeros(6), np.zeros(6), max_steps=100)
+        trace = exc.value.trace
+        integ = trace.q_cmd
+        expected, running = [], np.zeros(6)
+        for e in -trace.q_msr_comp:
+            running = np.clip(running + e, -clamp, clamp)
+            expected.append(running)
+        assert np.allclose(integ, expected)
+        assert np.all(integ[0] < 0.1) and np.all(np.diff(integ, axis=0) >= 0)
+        assert np.allclose(integ[-1], 0.1)
 
     def test_negative_gains_rejected(self):
         with pytest.raises(ValueError, match="kp must be >= 0"):
@@ -173,13 +202,18 @@ class TestPiStep:
 
 
 class TestCompensate:
+    """The offset compensation inside servo_to's tick."""
+
     def test_shifts_measurement_keeps_reference(self):
-        q_msr = np.full(6, 0.1)
-        q_des = np.full(6, 0.5)
         dq_hat = np.full(6, 0.02)
-        q_msr_comp, q_ref = compensate(q_msr, q_des, dq_hat)
-        assert np.allclose(q_msr_comp, 0.12)
-        assert np.allclose(q_ref, q_des)
+        q_des = np.full(6, 0.5)
+        trace = servo_to(zero_plant(beta=0.8), PiGains(), dq_hat, q_des,
+                         q_act0=np.full(6, 0.1))
+        assert np.array_equal(trace.q_msr_comp, trace.q_msr + dq_hat)
+        assert np.allclose(trace.q_msr_comp[0], 0.12)
+        # the PI reference is q_des itself, so the loop settles with the
+        # compensated measurement, q_act + dq_hat on this unbiased plant, there
+        assert np.allclose(trace.q_act[-1] + dq_hat, q_des, atol=1e-6)
 
 
 class TestServo:
@@ -187,11 +221,10 @@ class TestServo:
 
     def test_converges_with_default_plant(self):
         trace = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
-        assert trace.converged
         assert np.all(np.abs(trace.err[-1]) < 1e-6)
         # measurement equals actual here (no bias), so the actual position
         # also reaches the target despite the input disturbance
-        assert np.all(actual_error(trace) < 1e-5)
+        assert np.all(actual_error(trace, self.q_des) < 1e-5)
 
     def test_kp_only_fixed_point(self):
         # proportional-only loop: u = q_des + kp e and the plant settles at
@@ -216,24 +249,22 @@ class TestServo:
         dq = np.array([0.02, -0.03, 0.001, 0.04, -0.01, 0.02])
         plant = PlantModel(delta_q=dq)
         trace = servo_to(plant, PiGains(), dq.copy(), self.q_des)
-        assert trace.converged
-        assert np.all(actual_error(trace) < 1e-5)
+        assert np.all(actual_error(trace, self.q_des) < 1e-5)
 
     def test_no_compensation_leaves_bias_sized_actual_error(self):
         dq = np.full(6, 0.02)
         plant = PlantModel(delta_q=dq)
         trace = servo_to(plant, PiGains(), np.zeros(6), self.q_des)
-        assert trace.converged
         # loop converges on the measurement, but the actual position misses
         # the target by the unmodeled bias
-        assert np.allclose(actual_error(trace), 0.02, atol=1e-5)
+        assert np.allclose(actual_error(trace, self.q_des), 0.02, atol=1e-5)
 
     def test_offset_estimate_error_maps_to_actual_error(self):
         dq = np.full(6, 0.02)
         eps = 0.005
         plant = PlantModel(delta_q=dq)
         trace = servo_to(plant, PiGains(), dq + eps, self.q_des)
-        assert np.allclose(actual_error(trace), eps, atol=1e-5)
+        assert np.allclose(actual_error(trace, self.q_des), eps, atol=1e-5)
 
     def test_not_converged_carries_trace(self):
         with pytest.raises(NotConverged) as exc:
@@ -280,15 +311,15 @@ class TestServo:
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_servo_matches_numpy_loop_bitwise(case):
-    """servo_to's float loop and bulk trace give, bit for bit, the columns,
-    step count and outcome of the step-by-step numpy loop."""
+    """servo_to's float loop gives, bit for bit, the columns, step count and
+    outcome (NotConverged raised or not) of the step-by-step numpy loop."""
     kwargs = ORACLE_CASES[case]
     steps, integrators, converged = reference_servo(**kwargs)
     try:
-        trace = servo_to(**kwargs)
+        trace, servo_converged = servo_to(**kwargs), True
     except NotConverged as e:
-        trace = e.trace
-    assert trace.converged == converged
+        trace, servo_converged = e.trace, False
+    assert servo_converged == converged
     assert len(trace.steps) == len(steps)
     for name in COLUMNS:
         col = getattr(trace, name)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suturekit import bench, geometry
+from suturekit.control import NotConverged, PiGains, PlantModel, servo_to
 from suturekit.geometry import RigidPose, rotation_geodesic
 from suturekit.needle import NeedleShape
 from suturekit import planning
@@ -323,6 +324,32 @@ def test_run_suture_scores_match_per_waypoint_reference(seed, compensate):
     )
     # repr shows each float's shortest round-trip digits and its type
     assert repr(report) == repr(reference)
+
+
+def test_execute_runs_on_when_a_waypoint_does_not_converge(monkeypatch):
+    """With two servo steps per waypoint none converges: NotConverged is the
+    only signal, so the report says not converged, yet every waypoint runs,
+    each from the last position of the one before."""
+    cfg = bench.SutureRunConfig(injected_bias_deg=3.0)
+    scene = bench.suture_scene(cfg)
+    dq_hat = bench.calibrate(scene.delta_q)
+    _, path = bench.plan(scene, cfg.shape)
+    monkeypatch.setattr(bench, "_SERVO_MAX_STEPS", 2)
+    report = bench.run_suture(cfg)
+    assert not report.servo_converged
+    # as many as with the full step budget, where every waypoint converges
+    assert report.waypoints_executed == len(path)
+
+    ticks, converged = bench.execute(scene, dq_hat, path)
+    assert not converged
+    assert len(ticks) == len(path)
+    assert all(len(q) <= 2 for q in ticks)
+    plant, q_act = PlantModel(delta_q=scene.delta_q), scene.q_start + scene.delta_q
+    for q_des, q in zip(path, ticks):
+        with pytest.raises(NotConverged) as exc:
+            servo_to(plant, PiGains(), dq_hat, q_des, q_act0=q_act, max_steps=2)
+        assert exc.value.trace.q_act.tobytes() == q.tobytes()
+        q_act = q[-1]
 
 
 def test_plan_checks_each_planned_pose_once(monkeypatch):
