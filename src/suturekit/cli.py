@@ -118,15 +118,19 @@ def _mm(v):
     return v / 1000.0
 
 
-def _at_least(low, key):
-    """A conversion that keeps a value of at least `low` and raises a
-    ValueError naming `key` for one below it, where the library would name
-    another keyword or nothing."""
+def _checked(key, text, test, convert=None):
+    """A conversion that keeps a value passing `test` and raises a ValueError
+    naming `key` and showing the value for one that fails, where the library
+    would name another keyword or nothing; `convert` then changes its unit."""
     def check(v):
-        if v < low:
-            raise ValueError(f"{key} must be >= {low}, got {v}")
-        return v
+        if not test(v):
+            raise ValueError(f"{key} must be {text}, got {v}")
+        return v if convert is None else convert(v)
     return check
+
+
+def _at_least(low, key):
+    return _checked(key, f">= {low}", lambda v: v >= low)
 
 
 # Config tables: key -> (value kind, library keyword, unit conversion). A
@@ -135,7 +139,8 @@ def _at_least(low, key):
 # builds the library object from the object's keyword arguments. A keyword
 # of None marks a key that the command reads itself.
 _SHAPE = ({"radius_mm": (_NUMBER, "radius", _mm),
-           "arc_angle_deg": (_NUMBER, "arc_angle", np.radians)},
+           "arc_angle_deg": (_NUMBER, "arc_angle", _checked(
+               "arc_angle_deg", "in (0, 360)", lambda v: 0 < v < 360, np.radians))},
           "shape", lambda kw: dataclasses.replace(bench.DEFAULT_SHAPE, **kw))
 _SEED = (_INTEGER, "rng_seed", _at_least(0, "seed"))  # numpy's rngs take no negative seed
 _LINE_WIDTH = (_NUMBER, "line_width", None)  # pixels
@@ -146,7 +151,9 @@ TABLES = {
         "scenes": (_INTEGER, "scenes", None),
         "occlusion_fractions": (_NUMBERS, "occlusion_fractions", None),
         "line_width": _LINE_WIDTH,
-        "baseline_mm": (_NUMBER, "baseline", _mm),
+        # a negative baseline is a mirrored rig, which the estimator handles
+        "baseline_mm": (_NUMBER, "baseline", _checked(
+            "baseline_mm", "finite and not 0", lambda v: v != 0 and np.isfinite(v), _mm)),
         "depth_range_m": (_PAIR, "depth_range", None),
         "shape": _SHAPE,
     },

@@ -233,14 +233,10 @@ class PinholeCamera:
         return px, valid
 
     def backproject_ray(self, pixels: np.ndarray) -> np.ndarray:
-        """Unit world-frame ray directions through a (2,) pixel or (n, 2)
-        pixels; shape (3,) or (n, 3)."""
-        p = np.asarray(pixels, dtype=float)
-        d = np.stack(
-            [(p[..., 0] - self.cx) / self.fx, (p[..., 1] - self.cy) / self.fy,
-             np.ones(p.shape[:-1])],
-            axis=-1,
-        )
+        """Unit world-frame ray directions through (..., 2) pixels; shape
+        (..., 3)."""
+        p = (np.asarray(pixels, dtype=float) - self._c) / self._f
+        d = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
         d = d @ self.pose_world_from_camera.rotation.T
         return d / np.linalg.norm(d, axis=-1, keepdims=True)
 

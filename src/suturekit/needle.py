@@ -47,7 +47,7 @@ class NeedleShape:
         if not 0 < self.radius < np.inf:
             raise ValueError(f"radius must be a finite number > 0, got {self.radius}")
         if not (0 < self.arc_angle <= 2 * np.pi - 1e-6):
-            raise ValueError("arc_angle must lie in (0, 2*pi - 1e-6]")
+            raise ValueError(f"arc_angle must lie in (0, 2*pi - 1e-6], got {self.arc_angle}")
 
     @property
     def chord_length(self) -> float:
@@ -98,19 +98,15 @@ def _inter_ray_angle(d_st: np.ndarray, d_ed: np.ndarray) -> np.ndarray:
 
 
 def _cross(a, b):
-    """Cross product of component triples: the bits of np.cross, which
-    computes the same products and differences."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    """Row cross product of (..., 3) arrays: np.cross's own products and
+    differences, so the same bits."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
 def _unit(v):
-    """Component triple divided by max(norm, 1e-300); the norm sums the
-    squares left to right, as np.linalg.norm over a last axis of 3 does."""
-    v0, v1, v2 = v
-    n = np.maximum(np.sqrt(v0 * v0 + v1 * v1 + v2 * v2), 1e-300)
-    return v0 / n, v1 / n, v2 / n
+    """Rows divided by max(norm, 1e-300); the norm sums the squares left to
+    right, as np.linalg.norm over a last axis of 3 does."""
+    return v / np.maximum(np.sqrt((v * v).sum(-1)), 1e-300)[..., None]
 
 
 class NeedleFrames(NamedTuple):
@@ -135,30 +131,19 @@ def needle_frames(vecs: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -
     """
     vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
     th1, th2 = vecs[..., 0], vecs[..., 1]
-    d_st = anchor.backproject_ray(vecs[..., 2:4])
-    d_ed = anchor.backproject_ray(vecs[..., 4:6])
+    # stacked (2, ..., 2) so each keypoint's rays keep the bits of a call of their own
+    d_st, d_ed = anchor.backproject_ray(np.stack([vecs[..., 2:4], vecs[..., 4:6]]))
     alpha = _inter_ray_angle(d_st, d_ed)
     valid = (alpha > _MIN_RAY_ANGLE) & (th1 > 0.0) & (th1 < np.pi - alpha)
     sa = np.where(alpha > 1e-12, np.sin(alpha), 1.0)
     L = shape.chord_length
-    t_ed = L * np.sin(th1) / sa
-    t_st = L * np.sin(alpha + th1) / sa
-    # component arithmetic: np.cross and np.linalg.norm cost far more in
-    # call overhead than in arithmetic on batches this small
-    C = anchor.center.tolist()
-    ray_st = [d_st[..., k] for k in range(3)]
-    ray_ed = [d_ed[..., k] for k in range(3)]
-    p_st = [c + t_st * d for c, d in zip(C, ray_st)]
-    p_ed = [c + t_ed * d for c, d in zip(C, ray_ed)]
-    u_ax = _unit([b - a for a, b in zip(p_st, p_ed)])
-    n_rays = _unit(_cross(ray_st, ray_ed))
-    w_ref = _unit(_cross(n_rays, u_ax))
-    c2, s2 = np.cos(th2), np.sin(th2)
-    e1 = [c2 * w + s2 * x for w, x in zip(w_ref, _cross(u_ax, w_ref))]
-    mid = [0.5 * (a + b) for a, b in zip(p_st, p_ed)]
-    offset = shape.radius * np.cos(shape.arc_angle / 2.0)
-    centers = [m - offset * x for m, x in zip(mid, e1)]
-    return NeedleFrames(*(np.stack(v, axis=-1) for v in (centers, e1, u_ax)), alpha, valid)
+    p_ed = anchor.center + (L * np.sin(th1) / sa)[..., None] * d_ed
+    p_st = anchor.center + (L * np.sin(alpha + th1) / sa)[..., None] * d_st
+    u_ax = _unit(p_ed - p_st)
+    w_ref = _unit(_cross(_unit(_cross(d_st, d_ed)), u_ax))
+    e1 = np.cos(th2)[..., None] * w_ref + np.sin(th2)[..., None] * _cross(u_ax, w_ref)
+    centers = 0.5 * (p_st + p_ed) - shape.radius * np.cos(shape.arc_angle / 2.0) * e1
+    return NeedleFrames(centers, e1, u_ax, alpha, valid)
 
 
 def params_to_pose(vec: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -> RigidPose:

@@ -227,10 +227,16 @@ class TestExitCodes:
         ({"line_width": 16.5}, "line_width must be at most 16 px, got 16.5"),
         ({"depth_range_m": [0.2, 0.08]}, "depth_range must be finite with 0 < lo < hi"),
         ({"depth_range_m": [0.08, float("inf")]}, "depth_range must be finite with 0 < lo"),
+        ({"baseline_mm": float("nan")}, "baseline_mm must be finite and not 0, got nan"),
+        ({"baseline_mm": 1e400}, "baseline_mm must be finite and not 0, got inf"),
+        ({"baseline_mm": 0}, "baseline_mm must be finite and not 0, got 0.0"),
+        ({"shape": {"arc_angle_deg": 0}}, "arc_angle_deg must be in (0, 360), got 0.0"),
+        ({"shape": {"arc_angle_deg": 400}}, "arc_angle_deg must be in (0, 360), got 400.0"),
     ], ids=["scenes", "no-fractions", "negative-fraction", "radius-nan", "radius-inf",
             "line_width-nan", "line_width-below-one", "line_width-huge",
             "line_width-above-bound", "depth-range-reversed",
-            "depth-range-infinite"])
+            "depth-range-infinite", "baseline-nan", "baseline-huge", "baseline-zero",
+            "arc-angle-zero", "arc-angle-above-full-turn"])
     def test_pose_bench_config_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -250,7 +256,10 @@ class TestExitCodes:
         ({"line_width": 16.5}, "line_width must be at most 16 px, got 16.5"),
         ({"injected_bias_deg": float("nan")}, "injected_bias_deg must be finite, got nan"),
         ({"injected_bias_deg": float("inf")}, "injected_bias_deg must be finite, got inf"),
-    ], ids=["line_width-huge", "line_width-above-bound", "bias-nan", "bias-inf"])
+        ({"shape": {"arc_angle_deg": 0}}, "arc_angle_deg must be in (0, 360), got 0.0"),
+        ({"shape": {"arc_angle_deg": 400}}, "arc_angle_deg must be in (0, 360), got 400.0"),
+    ], ids=["line_width-huge", "line_width-above-bound", "bias-nan", "bias-inf",
+            "arc-angle-zero", "arc-angle-above-full-turn"])
     def test_suture_run_config_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -486,6 +495,19 @@ class TestPoseBench:
         agg = summary["by_occlusion"]["0.00"]
         assert agg["scenes"] == 1
         assert agg["pos_err_mm_mean"] < 1.0
+
+    def test_negative_baseline_is_a_mirrored_rig(self, tmp_path):
+        # the right camera left of the left one: a valid rig, not an error
+        cfg = write_config(tmp_path / "c.json", {"scenes": 2, "baseline_mm": -20})
+        assert run_cli(["pose-bench", "--config", cfg, "--seed", "0",
+                        "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "pose_bench.csv").read_text().splitlines()[1:]
+        rows = list(csv.DictReader(lines))
+        assert len(rows) == 2
+        for r in rows:
+            assert r["converged"] == "1"
+            assert float(r["pos_err_m"]) <= 1e-3, r
+            assert float(r["ang_err_rad"]) <= np.radians(3.0), r
 
     def test_scenes_beyond_default_depth_range(self, tmp_path):
         # depth_range_m only places the scenes; the seed is triangulated from

@@ -111,6 +111,19 @@ class TestBackprojection:
         assert rays.shape == (2, 3)
         assert np.allclose(rays, [cam.backproject_ray(px) for px in pixels], atol=1e-15)
 
+    @pytest.mark.parametrize("batch", [(), (9,), (2, 9)], ids=str)
+    def test_rotated_rays_match_the_per_component_formula(self, batch):
+        rng = np.random.default_rng(len(batch))
+        cam = PinholeCamera(
+            812.5, 790.25, 301.7, 255.3, 640, 480,
+            pose_world_from_camera=RigidPose(random_rotation(rng), rng.normal(size=3)),
+        )
+        p = rng.uniform(0.0, 640.0, batch + (2,))
+        d = np.stack([(p[..., 0] - cam.cx) / cam.fx, (p[..., 1] - cam.cy) / cam.fy,
+                      np.ones(batch)], axis=-1) @ cam.pose_world_from_camera.rotation.T
+        expected = d / np.linalg.norm(d, axis=-1, keepdims=True)
+        assert cam.backproject_ray(p).tobytes() == expected.tobytes()
+
 
 class TestRigidPose:
     def test_identity(self):

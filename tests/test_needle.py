@@ -109,9 +109,49 @@ class TestTriangleConstruction:
         rng = np.random.default_rng(rows)
         a, b = rng.normal(size=(2, rows, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, rows, 1))
         a[0] = 0.0  # the norm floor keeps a zero vector at zero
-        assert np.stack(_cross(a.T, b.T), axis=-1).tobytes() == np.cross(a, b).tobytes()
+        assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
         expected = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-300)
-        assert np.stack(_unit(a.T), axis=-1).tobytes() == expected.tobytes()
+        assert _unit(a).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("batch", [(), (1,), (6,), (7,), (4, 3)], ids=str)
+    def test_frames_on_a_rotated_anchor_match_a_per_row_reference(self, shape, batch):
+        # the mono camera is rotated, and a batched rotation product's last
+        # bits depend on the batch layout: the reference rotates each
+        # keypoint's rays in the batch's own layout, then builds every frame
+        # row by row
+        cam = bench.default_mono_camera()
+        rng = np.random.default_rng(len(batch) * 10 + sum(batch))
+        vecs = np.concatenate([
+            rng.uniform(0.2, 2.5, batch + (1,)), rng.uniform(0.0, 6.0, batch + (1,)),
+            rng.uniform(100.0, 540.0, batch + (4,)),
+        ], axis=-1)
+        C, L = cam.center, shape.chord_length
+
+        def unit(v):
+            return v / np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-300)
+
+        def rays(kp):
+            d = np.stack([(kp[..., 0] - cam.cx) / cam.fx, (kp[..., 1] - cam.cy) / cam.fy,
+                          np.ones(kp.shape[:-1])], axis=-1)
+            return unit(d @ cam.pose_world_from_camera.rotation.T).reshape(-1, 3)
+
+        frames = needle_frames(vecs, shape, cam)
+        assert frames.centers.shape == (batch or (1,)) + (3,)
+        rows = zip(vecs.reshape(-1, 6), rays(vecs[..., 2:4]), rays(vecs[..., 4:6]))
+        for i, ((th1, th2, *_), d_st, d_ed) in enumerate(rows):
+            alpha = np.arccos(np.clip(np.sum(d_st * d_ed), -1.0, 1.0))
+            sa = np.sin(alpha) if alpha > 1e-12 else 1.0
+            p_st = C + L * np.sin(alpha + th1) / sa * d_st
+            p_ed = C + L * np.sin(th1) / sa * d_ed
+            u_ax = unit(p_ed - p_st)
+            w_ref = unit(np.cross(unit(np.cross(d_st, d_ed)), u_ax))
+            e1 = np.cos(th2) * w_ref + np.sin(th2) * np.cross(u_ax, w_ref)
+            center = 0.5 * (p_st + p_ed) - shape.radius * np.cos(shape.arc_angle / 2.0) * e1
+            valid = alpha > 1e-6 and 0.0 < th1 < np.pi - alpha
+            expected = (center, e1, u_ax, alpha, valid)
+            for field, got, want in zip(frames._fields, frames, expected):
+                row = got.reshape(-1, *got.shape[frames.alpha.ndim:])[i]
+                assert row.tobytes() == np.asarray(want).tobytes(), (field, i)
 
     def test_frames_of_a_slice_do_not_depend_on_the_others(self, rig, shape):
         rng = np.random.default_rng(3)
