@@ -20,7 +20,14 @@ from .calibration import (
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to
 from .geometry import PinholeCamera, RigidPose, StereoRig, quat_to_matrix, rotation_geodesic
-from .needle import BinaryMask, NeedleError, NeedleShape, pose_to_params, rasterize
+from .needle import (
+    BinaryMask,
+    NeedleError,
+    NeedleShape,
+    pose_to_params,
+    rasterize,
+    sample_axis_points,
+)
 from .planning import (
     SuturePorts,
     needle_tip_body,
@@ -114,7 +121,7 @@ def random_needle_pose(
         view_dir /= np.linalg.norm(view_dir)
         if abs(R[:, 2] @ view_dir) < np.sin(min_view_angle):
             continue
-        pts = T.apply(shape.arc_points_body(np.linspace(0, shape.arc_angle, 64)))
+        pts = sample_axis_points(T, shape, 64)
         if all(_in_view(c, pts) for c in rig.cameras):
             return T
     raise NoInViewPose(

@@ -6,15 +6,19 @@ in its table in TABLES: the JSON type of the value, the library keyword it
 sets and its unit conversion. An absent key is not passed on, so the
 library's own default holds; the only defaults kept here are those with no
 library home (calib eval's test_count and seed + 1, control-sim's target,
-max_steps and tol). Every output file starts with a header line carrying
-the config hash, and all outputs are byte-identical across runs with the
-same seed. Each CSV header also names its units: deg_mm for
-the calibration dataset and table, m_rad for the pose-bench and control
-traces, none for the loss curve (losses in scaled space). In pose_bench.csv
-m_rad covers the error columns; J_final, the chamfer objective, is in
-squared pixels.
+max_steps and tol). All outputs are byte-identical across runs with the
+same seed. Each CSV starts with a `# config_hash=... units=...` header line;
+the JSON summaries (pose_bench_summary.json, control_summary.json,
+suture_report.json) carry a config_hash key instead, and calib_model.json,
+the trained network, carries no hash. The units are deg_mm for the
+calibration dataset and table, m_rad for the pose-bench and control traces,
+none for the loss curve (losses in scaled space). In pose_bench.csv m_rad
+covers the error columns; J_final, the chamfer objective, is in squared
+pixels.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Exit codes: 0 success, 1 runtime failure, 2 usage/config error (a config
+that is missing, unreadable or invalid, an output directory that cannot be
+created, or a calib step run before the one that makes its input).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -55,11 +60,15 @@ def _load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    with open(p) as f:
-        try:
+    try:
+        with open(p, encoding="utf-8") as f:
             cfg = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"invalid config JSON: {e}") from e
+    except OSError as e:  # a directory, say
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8 (byte {e.start}: {e.reason})") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"invalid config JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config JSON must be an object")
     return cfg
@@ -225,9 +234,8 @@ def _kwargs(cfg: dict, table: dict, keys=None) -> dict:
 
 # --- pose-bench -------------------------------------------------------------
 
-def cmd_pose_bench(cfg: dict, out_dir: Path) -> int:
+def cmd_pose_bench(cfg: dict, h: str, out_dir: Path) -> None:
     pb = bench.PoseBenchConfig(**_kwargs(cfg, TABLES["pose-bench"]))
-    h = config_hash(cfg)
     rows = bench.run_pose_bench(pb)
     _write_csv(
         out_dir / "pose_bench.csv",
@@ -249,7 +257,6 @@ def cmd_pose_bench(cfg: dict, out_dir: Path) -> int:
             f"occlusion {occ}: pos {agg['pos_err_mm_mean']:.3f} mm, "
             f"ang {agg['ang_err_deg_mean']:.3f} deg over {agg['scenes']} scenes"
         )
-    return 0
 
 
 # --- calib ------------------------------------------------------------------
@@ -258,24 +265,23 @@ def _calib_parts():
     return KinematicModel(), bench.default_mono_camera(), FeatureModel()
 
 
-def cmd_calib_gen(cfg: dict, out_dir: Path) -> int:
+def _input(path: Path, what: str, step: str) -> Path:
+    """`path`, an input that calib step `step` writes; a ConfigError if it is missing."""
+    if not path.exists():
+        raise ConfigError(f"{what} not found at {path}; run '{step}' first")
+    return path
+
+
+def cmd_calib_gen(cfg: dict, h: str, out_dir: Path) -> None:
     model, camera, fm = _calib_parts()
-    h = config_hash(cfg)
     keys = ("seed", "count", "delta_range_deg", "noise_px")
     data = generate_dataset(model, camera, fm, **_kwargs(cfg, TABLES["calib"], keys))
     write_dataset_csv(data, out_dir / "calib_dataset.csv", _header(h, "deg_mm"))
     print(f"wrote {len(data)} samples to {out_dir / 'calib_dataset.csv'}")
-    return 0
 
 
-def cmd_calib_train(cfg: dict, out_dir: Path) -> int:
-    dataset_path = out_dir / "calib_dataset.csv"
-    if not dataset_path.exists():
-        print(f"error: dataset not found at {dataset_path}; run 'calib gen' first",
-              file=sys.stderr)
-        return 2
-    h = config_hash(cfg)
-    data = read_dataset_csv(dataset_path)
+def cmd_calib_train(cfg: dict, h: str, out_dir: Path) -> None:
+    data = read_dataset_csv(_input(out_dir / "calib_dataset.csv", "dataset", "calib gen"))
     keys = ("seed", "hidden_sizes", "epochs", "batch_size", "learning_rate")
     tc = TrainConfig(**_kwargs(cfg, TABLES["calib"], keys))
     result = mlp_train(data, tc)
@@ -292,18 +298,11 @@ def cmd_calib_train(cfg: dict, out_dir: Path) -> int:
     )
     print(f"final train loss {result.train_loss[-1]:.3e}, "
           f"val loss {result.val_loss[-1]:.3e}")
-    return 0
 
 
-def cmd_calib_eval(cfg: dict, out_dir: Path) -> int:
-    model_path = out_dir / "calib_model.json"
-    if not model_path.exists():
-        print(f"error: model not found at {model_path}; run 'calib train' first",
-              file=sys.stderr)
-        return 2
-    h = config_hash(cfg)
+def cmd_calib_eval(cfg: dict, h: str, out_dir: Path) -> None:
+    mlp = load_mlp(_input(out_dir / "calib_model.json", "model", "calib train"))
     model, camera, fm = _calib_parts()
-    mlp = load_mlp(model_path)
     # CLI-only defaults: 1000 test samples, drawn at seed + 1 so they are
     # disjoint from the training data
     keys = ("seed", "test_count", "delta_range_deg", "noise_px")
@@ -323,13 +322,11 @@ def cmd_calib_eval(cfg: dict, out_dir: Path) -> int:
                ["joint", "unit", "mean_abs_err", "std_abs_err"], rows)
     for r in rows:
         print(f"{r[0]}: {r[2]} +- {r[3]} {r[1]}")
-    return 0
 
 
 # --- control-sim ------------------------------------------------------------
 
-def cmd_control_sim(cfg: dict, out_dir: Path) -> int:
-    h = config_hash(cfg)
+def cmd_control_sim(cfg: dict, h: str, out_dir: Path) -> None:
     table = TABLES["control-sim"]
     plant = PlantModel(**_kwargs(cfg, table, ("beta",)))
     gains_on = PiGains(**_kwargs(cfg, table, ("kp", "ki")))
@@ -375,13 +372,11 @@ def cmd_control_sim(cfg: dict, out_dir: Path) -> int:
     })
     print("error reduction per joint (%):",
           ", ".join(f"{r:.2f}" for r in reduction))
-    return 0
 
 
 # --- suture-run -------------------------------------------------------------
 
-def cmd_suture_run(cfg: dict, out_dir: Path) -> int:
-    h = config_hash(cfg)
+def cmd_suture_run(cfg: dict, h: str, out_dir: Path) -> None:
     sr = bench.SutureRunConfig(**_kwargs(cfg, TABLES["suture-run"]))
     report = bench.run_suture(sr)
     _write_json(out_dir / "suture_report.json", h, {
@@ -396,31 +391,43 @@ def cmd_suture_run(cfg: dict, out_dir: Path) -> int:
     })
     print(f"max circle deviation {report.max_circle_dev_m * 1e3:.3f} mm, "
           f"exit miss {report.exit_miss_m * 1e3:.3f} mm")
-    return 0
 
 
 # --- entry point ------------------------------------------------------------
 
-def _add_common(p):
+def _command(sub, name: str, run):
+    """Declare subcommand `name`, run by `run`, with the options all share."""
+    p = sub.add_parser(name)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override rng seed")
     p.add_argument("--out-dir", default=".", help="output directory")
+    p.set_defaults(run=run)
     return p
 
 
+@functools.cache  # one parser per process, built on first use
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="suturekit")
     sub = ap.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("pose-bench")).add_argument(
+    _command(sub, "pose-bench", cmd_pose_bench).add_argument(
         "--scenes", type=int, help="override scene count"
     )
-    for name in ("control-sim", "suture-run"):
-        _add_common(sub.add_parser(name))
-    calib = sub.add_parser("calib")
-    calib_sub = calib.add_subparsers(dest="subcommand", required=True)
-    for name in ("gen", "train", "eval"):
-        _add_common(calib_sub.add_parser(name))
+    _command(sub, "control-sim", cmd_control_sim)
+    _command(sub, "suture-run", cmd_suture_run)
+    calib = sub.add_parser("calib").add_subparsers(dest="subcommand", required=True)
+    _command(calib, "gen", cmd_calib_gen)
+    _command(calib, "train", cmd_calib_train)
+    _command(calib, "eval", cmd_calib_eval)
     return ap
+
+
+def _out_dir(path: str) -> Path:
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # an existing file, or a path under one
+        raise ConfigError(f"cannot create output directory {path}: {e.strerror}") from e
+    return out_dir
 
 
 def main(argv=None) -> int:
@@ -428,30 +435,17 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         check_config(cfg, TABLES[args.command], args.command)
+        for key, value in vars(args).items():  # the flags that override config keys
+            if key in ("seed", "scenes") and value is not None:
+                cfg[key] = value
+        args.run(cfg, config_hash(cfg), _out_dir(args.out_dir))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "scenes", None) is not None:
-        cfg["scenes"] = args.scenes
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    dispatch = {
-        ("pose-bench", None): cmd_pose_bench,
-        ("control-sim", None): cmd_control_sim,
-        ("suture-run", None): cmd_suture_run,
-        ("calib", "gen"): cmd_calib_gen,
-        ("calib", "train"): cmd_calib_train,
-        ("calib", "eval"): cmd_calib_eval,
-    }
-    fn = dispatch[(args.command, getattr(args, "subcommand", None))]
-    try:
-        return fn(cfg, out_dir)
     except Exception as e:  # runtime failure
         print(f"error [{args.command}]: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

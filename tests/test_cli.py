@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ import pytest
 from suturekit import bench, cli
 from suturekit.cli import TABLES, build_parser, check_config, config_hash, main
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def run_cli(args):
@@ -28,6 +32,9 @@ class TestParsing:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_config_hash_stable_and_order_free(self):
         a = config_hash({"a": 1, "b": 2})
@@ -51,13 +58,39 @@ class TestExitCodes:
         code = run_cli(["control-sim", "--config", str(bad), "--out-dir", str(tmp_path)])
         assert code == 2
 
-    def test_train_without_dataset_is_usage_error(self, tmp_path):
+    def test_train_without_dataset_is_usage_error(self, tmp_path, capsys):
         code = run_cli(["calib", "train", "--out-dir", str(tmp_path)])
         assert code == 2
+        assert capsys.readouterr().err == (f"error: dataset not found at "
+                                           f"{tmp_path / 'calib_dataset.csv'}; "
+                                           f"run 'calib gen' first\n")
 
-    def test_eval_without_model_is_usage_error(self, tmp_path):
+    def test_eval_without_model_is_usage_error(self, tmp_path, capsys):
         code = run_cli(["calib", "eval", "--out-dir", str(tmp_path)])
         assert code == 2
+        assert capsys.readouterr().err == (f"error: model not found at "
+                                           f"{tmp_path / 'calib_model.json'}; "
+                                           f"run 'calib train' first\n")
+
+    @pytest.mark.parametrize("config, out_dir", [
+        ("a_dir", "out"),          # --config names a directory
+        ("latin1.json", "out"),    # the config file is not UTF-8
+        (None, "a_file"),          # --out-dir names an existing file
+        (None, "a_file/out"),      # --out-dir names a path under a file
+    ])
+    def test_unreadable_config_or_out_dir_is_usage_error(self, tmp_path, capsys, config,
+                                                         out_dir):
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "latin1.json").write_bytes('{"seed": 1, "note": "é"}'.encode("latin-1"))
+        (tmp_path / "a_file").write_text("")
+        args = ["pose-bench", "--scenes", "1", "--out-dir", str(tmp_path / out_dir)]
+        if config is not None:
+            args += ["--config", str(tmp_path / config)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / (config or out_dir)) in err
+        assert not (tmp_path / "out").exists()
 
     def test_train_on_split_smaller_than_batch_is_exit_one(self, tmp_path):
         # 270 samples leave 243 training rows, short of one 256-row batch
@@ -411,6 +444,55 @@ def test_calib_gen_draws_at_the_seed_and_eval_at_seed_plus_one(monkeypatch, tmp_
     for step in ("gen", "eval"):
         assert main(["calib", step, "--config", path, "--out-dir", str(tmp_path)]) == 1
     assert seeds == [7, 8]
+
+
+def test_module_entry_point(tmp_path):
+    """`python -m suturekit.cli`, the path the console script takes too, exits
+    with main's code and reports a usage error without a traceback."""
+    path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "suturekit.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    assert run("--help").returncode == 0
+    out = run("pose-bench", "--config", str(tmp_path), "--out-dir", str(tmp_path / "out"))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+# the configs of criterion 9 (tests/test_acceptance.py); calib's is workdir's
+CRITERION_9 = {"pose-bench": {"scenes": 2}, "control-sim": {},
+               "suture-run": {"injected_bias_deg": 3.0}}
+
+
+def test_config_hash_placement(workdir, tmp_path):
+    """Each CSV starts with a `# config_hash=... units=...` line, the JSON
+    summaries carry a config_hash key instead, and the trained model no hash."""
+    dirs = [workdir]
+    for command, cfg in CRITERION_9.items():
+        dirs.append(tmp_path / command)
+        dirs[-1].mkdir()
+        path = write_config(dirs[-1] / "cfg.json", cfg)
+        assert run_cli([command, "--config", path, "--out-dir", str(dirs[-1])]) == 0
+    hashes = {}
+    for d in dirs:
+        h = config_hash(json.loads((d / "cfg.json").read_text()))
+        hashes.update((f, h) for f in d.iterdir() if f.name != "cfg.json")
+    assert sorted(f.name for f in hashes) == [
+        "calib_dataset.csv", "calib_eval.csv", "calib_loss_curve.csv", "calib_model.json",
+        "control_summary.json", "control_trace.csv", "pose_bench.csv",
+        "pose_bench_summary.json", "suture_report.json",
+    ]
+    for f, h in hashes.items():
+        text = f.read_text()
+        if f.suffix == ".csv":
+            assert text.startswith(f"# config_hash={h} units="), f.name
+        elif f.name == "calib_model.json":
+            assert "config_hash" not in text and h not in text
+        else:
+            assert text.startswith("{") and json.loads(text)["config_hash"] == h, f.name
 
 
 class TestControlSim:
