@@ -34,7 +34,7 @@ from .planning import (
     plan_suture_pass,
     suture_circle,
 )
-from .pose_estimator import KeypointHints, NoConvergence, estimate
+from .pose_estimator import EstimatorError, KeypointHints, NoConvergence, estimate
 from .psm_kinematics import KinematicModel, Unreachable, fk, fk_arrays, ik
 
 
@@ -192,9 +192,12 @@ def run_pose_scene(
     converged = True
     try:
         pose, J, steps = estimate(masks, hints, shape, rig)
-    except NoConvergence as e:
+    except NoConvergence as e:  # a rejected pose is still scored
         pose, J, steps = e.result
         converged = False
+    except EstimatorError:  # no pose: NaN errors and J, no steps
+        return PoseBenchRow(scene_id, math.nan, math.nan, math.nan, 0,
+                            occlusion_frac, cfg.rng_seed, False)
     pos_err = float(np.linalg.norm(pose.translation - T_true.translation))
     ang_err = rotation_geodesic(pose.rotation, T_true.rotation)
     return PoseBenchRow(
@@ -213,18 +216,20 @@ def run_pose_bench(cfg: PoseBenchConfig) -> list[PoseBenchRow]:
 
 
 def aggregate_rows(rows: list[PoseBenchRow]) -> dict:
-    """Per-occlusion-level mean/std of the error metrics."""
+    """Per-occlusion-level mean/std of the errors over the scenes with a pose
+    (None if none has one), and the converged fraction over every scene."""
     out = {}
     for occ in sorted({r.occlusion_frac for r in rows}):
         sel = [r for r in rows if r.occlusion_frac == occ]
-        pos = np.array([r.pos_err_m for r in sel])
-        ang = np.array([r.ang_err_rad for r in sel])
+        posed = [r for r in sel if not math.isnan(r.pos_err_m)]
+        pos = np.array([r.pos_err_m for r in posed])
+        ang = np.array([r.ang_err_rad for r in posed])
         out[f"{occ:.2f}"] = {
             "scenes": len(sel),
-            "pos_err_mm_mean": float(pos.mean() * 1e3),
-            "pos_err_mm_std": float(pos.std() * 1e3),
-            "ang_err_deg_mean": float(np.degrees(ang.mean())),
-            "ang_err_deg_std": float(np.degrees(ang.std())),
+            "pos_err_mm_mean": float(pos.mean() * 1e3) if posed else None,
+            "pos_err_mm_std": float(pos.std() * 1e3) if posed else None,
+            "ang_err_deg_mean": float(np.degrees(ang.mean())) if posed else None,
+            "ang_err_deg_std": float(np.degrees(ang.std())) if posed else None,
             "converged_fraction": float(np.mean([r.converged for r in sel])),
         }
     return out
@@ -232,7 +237,8 @@ def aggregate_rows(rows: list[PoseBenchRow]) -> dict:
 
 # --- end-to-end suture run --------------------------------------------------
 
-_SERVO_MAX_STEPS = 300  # per waypoint, at servo_to's default tolerance
+_TICKS_PER_TARGET = 8  # at 4, criterion 10's worst target tick is 0.484 mm off; 0.141 at 8
+_SERVO_HOLD_STEPS = 300  # after the reference ends, at servo_to's default tolerance
 _CALIB_BOUND = np.radians(10.0)  # calibrate_direct search bound per joint
 
 
@@ -255,6 +261,7 @@ class SutureRunReport:
     pose_est_ang_err_rad: float
     dq_hat_err_rad: float
     max_circle_dev_m: float
+    max_path_dev_m: float
     exit_miss_m: float
     waypoints_executed: int
     servo_converged: bool
@@ -287,9 +294,9 @@ def suture_scene(cfg: SutureRunConfig) -> SutureScene:
     # the suture-circle normal is aligned with the instrument shaft so the
     # long needle sweep maps onto the roll joint, whose +-257.8 deg range
     # does not cover the sweep: at criterion 10's compensated 3 deg bias the
-    # executed roll climbs from 38 to 254.3 deg, turns 355.6 deg back to
-    # -101.3 deg between waypoints 49 and 50, needle in tissue, and ends at
-    # -38 deg (ROADMAP.md, item 11)
+    # roll climbs from 38 deg at the entry port to 254.3 deg, turns 355.6 deg
+    # back to -101.3 deg between targets 58 and 59 of the executed path,
+    # needle in tissue, and ends at -38 deg (ROADMAP.md, item 11)
     q_yaw, q_pitch = 0.1, 0.35
     shaft_dir = np.array(
         [
@@ -332,10 +339,11 @@ def calibrate(delta_q: np.ndarray) -> np.ndarray:
     return calibrate_direct(model, mono, fm, q_msr, px, _CALIB_BOUND)
 
 
-def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray]:
-    """The grasp offset (the tool pose in the needle frame) and the (n, 6)
-    joint targets of the insertion and extraction waypoints of
-    plan_suture_pass, planned from the tool pose at q_start. Each target is
+def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray, int]:
+    """The grasp offset (the tool pose in the needle frame), the (n, 6) joint
+    targets of plan_suture_pass's approach, insertion and extraction from
+    the tool pose at q_start, and the approach's target count. The retreat
+    is left out: the needle is still through the tissue there. Each target is
     the ik solution nearest the one before it, the first nearest q_start;
     Unreachable names the segment of a waypoint ik cannot reach."""
     model = KinematicModel()
@@ -346,40 +354,33 @@ def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray]
         np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]]),
         np.array([0.0, 0.0, 0.004]),
     )
-    segments = plan_suture_pass(fk(model, scene.q_start), scene.ports, shape, grasp_offset)
+    segments = plan_suture_pass(fk(model, scene.q_start), scene.ports, shape, grasp_offset)[:3]
     q, path = scene.q_start, []
     for seg in segments:
-        if seg.label not in ("insertion", "extraction"):
-            continue
         for wp in seg.waypoints:
-            sols = ik(model, wp.tool_pose, q4_hint=float(q[3]))
+            sols = ik(model, wp.tool_pose or wp.pose, q4_hint=float(q[3]))  # approach: pose
             if not sols:
                 raise Unreachable(f"waypoint in segment {seg.label} unreachable")
             q = min(sols, key=lambda s: model.joint_distance(s, q))
             path.append(q)
-    return grasp_offset, np.array(path)
+    return grasp_offset, np.array(path), len(segments[0].waypoints)
 
 
-def execute(
-    scene: SutureScene, dq_hat: np.ndarray, path: np.ndarray
-) -> tuple[list[np.ndarray], bool]:
-    """Servo the biased plant, from the actual joints q_start + delta_q,
-    through each joint target of path in turn, with dq_hat fed forward.
-    Returns every tick's actual joint values, one (steps, 6) array per
-    target, and whether every target converged within _SERVO_MAX_STEPS."""
-    plant = PlantModel(delta_q=scene.delta_q)
-    gains = PiGains()
-    q_act = scene.q_start + scene.delta_q
-    ticks, converged = [], True
-    for q_des in path:
-        try:
-            trace = servo_to(plant, gains, dq_hat, q_des, q_act0=q_act, max_steps=_SERVO_MAX_STEPS)
-        except NotConverged as e:
-            trace = e.trace
-            converged = False
-        ticks.append(trace.q_act)
-        q_act = trace.q_act[-1]
-    return ticks, converged
+def execute(scene: SutureScene, dq_hat: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One servo_to run of the biased plant from the actual joints q_start +
+    delta_q, dq_hat fed forward, along a reference linear in joint space from
+    q_start through each target of path in _TICKS_PER_TARGET ticks. Returns
+    every tick's actual joints (ticks, 6) and whether the run converged."""
+    starts = np.vstack((scene.q_start, path[:-1]))[:, None]
+    f = np.arange(1, _TICKS_PER_TARGET + 1)[:, None] / _TICKS_PER_TARGET
+    ref = ((1.0 - f) * starts + f * path[:, None]).reshape(-1, 6)
+    try:
+        trace = servo_to(PlantModel(delta_q=scene.delta_q), PiGains(), dq_hat, ref,
+                         q_act0=scene.q_start + scene.delta_q,
+                         max_steps=len(ref) + _SERVO_HOLD_STEPS)
+    except NotConverged as e:
+        return e.trace.q_act, False
+    return trace.q_act, True
 
 
 def score(
@@ -405,22 +406,25 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
     """The whole pipeline on one synthetic scene, as a chain of stages that
     pass plain data: suture_scene, perceive (stereo masks and needle pose
     estimate), calibrate (the joint offset; zeros when not compensating),
-    plan (the joint path), execute (servo control) and score. Each pose plan
-    takes from plan_suture_pass has been checked exactly once, in the stack
-    the planner built it in (RigidPose.from_stack)."""
+    plan (the joint path; RigidPose.from_stack checked each pose it takes
+    from plan_suture_pass once), execute (one servo run) and score, from the
+    tick that reaches the first insertion target on: max_circle_dev_m is the
+    worst at the ticks reaching an insertion or extraction target,
+    max_path_dev_m the worst of all, exit_miss_m the last tick's."""
     scene = suture_scene(cfg)
     T_est = perceive(scene.needle, cfg.shape, cfg.line_width)
     dq_hat = calibrate(scene.delta_q) if cfg.compensate else np.zeros(6)
-    grasp_offset, path = plan(scene, cfg.shape)
-    ticks, converged = execute(scene, dq_hat, path)
-    deviations, exit_miss = score(scene.ports, cfg.shape, grasp_offset,
-                                  np.array([q[-1] for q in ticks]))
+    grasp_offset, path, n_approach = plan(scene, cfg.shape)
+    q_act, converged = execute(scene, dq_hat, path)
+    reach = np.arange(n_approach + 1, len(path) + 1) * _TICKS_PER_TARGET - 1  # target ticks
+    deviations, exit_miss = score(scene.ports, cfg.shape, grasp_offset, q_act[reach[0]:])
     return SutureRunReport(
         pose_est_pos_err_m=float(np.linalg.norm(T_est.translation - scene.needle.translation)),
         pose_est_ang_err_rad=rotation_geodesic(T_est.rotation, scene.needle.rotation),
         dq_hat_err_rad=float(np.max(np.abs(dq_hat - scene.delta_q))),
-        max_circle_dev_m=float(np.max(deviations)),
+        max_circle_dev_m=float(np.max(deviations[reach - reach[0]])),
+        max_path_dev_m=float(np.max(deviations)),
         exit_miss_m=exit_miss,
-        waypoints_executed=len(ticks),
+        waypoints_executed=len(path),
         servo_converged=converged,
     )

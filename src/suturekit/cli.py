@@ -253,6 +253,9 @@ def cmd_pose_bench(cfg: dict, h: str, out_dir: Path) -> None:
     summary = bench.aggregate_rows(rows)
     _write_json(out_dir / "pose_bench_summary.json", h, {"by_occlusion": summary})
     for occ, agg in summary.items():
+        if agg["pos_err_mm_mean"] is None:
+            print(f"occlusion {occ}: no pose in {agg['scenes']} scenes")
+            continue
         print(
             f"occlusion {occ}: pos {agg['pos_err_mm_mean']:.3f} mm, "
             f"ang {agg['ang_err_deg_mean']:.3f} deg over {agg['scenes']} scenes"
@@ -265,11 +268,11 @@ def _calib_parts():
     return KinematicModel(), bench.default_mono_camera(), FeatureModel()
 
 
-def _input(path: Path, what: str, step: str) -> Path:
-    """`path`, an input that calib step `step` writes; a ConfigError if it is missing."""
-    if not path.exists():
-        raise ConfigError(f"{what} not found at {path}; run '{step}' first")
-    return path
+def _check_input(out_dir: Path, name: str, what: str, step: str) -> None:
+    """A ConfigError if `name`, the input that calib step `step` writes to
+    `out_dir`, is missing."""
+    if not (out_dir / name).exists():
+        raise ConfigError(f"{what} not found at {out_dir / name}; run '{step}' first")
 
 
 def cmd_calib_gen(cfg: dict, h: str, out_dir: Path) -> None:
@@ -281,7 +284,7 @@ def cmd_calib_gen(cfg: dict, h: str, out_dir: Path) -> None:
 
 
 def cmd_calib_train(cfg: dict, h: str, out_dir: Path) -> None:
-    data = read_dataset_csv(_input(out_dir / "calib_dataset.csv", "dataset", "calib gen"))
+    data = read_dataset_csv(out_dir / "calib_dataset.csv")
     keys = ("seed", "hidden_sizes", "epochs", "batch_size", "learning_rate")
     tc = TrainConfig(**_kwargs(cfg, TABLES["calib"], keys))
     result = mlp_train(data, tc)
@@ -301,7 +304,7 @@ def cmd_calib_train(cfg: dict, h: str, out_dir: Path) -> None:
 
 
 def cmd_calib_eval(cfg: dict, h: str, out_dir: Path) -> None:
-    mlp = load_mlp(_input(out_dir / "calib_model.json", "model", "calib train"))
+    mlp = load_mlp(out_dir / "calib_model.json")
     model, camera, fm = _calib_parts()
     # CLI-only defaults: 1000 test samples, drawn at seed + 1 so they are
     # disjoint from the training data
@@ -384,24 +387,26 @@ def cmd_suture_run(cfg: dict, h: str, out_dir: Path) -> None:
         "pose_est_ang_err_deg": float(np.degrees(report.pose_est_ang_err_rad)),
         "dq_hat_err_deg": float(np.degrees(report.dq_hat_err_rad)),
         "max_circle_dev_mm": report.max_circle_dev_m * 1e3,
+        "max_path_dev_mm": report.max_path_dev_m * 1e3,
         "exit_miss_mm": report.exit_miss_m * 1e3,
         "waypoints_executed": report.waypoints_executed,
         "servo_converged": report.servo_converged,
         "note": "end-to-end metrics are self-defined (no published reference)",
     })
-    print(f"max circle deviation {report.max_circle_dev_m * 1e3:.3f} mm, "
-          f"exit miss {report.exit_miss_m * 1e3:.3f} mm")
+    print(f"max circle deviation {report.max_circle_dev_m * 1e3:.3f} mm, path deviation "
+          f"{report.max_path_dev_m * 1e3:.3f} mm, exit miss {report.exit_miss_m * 1e3:.3f} mm")
 
 
 # --- entry point ------------------------------------------------------------
 
-def _command(sub, name: str, run):
-    """Declare subcommand `name`, run by `run`, with the options all share."""
+def _command(sub, name: str, run, needs=None):
+    """Declare subcommand `name`, run by `run`, with the options all share;
+    `needs` is _check_input's (name, what, step) of the input it reads."""
     p = sub.add_parser(name)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override rng seed")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(run=run)
+    p.set_defaults(run=run, needs=needs)
     return p
 
 
@@ -416,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "suture-run", cmd_suture_run)
     calib = sub.add_parser("calib").add_subparsers(dest="subcommand", required=True)
     _command(calib, "gen", cmd_calib_gen)
-    _command(calib, "train", cmd_calib_train)
-    _command(calib, "eval", cmd_calib_eval)
+    _command(calib, "train", cmd_calib_train, ("calib_dataset.csv", "dataset", "calib gen"))
+    _command(calib, "eval", cmd_calib_eval, ("calib_model.json", "model", "calib train"))
     return ap
 
 
@@ -438,6 +443,8 @@ def main(argv=None) -> int:
         for key, value in vars(args).items():  # the flags that override config keys
             if key in ("seed", "scenes") and value is not None:
                 cfg[key] = value
+        if args.needs is not None:  # before the output directory is made
+            _check_input(Path(args.out_dir), *args.needs)
         args.run(cfg, config_hash(cfg), _out_dir(args.out_dir))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

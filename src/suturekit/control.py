@@ -115,62 +115,66 @@ def servo_to(
     plant: PlantModel,
     gains: PiGains,
     dq_hat: JointVector,
-    q_des: JointVector,
+    q_des: np.ndarray,  # (6,) or (T, 6)
     q_act0: JointVector | None = None,
     max_steps: int = 200,
     tol: float = 1e-6,
 ) -> ServoTrace:
-    """Run the compensated closed loop until per-joint convergence.
+    """Run the compensated closed loop along a joint reference until
+    per-joint convergence.
 
-    One tick, per joint: the measurement q_msr = q_act - delta_q is
-    compensated to q_msr + dq_hat, the PI error is e = q_des - (q_msr +
-    dq_hat), the integrator I + e is clamped to +-integrator_clamp, the
-    plant command is q_cmd = q_des + kp e + ki I - dq_hat, and the plant
-    moves to q_act + beta (q_cmd - disturbance - q_act). The loop stops once
-    every joint's error after the step is below tol. The trace keeps each
-    step's command, position and error as the loop computes them; its
-    measurements are the positions entering the steps (q_act0, then
+    q_des is a target (6,) or a reference (T, 6); tick k tracks its row d =
+    q_des[min(k, T - 1)], and one integrator runs throughout. One tick, per
+    joint: the measurement q_msr = q_act - delta_q is compensated to q_msr +
+    dq_hat, the PI error is e = d - (q_msr + dq_hat), the integrator I + e
+    is clamped to +-integrator_clamp, the plant command is q_cmd = d + kp e
+    + ki I - dq_hat, and the plant moves to q_act + beta (q_cmd -
+    disturbance - q_act). From the first tick on the last row, the loop
+    stops once every joint's error after the step is below tol. The trace
+    keeps each tick's command, position and error as the loop computes them;
+    its measurements are the positions entering the ticks (q_act0, then
     q_act[:-1]) minus delta_q.
 
-    Raises NotConverged (with the trace attached) when max_steps elapse
-    before every joint's compensated-measurement error drops below tol, and
-    ValueError when max_steps is below 1 (an empty trace has no final step),
-    tol is not a finite number above 0, or q_des, dq_hat or q_act0 is not 6
-    finite numbers.
+    Raises NotConverged (with the trace attached) when max_steps ticks
+    elapse first, and ValueError when max_steps is below 1 (an empty trace
+    has no final step), tol is not a finite number above 0, or q_des (of
+    shape (6,) or (T >= 1, 6)), dq_hat or q_act0 is not 6 finite numbers.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number above 0, got {tol}")
-    q_des, dq_hat = np.asarray(q_des, dtype=float), np.asarray(dq_hat, dtype=float)
+    ref, dq_hat = np.atleast_2d(np.asarray(q_des, dtype=float)), np.asarray(dq_hat, dtype=float)
     q_act0 = np.zeros(6) if q_act0 is None else np.asarray(q_act0, dtype=float)
-    if not q_des.shape == dq_hat.shape == q_act0.shape == (6,):
-        raise ValueError("q_des, dq_hat and q_act0 must have shape (6,)")
-    if not np.isfinite([q_des, dq_hat, q_act0]).all():
+    if not (ref.ndim == 2 and len(ref) and ref.shape[1:] == dq_hat.shape == q_act0.shape == (6,)):
+        raise ValueError("q_des must have shape (6,) or (T >= 1, 6), dq_hat and q_act0 (6,)")
+    if not np.isfinite(np.vstack((ref, dq_hat, q_act0))).all():
         raise ValueError("q_des, dq_hat and q_act0 must be finite")
 
     beta = float(plant.beta)
     joints = list(enumerate(zip(
-        q_des.tolist(), dq_hat.tolist(), plant.delta_q.tolist(),
-        plant.disturbance.tolist(), gains.kp.tolist(), gains.ki.tolist(),
-        gains.integrator_clamp.tolist(),
+        dq_hat.tolist(), plant.delta_q.tolist(), plant.disturbance.tolist(),
+        gains.kp.tolist(), gains.ki.tolist(), gains.integrator_clamp.tolist(),
     )))
-    q, integ, cmd = q_act0.tolist(), [0.0] * 6, [0.0] * 6
-    # e is q_des minus the compensated measurement: the PI error entering a
-    # step, and the convergence error after the one before
-    e = (q_des - ((q_act0 - plant.delta_q) + dq_hat)).tolist()
-    cmd_rows, q_rows, e_rows = [], [], []  # 6 floats per step each
-    for _ in range(max_steps):
-        converged = True
-        for j, (d, h, dl, dist, kp, ki, c) in joints:
-            ej = e[j]
+    q, integ, cmd, e = q_act0.tolist(), [0.0] * 6, [0.0] * 6, [0.0] * 6
+    # each tick's command, position and error, sized by the reference and doubled when
+    # full: max_steps may come from a config and be any size
+    rows = np.empty((min(max_steps, 2 * len(ref)), 18))
+    for k in range(max_steps):
+        if k < len(ref):
+            des = ref[k].tolist()
+        if k == len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows)))
+        converged = k >= len(ref) - 1
+        for j, (h, dl, dist, kp, ki, c) in joints:
+            d, a = des[j], q[j]
+            ej = d - ((a - dl) + h)
             i = integ[j] + ej
             if i < -c:
                 i = -c
             elif i > c:
                 i = c
             u = ((d + kp * ej) + ki * i) - h
-            a = q[j]
             a = a + beta * ((u - dist) - a)
             ej = d - ((a - dl) + h)
             # convergence is judged on the post-step measurement: the
@@ -183,14 +187,11 @@ def servo_to(
             integ[j] = i
             e[j] = ej
             cmd[j] = u
-        cmd_rows += cmd
-        q_rows += q
-        e_rows += e
+        rows[k] = cmd + q + e
         if converged:
             break
 
-    q_cmd, q_act, err = (np.fromiter(rows, float, len(rows)).reshape(-1, 6)
-                         for rows in (cmd_rows, q_rows, e_rows))
+    q_cmd, q_act, err = np.split(rows[:k + 1], 3, axis=1)
     q_msr = np.vstack((q_act0, q_act[:-1])) - plant.delta_q
     trace = ServoTrace(q_cmd, q_act, q_msr, q_msr + dq_hat, err)
     if not converged:

@@ -61,7 +61,9 @@ class EmptyMasks(EstimatorError):
 class NoSeed(EstimatorError):
     """The masks and hints do not determine a seed pose: fewer than 3
     triangulated points, (near) parallel hint rays, a hint ray that meets
-    the arc plane behind the camera, or a baseline along the left axis."""
+    the arc plane behind the camera, a baseline along the left axis, or a
+    seed outside the parameter domain, where J is inf and the descent
+    cannot move."""
 
 
 class NoConvergence(EstimatorError):
@@ -308,13 +310,17 @@ def estimate(
     Returns (pose, J, steps): J is the chamfer objective (squared pixels)
     at the pose, steps the descent's iterations. Raises NoConvergence when
     J per mask pixel exceeds _REJECT_MEAN_SQ_PX, NoSeed when no seed can be
-    formed and EmptyMasks when both masks are empty. Deterministic for
-    fixed inputs (no rng).
+    formed or the final vector lies outside the parameter domain, and
+    EmptyMasks when both masks are empty; it raises no other EstimatorError
+    and no NeedleError. Deterministic for fixed inputs (no rng).
     """
     ev = SceneEvaluator(masks, shape, rig)
     vec, J, steps, _ = lm.solve(_seed(masks, hints, shape, rig), ev.trial, _MIN_STEP_PX,
                                 _MAX_ITERATIONS)
-    pose = params_to_pose(vec, shape, rig.left)
+    try:
+        pose = params_to_pose(vec, shape, rig.left)
+    except needle.NeedleError as e:  # J is inf there, so no step left the seed
+        raise NoSeed(f"the seed lies outside the parameter domain: {e}") from e
     mean_sq_px = J / max(1, sum(len(m) for m in ev.mask_px))
     if mean_sq_px > _REJECT_MEAN_SQ_PX:
         raise NoConvergence(

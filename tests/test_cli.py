@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from suturekit import bench, cli
+from suturekit import bench, cli, pose_estimator
 from suturekit.cli import TABLES, build_parser, check_config, config_hash, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,18 +59,22 @@ class TestExitCodes:
         assert code == 2
 
     def test_train_without_dataset_is_usage_error(self, tmp_path, capsys):
-        code = run_cli(["calib", "train", "--out-dir", str(tmp_path)])
+        out = tmp_path / "new"
+        code = run_cli(["calib", "train", "--out-dir", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (f"error: dataset not found at "
-                                           f"{tmp_path / 'calib_dataset.csv'}; "
+                                           f"{out / 'calib_dataset.csv'}; "
                                            f"run 'calib gen' first\n")
+        assert not out.exists()
 
     def test_eval_without_model_is_usage_error(self, tmp_path, capsys):
-        code = run_cli(["calib", "eval", "--out-dir", str(tmp_path)])
+        out = tmp_path / "new"
+        code = run_cli(["calib", "eval", "--out-dir", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (f"error: model not found at "
-                                           f"{tmp_path / 'calib_model.json'}; "
+                                           f"{out / 'calib_model.json'}; "
                                            f"run 'calib train' first\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, out_dir", [
         ("a_dir", "out"),          # --config names a directory
@@ -604,3 +608,50 @@ class TestPoseBench:
             assert r["converged"] == "1"
             assert float(r["pos_err_m"]) <= 1e-3, r
             assert float(r["ang_err_rad"]) <= np.radians(3.0), r
+
+    @pytest.mark.parametrize("seed, scenes, failed, error", [
+        (0, 50, 49, "2 mask points triangulated"),
+        (2, 23, 22, "theta1=3.104"),
+    ], ids=["no-seed", "seed-outside-the-domain"])
+    def test_scene_without_a_pose_is_a_flagged_row(self, tmp_path, monkeypatch, seed, scenes,
+                                                   failed, error):
+        # at 90 % occlusion the last scene of each run gets no pose: too few
+        # triangulated points, or a seed whose theta1 the descent cannot move
+        # back into the domain (a ThetaOutOfRange, raised by estimate as NoSeed)
+        raised = []
+        estimate = bench.estimate
+
+        def recording(*args):
+            try:
+                return estimate(*args)
+            except pose_estimator.NoSeed as e:
+                raised.append(str(e))
+                raise
+
+        monkeypatch.setattr(bench, "estimate", recording)
+        cfg = write_config(tmp_path / "c.json", {"occlusion_fractions": [0.9]})
+        assert run_cli(["pose-bench", "--config", cfg, "--seed", str(seed),
+                        "--scenes", str(scenes), "--out-dir", str(tmp_path)]) == 0
+        assert len(raised) == 1 and error in raised[0]
+        lines = (tmp_path / "pose_bench.csv").read_text().splitlines()[1:]
+        rows = list(csv.DictReader(lines))
+        assert len(rows) == scenes
+        assert [int(r["scene_id"]) for r in rows if r["pos_err_m"] == "nan"] == [failed]
+        assert {k: rows[failed][k] for k in ("ang_err_rad", "J_final", "steps", "converged")} \
+            == {"ang_err_rad": "nan", "J_final": "nan", "steps": "0", "converged": "0"}
+        text = (tmp_path / "pose_bench_summary.json").read_text()
+        assert "NaN" not in text
+        agg = json.loads(text)["by_occlusion"]["0.90"]
+        posed = [r for r in rows if r["pos_err_m"] != "nan"]
+        assert agg["scenes"] == scenes
+        # the CSV keeps 10 significant digits
+        assert agg["pos_err_mm_mean"] == pytest.approx(
+            1e3 * np.mean([float(r["pos_err_m"]) for r in posed]), rel=1e-8)
+        assert agg["converged_fraction"] == np.mean([r["converged"] == "1" for r in rows])
+
+    def test_no_pose_at_all_gives_null_errors(self):
+        rows = [bench.PoseBenchRow(i, np.nan, np.nan, np.nan, 0, 0.9, 0, False) for i in range(2)]
+        agg = bench.aggregate_rows(rows)["0.90"]
+        assert agg == {"scenes": 2, "pos_err_mm_mean": None, "pos_err_mm_std": None,
+                       "ang_err_deg_mean": None, "ang_err_deg_std": None,
+                       "converged_fraction": 0.0}

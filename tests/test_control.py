@@ -31,15 +31,18 @@ PI_OFF = PiGains(kp=0.0, ki=0.0)
 
 def reference_servo(plant, gains, dq_hat, q_des, q_act0=None, max_steps=200, tol=1e-6):
     """The step-by-step numpy servo loop, written out independently of
-    servo_to: (rows of per-step dicts, integrator after each step,
+    servo_to: step k tracks row min(k, T - 1) of the (T, 6) reference q_des
+    (a (6,) target is one row), and the loop may stop from the last row on.
+    Returns (rows of per-step dicts, integrator after each step,
     converged)."""
-    q_des = np.asarray(q_des, dtype=float)
+    reference = np.asarray(q_des, dtype=float).reshape(-1, 6)
     dq_hat = np.asarray(dq_hat, dtype=float)
     q_act = np.zeros(6) if q_act0 is None else np.asarray(q_act0, dtype=float)
     clamp = gains.integrator_clamp
     integrator = np.zeros(6)
     steps, integrators = [], []
-    for _ in range(max_steps):
+    for k in range(max_steps):
+        q_des = reference[min(k, len(reference) - 1)]
         # measure, then compensate: the PI reference stays q_des
         q_msr = q_act - plant.delta_q
         q_msr_comp = q_msr + dq_hat
@@ -54,7 +57,7 @@ def reference_servo(plant, gains, dq_hat, q_des, q_act0=None, max_steps=200, tol
         steps.append({"q_cmd": q_cmd, "q_act": q_act, "q_msr": q_msr,
                       "q_msr_comp": q_msr_comp, "err": err})
         integrators.append(integrator)
-        if (np.abs(err) < tol).all():
+        if k >= len(reference) - 1 and (np.abs(err) < tol).all():
             return steps, np.array(integrators), True
     return steps, np.array(integrators), False
 
@@ -71,6 +74,16 @@ def random_case(seed):
                 max_steps=300)
 
 
+def reference_case(seed, rows):
+    """A random case whose target is a (rows, 6) reference: a straight line
+    in joint space from q_act0 to q_des with a small random wobble."""
+    case = random_case(seed)
+    rng = np.random.default_rng([seed, rows])
+    f = np.linspace(0.0, 1.0, rows)[:, None]
+    line = (1.0 - f) * case["q_act0"] + f * case["q_des"]
+    return {**case, "q_des": line + rng.normal(0.0, 0.01, (rows, 6))}
+
+
 ORACLE_CASES = {
     **{f"random-{seed}": random_case(seed) for seed in range(12)},
     "q_act0-none": {**random_case(12), "q_act0": None},
@@ -80,6 +93,12 @@ ORACLE_CASES = {
                      "gains": PiGains(kp=0.3, ki=0.2, integrator_clamp=1e-3)},
     "not-converged": {**random_case(14), "max_steps": 5},
     "tight-tol": {**random_case(15), "tol": 1e-12, "max_steps": 400},
+    # a streamed reference: the target moves for 40 steps, then holds
+    "reference": reference_case(17, rows=40),
+    # the reference outlasts max_steps, so the last row is never tracked
+    "reference-longer-than-max-steps": {**reference_case(16, rows=40), "max_steps": 30},
+    # a (1, 6) reference must give the bits of the (6,) target it holds
+    "one-row-reference": {**random_case(18), "q_des": random_case(18)["q_des"][None]},
 }
 
 
@@ -291,6 +310,31 @@ class TestServo:
         with pytest.raises(ValueError, match="must be finite"):
             servo_to(PlantModel(), PiGains(), **{**args, arg: bad})
 
+    @pytest.mark.parametrize("shape", [(0, 6), (3, 5), (2, 3, 6), (6, 1), ()],
+                             ids=["no-rows", "width-5", "3-d", "column", "scalar"])
+    def test_reference_must_have_six_columns_and_a_row(self, shape):
+        with pytest.raises(ValueError, match="q_des must have shape"):
+            servo_to(PlantModel(), PiGains(), np.zeros(6), np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_reference_must_be_finite(self, value):
+        reference = np.tile(self.q_des, (4, 1))
+        reference[2, 3] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            servo_to(PlantModel(), PiGains(), np.zeros(6), reference)
+
+    def test_convergence_is_tested_from_the_last_row_on(self):
+        # starting at a held target on an ideal plant, a one-row target
+        # converges at once, but six rows of it take six ticks, and five
+        # ticks of max_steps never reach the last row
+        plant, reference = zero_plant(beta=1.0), np.tile(self.q_des, (6, 1))
+        args = (plant, PI_OFF, np.zeros(6))
+        assert len(servo_to(*args, self.q_des, q_act0=self.q_des).steps) == 1
+        assert len(servo_to(*args, reference, q_act0=self.q_des).steps) == 6
+        with pytest.raises(NotConverged) as exc:
+            servo_to(*args, reference, q_act0=self.q_des, max_steps=5)
+        assert len(exc.value.trace.steps) == 5
+
     def test_deterministic(self):
         a = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
         b = servo_to(PlantModel(), PiGains(), np.zeros(6), self.q_des)
@@ -333,4 +377,4 @@ def test_oracle_cases_cover_clamp_and_both_outcomes():
         _, integrators, converged = reference_servo(**kwargs)
         clamped = bool(np.any(np.abs(integrators) == kwargs["gains"].integrator_clamp))
         outcomes.add((clamped, converged))
-    assert outcomes == {(False, True), (True, True), (True, False)}
+    assert outcomes == {(False, True), (True, True), (True, False), (False, False)}
