@@ -342,9 +342,8 @@ def calibrate(delta_q: np.ndarray) -> np.ndarray:
 def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray, int]:
     """The grasp offset (the tool pose in the needle frame), the (n, 6) joint
     targets of plan_suture_pass's approach, insertion and extraction from
-    the tool pose at q_start, and the approach's target count. The retreat
-    is left out: the needle is still through the tissue there. Each target is
-    the ik solution nearest the one before it, the first nearest q_start;
+    the tool pose at q_start, and the approach's target count. Each target
+    is the ik solution nearest the one before it, the first nearest q_start;
     Unreachable names the segment of a waypoint ik cannot reach."""
     model = KinematicModel()
     # tool grasps the needle with a slight wrist pitch so the sweep stays
@@ -354,7 +353,7 @@ def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray,
         np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]]),
         np.array([0.0, 0.0, 0.004]),
     )
-    segments = plan_suture_pass(fk(model, scene.q_start), scene.ports, shape, grasp_offset)[:3]
+    segments = plan_suture_pass(fk(model, scene.q_start), scene.ports, shape, grasp_offset)
     q, path = scene.q_start, []
     for seg in segments:
         for wp in seg.waypoints:

@@ -236,11 +236,23 @@ def write_dataset_csv(data: np.ndarray, path, header_comment: str = "") -> None:
 
 
 def read_dataset_csv(path) -> np.ndarray:
-    """Inverse of `write_dataset_csv`: the dataset array in internal units."""
+    """Inverse of `write_dataset_csv`: the dataset array in internal units.
+    A file whose header is not followed by a data row, or whose rows are not
+    12 + 2N wide for N >= 1 feature points, raises ValueError."""
     with open(path) as f:
-        skip = 2 if f.readline().startswith("#") else 1
-        f.seek(0)
-        data = np.loadtxt(f, delimiter=",", skiprows=skip, ndmin=2)
+        header = f.readline()
+        if header.startswith("#"):
+            header = f.readline()
+        start = f.tell()
+        if not f.readline().strip():
+            width = len(header.split(",")) if header.strip() else 0
+            raise ValueError(f"{path} has no data rows ({width} columns)")
+        f.seek(start)
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    n_feat, odd = divmod(data.shape[1] - 12, 2)
+    if odd or n_feat < 1:
+        raise ValueError(f"{path} has {data.shape[1]} columns; a dataset has 12 + 2N "
+                         f"for N >= 1 feature points")
     for q in (data[:, :6], data[:, -6:]):
         q[:, REVOLUTE] = np.radians(q[:, REVOLUTE])
         q[:, PRISMATIC_INDEX] /= 1000.0
@@ -538,16 +550,19 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_mlp(path) -> MlpModel:
+    """Inverse of `save_model`. A missing key, or a layer whose weight list
+    does not hold n_in * n_out values, raises ValueError."""
     with open(path) as f:
         d = json.load(f)
-    sizes = d["layer_sizes"]
-    weights = [
-        np.asarray(w, dtype=float).reshape(n_in, n_out)
-        for w, n_in, n_out in zip(d["weights"], sizes, sizes[1:])
-    ]
-    return MlpModel(
-        weights,
-        d["biases"],
-        Scaler(d["input_scaler"]["mean"], d["input_scaler"]["std"]),
-        Scaler(d["output_scaler"]["mean"], d["output_scaler"]["std"]),
-    )
+    try:
+        sizes, flat, biases = d["layer_sizes"], d["weights"], d["biases"]
+        scalers = [Scaler(d[k]["mean"], d[k]["std"]) for k in ("input_scaler", "output_scaler")]
+    except KeyError as e:
+        raise ValueError(f"{path} has no key {e}") from None
+    weights = []
+    for layer, (w, n_in, n_out) in enumerate(zip(flat, sizes, sizes[1:]), 1):
+        if len(w) != n_in * n_out:
+            raise ValueError(f"{path}: layer {layer} has {len(w)} weights, "
+                             f"expected {n_in} x {n_out} = {n_in * n_out}")
+        weights.append(np.asarray(w, dtype=float).reshape(n_in, n_out))
+    return MlpModel(weights, biases, *scalers)

@@ -4,8 +4,8 @@ Insertion/extraction waypoints lie on a needle-radius circle through the
 entry and exit ports, in the plane spanned by the port chord and the tissue
 normal; the needle slides along its own circle, so every waypoint keeps the
 needle centered on the circle with its tip tangent to the travel direction.
-Free motions use linear position interpolation with shortest-path rotation
-interpolation.
+The approach to the entry, the one free motion, uses linear position
+interpolation with shortest-path rotation interpolation.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ class DegenerateNormal(PlanningError):
     pass
 
 
-# plan_suture_pass: waypoints over the whole circular sweep, the step limits
-# of the linear moves (meters, radians) and the retreat lift (meters)
+# plan_suture_pass: waypoints over the whole circular sweep, the circle angle
+# of its deepest point and the step limits of the approach (meters, radians)
 _CIRCLE_WAYPOINTS = 64
+_THETA_DEEPEST = 1.5 * np.pi
 _MAX_STEP_POS = 0.005
 _MAX_STEP_ROT = 0.1
-_RETREAT_DISTANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,6 @@ class SutureCircle:
     def normal(self) -> np.ndarray:
         return np.cross(self.in_plane_x, self.in_plane_y)
 
-    @property
-    def sweep(self) -> float:
-        return self.theta_exit - self.theta_entry
-
-    @property
-    def theta_deepest(self) -> float:
-        return 1.5 * np.pi
-
 
 def suture_circle(ports: SuturePorts, shape: NeedleShape) -> SutureCircle:
     """Needle-radius circle through both ports, center under the tissue."""
@@ -125,36 +117,23 @@ def suture_circle(ports: SuturePorts, shape: NeedleShape) -> SutureCircle:
 
 
 def circular_trajectory(
-    ports: SuturePorts,
+    circle: SutureCircle,
     shape: NeedleShape,
-    waypoint_count: int,
-    grasp_offset: RigidPose | None = None,
-    theta_start: float | None = None,
-    theta_end: float | None = None,
+    thetas: np.ndarray,
+    grasp_offset: RigidPose,
 ) -> list[Waypoint]:
-    """Needle waypoints sweeping the under-tissue arc from entry to exit.
-
-    The needle tip sits at each circle angle, tangent to travel. When
-    grasp_offset is given, each waypoint also carries the tool pose, the
-    needle pose composed with the offset. The frames of all angles are
-    computed as stacked arrays, and RigidPose.from_stack checks each stack
-    once.
+    """Needle waypoints with the tip at each circle angle of `thetas`,
+    tangent to travel; each also carries the tool pose, the needle pose
+    composed with grasp_offset. The frames of all angles are computed as
+    stacked arrays, and RigidPose.from_stack checks each stack once.
     """
-    if waypoint_count < 2:
-        raise ValueError("waypoint_count must be >= 2")
-    circle = suture_circle(ports, shape)
-    t0 = circle.theta_entry if theta_start is None else theta_start
-    t1 = circle.theta_exit if theta_end is None else theta_end
-    # in-plane angle of each needle frame's x axis
-    a = np.linspace(t0, t1, waypoint_count)[:, None] - shape.arc_angle / 2.0
+    a = thetas[:, None] - shape.arc_angle / 2.0  # in-plane angle of each frame's x axis
     c, s = np.cos(a), np.sin(a)
     x, y = circle.in_plane_x, circle.in_plane_y
-    normal = np.broadcast_to(circle.normal, (waypoint_count, 3))
+    normal = np.broadcast_to(circle.normal, (len(a), 3))
     frames = np.stack([c * x + s * y, -s * x + c * y, normal], axis=-1)  # columns x, y, z
-    center = np.broadcast_to(circle.center, (waypoint_count, 3))
+    center = np.broadcast_to(circle.center, (len(a), 3))
     poses = RigidPose.from_stack(frames, center)
-    if grasp_offset is None:
-        return [Waypoint(p) for p in poses]
     tools = RigidPose.from_stack(frames @ grasp_offset.rotation,
                                  frames @ grasp_offset.translation + center)
     return [Waypoint(p, tool) for p, tool in zip(poses, tools)]
@@ -189,7 +168,7 @@ def linear_trajectory(
 
 @dataclass(frozen=True)
 class TrajectorySegment:
-    label: str  # approach | insertion | extraction | retreat
+    label: str  # approach | insertion | extraction
     waypoints: list[Waypoint]
 
 
@@ -199,31 +178,20 @@ def plan_suture_pass(
     shape: NeedleShape,
     grasp_offset: RigidPose,
 ) -> list[TrajectorySegment]:
-    """Approach, circular insertion to the deepest point, circular
-    extraction to the exit, and linear retreat; all segment junctions are
-    pose-continuous."""
+    """Linear approach from grasp_pose, circular insertion to the deepest
+    point and circular extraction to the exit; all segment junctions are
+    pose-continuous. The deepest point bisects the sweep, so the insertion
+    takes half of the circle's waypoints and the extraction the other half
+    plus the deepest one, which both hold."""
     circle = suture_circle(ports, shape)
-    frac_deep = (circle.theta_deepest - circle.theta_entry) / circle.sweep
-    n_ins = max(2, int(round(frac_deep * _CIRCLE_WAYPOINTS)))
-    n_ext = max(2, _CIRCLE_WAYPOINTS - n_ins + 1)
+    half = _CIRCLE_WAYPOINTS // 2
     insertion = circular_trajectory(
-        ports, shape, n_ins, grasp_offset,
-        theta_start=circle.theta_entry, theta_end=circle.theta_deepest,
-    )
+        circle, shape, np.linspace(circle.theta_entry, _THETA_DEEPEST, half), grasp_offset)
     extraction = circular_trajectory(
-        ports, shape, n_ext, grasp_offset,
-        theta_start=circle.theta_deepest, theta_end=circle.theta_exit,
-    )
+        circle, shape, np.linspace(_THETA_DEEPEST, circle.theta_exit, half + 1), grasp_offset)
     approach = linear_trajectory(grasp_pose, insertion[0].tool_pose, _MAX_STEP_POS, _MAX_STEP_ROT)
-    last_tool = extraction[-1].tool_pose
-    lifted = RigidPose(
-        last_tool.rotation,
-        last_tool.translation + _RETREAT_DISTANCE * ports.tissue_normal,
-    )
-    retreat = linear_trajectory(last_tool, lifted, _MAX_STEP_POS, _MAX_STEP_ROT)
     return [
         TrajectorySegment("approach", approach),
         TrajectorySegment("insertion", insertion),
         TrajectorySegment("extraction", extraction),
-        TrajectorySegment("retreat", retreat),
     ]

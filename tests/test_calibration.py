@@ -576,20 +576,30 @@ class TestModelSerialization:
             json.dump(payload, f)
         assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()
 
-    @pytest.mark.parametrize("tamper", ["extra bias", "input scaler", "output scaler"])
-    def test_tampered_layer_lists_rejected(self, tmp_path, tamper):
+    @pytest.mark.parametrize("tamper, message", [
+        ("extra bias", "biases"),
+        ("input scaler", "input scaler"),
+        ("output scaler", "output scaler"),
+        ("no weights", "has no key 'weights'"),
+        ("short layer", "layer 2 has 11 weights, expected 6 x 2 = 12"),
+    ])
+    def test_tampered_layer_lists_rejected(self, tmp_path, tamper, message):
         rng = np.random.default_rng(14)
         path = tmp_path / "model.json"
         save_model(mlp_init([5, 6, 2], identity_scaler(5), identity_scaler(2), rng), path)
         d = json.loads(path.read_text())
         if tamper == "extra bias":
             d["biases"].append([0.0, 0.0])
+        elif tamper == "no weights":
+            del d["weights"]
+        elif tamper == "short layer":
+            d["weights"][1].pop()
         else:
             scaler = d[tamper.replace(" ", "_")]
             scaler["mean"].append(0.0)
             scaler["std"].append(1.0)
         path.write_text(json.dumps(d))
-        with pytest.raises(ValueError, match="biases" if tamper == "extra bias" else tamper):
+        with pytest.raises(ValueError, match=message):
             load_mlp(path)
 
     def test_trained_model_roundtrip_is_exact(self, small_dataset, tmp_path):

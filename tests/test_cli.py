@@ -177,6 +177,23 @@ class TestExitCodes:
         assert "ValueError: test_count must be >= 1, got 0" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["calib_model.json"]
 
+    @pytest.mark.parametrize("rows, cols, message", [
+        (slice(2), slice(None), "has no data rows (20 columns)"),
+        (slice(None), slice(13), "has 13 columns; a dataset has 12 + 2N for N >= 1"),
+    ], ids=["header-only", "13-columns"])
+    def test_malformed_dataset_is_exit_one(self, workdir, tmp_path, capsys, rows, cols,
+                                           message):
+        lines = (workdir / "calib_dataset.csv").read_text().splitlines()[rows]
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "calib_dataset.csv"
+        path.write_text("".join(",".join(line.split(",")[cols]) + "\n" for line in lines))
+        assert run_cli(["calib", "train", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [calib]: ValueError: {path} {message}")
+        assert err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["calib_dataset.csv"]
+
     def test_scenes_only_on_pose_bench(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["calib", "gen", "--scenes", "5", "--out-dir", str(tmp_path)])

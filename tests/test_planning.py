@@ -25,14 +25,15 @@ from suturekit.psm_kinematics import KinematicModel, Unreachable, fk
 from conftest import random_rotation
 
 SHAPE = NeedleShape(0.01)
+OFFSET = RigidPose(np.eye(3), np.array([0.0, 0.0, 0.004]))
 
 
 def tip_angle(circle, wp):
     """Circle angle of the waypoint's needle tip, from atan2 in the circle
     frame, taken within half a turn of the deepest point."""
     d = wp.pose.apply(needle_tip_body(SHAPE)) - circle.center
-    a = np.arctan2(d @ circle.in_plane_y, d @ circle.in_plane_x) - circle.theta_deepest
-    return circle.theta_deepest + (a + np.pi) % (2.0 * np.pi) - np.pi
+    a = np.arctan2(d @ circle.in_plane_y, d @ circle.in_plane_x) - planning._THETA_DEEPEST
+    return planning._THETA_DEEPEST + (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def make_ports(chord=0.012, normal=(0.0, 0.0, 1.0), center=(0.0, 0.0, 0.0)):
@@ -82,12 +83,12 @@ class TestSutureCircle:
         ports = make_ports(chord=L)
         c = suture_circle(ports, SHAPE)
         expected = 2.0 * np.pi - 2.0 * np.arcsin(L / (2.0 * SHAPE.radius))
-        assert np.isclose(c.sweep, expected, atol=1e-12)
+        assert np.isclose(c.theta_exit - c.theta_entry, expected, atol=1e-12)
 
     def test_near_diameter_sweep_approaches_half_turn(self):
         ports = make_ports(chord=2.0 * SHAPE.radius - 1e-7)
         c = suture_circle(ports, SHAPE)
-        assert np.isclose(c.sweep, np.pi, atol=0.01)
+        assert np.isclose(c.theta_exit - c.theta_entry, np.pi, atol=0.01)
 
     def test_chord_too_long(self):
         with pytest.raises(ChordTooLong):
@@ -114,6 +115,10 @@ class TestSutureCircle:
         thetas = np.linspace(c.theta_entry, c.theta_exit, 33)
         pts = c.point(thetas)
         assert np.allclose(np.linalg.norm(pts - c.center, axis=1), SHAPE.radius, atol=1e-9)
+        # the deepest point bisects the sweep, where plan_suture_pass splits it
+        assert np.allclose(pts[16], c.center - SHAPE.radius * c.in_plane_y, atol=1e-12)
+        assert np.isclose(0.5 * (c.theta_entry + c.theta_exit), planning._THETA_DEEPEST,
+                          rtol=0.0, atol=1e-12)
 
 
 class TestCircularTrajectory:
@@ -121,8 +126,9 @@ class TestCircularTrajectory:
         ports = make_ports()
         c = suture_circle(ports, SHAPE)
         tip_b = needle_tip_body(SHAPE)
-        wps = circular_trajectory(ports, SHAPE, 33)
-        for wp, theta in zip(wps, np.linspace(c.theta_entry, c.theta_exit, 33)):
+        thetas = np.linspace(c.theta_entry, c.theta_exit, 33)
+        wps = circular_trajectory(c, SHAPE, thetas, OFFSET)
+        for wp, theta in zip(wps, thetas):
             tip = wp.pose.apply(tip_b)
             assert np.isclose(tip_angle(c, wp), theta, atol=1e-9)
             assert np.allclose(tip, c.point(theta), atol=1e-9)
@@ -130,8 +136,9 @@ class TestCircularTrajectory:
 
     def test_entry_and_exit_incidence(self):
         ports = make_ports()
+        c = suture_circle(ports, SHAPE)
         tip_b = needle_tip_body(SHAPE)
-        wps = circular_trajectory(ports, SHAPE, 17)
+        wps = circular_trajectory(c, SHAPE, np.linspace(c.theta_entry, c.theta_exit, 17), OFFSET)
         assert np.allclose(wps[0].pose.apply(tip_b), ports.entry, atol=1e-9)
         assert np.allclose(wps[-1].pose.apply(tip_b), ports.exit, atol=1e-9)
 
@@ -141,7 +148,7 @@ class TestCircularTrajectory:
         tip_b = needle_tip_body(SHAPE)
         h = 1e-6
         for theta in np.linspace(c.theta_entry + 0.1, c.theta_exit - 0.1, 7):
-            wa = circular_trajectory(ports, SHAPE, 2, theta_start=theta - h, theta_end=theta + h)
+            wa = circular_trajectory(c, SHAPE, np.array([theta - h, theta + h]), OFFSET)
             vel = wa[-1].pose.apply(tip_b) - wa[0].pose.apply(tip_b)
             vel /= np.linalg.norm(vel)
             radial = wa[0].pose.apply(tip_b) - c.center
@@ -150,12 +157,11 @@ class TestCircularTrajectory:
             assert abs(vel @ c.normal) < 1e-9
 
     def test_grasp_offset_carried(self):
-        ports = make_ports()
-        offset = RigidPose(np.eye(3), np.array([0.0, 0.0, 0.004]))
-        wps = circular_trajectory(ports, SHAPE, 9, grasp_offset=offset)
+        c = suture_circle(make_ports(), SHAPE)
+        wps = circular_trajectory(c, SHAPE, np.linspace(c.theta_entry, c.theta_exit, 9), OFFSET)
         for wp in wps:
             assert np.allclose(
-                wp.tool_pose.matrix(), wp.pose.matrix() @ offset.matrix(), atol=1e-12
+                wp.tool_pose.matrix(), wp.pose.matrix() @ OFFSET.matrix(), atol=1e-12
             )
 
     def test_matches_per_angle_construction_bitwise(self):
@@ -165,8 +171,9 @@ class TestCircularTrajectory:
         ports = make_ports(normal=(0.2, -0.1, 1.0))
         offset = RigidPose(random_rotation(np.random.default_rng(5)), np.array([0.0, 0.001, 0.004]))
         circle = suture_circle(ports, SHAPE)
-        wps = circular_trajectory(ports, SHAPE, 17, offset)
-        for theta, wp in zip(np.linspace(circle.theta_entry, circle.theta_exit, 17), wps):
+        thetas = np.linspace(circle.theta_entry, circle.theta_exit, 17)
+        wps = circular_trajectory(circle, SHAPE, thetas, offset)
+        for theta, wp in zip(thetas, wps):
             a = float(theta) - SHAPE.arc_angle / 2.0
             x_n = np.cos(a) * circle.in_plane_x + np.sin(a) * circle.in_plane_y
             y_n = -np.sin(a) * circle.in_plane_x + np.cos(a) * circle.in_plane_y
@@ -177,10 +184,6 @@ class TestCircularTrajectory:
             assert wp.pose.translation.tobytes() == pose.translation.tobytes()
             assert wp.tool_pose.rotation.tobytes() == tool.rotation.tobytes()
             assert wp.tool_pose.translation.tobytes() == tool.translation.tobytes()
-
-    def test_waypoint_count_validated(self):
-        with pytest.raises(ValueError):
-            circular_trajectory(make_ports(), SHAPE, 1)
 
 
 class TestLinearTrajectory:
@@ -244,7 +247,7 @@ class TestPlanSuturePass:
     def test_segment_labels(self, plan):
         _, segments = plan
         assert [s.label for s in segments] == [
-            "approach", "insertion", "extraction", "retreat",
+            "approach", "insertion", "extraction",
         ]
 
     def test_junction_continuity(self, plan):
@@ -270,15 +273,29 @@ class TestPlanSuturePass:
         circle = suture_circle(ports, SHAPE)
         ins, ext = segments[1], segments[2]
         assert np.isclose(tip_angle(circle, ins.waypoints[0]), circle.theta_entry)
-        assert np.isclose(tip_angle(circle, ins.waypoints[-1]), circle.theta_deepest)
-        assert np.isclose(tip_angle(circle, ext.waypoints[0]), circle.theta_deepest)
+        assert np.isclose(tip_angle(circle, ins.waypoints[-1]), planning._THETA_DEEPEST)
+        assert np.isclose(tip_angle(circle, ext.waypoints[0]), planning._THETA_DEEPEST)
         assert np.isclose(tip_angle(circle, ext.waypoints[-1]), circle.theta_exit)
 
-    def test_retreat_lifts_along_normal(self, plan):
-        ports, segments = plan
-        start = segments[3].waypoints[0].pose.translation
-        end = segments[3].waypoints[-1].pose.translation
-        assert np.allclose(end - start, planning._RETREAT_DISTANCE * ports.tissue_normal, atol=1e-12)
+    def test_circle_waypoints_split_at_the_deepest_point(self, plan):
+        _, segments = plan
+        assert [len(s.waypoints) for s in segments[1:]] == [32, 33]
+
+
+def test_plan_builds_only_the_executed_path(monkeypatch):
+    """At criterion 10's scene the waypoints plan_suture_pass returns,
+    summed over its segments, are the targets bench.plan executes."""
+    returned = []
+
+    def recording(*args):
+        segments = plan_suture_pass(*args)
+        returned.append(sum(len(s.waypoints) for s in segments))
+        return segments
+
+    monkeypatch.setattr(bench, "plan_suture_pass", recording)
+    cfg = bench.SutureRunConfig(injected_bias_deg=3.0)
+    _, path, _ = bench.plan(bench.suture_scene(cfg), cfg.shape)
+    assert returned == [len(path)]
 
 
 def test_run_suture_unreachable_waypoint_is_typed(monkeypatch):
