@@ -35,7 +35,7 @@ from .planning import (
     suture_circle,
 )
 from .pose_estimator import EstimatorError, KeypointHints, NoConvergence, estimate
-from .psm_kinematics import KinematicModel, Unreachable, fk, fk_arrays, ik
+from .psm_kinematics import KinematicModel, Unreachable, fk, fk_arrays, ik, ik_arrays
 
 
 DEFAULT_SHAPE = NeedleShape(radius=0.010, arc_angle=np.pi)
@@ -342,9 +342,15 @@ def calibrate(delta_q: np.ndarray) -> np.ndarray:
 def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray, int]:
     """The grasp offset (the tool pose in the needle frame), the (n, 6) joint
     targets of plan_suture_pass's approach, insertion and extraction from
-    the tool pose at q_start, and the approach's target count. Each target
-    is the ik solution nearest the one before it, the first nearest q_start;
-    Unreachable names the segment of a waypoint ik cannot reach."""
+    the tool pose at q_start, and the approach's target count.
+
+    One ik_arrays call solves every tool pose of the pass. Each target is
+    then the solution nearest (joint_distance) the target before it, the
+    first nearest q_start; of equally near solutions, the lexicographically
+    first. A row at a wrist singularity is solved again by ik with the roll
+    of the target before it as the hint. Unreachable names the segment of
+    the first waypoint, in path order, whose wrist point is at or behind the
+    remote center of motion or that has no in-limit solution."""
     model = KinematicModel()
     # tool grasps the needle with a slight wrist pitch so the sweep stays
     # clear of the q5 = 0 singularity
@@ -354,14 +360,22 @@ def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray,
         np.array([0.0, 0.0, 0.004]),
     )
     segments = plan_suture_pass(fk(model, scene.q_start), scene.ports, shape, grasp_offset)
-    q, path = scene.q_start, []
-    for seg in segments:
-        for wp in seg.waypoints:
-            sols = ik(model, wp.tool_pose or wp.pose, q4_hint=float(q[3]))  # approach: pose
-            if not sols:
-                raise Unreachable(f"waypoint in segment {seg.label} unreachable")
-            q = min(sols, key=lambda s: model.joint_distance(s, q))
-            path.append(q)
+    tools = [(seg.label, wp.tool_pose) for seg in segments for wp in seg.waypoints]
+    joints, starts, reachable, hinted = ik_arrays(
+        model, np.stack([p.rotation for _, p in tools]), np.stack([p.translation for _, p in tools]))
+    rows, starts = joints.tolist(), starts.tolist()
+    q, path = scene.q_start.tolist(), []
+    for i, (label, pose) in enumerate(tools):
+        if not reachable[i]:
+            raise Unreachable(f"waypoint in segment {label} unreachable: "
+                              "wrist point at or behind the remote center of motion")
+        sols = ([s.tolist() for s in ik(model, pose, q4_hint=q[3])] if hinted[i]
+                else rows[starts[i]:starts[i + 1]])
+        if not sols:
+            raise Unreachable(f"waypoint in segment {label} unreachable: "
+                              "no solution within the joint limits")
+        q = min(sols, key=lambda s: model.joint_distance(s, q))
+        path.append(q)
     return grasp_offset, np.array(path), len(segments[0].waypoints)
 
 

@@ -141,7 +141,7 @@ def calibrate_direct(
     dq, _, iterations, stop = lm.solve(np.zeros(6), trial, _MIN_MOVE_PX, _LM_MAX_ITERATIONS)
     if stop in ("max", "singular"):
         raise CalibrationError(f"offset solve stopped at {stop} after {iterations} iterations")
-    size = model.joint_distance(dq, 0.0)
+    size = model.joint_distance(dq, np.zeros(6))
     if size > bound:
         raise CalibrationError(f"offset of size {size:.4g} leaves the bound {bound:.4g}")
     return dq

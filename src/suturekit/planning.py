@@ -62,8 +62,8 @@ class SuturePorts:
 
 @dataclass(frozen=True)
 class Waypoint:
-    pose: RigidPose
-    tool_pose: RigidPose | None = None
+    pose: RigidPose  # the needle's
+    tool_pose: RigidPose  # the needle pose composed with the grasp offset
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,12 @@ def suture_circle(ports: SuturePorts, shape: NeedleShape) -> SutureCircle:
     )
 
 
+def _composed(R: np.ndarray, t: np.ndarray, offset_R: np.ndarray, offset_t: np.ndarray):
+    """The stacked poses (R, t) composed with the offset (offset_R, offset_t),
+    checked once by RigidPose.from_stack."""
+    return RigidPose.from_stack(R @ offset_R, R @ offset_t + t)
+
+
 def circular_trajectory(
     circle: SutureCircle,
     shape: NeedleShape,
@@ -134,8 +140,7 @@ def circular_trajectory(
     frames = np.stack([c * x + s * y, -s * x + c * y, normal], axis=-1)  # columns x, y, z
     center = np.broadcast_to(circle.center, (len(a), 3))
     poses = RigidPose.from_stack(frames, center)
-    tools = RigidPose.from_stack(frames @ grasp_offset.rotation,
-                                 frames @ grasp_offset.translation + center)
+    tools = _composed(frames, center, grasp_offset.rotation, grasp_offset.translation)
     return [Waypoint(p, tool) for p, tool in zip(poses, tools)]
 
 
@@ -149,21 +154,31 @@ def linear_trajectory(
     goal: RigidPose,
     max_step_pos: float,
     max_step_rot: float,
+    grasp_offset: RigidPose = RigidPose.identity(),
 ) -> list[Waypoint]:
-    """Straight-line position and shortest-path rotation interpolation. The
-    endpoints are start and goal themselves; the poses between them are
-    computed as stacked arrays, which RigidPose.from_stack checks once."""
+    """Tool poses from start to goal by straight-line position and
+    shortest-path rotation interpolation, each with the needle pose it
+    holds, the tool pose composed with the inverse of grasp_offset (equal to
+    the tool pose at the default identity offset). The endpoints' tool
+    poses are start and goal themselves; the other poses are computed as
+    stacked arrays, which RigidPose.from_stack checks once per stack."""
     if max_step_pos <= 0 or max_step_rot <= 0:
         raise ValueError("step limits must be positive")
     pos_dist = float(np.linalg.norm(goal.translation - start.translation))
     rot_dist = rotation_geodesic(start.rotation, goal.rotation)
     if pos_dist == 0.0 and rot_dist == 0.0:
-        return [Waypoint(start)]
-    n = int(np.ceil(max(pos_dist / max_step_pos, rot_dist / max_step_rot))) + 1
-    f = np.linspace(0.0, 1.0, n)[1:-1, None]
-    inner = RigidPose.from_stack(slerp(start.rotation, goal.rotation, f[:, 0]),
-                                 (1.0 - f) * start.translation + f * goal.translation)
-    return [Waypoint(p) for p in (start, *inner, goal)]
+        tools = [start]
+    else:
+        n = int(np.ceil(max(pos_dist / max_step_pos, rot_dist / max_step_rot))) + 1
+        f = np.linspace(0.0, 1.0, n)[1:-1, None]
+        tools = [start, *RigidPose.from_stack(slerp(start.rotation, goal.rotation, f[:, 0]),
+                                              (1.0 - f) * start.translation + f * goal.translation),
+                 goal]
+    inv_R = grasp_offset.rotation.T
+    needles = _composed(np.stack([p.rotation for p in tools]),
+                        np.stack([p.translation for p in tools]),
+                        inv_R, -inv_R @ grasp_offset.translation)
+    return [Waypoint(p, tool) for p, tool in zip(needles, tools)]
 
 
 @dataclass(frozen=True)
@@ -189,7 +204,8 @@ def plan_suture_pass(
         circle, shape, np.linspace(circle.theta_entry, _THETA_DEEPEST, half), grasp_offset)
     extraction = circular_trajectory(
         circle, shape, np.linspace(_THETA_DEEPEST, circle.theta_exit, half + 1), grasp_offset)
-    approach = linear_trajectory(grasp_pose, insertion[0].tool_pose, _MAX_STEP_POS, _MAX_STEP_ROT)
+    approach = linear_trajectory(grasp_pose, insertion[0].tool_pose, _MAX_STEP_POS, _MAX_STEP_ROT,
+                                 grasp_offset)
     return [
         TrajectorySegment("approach", approach),
         TrajectorySegment("insertion", insertion),

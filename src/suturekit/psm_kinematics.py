@@ -14,12 +14,12 @@ Chain (base frame at the remote center of motion):
 The z-x-z wrist decomposition keeps the chain position-decoupled: the point
 at the end of the pitch_to_yaw link is recoverable from the tool pose alone,
 which yields q1..q3 by trigonometry and q4..q6 by Euler extraction with both
-wrist branches.
+wrist branches. ik_arrays does so for a whole stack of tool poses at once;
+ik is its one-pose call.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,15 +87,14 @@ class KinematicModel:
         if np.any(lim[:, 0] >= lim[:, 1]):
             raise ValueError("joint limits must satisfy lo < hi")
         object.__setattr__(self, "joint_limits", lim)
-        # (lo, hi) float pairs: ik compares Python floats against them
-        object.__setattr__(self, "_limit_pairs", tuple(map(tuple, lim.tolist())))
 
-    def joint_distance(self, qa: JointVector, qb: JointVector) -> float:
-        """Per-joint infinity norm with the prismatic entry in radian
-        equivalents (prismatic_scale rad/m)."""
-        d = np.abs(np.asarray(qa, dtype=float) - np.asarray(qb, dtype=float))
+    def joint_distance(self, qa, qb) -> float:
+        """Per-joint infinity norm of qa - qb, two sequences of six floats,
+        with the prismatic entry in radian equivalents (prismatic_scale
+        rad/m). On lists of Python floats a call takes about a microsecond."""
+        d = [abs(a - b) for a, b in zip(qa, qb, strict=True)]
         d[PRISMATIC_INDEX] *= self.prismatic_scale
-        return float(np.max(d))
+        return float(max(d))
 
 
 def fk_arrays(model: KinematicModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,57 +119,90 @@ def _wrap(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def ik(model: KinematicModel, target: RigidPose, q4_hint: float = 0.0) -> list[JointVector]:
+def ik_arrays(
+    model: KinematicModel,
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    q4_hint: float | np.ndarray = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All closed-form joint solutions within the joint limits (to 1e-9)
-    that reach the target tool pose.
+    that reach each tool pose of a stack, (n, 3, 3) rotations and (n, 3)
+    translations, in one set of numpy calls over every row.
 
-    Enumerates the shoulder branch pair and both wrist-pitch branches. At a
-    wrist singularity (|sin q5| < 1e-9) q4 is frozen at q4_hint and the
-    residual assigned to q6. Output sorted lexicographically by joint values.
+    Both shoulder branches and both wrist-pitch branches of each row are
+    solved together. A shaft along base z (|sin q2| < 1e-12) leaves q1
+    undetermined: it is frozen at 0, one shoulder branch. At a wrist
+    singularity (|sin q5| < 1e-9) q4 is frozen at q4_hint (a float or one
+    per row) and the residual assigned to q6, one wrist branch. Revolute
+    ranges wider than 2*pi admit shifted copies of a wrapped solution: a
+    branch's solutions are the product of each joint's in-limit values
+    among v, v - 2*pi and v + 2*pi.
+
+    Returns (joints, starts, reachable, hinted): the (k, 6) solutions, row
+    i's being joints[starts[i]:starts[i + 1]], sorted lexicographically;
+    per row, whether the wrist point lies beyond the remote center of
+    motion (a row where it does not has no solutions), and whether a wrist
+    singularity made the solutions depend on q4_hint.
     """
-    R = target.rotation
-    w = target.translation - model.yaw_to_tip * R[:, 2]
-    nw = float(np.linalg.norm(w))
+    R = np.asarray(rotations, dtype=float)
+    t = np.asarray(translations, dtype=float)
+    n = len(t)
+    w = t - model.yaw_to_tip * R[:, :, 2]
+    nw = np.sqrt(np.vecdot(w, w))  # the bits of np.linalg.norm of each row
     s = nw - model.pitch_to_yaw
-    if s <= 1e-12:
+    reachable = s > 1e-12
+    d = w / np.where(reachable, nw, 1.0)[:, None]  # no division by a zero distance
+    q2a = np.arccos(np.clip(d[:, 2], -1.0, 1.0))
+    along_z = np.abs(np.sin(q2a)) < 1e-12
+    # shoulder branches, (2, n)
+    q1 = np.where(along_z, 0.0, np.stack([np.arctan2(d[:, 0], -d[:, 1]),
+                                          np.arctan2(-d[:, 0], d[:, 1])]))
+    q2 = np.stack([q2a, -q2a])
+    Rw = np.swapaxes(_rz(q1) @ _rx(q2), -1, -2) @ R  # = Rz(q4) Rx(q5) Rz(q6)
+    cb = np.clip(Rw[..., 2, 2], -1.0, 1.0)
+    sb = np.hypot(Rw[..., 0, 2], Rw[..., 1, 2])
+    singular = sb < 1e-9
+    a = np.arctan2(Rw[..., 0, 2], -Rw[..., 1, 2])
+    b = np.arctan2(sb, cb)
+    c = np.arctan2(Rw[..., 2, 0], Rw[..., 2, 1])
+    # the singular angle is q4 + q6 at q5 = 0 and q4 - q6 at q5 = pi
+    angle = np.arctan2(Rw[..., 1, 0], Rw[..., 0, 0])
+    hint = np.broadcast_to(np.asarray(q4_hint, dtype=float), (n,))
+    up = cb > 0
+    # wrist branches over shoulder branches, (2, 2, n)
+    q4 = np.stack([np.where(singular, hint, a), _wrap(a + np.pi)])
+    q5 = np.stack([np.where(singular, np.where(up, 0.0, np.pi), b), -b])
+    q6 = np.stack([np.where(singular, _wrap(np.where(up, angle - hint, hint - angle)), c),
+                   _wrap(c + np.pi)])
+    shape = (2, 2, n)
+    base = np.stack([np.broadcast_to(q1, shape), np.broadcast_to(q2, shape),
+                     np.broadcast_to(s - model.shaft_offset, shape), q4, q5, q6], axis=-1)
+    shoulder_ok = reachable & np.stack([np.ones(n, dtype=bool), ~along_z])
+    valid = np.stack([shoulder_ok, shoulder_ok & ~singular])
+    # (n, shoulder, wrist) order, as the branches are enumerated
+    base, valid = base.transpose(2, 1, 0, 3).reshape(-1, 6), valid.transpose(2, 1, 0).reshape(-1)
+    copies = np.stack([base, base - 2.0 * np.pi, base + 2.0 * np.pi], axis=-1)  # (4n, 6, 3)
+    lo, hi = model.joint_limits[:, :1], model.joint_limits[:, 1:]
+    ok = (lo - 1e-9 <= copies) & (copies <= hi + 1e-9) & valid[:, None, None]
+    ok[:, PRISMATIC_INDEX, 1:] = False
+    # the product, joint by joint: each partial solution times its next joint's values
+    branch, picks = np.arange(len(base)), []
+    for j in range(6):
+        keep, pick = np.nonzero(ok[branch, j])
+        branch, picks = branch[keep], [p[keep] for p in picks] + [pick]
+    joints = copies[branch[:, None], np.arange(6), np.stack(picks, axis=-1)]
+    row = branch // 4
+    order = np.lexsort((*joints.T[::-1], row))  # stable, as list.sort of tuples is
+    starts = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
+    return joints[order], starts, reachable, np.any(shoulder_ok & singular, axis=0)
+
+
+def ik(model: KinematicModel, target: RigidPose, q4_hint: float = 0.0) -> list[JointVector]:
+    """ik_arrays of one tool pose: its solutions, sorted lexicographically.
+    Raises Unreachable when the wrist point is at or behind the remote
+    center of motion."""
+    joints, _, reachable, _ = ik_arrays(model, target.rotation[None], target.translation[None],
+                                        q4_hint)
+    if not reachable[0]:
         raise Unreachable("wrist point at or behind the remote center of motion")
-    q3 = s - model.shaft_offset
-    dx, dy, dz = (w / nw).tolist()  # Python floats; min/max clip them as np.clip does
-
-    sols: list[tuple[float, ...]] = []
-    shoulder = []
-    q2a = float(np.arccos(min(max(dz, -1.0), 1.0)))
-    if abs(np.sin(q2a)) < 1e-12:
-        # shaft along base z: q1 undetermined, freeze at 0
-        shoulder.append((0.0, q2a))
-    else:
-        shoulder.append((float(np.arctan2(dx, -dy)), q2a))
-        shoulder.append((float(np.arctan2(-dx, dy)), -q2a))
-
-    for q1, q2 in shoulder:
-        Rw = ((_rz(q1) @ _rx(q2)).T @ R).tolist()  # = Rz(q4) Rx(q5) Rz(q6)
-        cb = min(max(Rw[2][2], -1.0), 1.0)
-        sb = float(np.hypot(Rw[0][2], Rw[1][2]))
-        if sb < 1e-9:
-            # the angle is q4 + q6 at q5 = 0 and q4 - q6 at q5 = pi
-            angle = float(np.arctan2(Rw[1][0], Rw[0][0]))
-            q6 = _wrap(angle - q4_hint) if cb > 0 else _wrap(q4_hint - angle)
-            branches = [(q4_hint, 0.0 if cb > 0 else np.pi, q6)]
-        else:
-            b = float(np.arctan2(sb, cb))
-            a = float(np.arctan2(Rw[0][2], -Rw[1][2]))
-            c = float(np.arctan2(Rw[2][0], Rw[2][1]))
-            branches = [(a, b, c), (_wrap(a + np.pi), -b, _wrap(c + np.pi))]
-        for q4, q5, q6 in branches:
-            # revolute ranges wider than 2*pi admit shifted copies of the
-            # wrapped solution: each joint's in-limit values, then their product
-            candidates = []
-            for j, (v, (lo, hi)) in enumerate(zip((q1, q2, q3, q4, q5, q6), model._limit_pairs)):
-                values = (v,) if j == PRISMATIC_INDEX else (v, v - 2.0 * np.pi, v + 2.0 * np.pi)
-                candidates.append([x for x in values if lo - 1e-9 <= x <= hi + 1e-9])
-                if not candidates[-1]:
-                    break  # the product is empty; skip the remaining joints
-            sols += itertools.product(*candidates)
-    sols.sort()
-    return [np.array(v) for v in sols]
-
+    return list(joints)

@@ -160,7 +160,7 @@ class TestCalibrateDirectStress:
         model = parts[0]
         results = self.solves(parts, noise_px, 1)
         solved = [dq_hat for dq_hat, _ in results if isinstance(dq_hat, np.ndarray)]
-        assert all(model.joint_distance(dq_hat, 0.0) <= np.radians(10.0) for dq_hat in solved)
+        assert all(model.joint_distance(dq_hat, np.zeros(6)) <= np.radians(10.0) for dq_hat in solved)
         assert 0 < len(solved) < len(results)  # one image under noise sometimes leaves the box
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from suturekit.geometry import RigidPose
 from suturekit.psm_kinematics import (
+    _DEFAULT_LIMITS,
     KinematicModel,
     PRISMATIC_INDEX,
     REVOLUTE,
@@ -12,7 +13,10 @@ from suturekit.psm_kinematics import (
     fk,
     fk_arrays,
     ik,
+    ik_arrays,
 )
+
+from conftest import reference_ik
 
 
 def _hom(R=None, t=None):
@@ -192,6 +196,62 @@ class TestInverseKinematics:
             assert len(got) == len(expected)
             for a, b in zip(got, expected):
                 assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("limits", ["default", "narrow", "wide-insertion"])
+    def test_batch_matches_per_pose_ik_bitwise(self, limits):
+        """ik_arrays over one stack equals ik of each pose on its own, and
+        both equal the per-pose reference, bit for bit and in order, with a
+        hint per row: random configurations, rolls on either side of the
+        1e-9 limit tolerance, wrist pitches at and near the singularity,
+        shafts along base z and one wrist point behind the remote center of
+        motion, which has no solutions."""
+        model = KinematicModel(joint_limits={
+            "default": _DEFAULT_LIMITS,
+            # the model of test_at_most_two_solutions_with_narrow_limits
+            "narrow": np.vstack([_DEFAULT_LIMITS[:3], [-2.2, 2.2], _DEFAULT_LIMITS[4:]]),
+            # an insertion range wider than 2 pi takes no shifted copies
+            "wide-insertion": np.vstack([_DEFAULT_LIMITS[:2], [0.01, 20.0], _DEFAULT_LIMITS[3:]]),
+        }[limits])
+        rng = np.random.default_rng(7)
+        rows = [random_in_limit(model, rng) for _ in range(300)]
+        for roll in (4.5 + 2e-9, 4.5 - 2e-9, -4.5 + 2e-9, -4.5 - 2e-9):
+            q = random_in_limit(model, rng)
+            q[3] = roll
+            rows.append(q)
+        for pitch in (0.0, 1e-12, -1e-7):
+            for shaft_z in (False, True):
+                q = random_in_limit(model, rng)
+                q[4] = pitch
+                if shaft_z:
+                    q[1] = 0.0
+                rows.append(q)
+        rows.insert(150, np.array([0.2, 0.1, 0.05, 0.3, 0.4, 0.5]))  # moved behind the RCM below
+        R, t = fk_arrays(model, np.array(rows))
+        t[150] = model.yaw_to_tip * R[150, :, 2]  # the wrist point at the RCM itself
+        hints = rng.uniform(-np.pi, np.pi, len(rows))
+        joints, starts, reachable, hinted = ik_arrays(model, R, t, hints)
+        assert starts.shape == (len(rows) + 1,) and starts[-1] == len(joints)
+        assert reachable.tolist() == [i != 150 for i in range(len(rows))]
+        for i in range(len(rows)):
+            pose = RigidPose(R[i], t[i])
+            got = joints[starts[i]:starts[i + 1]]
+            if i == 150:
+                assert len(got) == 0
+                with pytest.raises(Unreachable):
+                    ik(model, pose, q4_hint=float(hints[i]))
+                continue
+            expected = reference_ik(model, pose, q4_hint=float(hints[i]))
+            for sols in (got, ik(model, pose, q4_hint=float(hints[i]))):
+                assert len(sols) == len(expected)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(sols, expected))
+            # hinted marks the rows whose solutions follow the hint
+            other = ik(model, pose, q4_hint=float(hints[i]) + 0.5)
+            moved = len(other) != len(expected) or any(
+                a.tobytes() != b.tobytes() for a, b in zip(other, expected))
+            assert moved == (bool(hinted[i]) and bool(expected or other))
+        assert 0 < hinted.sum() < len(rows)
+        counts = np.diff(starts)
+        assert {1, 2} <= set(counts.tolist())  # shifted roll copies or both wrist branches
 
     def test_unreachable_at_rcm(self):
         model = KinematicModel()

@@ -9,7 +9,7 @@ from suturekit import bench, geometry
 from suturekit.control import NotConverged, PiGains, PlantModel, servo_to
 from suturekit.geometry import RigidPose, rotation_geodesic
 from suturekit.needle import NeedleShape
-from suturekit import planning
+from suturekit import planning, psm_kinematics
 from suturekit.planning import (
     ChordTooLong,
     DegenerateNormal,
@@ -22,7 +22,7 @@ from suturekit.planning import (
 )
 from suturekit.psm_kinematics import KinematicModel, Unreachable, fk
 
-from conftest import random_rotation
+from conftest import random_rotation, reference_ik
 
 SHAPE = NeedleShape(0.01)
 OFFSET = RigidPose(np.eye(3), np.array([0.0, 0.0, 0.004]))
@@ -229,6 +229,24 @@ class TestLinearTrajectory:
         assert np.array_equal(wps[0].pose.matrix(), a.matrix())
         assert np.array_equal(wps[-1].pose.matrix(), b.matrix())
 
+    def test_needle_poses_are_the_tool_poses_with_the_inverse_grasp(self):
+        """The interpolated tool poses do not depend on the grasp offset; each
+        needle pose is its tool pose composed with the inverse grasp, and
+        with the default identity offset it equals the tool pose."""
+        rng = np.random.default_rng(4)
+        a = RigidPose(random_rotation(rng), rng.normal(0.0, 0.05, 3))
+        b = RigidPose(random_rotation(rng), rng.normal(0.0, 0.05, 3))
+        grasp = RigidPose(random_rotation(rng), np.array([0.0, 0.001, 0.004]))
+        plain = linear_trajectory(a, b, 0.005, 0.1)
+        held = linear_trajectory(a, b, 0.005, 0.1, grasp)
+        assert len(plain) == len(held) > 2
+        for p, h in zip(plain, held):
+            assert h.tool_pose.rotation.tobytes() == p.tool_pose.rotation.tobytes()
+            assert h.tool_pose.translation.tobytes() == p.tool_pose.translation.tobytes()
+            assert np.allclose(h.pose.matrix() @ grasp.matrix(), h.tool_pose.matrix(),
+                               rtol=0.0, atol=1e-12)
+            assert np.array_equal(p.pose.matrix(), p.tool_pose.matrix())
+
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
             linear_trajectory(RigidPose.identity(), RigidPose.identity(), 0.0, 0.1)
@@ -252,14 +270,20 @@ class TestPlanSuturePass:
 
     def test_junction_continuity(self, plan):
         _, segments = plan
-
-        def tool(wp):
-            return wp.tool_pose if wp.tool_pose is not None else wp.pose
-
         for a, b in zip(segments, segments[1:]):
-            pa, pb = tool(a.waypoints[-1]), tool(b.waypoints[0])
-            assert np.linalg.norm(pa.translation - pb.translation) < 1e-9
-            assert rotation_geodesic(pa.rotation, pb.rotation) < 1e-9
+            for pa, pb in ((a.waypoints[-1].pose, b.waypoints[0].pose),
+                           (a.waypoints[-1].tool_pose, b.waypoints[0].tool_pose)):
+                assert np.linalg.norm(pa.translation - pb.translation) < 1e-9
+                assert rotation_geodesic(pa.rotation, pb.rotation) < 1e-9
+
+    def test_every_waypoint_holds_the_needle_at_the_grasp(self, plan):
+        """pose is the needle pose and tool_pose the tool pose in every
+        segment, the approach included."""
+        _, segments = plan
+        for seg in segments:
+            for wp in seg.waypoints:
+                assert np.allclose(wp.tool_pose.matrix(), wp.pose.matrix() @ OFFSET.matrix(),
+                                   rtol=0.0, atol=1e-12)
 
     def test_monotone_arc_parameters(self, plan):
         ports, segments = plan
@@ -299,10 +323,151 @@ def test_plan_builds_only_the_executed_path(monkeypatch):
 
 
 def test_run_suture_unreachable_waypoint_is_typed(monkeypatch):
-    # the approach is planned first, so its first waypoint is the first unreachable one
-    monkeypatch.setattr(bench, "ik", lambda *args, **kwargs: [])
-    with pytest.raises(Unreachable, match="waypoint in segment approach unreachable"):
+    """A model whose insertion range excludes every waypoint fails the one
+    batched ik call on all rows; the approach is planned first, so its
+    first waypoint is the first unreachable one."""
+    limits = KinematicModel().joint_limits.copy()
+    limits[2] = [0.3, 0.4]
+    monkeypatch.setattr(bench, "KinematicModel",
+                        lambda: KinematicModel(joint_limits=limits))
+    with pytest.raises(Unreachable, match="waypoint in segment approach unreachable: no solution"):
         bench.run_suture(bench.SutureRunConfig(compensate=False))
+
+
+def reference_plan(q_start, segments):
+    """bench.plan's path as the per-waypoint loop it replaced: the per-pose
+    reference ik of each tool pose with the roll of the target before as
+    the hint, then the
+    first of the sorted solutions nearest that target, by the per-joint
+    infinity norm with the insertion in radian equivalents. Returns the
+    path and the approach's target count, or the label of the segment of
+    the first waypoint it cannot reach."""
+    model = KinematicModel()
+    scale = np.ones(6)
+    scale[2] = model.prismatic_scale
+    q, path = q_start, []
+    for seg in segments:
+        for wp in seg.waypoints:
+            try:
+                sols = reference_ik(model, wp.tool_pose, q4_hint=float(q[3]))
+            except Unreachable:
+                return seg.label
+            if not sols:
+                return seg.label
+            q = min(sols, key=lambda s: float(np.max(np.abs(s - q) * scale)))
+            path.append(q)
+    return np.array(path), len(segments[0].waypoints)
+
+
+def test_plan_matches_the_per_waypoint_reference():
+    """bench.plan equals the per-waypoint reference bit for bit at
+    criterion 10's scene and at 20 reachable random start joints, where
+    some targets are not the first of their row's solutions; a draw the
+    reference cannot reach raises Unreachable naming the same segment."""
+    cfg = bench.SutureRunConfig(injected_bias_deg=3.0)
+    model = KinematicModel()
+    scene = bench.suture_scene(cfg)
+    grasp_offset = bench.plan(scene, cfg.shape)[0]
+    rng = np.random.default_rng(11)
+    scenes, later_picks = [scene], 0
+    while len(scenes) < 21:
+        q_start = rng.uniform(*model.joint_limits.T)
+        q_start[4] = rng.uniform(0.1, 1.0)  # away from the wrist singularity
+        sc = dataclasses.replace(scene, q_start=q_start)
+        segments = plan_suture_pass(fk(model, q_start), sc.ports, cfg.shape, grasp_offset)
+        reference = reference_plan(q_start, segments)
+        if isinstance(reference, str):
+            with pytest.raises(Unreachable, match=f"waypoint in segment {reference} unreachable"):
+                bench.plan(sc, cfg.shape)
+            continue
+        scenes.append(sc)
+    for sc in scenes:
+        segments = plan_suture_pass(fk(model, sc.q_start), sc.ports, cfg.shape, grasp_offset)
+        ref_path, ref_approach = reference_plan(sc.q_start, segments)
+        _, path, n_approach = bench.plan(sc, cfg.shape)
+        assert n_approach == ref_approach
+        assert path.tobytes() == ref_path.tobytes()
+        sols = [reference_ik(model, wp.tool_pose) for seg in segments for wp in seg.waypoints]
+        later_picks += sum(not np.array_equal(q, s[0]) for q, s in zip(path, sols))
+    assert later_picks > 0
+
+
+def test_plan_makes_one_batched_ik_call(monkeypatch):
+    """At criterion 10's scene bench.plan solves all its tool poses in one
+    ik_arrays call and calls the per-pose ik for none of them, since no
+    waypoint is at the wrist singularity."""
+    calls, rows = [], []
+
+    def recording(model, rotations, translations, *args):
+        calls.append(len(rotations))
+        return psm_kinematics.ik_arrays(model, rotations, translations, *args)
+
+    def per_pose(*args, **kwargs):
+        rows.append(args)
+        return psm_kinematics.ik(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "ik_arrays", recording)
+    monkeypatch.setattr(bench, "ik", per_pose)
+    cfg = bench.SutureRunConfig(injected_bias_deg=3.0)
+    _, path, _ = bench.plan(bench.suture_scene(cfg), cfg.shape)
+    assert calls == [len(path)]
+    assert rows == []
+
+
+def test_plan_solves_wrist_singular_rows_with_the_roll_before(monkeypatch):
+    """Rows at the wrist singularity take the roll of the target chosen
+    before them as their hint, through ik, and the path still equals the
+    per-waypoint reference."""
+    model = KinematicModel()
+    cfg = bench.SutureRunConfig(injected_bias_deg=3.0)
+    scene = bench.suture_scene(cfg)
+    qs = [scene.q_start + [0.0, 0.0, 0.0, 0.3 * i, 0.0, 0.0] for i in range(8)]
+    for i in (2, 3, 6):
+        qs[i][4] = 0.0
+    labels = ["approach"] * 3 + ["insertion"] * 3 + ["extraction"] * 2
+    segments = [planning.TrajectorySegment(label, [planning.Waypoint(fk(model, q), fk(model, q))])
+                for label, q in zip(labels, qs)]
+    monkeypatch.setattr(bench, "plan_suture_pass", lambda *args: segments)
+    hints = []
+
+    def per_pose(model, target, q4_hint=0.0):
+        hints.append(q4_hint)
+        return psm_kinematics.ik(model, target, q4_hint=q4_hint)
+
+    monkeypatch.setattr(bench, "ik", per_pose)
+    _, path, n_approach = bench.plan(scene, cfg.shape)
+    ref_path, ref_approach = reference_plan(scene.q_start, segments)
+    assert n_approach == ref_approach == 1
+    assert path.tobytes() == ref_path.tobytes()
+    assert hints == [path[1][3], path[2][3], path[5][3]]
+
+
+@pytest.mark.parametrize("first", ["behind", "no-solution"])
+def test_plan_raises_at_the_first_failing_waypoint(monkeypatch, first):
+    """Unreachable names the segment of the first failing waypoint in path
+    order and its cause, whichever cause comes first: a wrist point at the
+    remote center of motion (whose zero distance makes numpy warn, and
+    warnings are errors here, if it is divided by) or a pose with no
+    solution within the joint limits."""
+    model = KinematicModel()
+    cfg = bench.SutureRunConfig(injected_bias_deg=3.0)
+    scene = bench.suture_scene(cfg)
+    good = fk(model, scene.q_start)
+    at_rcm = RigidPose(good.rotation, model.yaw_to_tip * good.rotation[:, 2])
+    q_far = scene.q_start.copy()
+    q_far[2] = 0.3  # beyond the insertion limit
+    too_deep = fk(model, q_far)
+    bad = {"behind": at_rcm, "no-solution": too_deep}
+    second = {"behind": too_deep, "no-solution": at_rcm}[first]
+    segments = [planning.TrajectorySegment("approach", [planning.Waypoint(good, good)]),
+                planning.TrajectorySegment("insertion", [planning.Waypoint(good, good),
+                                                         planning.Waypoint(bad[first], bad[first])]),
+                planning.TrajectorySegment("extraction", [planning.Waypoint(second, second)])]
+    monkeypatch.setattr(bench, "plan_suture_pass", lambda *args: segments)
+    cause = {"behind": "wrist point at or behind the remote center of motion",
+             "no-solution": "no solution within the joint limits"}[first]
+    with pytest.raises(Unreachable, match=f"^waypoint in segment insertion unreachable: {cause}$"):
+        bench.plan(scene, cfg.shape)
 
 
 def reach_ticks(n_approach, n_targets):
@@ -434,7 +599,7 @@ def test_plan_checks_each_planned_pose_once(monkeypatch):
     checked.clear()
     segments = plan_suture_pass(grasp, ports, SHAPE, offset)
     poses = {id(p): p for seg in segments for wp in seg.waypoints
-             for p in (wp.pose, wp.tool_pose) if p is not None}
+             for p in (wp.pose, wp.tool_pose)}
     assert id(grasp) in poses
     assert sum(checked) == len(poses) - 1
     # and RigidPose(R, t) still checks every pose it is given
