@@ -19,12 +19,13 @@ from .calibration import (
     detect_features,
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to
-from .geometry import PinholeCamera, RigidPose, StereoRig, quat_to_matrix, rotation_geodesic
+from .geometry import (PinholeCamera, RigidPose, StereoRig, compose_stack, quat_to_matrix,
+                       rotation_geodesic)
 from .needle import (
     BinaryMask,
     NeedleError,
     NeedleShape,
-    pose_to_params,
+    project_endpoints,
     rasterize,
     sample_axis_points,
 )
@@ -136,8 +137,8 @@ def observe(
     """Synthetic perception of a needle pose: both views' masks plus the
     exact endpoint pixels of the left view as estimator hints."""
     masks = tuple(rasterize(T, shape, cam, line_width, occlusion) for cam in rig.cameras)
-    x_l = pose_to_params(T, shape, rig.left)
-    return masks, KeypointHints(left_start=x_l[2:4], left_end=x_l[4:6])
+    _, (start, end) = project_endpoints(T, shape, rig.left)
+    return masks, KeypointHints(left_start=start, left_end=end)
 
 
 @dataclass(frozen=True)
@@ -295,7 +296,7 @@ def suture_scene(cfg: SutureRunConfig) -> SutureScene:
     # long needle sweep maps onto the roll joint, whose +-257.8 deg range
     # does not cover the sweep: at criterion 10's compensated 3 deg bias the
     # roll climbs from 38 deg at the entry port to 254.3 deg, turns 355.6 deg
-    # back to -101.3 deg between targets 58 and 59 of the executed path,
+    # back to -101.3 deg between targets 56 and 57 of the executed path,
     # needle in tissue, and ends at -38 deg (ROADMAP.md, item 11)
     q_yaw, q_pitch = 0.1, 0.35
     shaft_dir = np.array(
@@ -341,10 +342,12 @@ def calibrate(delta_q: np.ndarray) -> np.ndarray:
 
 def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray, int]:
     """The grasp offset (the tool pose in the needle frame), the (n, 6) joint
-    targets of plan_suture_pass's approach, insertion and extraction from
-    the tool pose at q_start, and the approach's target count.
+    targets that move the tool, holding the needle at that grasp, through
+    plan_suture_pass's approach, insertion and extraction from the tool pose
+    at q_start, and the approach's target count.
 
-    One ik_arrays call solves every tool pose of the pass. Each target is
+    The grasp is composed once with the stacked needle poses of the pass,
+    and one ik_arrays call solves the tool poses this gives. Each target is
     then the solution nearest (joint_distance) the target before it, the
     first nearest q_start; of equally near solutions, the lexicographically
     first. A row at a wrist singularity is solved again by ik with the roll
@@ -360,16 +363,17 @@ def plan(scene: SutureScene, shape: NeedleShape) -> tuple[RigidPose, np.ndarray,
         np.array([0.0, 0.0, 0.004]),
     )
     segments = plan_suture_pass(fk(model, scene.q_start), scene.ports, shape, grasp_offset)
-    tools = [(seg.label, wp.tool_pose) for seg in segments for wp in seg.waypoints]
-    joints, starts, reachable, hinted = ik_arrays(
-        model, np.stack([p.rotation for _, p in tools]), np.stack([p.translation for _, p in tools]))
+    needles = [(seg.label, wp.pose) for seg in segments for wp in seg.waypoints]
+    R, t = compose_stack(np.stack([p.rotation for _, p in needles]),
+                         np.stack([p.translation for _, p in needles]), grasp_offset)
+    joints, starts, reachable, hinted = ik_arrays(model, R, t)
     rows, starts = joints.tolist(), starts.tolist()
     q, path = scene.q_start.tolist(), []
-    for i, (label, pose) in enumerate(tools):
+    for i, (label, _) in enumerate(needles):
         if not reachable[i]:
             raise Unreachable(f"waypoint in segment {label} unreachable: "
                               "wrist point at or behind the remote center of motion")
-        sols = ([s.tolist() for s in ik(model, pose, q4_hint=q[3])] if hinted[i]
+        sols = ([s.tolist() for s in ik(model, RigidPose(R[i], t[i]), q4_hint=q[3])] if hinted[i]
                 else rows[starts[i]:starts[i + 1]])
         if not sols:
             raise Unreachable(f"waypoint in segment {label} unreachable: "
@@ -403,10 +407,8 @@ def score(
     pass: each tip's distance from the suture circle, and the last tip's
     distance from the exit port."""
     circle = suture_circle(ports, shape)
-    grasp_inv = grasp_offset.inverse()
-    R, t = fk_arrays(KinematicModel(), q)
-    Rn, tn = R @ grasp_inv.rotation, R @ grasp_inv.translation + t
-    tips = needle_tip_body(shape) @ np.swapaxes(Rn, -1, -2) + tn
+    R, t = compose_stack(*fk_arrays(KinematicModel(), q), grasp_offset.inverse())
+    tips = needle_tip_body(shape) @ np.swapaxes(R, -1, -2) + t
     rel = tips - circle.center
     # vecdot gives the bits of per-row 1-D dots; a matrix-vector product does not
     in_x, in_y, off_plane = (np.vecdot(rel, axis) for axis in

@@ -18,12 +18,14 @@ pixels.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error (a config
 that is missing, unreadable or invalid, an output directory that cannot be
-created, or a calib step run before the one that makes its input).
+created, or a calib step run before the one that makes its input). A failed
+run leaves no output directory that it made and wrote nothing to.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -426,13 +428,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _out_dir(path: str) -> Path:
+@contextlib.contextmanager
+def _out_dir(path: str):
+    """The output directory, made if missing. If the body raises, each
+    directory made here is removed again, deepest first, while it is empty;
+    one that existed before is never touched."""
     out_dir = Path(path)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # an existing file, or a path under one
         raise ConfigError(f"cannot create output directory {path}: {e.strerror}") from e
-    return out_dir
+    try:
+        yield out_dir
+    except BaseException:
+        for d in made:
+            try:
+                d.rmdir()  # fails on a directory that is not empty
+            except OSError:
+                break
+        raise
 
 
 def main(argv=None) -> int:
@@ -445,7 +460,8 @@ def main(argv=None) -> int:
                 cfg[key] = value
         if args.needs is not None:  # before the output directory is made
             _check_input(Path(args.out_dir), *args.needs)
-        args.run(cfg, config_hash(cfg), _out_dir(args.out_dir))
+        with _out_dir(args.out_dir) as out_dir:
+            args.run(cfg, config_hash(cfg), out_dir)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

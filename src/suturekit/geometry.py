@@ -105,6 +105,12 @@ class RigidPose:
         return T
 
 
+def compose_stack(R: np.ndarray, t: np.ndarray, offset: RigidPose) -> tuple[np.ndarray, np.ndarray]:
+    """Poses given as arrays, one ((3, 3), (3,)) or a stack ((n, 3, 3),
+    (n, 3)), each composed with `offset` on its right: (R R_o, R t_o + t)."""
+    return R @ offset.rotation, R @ offset.translation + t
+
+
 def rotation_geodesic(Ra: np.ndarray, Rb: np.ndarray) -> float:
     """Geodesic angle between two rotation matrices, radians in [0, pi].
 

@@ -161,17 +161,26 @@ def params_to_pose(vec: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -
     return RigidPose(np.column_stack([e1, u, np.cross(e1, u)]), f.centers[0])
 
 
+def project_endpoints(
+    T: RigidPose, shape: NeedleShape, anchor: PinholeCamera
+) -> tuple[np.ndarray, np.ndarray]:
+    """The arc's start and end in the world, (2, 3), and their pixels in the
+    anchor camera, (2, 2). Raises NonPositiveDepth when an endpoint is at or
+    behind the anchor."""
+    st_b, ed_b = shape.endpoints_body()
+    points = np.stack([T.apply(st_b), T.apply(ed_b)])
+    pixels, valid = anchor.project_many(points)
+    if not valid.all():
+        raise NonPositiveDepth("needle endpoint at or behind the anchor camera")
+    return points, pixels
+
+
 def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> np.ndarray:
     """Invert params_to_pose: recover [theta1, theta2, kp_st, kp_ed].
 
     Raises NonPositiveDepth when an endpoint is at or behind the anchor.
     """
-    st_b, ed_b = shape.endpoints_body()
-    p_st, p_ed = T.apply(st_b), T.apply(ed_b)
-    (kp_st, kp_ed), valid = anchor.project_many(np.stack([p_st, p_ed]))
-    if not valid.all():
-        raise NonPositiveDepth("needle endpoint at or behind the anchor camera")
-
+    (p_st, p_ed), (kp_st, kp_ed) = project_endpoints(T, shape, anchor)
     v_c = anchor.center - p_st
     v_e = p_ed - p_st
     theta1 = float(

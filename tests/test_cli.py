@@ -142,7 +142,7 @@ class TestExitCodes:
         assert run_cli(["calib", "eval", "--config", path, "--out-dir", str(ev)]) == 1
         err = capsys.readouterr().err
         assert err.count(message) == 2
-        assert list(gen.iterdir()) == []
+        assert not gen.exists()
         assert [p.name for p in ev.iterdir()] == ["calib_model.json"]
 
     @pytest.mark.parametrize("how", ["config", "flag"])
@@ -163,6 +163,33 @@ class TestExitCodes:
         assert run_cli(command + seed + ["--out-dir", str(out)]) == 1
         assert "ValueError: seed must be >= 0, got -1" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ([needs] if needs else [])
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("command, cfg, message", [
+        (["pose-bench"], {"seed": -1}, "seed must be >= 0, got -1"),
+        (["suture-run"], {"line_width": 0.5}, "line_width must be a finite number >= 1, got 0.5"),
+    ], ids=["pose-bench", "suture-run"])
+    def test_exit_one_removes_only_the_out_dirs_it_made(self, tmp_path, capsys, command, cfg,
+                                                        message, existing):
+        """A failed run removes the --out-dir and its parents that it made
+        and left empty; a directory that was there before stays."""
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "new" / "out"
+        if existing:
+            out.mkdir(parents=True)
+        assert run_cli(command + ["--config", path, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert out.is_dir() == (tmp_path / "new").is_dir() == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"] + ["new"] * existing
+
+    def test_exit_one_keeps_an_out_dir_it_wrote_to(self, tmp_path, monkeypatch):
+        def failing(rows):
+            raise RuntimeError("after the CSV")
+
+        monkeypatch.setattr(bench, "aggregate_rows", failing)
+        out = tmp_path / "out"
+        assert run_cli(["pose-bench", "--scenes", "1", "--out-dir", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["pose_bench.csv"]
 
     def test_control_sim_accepts_a_negative_seed(self, tmp_path):
         # control-sim draws nothing, so any integer seed will do
@@ -296,14 +323,14 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli(["pose-bench", "--config", path, "--out-dir", str(out)]) == 1
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_suture_run_line_width_out_of_range_is_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", {"line_width": float("nan")})
         out = tmp_path / "out"
         assert run_cli(["suture-run", "--config", path, "--out-dir", str(out)]) == 1
         assert "line_width must be a finite number >= 1, got nan" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("cfg, message", [
         ({"line_width": 1e300}, "line_width must be at most 16 px, got 1e+300"),
@@ -319,7 +346,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli(["suture-run", "--config", path, "--out-dir", str(out)]) == 1
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_suture_run_bias_beyond_the_calibration_bound(self, tmp_path, capsys):
         # calibrate_direct searches offsets within 10 deg per joint, so a
@@ -332,7 +359,7 @@ class TestExitCodes:
             assert run_cli(["suture-run", "--config", path, "--out-dir", str(out)]) == int(compensate)
         assert ("error [suture-run]: CalibrationError: offset of size 0.2094 leaves the "
                 "bound 0.1745") in capsys.readouterr().err
-        assert list(comp.iterdir()) == []
+        assert not comp.exists()
         assert [p.name for p in uncomp.iterdir()] == ["suture_report.json"]
 
     @pytest.mark.parametrize("command", ["pose-bench", "suture-run"])
@@ -342,14 +369,14 @@ class TestExitCodes:
         assert run_cli([command, "--config", path, "--out-dir", str(out)]) == 1
         assert (f"error [{command}]: NoInViewPose: no needle pose of radius 100 mm at depths "
                 "[0.08, 0.2] m was in view of both cameras in 500 draws") in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_control_sim_without_servo_steps_is_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", {"max_steps": 0})
         out = tmp_path / "out"
         assert run_cli(["control-sim", "--config", path, "--out-dir", str(out)]) == 1
         assert "max_steps must be >= 1, got 0" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("cfg, message", [
         ({"tol": 0}, "tol must be a finite number above 0, got 0.0"),
@@ -367,7 +394,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli(["control-sim", "--config", path, "--out-dir", str(out)]) == 1
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_runtime_failure_is_exit_one(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"shape": {"radius_mm": -1.0}})

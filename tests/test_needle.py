@@ -17,6 +17,7 @@ from suturekit.needle import (
     needle_frames,
     params_to_pose,
     pose_to_params,
+    project_endpoints,
     rasterize,
     reproject,
     sample_axis_points,
@@ -199,6 +200,19 @@ class TestParamsRoundtrip:
             assert np.linalg.norm(T2.translation - T.translation) < 1e-9, i
             assert np.allclose(T2.rotation, T.rotation, atol=1e-8), i
 
+    def test_observe_hints_are_the_params_keypoints(self, rig, shape):
+        """project_endpoints gives the keypoints of pose_to_params, and
+        observe's hints, bit for bit."""
+        for i in range(20):
+            T = random_needle_pose(np.random.default_rng([5, i]), rig, shape)
+            x = pose_to_params(T, shape, rig.left)
+            points, pixels = project_endpoints(T, shape, rig.left)
+            assert pixels.ravel().tobytes() == x[2:].tobytes()
+            assert np.allclose(points, T.apply(np.stack(shape.endpoints_body())),
+                               rtol=0.0, atol=1e-15)
+            _, hints = bench.observe(T, shape, rig, 1.0)
+            assert [*hints.left_start, *hints.left_end] == x[2:].tolist()
+
     def test_params_pose_params(self, rig, shape):
         x = np.array([1.2, 2.5, 280.0, 225.0, 345.0, 255.0])
         T = params_to_pose(x, shape, rig.left)
@@ -216,6 +230,8 @@ class TestParamsRoundtrip:
         T = RigidPose(R, np.array([0.0, 0.0, z]))
         with pytest.raises(NonPositiveDepth):
             pose_to_params(T, shape, rig.left)
+        with pytest.raises(NonPositiveDepth):
+            bench.observe(T, shape, rig, 1.0)
 
 
 class TestRandomNeedlePose:

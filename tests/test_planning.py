@@ -127,7 +127,7 @@ class TestCircularTrajectory:
         c = suture_circle(ports, SHAPE)
         tip_b = needle_tip_body(SHAPE)
         thetas = np.linspace(c.theta_entry, c.theta_exit, 33)
-        wps = circular_trajectory(c, SHAPE, thetas, OFFSET)
+        wps = circular_trajectory(c, SHAPE, thetas)
         for wp, theta in zip(wps, thetas):
             tip = wp.pose.apply(tip_b)
             assert np.isclose(tip_angle(c, wp), theta, atol=1e-9)
@@ -138,7 +138,7 @@ class TestCircularTrajectory:
         ports = make_ports()
         c = suture_circle(ports, SHAPE)
         tip_b = needle_tip_body(SHAPE)
-        wps = circular_trajectory(c, SHAPE, np.linspace(c.theta_entry, c.theta_exit, 17), OFFSET)
+        wps = circular_trajectory(c, SHAPE, np.linspace(c.theta_entry, c.theta_exit, 17))
         assert np.allclose(wps[0].pose.apply(tip_b), ports.entry, atol=1e-9)
         assert np.allclose(wps[-1].pose.apply(tip_b), ports.exit, atol=1e-9)
 
@@ -148,7 +148,7 @@ class TestCircularTrajectory:
         tip_b = needle_tip_body(SHAPE)
         h = 1e-6
         for theta in np.linspace(c.theta_entry + 0.1, c.theta_exit - 0.1, 7):
-            wa = circular_trajectory(c, SHAPE, np.array([theta - h, theta + h]), OFFSET)
+            wa = circular_trajectory(c, SHAPE, np.array([theta - h, theta + h]))
             vel = wa[-1].pose.apply(tip_b) - wa[0].pose.apply(tip_b)
             vel /= np.linalg.norm(vel)
             radial = wa[0].pose.apply(tip_b) - c.center
@@ -156,34 +156,20 @@ class TestCircularTrajectory:
             assert abs(vel @ radial) < 1e-3
             assert abs(vel @ c.normal) < 1e-9
 
-    def test_grasp_offset_carried(self):
-        c = suture_circle(make_ports(), SHAPE)
-        wps = circular_trajectory(c, SHAPE, np.linspace(c.theta_entry, c.theta_exit, 9), OFFSET)
-        for wp in wps:
-            assert np.allclose(
-                wp.tool_pose.matrix(), wp.pose.matrix() @ OFFSET.matrix(), atol=1e-12
-            )
-
     def test_matches_per_angle_construction_bitwise(self):
         """One pass over all angles gives the bits of building each needle
-        pose on its own from the angle, and each tool pose on its own as
-        R_n R_g and R_n t_g + t_n."""
+        pose on its own from the angle."""
         ports = make_ports(normal=(0.2, -0.1, 1.0))
-        offset = RigidPose(random_rotation(np.random.default_rng(5)), np.array([0.0, 0.001, 0.004]))
         circle = suture_circle(ports, SHAPE)
         thetas = np.linspace(circle.theta_entry, circle.theta_exit, 17)
-        wps = circular_trajectory(circle, SHAPE, thetas, offset)
+        wps = circular_trajectory(circle, SHAPE, thetas)
         for theta, wp in zip(thetas, wps):
             a = float(theta) - SHAPE.arc_angle / 2.0
             x_n = np.cos(a) * circle.in_plane_x + np.sin(a) * circle.in_plane_y
             y_n = -np.sin(a) * circle.in_plane_x + np.cos(a) * circle.in_plane_y
             pose = RigidPose(np.column_stack([x_n, y_n, circle.normal]), circle.center)
-            tool = RigidPose(pose.rotation @ offset.rotation,
-                             pose.rotation @ offset.translation + pose.translation)
             assert wp.pose.rotation.tobytes() == pose.rotation.tobytes()
             assert wp.pose.translation.tobytes() == pose.translation.tobytes()
-            assert wp.tool_pose.rotation.tobytes() == tool.rotation.tobytes()
-            assert wp.tool_pose.translation.tobytes() == tool.translation.tobytes()
 
 
 class TestLinearTrajectory:
@@ -229,36 +215,32 @@ class TestLinearTrajectory:
         assert np.array_equal(wps[0].pose.matrix(), a.matrix())
         assert np.array_equal(wps[-1].pose.matrix(), b.matrix())
 
-    def test_needle_poses_are_the_tool_poses_with_the_inverse_grasp(self):
-        """The interpolated tool poses do not depend on the grasp offset; each
-        needle pose is its tool pose composed with the inverse grasp, and
-        with the default identity offset it equals the tool pose."""
-        rng = np.random.default_rng(4)
-        a = RigidPose(random_rotation(rng), rng.normal(0.0, 0.05, 3))
-        b = RigidPose(random_rotation(rng), rng.normal(0.0, 0.05, 3))
-        grasp = RigidPose(random_rotation(rng), np.array([0.0, 0.001, 0.004]))
-        plain = linear_trajectory(a, b, 0.005, 0.1)
-        held = linear_trajectory(a, b, 0.005, 0.1, grasp)
-        assert len(plain) == len(held) > 2
-        for p, h in zip(plain, held):
-            assert h.tool_pose.rotation.tobytes() == p.tool_pose.rotation.tobytes()
-            assert h.tool_pose.translation.tobytes() == p.tool_pose.translation.tobytes()
-            assert np.allclose(h.pose.matrix() @ grasp.matrix(), h.tool_pose.matrix(),
-                               rtol=0.0, atol=1e-12)
-            assert np.array_equal(p.pose.matrix(), p.tool_pose.matrix())
-
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
             linear_trajectory(RigidPose.identity(), RigidPose.identity(), 0.0, 0.1)
 
 
+def held(tool, grasp_offset):
+    """The needle pose that a tool at `tool` holds at grasp_offset, composed
+    on its own as R_t R_g^T and t_t - R_t R_g^T t_g."""
+    R = tool.rotation @ grasp_offset.rotation.T
+    return RigidPose(R, tool.translation - R @ grasp_offset.translation)
+
+
+def tool_of(needle, grasp_offset):
+    """The tool pose holding `needle` at grasp_offset, composed on its own as
+    R_n R_g and R_n t_g + t_n."""
+    return RigidPose(needle.rotation @ grasp_offset.rotation,
+                     needle.rotation @ grasp_offset.translation + needle.translation)
+
+
+GRASP = RigidPose(random_rotation(np.random.default_rng(2)), np.array([0.02, 0.01, 0.05]))
+
+
 @pytest.fixture(scope="module")
 def plan():
     ports = make_ports(normal=(0.1, 0.0, 1.0))
-    offset = RigidPose(np.eye(3), np.array([0.0, 0.0, 0.004]))
-    rng = np.random.default_rng(2)
-    grasp = RigidPose(random_rotation(rng), np.array([0.02, 0.01, 0.05]))
-    return ports, plan_suture_pass(grasp, ports, SHAPE, offset)
+    return ports, plan_suture_pass(GRASP, ports, SHAPE, OFFSET)
 
 
 class TestPlanSuturePass:
@@ -269,21 +251,42 @@ class TestPlanSuturePass:
         ]
 
     def test_junction_continuity(self, plan):
+        """The approach ends on the insertion's first pose, and the
+        extraction goes on from the insertion's last pose by one step of its
+        own spacing about the circle center."""
         _, segments = plan
-        for a, b in zip(segments, segments[1:]):
-            for pa, pb in ((a.waypoints[-1].pose, b.waypoints[0].pose),
-                           (a.waypoints[-1].tool_pose, b.waypoints[0].tool_pose)):
-                assert np.linalg.norm(pa.translation - pb.translation) < 1e-9
-                assert rotation_geodesic(pa.rotation, pb.rotation) < 1e-9
+        approach, insertion, extraction = (s.waypoints for s in segments)
+        assert approach[-1].pose is insertion[0].pose
+        a, b, c = insertion[-1].pose, extraction[0].pose, extraction[1].pose
+        assert np.linalg.norm(a.translation - b.translation) < 1e-12
+        assert np.isclose(rotation_geodesic(a.rotation, b.rotation),
+                          rotation_geodesic(b.rotation, c.rotation), rtol=0.0, atol=1e-9)
 
-    def test_every_waypoint_holds_the_needle_at_the_grasp(self, plan):
-        """pose is the needle pose and tool_pose the tool pose in every
-        segment, the approach included."""
+    def test_approach_interpolates_the_needle_from_the_one_held(self, plan):
+        """The approach is the needle poses of linear_trajectory from the
+        needle that the tool at the grasp pose holds to the entry pose, less
+        that first one, so its first step leaves the held needle within the
+        step limits."""
         _, segments = plan
-        for seg in segments:
-            for wp in seg.waypoints:
-                assert np.allclose(wp.tool_pose.matrix(), wp.pose.matrix() @ OFFSET.matrix(),
-                                   rtol=0.0, atol=1e-12)
+        start = held(GRASP, OFFSET)
+        wps = linear_trajectory(start, segments[1].waypoints[0].pose,
+                                planning._MAX_STEP_POS, planning._MAX_STEP_ROT)
+        approach = segments[0].waypoints
+        assert len(approach) == len(wps) - 1 > 1
+        for a, b in zip(approach, wps[1:]):
+            assert np.allclose(a.pose.matrix(), b.pose.matrix(), rtol=0.0, atol=1e-12)
+        first = approach[0].pose
+        assert 0.0 < np.linalg.norm(first.translation - start.translation) <= planning._MAX_STEP_POS
+        assert rotation_geodesic(first.rotation, start.rotation) <= planning._MAX_STEP_ROT
+
+    def test_the_entry_is_the_only_repeated_pose(self, plan):
+        """The approach ends on the insertion's first pose, the entry, and no
+        other two consecutive waypoints of the pass are equal."""
+        _, segments = plan
+        poses = [wp.pose for seg in segments for wp in seg.waypoints]
+        repeats = [i for i, (a, b) in enumerate(zip(poses, poses[1:]))
+                   if np.array_equal(a.matrix(), b.matrix())]
+        assert repeats == [len(segments[0].waypoints) - 1]
 
     def test_monotone_arc_parameters(self, plan):
         ports, segments = plan
@@ -298,12 +301,15 @@ class TestPlanSuturePass:
         ins, ext = segments[1], segments[2]
         assert np.isclose(tip_angle(circle, ins.waypoints[0]), circle.theta_entry)
         assert np.isclose(tip_angle(circle, ins.waypoints[-1]), planning._THETA_DEEPEST)
-        assert np.isclose(tip_angle(circle, ext.waypoints[0]), planning._THETA_DEEPEST)
+        assert tip_angle(circle, ext.waypoints[0]) > planning._THETA_DEEPEST
         assert np.isclose(tip_angle(circle, ext.waypoints[-1]), circle.theta_exit)
 
     def test_circle_waypoints_split_at_the_deepest_point(self, plan):
+        """The insertion ends on the deepest point and the extraction holds
+        the rest of the sweep, so the two hold _CIRCLE_WAYPOINTS together."""
         _, segments = plan
-        assert [len(s.waypoints) for s in segments[1:]] == [32, 33]
+        assert [len(s.waypoints) for s in segments[1:]] == [32, 32]
+        assert sum(len(s.waypoints) for s in segments[1:]) == planning._CIRCLE_WAYPOINTS
 
 
 def test_plan_builds_only_the_executed_path(monkeypatch):
@@ -334,10 +340,10 @@ def test_run_suture_unreachable_waypoint_is_typed(monkeypatch):
         bench.run_suture(bench.SutureRunConfig(compensate=False))
 
 
-def reference_plan(q_start, segments):
+def reference_plan(q_start, segments, grasp_offset):
     """bench.plan's path as the per-waypoint loop it replaced: the per-pose
-    reference ik of each tool pose with the roll of the target before as
-    the hint, then the
+    reference ik of each tool pose (tool_of the waypoint's needle pose) with
+    the roll of the target before as the hint, then the
     first of the sorted solutions nearest that target, by the per-joint
     infinity norm with the insertion in radian equivalents. Returns the
     path and the approach's target count, or the label of the segment of
@@ -349,7 +355,7 @@ def reference_plan(q_start, segments):
     for seg in segments:
         for wp in seg.waypoints:
             try:
-                sols = reference_ik(model, wp.tool_pose, q4_hint=float(q[3]))
+                sols = reference_ik(model, tool_of(wp.pose, grasp_offset), q4_hint=float(q[3]))
             except Unreachable:
                 return seg.label
             if not sols:
@@ -375,7 +381,7 @@ def test_plan_matches_the_per_waypoint_reference():
         q_start[4] = rng.uniform(0.1, 1.0)  # away from the wrist singularity
         sc = dataclasses.replace(scene, q_start=q_start)
         segments = plan_suture_pass(fk(model, q_start), sc.ports, cfg.shape, grasp_offset)
-        reference = reference_plan(q_start, segments)
+        reference = reference_plan(q_start, segments, grasp_offset)
         if isinstance(reference, str):
             with pytest.raises(Unreachable, match=f"waypoint in segment {reference} unreachable"):
                 bench.plan(sc, cfg.shape)
@@ -383,11 +389,12 @@ def test_plan_matches_the_per_waypoint_reference():
         scenes.append(sc)
     for sc in scenes:
         segments = plan_suture_pass(fk(model, sc.q_start), sc.ports, cfg.shape, grasp_offset)
-        ref_path, ref_approach = reference_plan(sc.q_start, segments)
+        ref_path, ref_approach = reference_plan(sc.q_start, segments, grasp_offset)
         _, path, n_approach = bench.plan(sc, cfg.shape)
         assert n_approach == ref_approach
         assert path.tobytes() == ref_path.tobytes()
-        sols = [reference_ik(model, wp.tool_pose) for seg in segments for wp in seg.waypoints]
+        sols = [reference_ik(model, tool_of(wp.pose, grasp_offset))
+                for seg in segments for wp in seg.waypoints]
         later_picks += sum(not np.array_equal(q, s[0]) for q, s in zip(path, sols))
     assert later_picks > 0
 
@@ -414,6 +421,43 @@ def test_plan_makes_one_batched_ik_call(monkeypatch):
     assert rows == []
 
 
+def test_plan_solves_the_needle_poses_composed_with_the_grasp(monkeypatch):
+    """ik_arrays receives, bit for bit, each needle pose that
+    plan_suture_pass returns composed with bench.plan's grasp offset."""
+    planned, received = [], []
+
+    def recording_plan(*args):
+        planned.extend(wp.pose for seg in plan_suture_pass(*args) for wp in seg.waypoints)
+        return plan_suture_pass(*args)
+
+    def recording_ik(model, rotations, translations):
+        received.append((rotations.copy(), translations.copy()))
+        return psm_kinematics.ik_arrays(model, rotations, translations)
+
+    monkeypatch.setattr(bench, "plan_suture_pass", recording_plan)
+    monkeypatch.setattr(bench, "ik_arrays", recording_ik)
+    cfg = bench.SutureRunConfig(injected_bias_deg=3.0)
+    grasp_offset, path, _ = bench.plan(bench.suture_scene(cfg), cfg.shape)
+    ((rotations, translations),) = received
+    tools = [tool_of(p, grasp_offset) for p in planned]
+    assert len(tools) == len(path)
+    assert rotations.tobytes() == np.stack([p.rotation for p in tools]).tobytes()
+    assert translations.tobytes() == np.stack([p.translation for p in tools]).tobytes()
+
+
+def test_plan_path_repeats_a_target_only_at_the_entry():
+    """At criterion 10's scene no target of bench.plan's path is within
+    1e-9 of the one before it, q_start before the first, except the
+    insertion's first: the entry repeat, the servo's settle before the
+    tissue."""
+    cfg = bench.SutureRunConfig(injected_bias_deg=3.0)
+    scene = bench.suture_scene(cfg)
+    _, path, n_approach = bench.plan(scene, cfg.shape)
+    steps = np.abs(np.diff(np.vstack([scene.q_start, path]), axis=0)).max(axis=1)
+    assert np.flatnonzero(steps < 1e-9).tolist() == [n_approach]
+    assert steps[n_approach] == 0.0
+
+
 def test_plan_solves_wrist_singular_rows_with_the_roll_before(monkeypatch):
     """Rows at the wrist singularity take the roll of the target chosen
     before them as their hint, through ik, and the path still equals the
@@ -425,7 +469,8 @@ def test_plan_solves_wrist_singular_rows_with_the_roll_before(monkeypatch):
     for i in (2, 3, 6):
         qs[i][4] = 0.0
     labels = ["approach"] * 3 + ["insertion"] * 3 + ["extraction"] * 2
-    segments = [planning.TrajectorySegment(label, [planning.Waypoint(fk(model, q), fk(model, q))])
+    grasp_offset = bench.plan(scene, cfg.shape)[0]
+    segments = [planning.TrajectorySegment(label, [planning.Waypoint(held(fk(model, q), grasp_offset))])
                 for label, q in zip(labels, qs)]
     monkeypatch.setattr(bench, "plan_suture_pass", lambda *args: segments)
     hints = []
@@ -436,7 +481,7 @@ def test_plan_solves_wrist_singular_rows_with_the_roll_before(monkeypatch):
 
     monkeypatch.setattr(bench, "ik", per_pose)
     _, path, n_approach = bench.plan(scene, cfg.shape)
-    ref_path, ref_approach = reference_plan(scene.q_start, segments)
+    ref_path, ref_approach = reference_plan(scene.q_start, segments, grasp_offset)
     assert n_approach == ref_approach == 1
     assert path.tobytes() == ref_path.tobytes()
     assert hints == [path[1][3], path[2][3], path[5][3]]
@@ -459,10 +504,12 @@ def test_plan_raises_at_the_first_failing_waypoint(monkeypatch, first):
     too_deep = fk(model, q_far)
     bad = {"behind": at_rcm, "no-solution": too_deep}
     second = {"behind": too_deep, "no-solution": at_rcm}[first]
-    segments = [planning.TrajectorySegment("approach", [planning.Waypoint(good, good)]),
-                planning.TrajectorySegment("insertion", [planning.Waypoint(good, good),
-                                                         planning.Waypoint(bad[first], bad[first])]),
-                planning.TrajectorySegment("extraction", [planning.Waypoint(second, second)])]
+    grasp_offset = bench.plan(scene, cfg.shape)[0]
+    good, bad, second = (held(p, grasp_offset) for p in (good, bad[first], second))
+    segments = [planning.TrajectorySegment("approach", [planning.Waypoint(good)]),
+                planning.TrajectorySegment("insertion", [planning.Waypoint(good),
+                                                         planning.Waypoint(bad)]),
+                planning.TrajectorySegment("extraction", [planning.Waypoint(second)])]
     monkeypatch.setattr(bench, "plan_suture_pass", lambda *args: segments)
     cause = {"behind": "wrist point at or behind the remote center of motion",
              "no-solution": "no solution within the joint limits"}[first]
@@ -584,7 +631,8 @@ def test_criterion_10_path_stays_on_the_circle_outside_the_roll_unwind():
 def test_plan_checks_each_planned_pose_once(monkeypatch):
     """Every pose plan_suture_pass builds passes RigidPose's checks exactly
     once: the rows the check function sees during the call add up to the
-    distinct poses returned, less the caller's grasp pose."""
+    distinct poses returned plus two it does not return, the inverse grasp
+    offset and the needle that the tool at the grasp pose holds."""
     checked = []
     check = geometry._check_rigid
 
@@ -598,10 +646,9 @@ def test_plan_checks_each_planned_pose_once(monkeypatch):
     grasp = RigidPose(random_rotation(np.random.default_rng(9)), np.array([0.02, 0.01, 0.05]))
     checked.clear()
     segments = plan_suture_pass(grasp, ports, SHAPE, offset)
-    poses = {id(p): p for seg in segments for wp in seg.waypoints
-             for p in (wp.pose, wp.tool_pose)}
-    assert id(grasp) in poses
-    assert sum(checked) == len(poses) - 1
+    poses = {id(wp.pose): wp.pose for seg in segments for wp in seg.waypoints}
+    assert id(grasp) not in poses
+    assert sum(checked) == len(poses) + 2
     # and RigidPose(R, t) still checks every pose it is given
     checked.clear()
     RigidPose(grasp.rotation, grasp.translation)

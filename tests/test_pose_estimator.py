@@ -347,6 +347,16 @@ class TestEstimate:
         with pytest.raises(NoSeed, match="hint rays are"):
             estimate(masks, KeypointHints(start, start + [gap_px, 0.0]), shape, rig)
 
+    def test_an_edge_on_chord_reaches_the_estimator(self, rig, shape):
+        """A chord along the left camera's line of sight projects both
+        endpoints to one pixel: observe returns them as they are, and
+        estimate, not observe, rejects the scene with its own error."""
+        R = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        masks, hints = observe(RigidPose(R, np.array([0.0, 0.0, 0.1])), shape, rig, 1.0)
+        assert hints.left_start.tolist() == hints.left_end.tolist() == [320.0, 240.0]
+        with pytest.raises(NoSeed):
+            estimate(masks, hints, shape, rig)
+
     def test_baseline_along_the_optical_axis_raises(self, shape):
         cams = [PinholeCamera(1000.0, 1000.0, 320.0, 240.0, 640, 480,
                               RigidPose(np.eye(3), np.array([0.0, 0.0, z]))) for z in (0.0, 0.02)]
