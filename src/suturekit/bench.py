@@ -112,15 +112,14 @@ def random_needle_pose(
         Z = rng.uniform(*depth_range)
         u = rng.uniform(0.25 * cam.width, 0.75 * cam.width)
         v = rng.uniform(0.25 * cam.height, 0.75 * cam.height)
-        center = cam.backproject_ray((u, v)) * Z + cam.center
+        ray = cam.backproject_ray((u, v))
+        center = ray * Z + cam.center
         quat = rng.normal(size=4)
         # quat_to_matrix normalizes again; dropping this first division moves
         # the last bits of R and so every seeded scene
         R = quat_to_matrix(quat / np.linalg.norm(quat))
         T = RigidPose(R, center)
-        view_dir = center - cam.center
-        view_dir /= np.linalg.norm(view_dir)
-        if abs(R[:, 2] @ view_dir) < np.sin(min_view_angle):
+        if abs(R[:, 2] @ ray) < np.sin(min_view_angle):
             continue
         pts = sample_axis_points(T, shape, 64)
         if all(_in_view(c, pts) for c in rig.cameras):
@@ -292,20 +291,14 @@ def suture_scene(cfg: SutureRunConfig) -> SutureScene:
     by random_needle_pose from default_rng([rng_seed, 0]). Only the needle
     depends on the seed."""
     shape = cfg.shape
-    # the suture-circle normal is aligned with the instrument shaft so the
+    # the suture-circle normal is aligned with the instrument shaft, the tool
+    # z axis at yaw 0.1 and pitch 0.35 rad with the wrist at zero, so the
     # long needle sweep maps onto the roll joint, whose +-257.8 deg range
     # does not cover the sweep: at criterion 10's compensated 3 deg bias the
     # roll climbs from 38 deg at the entry port to 254.3 deg, turns 355.6 deg
     # back to -101.3 deg between targets 56 and 57 of the executed path,
     # needle in tissue, and ends at -38 deg (ROADMAP.md, item 11)
-    q_yaw, q_pitch = 0.1, 0.35
-    shaft_dir = np.array(
-        [
-            np.sin(q_yaw) * np.sin(q_pitch),
-            -np.cos(q_yaw) * np.sin(q_pitch),
-            np.cos(q_pitch),
-        ]
-    )
+    shaft_dir = fk(KinematicModel(), np.array([0.1, 0.35, 0.0, 0.0, 0.0, 0.0])).rotation[:, 2]
     chord_dir = np.cross(np.array([0.0, 0.0, 1.0]), shaft_dir)
     chord_dir /= np.linalg.norm(chord_dir)
     up = np.cross(shaft_dir, chord_dir)  # tissue normal, chord x up = shaft

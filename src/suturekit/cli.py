@@ -270,11 +270,13 @@ def _calib_parts():
     return KinematicModel(), bench.default_mono_camera(), FeatureModel()
 
 
-def _check_input(out_dir: Path, name: str, what: str, step: str) -> None:
-    """A ConfigError if `name`, the input that calib step `step` writes to
-    `out_dir`, is missing."""
-    if not (out_dir / name).exists():
-        raise ConfigError(f"{what} not found at {out_dir / name}; run '{step}' first")
+def _calib_input(out_dir: Path, name: str, what: str, step: str) -> Path:
+    """out_dir / name, the input that calib step `step` writes; a
+    ConfigError if it is missing."""
+    path = out_dir / name
+    if not path.exists():
+        raise ConfigError(f"{what} not found at {path}; run '{step}' first")
+    return path
 
 
 def cmd_calib_gen(cfg: dict, h: str, out_dir: Path) -> None:
@@ -286,7 +288,7 @@ def cmd_calib_gen(cfg: dict, h: str, out_dir: Path) -> None:
 
 
 def cmd_calib_train(cfg: dict, h: str, out_dir: Path) -> None:
-    data = read_dataset_csv(out_dir / "calib_dataset.csv")
+    data = read_dataset_csv(_calib_input(out_dir, "calib_dataset.csv", "dataset", "calib gen"))
     keys = ("seed", "hidden_sizes", "epochs", "batch_size", "learning_rate")
     tc = TrainConfig(**_kwargs(cfg, TABLES["calib"], keys))
     result = mlp_train(data, tc)
@@ -306,7 +308,7 @@ def cmd_calib_train(cfg: dict, h: str, out_dir: Path) -> None:
 
 
 def cmd_calib_eval(cfg: dict, h: str, out_dir: Path) -> None:
-    mlp = load_mlp(out_dir / "calib_model.json")
+    mlp = load_mlp(_calib_input(out_dir, "calib_model.json", "model", "calib train"))
     model, camera, fm = _calib_parts()
     # CLI-only defaults: 1000 test samples, drawn at seed + 1 so they are
     # disjoint from the training data
@@ -401,14 +403,13 @@ def cmd_suture_run(cfg: dict, h: str, out_dir: Path) -> None:
 
 # --- entry point ------------------------------------------------------------
 
-def _command(sub, name: str, run, needs=None):
-    """Declare subcommand `name`, run by `run`, with the options all share;
-    `needs` is _check_input's (name, what, step) of the input it reads."""
+def _command(sub, name: str, run):
+    """Declare subcommand `name`, run by `run`, with the options all share."""
     p = sub.add_parser(name)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override rng seed")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(run=run, needs=needs)
+    p.set_defaults(run=run)
     return p
 
 
@@ -423,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "suture-run", cmd_suture_run)
     calib = sub.add_parser("calib").add_subparsers(dest="subcommand", required=True)
     _command(calib, "gen", cmd_calib_gen)
-    _command(calib, "train", cmd_calib_train, ("calib_dataset.csv", "dataset", "calib gen"))
-    _command(calib, "eval", cmd_calib_eval, ("calib_model.json", "model", "calib train"))
+    _command(calib, "train", cmd_calib_train)
+    _command(calib, "eval", cmd_calib_eval)
     return ap
 
 
@@ -458,8 +459,6 @@ def main(argv=None) -> int:
         for key, value in vars(args).items():  # the flags that override config keys
             if key in ("seed", "scenes") and value is not None:
                 cfg[key] = value
-        if args.needs is not None:  # before the output directory is made
-            _check_input(Path(args.out_dir), *args.needs)
         with _out_dir(args.out_dir) as out_dir:
             args.run(cfg, config_hash(cfg), out_dir)
     except ConfigError as e:

@@ -53,16 +53,10 @@ class NeedleShape:
     def chord_length(self) -> float:
         return 2.0 * self.radius * np.sin(self.arc_angle / 2.0)
 
-    def endpoints_body(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start/end arc endpoints in the needle body frame."""
-        half = self.arc_angle / 2.0
-        r = self.radius
-        st = np.array([r * np.cos(half), -r * np.sin(half), 0.0])
-        ed = np.array([r * np.cos(half), r * np.sin(half), 0.0])
-        return st, ed
-
     def arc_points_body(self, params: np.ndarray) -> np.ndarray:
-        """Arc points for parameters in [0, arc_angle], shape (N, 3)."""
+        """Arc points in the needle body frame for parameters in [0,
+        arc_angle], shape params.shape + (3,); 0 is the start and arc_angle
+        the end."""
         s = np.asarray(params, dtype=float) - self.arc_angle / 2.0
         return self.radius * np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=-1)
 
@@ -167,8 +161,7 @@ def project_endpoints(
     """The arc's start and end in the world, (2, 3), and their pixels in the
     anchor camera, (2, 2). Raises NonPositiveDepth when an endpoint is at or
     behind the anchor."""
-    st_b, ed_b = shape.endpoints_body()
-    points = np.stack([T.apply(st_b), T.apply(ed_b)])
+    points = np.stack([T.apply(p) for p in shape.arc_points_body([0.0, shape.arc_angle])])
     pixels, valid = anchor.project_many(points)
     if not valid.all():
         raise NonPositiveDepth("needle endpoint at or behind the anchor camera")

@@ -136,7 +136,7 @@ def circular_trajectory(
 
 def needle_tip_body(shape: NeedleShape) -> np.ndarray:
     """The leading (end) arc endpoint in the needle body frame."""
-    return shape.endpoints_body()[1]
+    return shape.arc_points_body(shape.arc_angle)
 
 
 def linear_trajectory(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lm, needle
-from .geometry import RigidPose, StereoRig
+from .geometry import GeometryError, RigidPose, StereoRig
 from .needle import BinaryMask, NeedleShape, needle_frames, params_to_pose, pose_to_params
 
 # mask pixels scored per view; a larger mask is strided down to at most this
@@ -270,8 +270,10 @@ def _seed(masks, hints: KeypointHints, shape: NeedleShape, rig: StereoRig) -> np
     and the center lies r cos(arc / 2) behind the chord's middle along it.
     pose_to_params converts that pose, and the keypoints are put back at
     the hints. Raises NoSeed when fewer than 3 points triangulate, the two
-    hint rays are at most needle._MIN_RAY_ANGLE apart or a hint ray meets
-    the plane behind the camera.
+    hint rays are at most needle._MIN_RAY_ANGLE apart, a hint ray meets
+    the plane behind the camera or pose_to_params fails on the pose: for a
+    far needle the pose's chord ends can re-project to one pixel or lie
+    behind the camera.
     """
     pts = _triangulated_points(masks, rig)
     if len(pts) < 3:
@@ -292,8 +294,11 @@ def _seed(masks, hints: KeypointHints, shape: NeedleShape, rig: StereoRig) -> np
     e1 = np.cross(normal, u)
     e1 *= np.sign(e1 @ (c - mid)) / np.linalg.norm(e1)
     center = mid - shape.radius * np.cos(shape.arc_angle / 2.0) * e1
-    vec = pose_to_params(RigidPose(np.column_stack([e1, u, np.cross(e1, u)]), center),
-                         shape, rig.left)
+    try:
+        vec = pose_to_params(RigidPose(np.column_stack([e1, u, np.cross(e1, u)]), center),
+                             shape, rig.left)
+    except (needle.NeedleError, GeometryError) as e:
+        raise NoSeed(f"the seed pose has no parameter vector: {e}") from e
     vec[2:] = kps.reshape(-1)
     return vec
 
@@ -310,7 +315,8 @@ def estimate(
     Returns (pose, J, steps): J is the chamfer objective (squared pixels)
     at the pose, steps the descent's iterations. Raises NoConvergence when
     J per mask pixel exceeds _REJECT_MEAN_SQ_PX, NoSeed when no seed can be
-    formed or the final vector lies outside the parameter domain, and
+    formed (far needles included, whose seed pose has no parameter vector)
+    or the final vector lies outside the parameter domain, and
     EmptyMasks when both masks are empty; it raises no other EstimatorError
     and no NeedleError. Deterministic for fixed inputs (no rng).
     """

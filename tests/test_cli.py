@@ -76,6 +76,25 @@ class TestExitCodes:
                                            f"run 'calib train' first\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["train", "eval"])
+    def test_out_dir_under_a_file_wins_over_a_missing_input(self, tmp_path, capsys, step):
+        # the input is checked where the step reads it, inside the out-dir
+        (tmp_path / "a_file").write_text("")
+        assert run_cli(["calib", step, "--out-dir", str(tmp_path / "a_file" / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory ") and err.count("\n") == 1
+
+    def test_degenerate_depth_range_is_one_error_line(self, tmp_path):
+        """Depths of 1e-300 m draw no pose in view; stderr holds the
+        NoInViewPose line and no numpy warning."""
+        cfg = write_config(tmp_path / "c.json", {"depth_range_m": [1e-300, 1e-299]})
+        out = tmp_path / "out"
+        run = run_module("pose-bench", "--config", cfg, "--scenes", "1", "--out-dir", str(out))
+        assert run.returncode == 1
+        assert run.stderr.startswith("error [pose-bench]: NoInViewPose: ")
+        assert run.stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, out_dir", [
         ("a_dir", "out"),          # --config names a directory
         ("latin1.json", "out"),    # the config file is not UTF-8
@@ -494,18 +513,20 @@ def test_calib_gen_draws_at_the_seed_and_eval_at_seed_plus_one(monkeypatch, tmp_
     assert seeds == [7, 8]
 
 
-def test_module_entry_point(tmp_path):
-    """`python -m suturekit.cli`, the path the console script takes too, exits
-    with main's code and reports a usage error without a traceback."""
+def run_module(*args):
+    """`python -m suturekit.cli`, the path the console script takes too, in
+    a fresh interpreter with numpy's default warning filters."""
     path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "suturekit.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "suturekit.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=120)
 
-    assert run("--help").returncode == 0
-    out = run("pose-bench", "--config", str(tmp_path), "--out-dir", str(tmp_path / "out"))
+def test_module_entry_point(tmp_path):
+    """The module entry point exits with main's code and reports a usage
+    error without a traceback."""
+    assert run_module("--help").returncode == 0
+    out = run_module("pose-bench", "--config", str(tmp_path), "--out-dir", str(tmp_path / "out"))
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
@@ -692,6 +713,32 @@ class TestPoseBench:
         assert agg["pos_err_mm_mean"] == pytest.approx(
             1e3 * np.mean([float(r["pos_err_m"]) for r in posed]), rel=1e-8)
         assert agg["converged_fraction"] == np.mean([r["converged"] == "1" for r in rows])
+
+    def test_far_scenes_without_a_seed_vector_are_flagged_rows(self, tmp_path, monkeypatch):
+        # at 5-10 m scene 2's seed chord re-projects to one pixel, which
+        # pose_to_params raises as DegenerateRays and estimate as NoSeed;
+        # scene 4 triangulates too few points
+        raised = []
+        estimate = bench.estimate
+
+        def recording(*args):
+            try:
+                return estimate(*args)
+            except pose_estimator.NoSeed as e:
+                raised.append(str(e))
+                raise
+
+        monkeypatch.setattr(bench, "estimate", recording)
+        cfg = write_config(tmp_path / "c.json", {"depth_range_m": [5, 10]})
+        assert run_cli(["pose-bench", "--config", cfg, "--seed", "0", "--scenes", "6",
+                        "--out-dir", str(tmp_path)]) == 0
+        assert raised == ["the seed pose has no parameter vector: inter-ray angle 0.0 <= 1e-06",
+                          "2 mask points triangulated, 3 needed"]
+        lines = (tmp_path / "pose_bench.csv").read_text().splitlines()[1:]
+        rows = list(csv.DictReader(lines))
+        assert len(rows) == 6
+        assert [int(r["scene_id"]) for r in rows if r["pos_err_m"] == "nan"] == [2, 4]
+        assert rows[2]["converged"] == rows[4]["converged"] == "0"
 
     def test_no_pose_at_all_gives_null_errors(self):
         rows = [bench.PoseBenchRow(i, np.nan, np.nan, np.nan, 0, 0.9, 0, False) for i in range(2)]

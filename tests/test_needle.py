@@ -31,10 +31,22 @@ class TestShape:
         shape = NeedleShape(0.01)
         assert np.isclose(shape.chord_length, 0.02)
 
-    def test_endpoints_body_semicircle(self):
-        st_, ed = NeedleShape(0.01).endpoints_body()
+    def test_arc_ends_semicircle(self):
+        st_, ed = NeedleShape(0.01).arc_points_body([0.0, np.pi])
         assert np.allclose(st_, [0.0, -0.01, 0.0], atol=1e-12)
         assert np.allclose(ed, [0.0, 0.01, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("arc_angle", [np.radians(10.0), np.pi, np.radians(350.0), 2.0])
+    def test_arc_ends_are_the_closed_form_bitwise(self, arc_angle):
+        """The ends at parameters 0 and arc_angle are (r cos(a/2), -+r sin(a/2), 0)
+        bit for bit; a scalar parameter gives one point."""
+        shape = NeedleShape(0.0123, arc_angle)
+        r, half = shape.radius, arc_angle / 2.0
+        ends = shape.arc_points_body([0.0, arc_angle])
+        expected = [[r * np.cos(half), -r * np.sin(half), 0.0],
+                    [r * np.cos(half), r * np.sin(half), 0.0]]
+        assert ends.tobytes() == np.array(expected).tobytes()
+        assert shape.arc_points_body(arc_angle).tobytes() == ends[1].tobytes()
 
     def test_arc_points_on_radius(self):
         shape = NeedleShape(0.013, 2.0)
@@ -57,7 +69,7 @@ class TestTriangleConstruction:
         alpha = needle_frames(x, shape, cam).alpha[0]
         x[0] = (np.pi - alpha) / 2.0
         T = params_to_pose(x, shape, cam)
-        p_st, p_ed = (T.apply(p) for p in shape.endpoints_body())
+        p_st, p_ed = T.apply(shape.arc_points_body([0.0, shape.arc_angle]))
         L = shape.chord_length
         expected = L * np.cos(alpha / 2.0) / np.sin(alpha)
         assert np.isclose(np.linalg.norm(p_st - cam.center), expected, atol=1e-12)
@@ -78,14 +90,14 @@ class TestTriangleConstruction:
         if theta1 >= np.pi - needle_frames(x, shape, cam).alpha[0] - 1e-3:
             return
         T = params_to_pose(x, shape, cam)
-        p_st, p_ed = (T.apply(p) for p in shape.endpoints_body())
+        p_st, p_ed = T.apply(shape.arc_points_body([0.0, shape.arc_angle]))
         assert np.isclose(np.linalg.norm(p_ed - p_st), shape.chord_length, atol=1e-12)
 
     def test_endpoints_reproject_to_keypoints(self, rig, shape):
         cam = rig.left
         x = np.array([1.1, 0.7, 260.0, 210.0, 330.0, 260.0])
         T = params_to_pose(x, shape, cam)
-        p_st, p_ed = (T.apply(p) for p in shape.endpoints_body())
+        p_st, p_ed = T.apply(shape.arc_points_body([0.0, shape.arc_angle]))
         assert np.allclose(pinhole_oracle(cam, p_st), x[2:4], atol=1e-9)
         assert np.allclose(pinhole_oracle(cam, p_ed), x[4:6], atol=1e-9)
 
@@ -95,7 +107,7 @@ class TestTriangleConstruction:
         Ta = params_to_pose(np.array([0.9, 0.4, *kp_st, *kp_ed]), shape, cam)
         Tb = params_to_pose(np.array([0.9, -0.4, *kp_st, *kp_ed]), shape, cam)
         # endpoints shared, arc midpoints mirrored across the rays plane
-        for p in shape.endpoints_body():
+        for p in shape.arc_points_body([0.0, shape.arc_angle]):
             assert np.allclose(Ta.apply(p), Tb.apply(p), atol=1e-12)
         mid_a = Ta.apply([shape.radius, 0.0, 0.0])
         mid_b = Tb.apply([shape.radius, 0.0, 0.0])
@@ -208,7 +220,7 @@ class TestParamsRoundtrip:
             x = pose_to_params(T, shape, rig.left)
             points, pixels = project_endpoints(T, shape, rig.left)
             assert pixels.ravel().tobytes() == x[2:].tobytes()
-            assert np.allclose(points, T.apply(np.stack(shape.endpoints_body())),
+            assert np.allclose(points, T.apply(shape.arc_points_body([0.0, shape.arc_angle])),
                                rtol=0.0, atol=1e-15)
             _, hints = bench.observe(T, shape, rig, 1.0)
             assert [*hints.left_start, *hints.left_end] == x[2:].tolist()
@@ -260,7 +272,7 @@ class TestSampling:
     def test_three_samples_are_endpoints_and_midpoint(self, shape):
         T = RigidPose(np.eye(3), np.array([0.0, 0.0, 0.1]))
         pts = sample_axis_points(T, shape, 3)
-        st_, ed = shape.endpoints_body()
+        st_, ed = shape.arc_points_body([0.0, shape.arc_angle])
         assert np.allclose(pts[0], T.apply(st_), atol=1e-12)
         assert np.allclose(pts[1], T.apply([shape.radius, 0.0, 0.0]), atol=1e-12)
         assert np.allclose(pts[2], T.apply(ed), atol=1e-12)

@@ -653,3 +653,19 @@ def test_plan_checks_each_planned_pose_once(monkeypatch):
     checked.clear()
     RigidPose(grasp.rotation, grasp.translation)
     assert checked == [1]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_suture_scene_circle_is_centred_on_the_shaft_axis(seed):
+    """suture_scene's circle has its centre on the instrument shaft at yaw
+    0.1 and pitch 0.35 rad (fk's z axis through the remote center of motion,
+    the base origin), 0.135 m from that center, and its normal along the
+    shaft."""
+    cfg = bench.SutureRunConfig(rng_seed=seed)
+    circle = suture_circle(bench.suture_scene(cfg).ports, cfg.shape)
+    shaft = fk(KinematicModel(), np.array([0.1, 0.35, 0.0, 0.0, 0.0, 0.0])).rotation[:, 2]
+    along = circle.center @ shaft
+    # each within a few ulps; the normal is 2.2e-16 off at seeds 0 and 1
+    assert abs(along - 0.135) <= 1e-15
+    assert np.linalg.norm(circle.center - along * shaft) <= 1e-15
+    assert np.linalg.norm(circle.normal - shaft) <= 1e-15

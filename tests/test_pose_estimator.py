@@ -5,7 +5,8 @@ from scipy.spatial.transform import Rotation
 
 from suturekit.bench import PoseBenchConfig, observe, random_needle_pose, run_pose_bench
 from suturekit import lm, pose_estimator
-from suturekit.needle import BinaryMask, needle_frames, params_to_pose, pose_to_params, reproject
+from suturekit.needle import (BinaryMask, DegenerateRays, needle_frames, params_to_pose,
+                              pose_to_params, reproject)
 from suturekit.pose_estimator import (
     _AXIS_SAMPLE_COUNT,
     _MAX_ITERATIONS,
@@ -22,6 +23,7 @@ from suturekit.pose_estimator import (
     estimate,
 )
 from suturekit.geometry import (
+    NonPositiveDepth,
     PinholeCamera,
     RigidPose,
     StereoRig,
@@ -356,6 +358,16 @@ class TestEstimate:
         assert hints.left_start.tolist() == hints.left_end.tolist() == [320.0, 240.0]
         with pytest.raises(NoSeed):
             estimate(masks, hints, shape, rig)
+
+    @pytest.mark.parametrize("scene, cause", [(2, DegenerateRays), (151, NonPositiveDepth)])
+    def test_a_far_needle_without_a_seed_vector_raises_no_seed(self, rig, shape, scene, cause):
+        """At 5-10 m the seed pose's chord can re-project to one pixel or
+        put an end behind the camera; pose_to_params's error becomes NoSeed."""
+        T = random_needle_pose(np.random.default_rng([0, scene]), rig, shape, (5.0, 10.0))
+        masks, hints = observe(T, shape, rig, 1.0)
+        with pytest.raises(NoSeed, match="the seed pose has no parameter vector") as exc:
+            estimate(masks, hints, shape, rig)
+        assert type(exc.value.__cause__) is cause
 
     def test_baseline_along_the_optical_axis_raises(self, shape):
         cams = [PinholeCamera(1000.0, 1000.0, 320.0, 240.0, 640, 480,
