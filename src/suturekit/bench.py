@@ -42,7 +42,8 @@ from .psm_kinematics import KinematicModel, Unreachable, fk, fk_arrays, ik, ik_a
 DEFAULT_SHAPE = NeedleShape(radius=0.010, arc_angle=np.pi)
 
 # distances in meters from the left camera to the synthetic needles' arc
-# centers (random_needle_pose, pose-bench); the estimator assumes no range
+# centers (random_needle_pose, pose-bench); the estimator's poses are checked
+# through 0.4 m, and beyond it an accepted pose can be wrong (ROADMAP item 16)
 SCENE_DEPTH_RANGE = (0.08, 0.2)
 
 
@@ -322,12 +323,16 @@ def perceive(needle: RigidPose, shape: NeedleShape, line_width: float) -> RigidP
     return estimate(masks, hints, shape, rig)[0]
 
 
+def calibration_parts() -> tuple[KinematicModel, PinholeCamera, FeatureModel]:
+    """The kinematic model, monocular camera and jaw marker of every joint
+    offset calibration: calibrate's, calib gen's and calib eval's."""
+    return KinematicModel(), default_mono_camera(), FeatureModel()
+
+
 def calibrate(delta_q: np.ndarray) -> np.ndarray:
     """The joint offset estimate from one noiseless image of the jaw marker,
     taken by the monocular calibration camera at DEFAULT_QMSR_REGION.center."""
-    model = KinematicModel()
-    mono = default_mono_camera()
-    fm = FeatureModel()
+    model, mono, fm = calibration_parts()
     q_msr = DEFAULT_QMSR_REGION.center
     px = detect_features(mono, fk(model, q_msr + delta_q), fm)
     return calibrate_direct(model, mono, fm, q_msr, px, _CALIB_BOUND)

@@ -216,7 +216,7 @@ def generate_dataset(
     return data
 
 
-def write_dataset_csv(data: np.ndarray, path, header_comment: str = "") -> None:
+def write_dataset_csv(data: np.ndarray, path, header_comment: str) -> None:
     """Degrees/mm at the file boundary; pixels stay in pixels."""
     n_feat = (data.shape[1] - 12) // 2
     cols = (
@@ -229,16 +229,16 @@ def write_dataset_csv(data: np.ndarray, path, header_comment: str = "") -> None:
         q[:, REVOLUTE] = np.degrees(q[:, REVOLUTE])
         q[:, PRISMATIC_INDEX] *= 1000.0
     with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(header_comment + "\n")
+        f.write(header_comment + "\n")
         f.write(",".join(cols) + "\r\n")
         np.savetxt(f, out, fmt="%.12g", delimiter=",", newline="\r\n")
 
 
 def read_dataset_csv(path) -> np.ndarray:
     """Inverse of `write_dataset_csv`: the dataset array in internal units.
-    A file whose header is not followed by a data row, or whose rows are not
-    12 + 2N wide for N >= 1 feature points, raises ValueError."""
+    A file whose header is not followed by a data row, whose rows are not
+    12 + 2N wide for N >= 1 feature points, or which holds a cell that is
+    not finite, raises ValueError."""
     with open(path) as f:
         header = f.readline()
         if header.startswith("#"):
@@ -253,6 +253,11 @@ def read_dataset_csv(path) -> np.ndarray:
     if odd or n_feat < 1:
         raise ValueError(f"{path} has {data.shape[1]} columns; a dataset has 12 + 2N "
                          f"for N >= 1 feature points")
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"{path} data row {row + 1}, column {col + 1}, is "
+                         f"{data[row, col]}, not a finite number")
     for q in (data[:, :6], data[:, -6:]):
         q[:, REVOLUTE] = np.radians(q[:, REVOLUTE])
         q[:, PRISMATIC_INDEX] /= 1000.0

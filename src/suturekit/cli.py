@@ -38,7 +38,6 @@ import numpy as np
 
 from . import bench
 from .calibration import (
-    FeatureModel,
     TrainConfig,
     evaluate_calibration,
     generate_dataset,
@@ -49,7 +48,7 @@ from .calibration import (
     write_dataset_csv,
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to, steady_state_error
-from .psm_kinematics import KinematicModel, PRISMATIC_INDEX
+from .psm_kinematics import PRISMATIC_INDEX
 
 
 class ConfigError(Exception):
@@ -266,10 +265,6 @@ def cmd_pose_bench(cfg: dict, h: str, out_dir: Path) -> None:
 
 # --- calib ------------------------------------------------------------------
 
-def _calib_parts():
-    return KinematicModel(), bench.default_mono_camera(), FeatureModel()
-
-
 def _calib_input(out_dir: Path, name: str, what: str, step: str) -> Path:
     """out_dir / name, the input that calib step `step` writes; a
     ConfigError if it is missing."""
@@ -280,7 +275,7 @@ def _calib_input(out_dir: Path, name: str, what: str, step: str) -> Path:
 
 
 def cmd_calib_gen(cfg: dict, h: str, out_dir: Path) -> None:
-    model, camera, fm = _calib_parts()
+    model, camera, fm = bench.calibration_parts()
     keys = ("seed", "count", "delta_range_deg", "noise_px")
     data = generate_dataset(model, camera, fm, **_kwargs(cfg, TABLES["calib"], keys))
     write_dataset_csv(data, out_dir / "calib_dataset.csv", _header(h, "deg_mm"))
@@ -309,7 +304,7 @@ def cmd_calib_train(cfg: dict, h: str, out_dir: Path) -> None:
 
 def cmd_calib_eval(cfg: dict, h: str, out_dir: Path) -> None:
     mlp = load_mlp(_calib_input(out_dir, "calib_model.json", "model", "calib train"))
-    model, camera, fm = _calib_parts()
+    model, camera, fm = bench.calibration_parts()
     # CLI-only defaults: 1000 test samples, drawn at seed + 1 so they are
     # disjoint from the training data
     keys = ("seed", "test_count", "delta_range_deg", "noise_px")
@@ -317,14 +312,10 @@ def cmd_calib_eval(cfg: dict, h: str, out_dir: Path) -> None:
     kwargs["rng_seed"] = kwargs.get("rng_seed", 0) + 1
     test = generate_dataset(model, camera, fm, **kwargs)
     table = evaluate_calibration(mlp, test)
-    rows = []
-    for j in range(6):
-        mean, std = table[j]
-        if j == PRISMATIC_INDEX:
-            rows.append([f"q{j+1}", "mm", f"{mean * 1e3:.6f}", f"{std * 1e3:.6f}"])
-        else:
-            rows.append([f"q{j+1}", "deg", f"{np.degrees(mean):.6f}",
-                         f"{np.degrees(std):.6f}"])
+    shown = np.degrees(table)
+    shown[PRISMATIC_INDEX] = table[PRISMATIC_INDEX] * 1e3
+    rows = [[f"q{j+1}", "mm" if j == PRISMATIC_INDEX else "deg", f"{mean:.6f}", f"{std:.6f}"]
+            for j, (mean, std) in enumerate(shown)]
     _write_csv(out_dir / "calib_eval.csv", h, "deg_mm",
                ["joint", "unit", "mean_abs_err", "std_abs_err"], rows)
     for r in rows:
@@ -340,8 +331,10 @@ def cmd_control_sim(cfg: dict, h: str, out_dir: Path) -> None:
     gains_off = PiGains(kp=np.zeros(6), ki=np.zeros(6))
     # CLI-only defaults: the target, and a longer, tighter servo run than
     # servo_to's own 200 steps at 1e-6
-    q_des = np.radians(np.asarray(cfg.get("q_des_deg", [10, -5, 0, 20, 15, -10]),
-                                  dtype=float))
+    q_des_deg = cfg.get("q_des_deg", [10, -5, 0, 20, 15, -10])
+    if not np.isfinite(q_des_deg).all():  # the third entry too, though q3_des_mm replaces it
+        raise ValueError(f"q_des_deg must be finite, got {q_des_deg}")
+    q_des = np.radians(np.asarray(q_des_deg, dtype=float))
     q_des[PRISMATIC_INDEX] = float(cfg.get("q3_des_mm", 120.0)) / 1000.0
     servo = {"max_steps": 400, "tol": 1e-8, **_kwargs(cfg, table, ("max_steps", "tol"))}
 

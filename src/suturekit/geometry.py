@@ -119,7 +119,7 @@ def rotation_geodesic(Ra: np.ndarray, Rb: np.ndarray) -> float:
     """
     f = np.linalg.norm(Ra - Rb) / (2.0 * np.sqrt(2.0))  # sin(theta / 2)
     if f < 0.7:
-        return float(2.0 * np.arcsin(min(f, 1.0)))
+        return float(2.0 * np.arcsin(f))
     c = (np.trace(Ra.T @ Rb) - 1.0) / 2.0
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 

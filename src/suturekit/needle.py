@@ -194,15 +194,6 @@ def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> n
 
 # --- sampling, reprojection, rasterization ---------------------------------
 
-def _arc_parameters(shape: NeedleShape, count: int, occlusion=None) -> np.ndarray:
-    params = np.linspace(0.0, shape.arc_angle, count)
-    if occlusion is not None:
-        lo, hi = occlusion
-        frac = params / shape.arc_angle
-        params = params[(frac < lo) | (frac > hi)]
-    return params
-
-
 def sample_axis_points(
     T: RigidPose, shape: NeedleShape, count: int, occlusion=None
 ) -> np.ndarray:
@@ -213,7 +204,11 @@ def sample_axis_points(
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    params = _arc_parameters(shape, count, occlusion)
+    params = np.linspace(0.0, shape.arc_angle, count)
+    if occlusion is not None:
+        lo, hi = occlusion
+        frac = params / shape.arc_angle
+        params = params[(frac < lo) | (frac > hi)]
     return T.apply(shape.arc_points_body(params))
 
 

@@ -127,8 +127,6 @@ def _nearest(mask_rows: np.ndarray, points_px: np.ndarray,
     # far sentinel for hidden points
     d2 = _sq_dists(mask_rows, np.where(visible[:, None], points_px, 1e9))
     near = d2.argmin(axis=1)
-    if len(near) == 0:
-        return 0.0, near
     if not visible.any():
         return _EMPTY_VIEW_PENALTY * len(near), near
     return float(d2[np.arange(len(near)), near].sum()), near
@@ -327,7 +325,7 @@ def estimate(
         pose = params_to_pose(vec, shape, rig.left)
     except needle.NeedleError as e:  # J is inf there, so no step left the seed
         raise NoSeed(f"the seed lies outside the parameter domain: {e}") from e
-    mean_sq_px = J / max(1, sum(len(m) for m in ev.mask_px))
+    mean_sq_px = J / sum(len(m) for m in ev.mask_px)
     if mean_sq_px > _REJECT_MEAN_SQ_PX:
         raise NoConvergence(
             f"mean squared pixel error {mean_sq_px:.2f} exceeds {_REJECT_MEAN_SQ_PX}",

@@ -123,7 +123,7 @@ def ik_arrays(
     model: KinematicModel,
     rotations: np.ndarray,
     translations: np.ndarray,
-    q4_hint: float | np.ndarray = 0.0,
+    q4_hint: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All closed-form joint solutions within the joint limits (to 1e-9)
     that reach each tool pose of a stack, (n, 3, 3) rotations and (n, 3)
@@ -132,11 +132,10 @@ def ik_arrays(
     Both shoulder branches and both wrist-pitch branches of each row are
     solved together. A shaft along base z (|sin q2| < 1e-12) leaves q1
     undetermined: it is frozen at 0, one shoulder branch. At a wrist
-    singularity (|sin q5| < 1e-9) q4 is frozen at q4_hint (a float or one
-    per row) and the residual assigned to q6, one wrist branch. Revolute
-    ranges wider than 2*pi admit shifted copies of a wrapped solution: a
-    branch's solutions are the product of each joint's in-limit values
-    among v, v - 2*pi and v + 2*pi.
+    singularity (|sin q5| < 1e-9) q4 is frozen at q4_hint and the residual
+    assigned to q6, one wrist branch. Revolute ranges wider than 2*pi admit
+    shifted copies of a wrapped solution: a branch's solutions are the
+    product of each joint's in-limit values among v, v - 2*pi and v + 2*pi.
 
     Returns (joints, starts, reachable, hinted): the (k, 6) solutions, row
     i's being joints[starts[i]:starts[i + 1]], sorted lexicographically;
@@ -167,12 +166,11 @@ def ik_arrays(
     c = np.arctan2(Rw[..., 2, 0], Rw[..., 2, 1])
     # the singular angle is q4 + q6 at q5 = 0 and q4 - q6 at q5 = pi
     angle = np.arctan2(Rw[..., 1, 0], Rw[..., 0, 0])
-    hint = np.broadcast_to(np.asarray(q4_hint, dtype=float), (n,))
     up = cb > 0
     # wrist branches over shoulder branches, (2, 2, n)
-    q4 = np.stack([np.where(singular, hint, a), _wrap(a + np.pi)])
+    q4 = np.stack([np.where(singular, q4_hint, a), _wrap(a + np.pi)])
     q5 = np.stack([np.where(singular, np.where(up, 0.0, np.pi), b), -b])
-    q6 = np.stack([np.where(singular, _wrap(np.where(up, angle - hint, hint - angle)), c),
+    q6 = np.stack([np.where(singular, _wrap(np.where(up, angle - q4_hint, q4_hint - angle)), c),
                    _wrap(c + np.pi)])
     shape = (2, 2, n)
     base = np.stack([np.broadcast_to(q1, shape), np.broadcast_to(q2, shape),

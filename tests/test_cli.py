@@ -240,6 +240,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert [p.name for p in out.iterdir()] == ["calib_dataset.csv"]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_dataset_cell_is_exit_one(self, workdir, tmp_path, capsys, cell):
+        # the dataset is named, not training: a NaN once ended in NonFiniteLoss
+        lines = (workdir / "calib_dataset.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[7] = cell
+        lines[3] = ",".join(cells)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "calib_dataset.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        assert run_cli(["calib", "train", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error [calib]: ValueError: {path} data row 2, "
+                                           f"column 8, is {cell}, not a finite number\n")
+        assert [p.name for p in out.iterdir()] == ["calib_dataset.csv"]
+
     def test_scenes_only_on_pose_bench(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["calib", "gen", "--scenes", "5", "--out-dir", str(tmp_path)])
@@ -404,10 +420,14 @@ class TestExitCodes:
         ({"tol": float("inf")}, "tol must be a finite number above 0, got inf"),
         ({"kp": float("nan")}, "kp must be finite"),
         ({"ki": [0.2, 0.2, float("inf"), 0.2, 0.2, 0.2]}, "ki must be finite"),
-        ({"q_des_deg": [float("nan"), 0, 0, 0, 0, 0]}, "q_des, dq_hat and q_act0 must be"),
+        ({"q_des_deg": [float("nan"), 0, 0, 0, 0, 0]},
+         "ValueError: q_des_deg must be finite, got [nan, 0, 0, 0, 0, 0]"),
+        # the third entry is checked too, though q3_des_mm sets the insertion
+        ({"q_des_deg": [0, 0, float("nan"), 0, 0, 0]},
+         "ValueError: q_des_deg must be finite, got [0, 0, nan, 0, 0, 0]"),
         ({"q3_des_mm": float("inf")}, "q_des, dq_hat and q_act0 must be finite"),
     ], ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "kp-nan", "ki-inf",
-            "q_des_deg-nan", "q3_des_mm-inf"])
+            "q_des_deg-nan", "q_des_deg-nan-insertion", "q3_des_mm-inf"])
     def test_control_sim_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -739,6 +759,18 @@ class TestPoseBench:
         assert len(rows) == 6
         assert [int(r["scene_id"]) for r in rows if r["pos_err_m"] == "nan"] == [2, 4]
         assert rows[2]["converged"] == rows[4]["converged"] == "0"
+
+    def test_no_pose_in_any_scene_is_reported(self, tmp_path, monkeypatch, capsys):
+        def no_seed(*args):
+            raise pose_estimator.NoSeed("no seed")
+
+        monkeypatch.setattr(bench, "estimate", no_seed)
+        assert run_cli(["pose-bench", "--scenes", "2", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "occlusion 0.00: no pose in 2 scenes\n"
+        agg = json.loads((tmp_path / "pose_bench_summary.json").read_text())["by_occlusion"]
+        assert agg == {"0.00": {"scenes": 2, "pos_err_mm_mean": None, "pos_err_mm_std": None,
+                                "ang_err_deg_mean": None, "ang_err_deg_std": None,
+                                "converged_fraction": 0.0}}
 
     def test_no_pose_at_all_gives_null_errors(self):
         rows = [bench.PoseBenchRow(i, np.nan, np.nan, np.nan, 0, 0.9, 0, False) for i in range(2)]

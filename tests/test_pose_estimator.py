@@ -140,6 +140,16 @@ class TestSceneEvaluator:
                 brute_force_objective(x, masks, shape, rig), rel=1e-9
             )
 
+    def test_masks_over_the_cap_are_subsampled(self, rig, shape):
+        # a 16-pixel line at 8-10 cm: the stress scene line_width_16_near
+        T = random_needle_pose(np.random.default_rng([7, 0]), rig, shape, (0.08, 0.1))
+        masks, _ = observe(T, shape, rig, 16.0)
+        ev = SceneEvaluator(masks, shape, rig)
+        for mask, px in zip(masks, ev.mask_px):
+            assert len(mask) > 2000 >= len(px)
+            stride = -(-len(mask) // 2000)
+            assert np.array_equal(px, mask.foreground[::stride])
+
     def test_invalid_theta1_is_inf(self, rig, shape):
         _, masks, x_true, _ = make_scene(rig, shape, seed=7)
         ev = SceneEvaluator(masks, shape, rig)
@@ -398,6 +408,15 @@ class TestEstimate:
         pose, J, steps = exc.value.result
         assert J >= 0.0 and 0 < steps <= 10
 
+    def test_a_rejected_pose_is_a_scored_row(self, monkeypatch):
+        # run_pose_scene scores the pose NoConvergence carries
+        monkeypatch.setattr(pose_estimator, "_REJECT_MEAN_SQ_PX", 0.0)
+        rows = run_pose_bench(PoseBenchConfig(scenes=3))
+        assert len(rows) == 3
+        for r in rows:
+            assert not r.converged and r.steps >= 1
+            assert np.isfinite([r.pos_err_m, r.ang_err_rad, r.J_final]).all()
+
     def test_empty_masks_raise(self, rig, shape):
         empty = BinaryMask(640, 480, np.empty((0, 2), dtype=int))
         hints = KeypointHints(
@@ -424,6 +443,8 @@ STRESS_SCENARIOS = [
     # beyond bench.SCENE_DEPTH_RANGE, the default scene distances
     ("depth_beyond_seeding", {"depth_range": (0.22, 0.3)}, 1.0, 0.0, None),
     ("left_only_beyond_seeding", {"depth_range": (0.3, 0.4)}, 1.0, 0.0, None),
+    # masks above the evaluator's 2000-pixel cap, which it subsamples
+    ("line_width_16_near", {"depth_range": (0.08, 0.1)}, 16.0, 0.0, None),
 ]
 
 
