@@ -317,25 +317,33 @@ class MlpModel:
                 raise ValueError("inconsistent layer shapes")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Predict offsets for one input vector or a batch."""
+        """Predict offsets for one input vector or a batch. Inference keeps
+        no activations: it holds at most two consecutive layers at a time."""
         x = np.asarray(x, dtype=float)
-        _, out = self._forward_scaled(self.input_scaler.scale(np.atleast_2d(x)))
+        out = _last(self._layers(self.input_scaler.scale(np.atleast_2d(x))))
         out = self.output_scaler.unscale(out)
         return out[0] if x.ndim == 1 else out
 
-    def _forward_scaled(self, xs: np.ndarray):
-        """Forward in scaled space keeping the activations for backprop; the
-        result has the dtype of the inputs and parameters."""
-        acts = [xs]
-        h = xs
+    def _layers(self, h: np.ndarray):
+        """Forward pass in scaled space from inputs `h`: yields each hidden
+        layer's rectified activations, then the output, in the dtype of the
+        inputs and parameters. A layer stays alive only while the caller
+        holds it: `mlp_backprop` keeps them all, inference only the last."""
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             h = h @ W
             h += b
             np.maximum(h, 0.0, out=h)
-            acts.append(h)
+            yield h
         out = h @ self.weights[-1]
         out += self.biases[-1]
-        return acts, out
+        yield out
+
+
+def _last(layers):
+    """The last of `layers`, each dropped as the next is made."""
+    for out in layers:
+        pass
+    return out
 
 
 def mlp_init(
@@ -354,9 +362,10 @@ def mlp_init(
 
 def mlp_backprop(model: MlpModel, xs: np.ndarray, ys: np.ndarray):
     """Mean-squared-error loss and parameter gradients, scaled space; the
-    gradients have the dtype of the model and the inputs."""
-    acts, out = model._forward_scaled(xs)
-    err = out - ys
+    gradients have the dtype of the model and the inputs. The only pass
+    that keeps every layer's activations, which the gradients need."""
+    acts = [xs, *model._layers(xs)]
+    err = acts.pop() - ys
     loss = float(np.mean(err * err))
     dW = [None] * len(model.weights)
     db = [None] * len(model.biases)
@@ -377,7 +386,8 @@ def mlp_backprop(model: MlpModel, xs: np.ndarray, ys: np.ndarray):
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 _LR_FINAL_FRACTION = 0.05
 _VAL_FRACTION = 0.1
-_TINY = np.finfo(np.float32).tiny
+# Adam first moments below this are zeroed at each epoch end (see mlp_train)
+_FLUSH_BELOW = 2.0 ** -96
 
 
 @dataclass(frozen=True)
@@ -425,17 +435,20 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
     dataset (10 and 30 epochs, one BLAS thread); the returned model holds
     the trained weights in float64.
 
-    After each epoch's last step, first moments below the smallest normal
-    float32 (`tiny`, 1.2e-38) are set to zero. At criterion 4's, the
-    benchmark's and the tests' settings this leaves the result bit for bit
-    unchanged. A zeroed entry moves its weight by at most
-    lr·tiny/c1/eps < lr·1.2e-29, below half an ulp of any weight above
-    about lr·2e-22 in magnitude. It changes a later moment only if a
-    gradient g arrives with |(1 - β1)·g| <= 2^-102 (|g| below about
-    2^-99); a larger one rounds the decayed subnormal away. Both bounds
+    After each epoch's last step, first moments below _FLUSH_BELOW = 2^-96
+    are set to zero: float32 subnormal arithmetic is many times slower on
+    x86. A surviving entry decays by β1 per step with zero gradients; at 35
+    steps per epoch (the 10k-row dataset at batch 256) it stays above
+    2^-102, a normal float32, and so does `lr·m/c1` for any lr above 2^-24
+    (6e-8). At criterion 4's, the benchmark's and the tests' settings the
+    flush leaves the result bit for bit unchanged. A zeroed entry moves its
+    weight by at most lr·2^-96/(c1·eps) < lr·1.3e-20, below half an ulp of
+    any weight above about lr·2e-13 in magnitude. It changes a later moment
+    only if a gradient g arrives with |(1 - β1)·g| <= 2^-72 (|g| below
+    about 2^-69); a larger one rounds the decayed entry away. Both bounds
     were checked in float32 arithmetic, and `tests/test_calibration.py`
     checks the match against an unflushed reference on a run that holds
-    subnormals.
+    entries below the threshold.
     """
     X, Y = data[:, :-6], data[:, -6:]
     n_val = int(round(_VAL_FRACTION * len(X)))
@@ -502,14 +515,16 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
                         g *= lr
                         g /= s
                         p -= g
-                # dead ReLU units get zero gradients, so their m decays into float32
-                # subnormals, slow on x86: 200 default epochs took 46 s unflushed, 31 s flushed
+                # dead ReLU units get zero gradients, so their m decays toward float32
+                # subnormals, slow on x86: 200 default epochs took 46 s unflushed, 31 s
+                # with a flush at float32 tiny
                 for m_ in m:
-                    m_[np.abs(m_) < _TINY] = 0.0
+                    m_[np.abs(m_) < _FLUSH_BELOW] = 0.0
                 lr *= decay
                 train_curve.append(float(np.mean(epoch_losses)))
-                _, out = model._forward_scaled(Xs[val_idx])
-                val_curve.append(float(np.mean((out - Ys[val_idx]) ** 2)))
+                err = _last(model._layers(Xs[val_idx]))
+                err -= Ys[val_idx]
+                val_curve.append(float(np.mean(np.square(err, out=err))))
     except FloatingPointError as e:
         raise NonFiniteLoss(f"training diverged at epoch {epoch}: {e}") from e
     model = MlpModel(model.weights, model.biases, in_scaler, out_scaler)
@@ -532,6 +547,8 @@ def save_model(model: MlpModel, path) -> None:
     and biases pass through the C encoder 4096 values at a time: `json.dump`
     to a file runs the pure-Python encoder, and one `json.dumps` of the
     whole model holds its 4 MB text next to every weight as a Python float.
+    `load_mlp` reads it back layer by layer, for the same reason; the
+    model it returns keeps no activations when it predicts.
     """
     head = json.dumps({
         "layer_sizes": [model.weights[0].shape[0]] + [len(b) for b in model.biases],
@@ -554,11 +571,83 @@ def save_model(model: MlpModel, path) -> None:
         f.write("}")
 
 
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _json_members(s: str, i: int, close: str, member):
+    """Parse the JSON object or array that opens at s[i] and ends with
+    `close`, one member at a time: `member(s, j)` parses the member that
+    starts at s[j] and returns it with the index past it. Returns the list
+    of members and the index past `close`; malformed JSON raises
+    json.JSONDecodeError, a ValueError."""
+    members = []
+    i = _SPACE(s, i + 1).end()
+    if s[i:i + 1] == close:
+        return members, i + 1
+    while True:
+        value, i = member(s, i)
+        members.append(value)
+        i = _SPACE(s, i).end()
+        if s[i:i + 1] == close:
+            return members, i + 1
+        if s[i:i + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, i)
+        i = _SPACE(s, i + 1).end()
+
+
+def _layer(s: str, i: int):
+    """The weight or bias list at s[i] as a float64 array, and the index
+    past it. Any other value, or a list that numpy cannot convert, comes
+    back as parsed, and load_mlp and MlpModel reject it as they would the
+    list."""
+    value, i = _DECODER.raw_decode(s, i)
+    if isinstance(value, list):
+        try:
+            value = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return value, i
+
+
+def _model_pair(s: str, i: int):
+    """The `"key": value` pair of a model object at s[i], and the index
+    past it; the lists of arrays `weights` and `biases` are parsed one
+    layer at a time."""
+    if s[i:i + 1] != '"':
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", s, i)
+    key, i = json.decoder.scanstring(s, i + 1)
+    i = _SPACE(s, i).end()
+    if s[i:i + 1] != ":":
+        raise json.JSONDecodeError("Expecting ':' delimiter", s, i)
+    i = _SPACE(s, i + 1).end()
+    if key in ("weights", "biases") and s[i:i + 1] == "[":
+        value, i = _json_members(s, i, "]", _layer)
+    else:
+        value, i = _DECODER.raw_decode(s, i)
+    return (key, value), i
+
+
 def load_mlp(path) -> MlpModel:
     """Inverse of `save_model`. A missing key, or a layer whose weight list
-    does not hold n_in * n_out values, raises ValueError."""
+    does not hold n_in * n_out values, raises ValueError, as do malformed
+    JSON and a top level that is not an object.
+
+    The model loads layer by layer: the top-level object is walked pair by
+    pair, and each list in `weights` and `biases` becomes a float64 array
+    before the next is parsed, so that one layer, not the whole model, is
+    held as Python floats at a time. Every other value is parsed as
+    `json.load` parses it, and a repeated key keeps its last value."""
     with open(path) as f:
-        d = json.load(f)
+        s = f.read()
+    start = _SPACE(s, 0).end()
+    if s[start:start + 1] != "{":
+        raise ValueError(f"{path}: the top level is not a JSON object")
+    pairs, end = _json_members(s, start, "}", _model_pair)
+    end = _SPACE(s, end).end()
+    if end != len(s):
+        raise json.JSONDecodeError("Extra data", s, end)
+    d = dict(pairs)
     try:
         sizes, flat, biases = d["layer_sizes"], d["weights"], d["biases"]
         scalers = [Scaler(d[k]["mean"], d[k]["std"]) for k in ("input_scaler", "output_scaler")]

@@ -370,8 +370,15 @@ def cmd_control_sim(cfg: dict, h: str, out_dir: Path) -> None:
         "reduction_percent": reduction.tolist(),
         "converged": converged,
     })
-    print("error reduction per joint (%):",
-          ", ".join(f"{r:.2f}" for r in reduction))
+    # pi_off keeps the disturbance as its steady error and so never meets tol;
+    # until pi_on converges, its final steps hold a transient
+    if converged["pi_on"]:
+        print("error reduction per joint (%):",
+              ", ".join(f"{r:.2f}" for r in reduction))
+    else:
+        unconverged = [label for label, ok in converged.items() if not ok]
+        print(f"no steady state: {' and '.join(unconverged)} did not converge "
+              f"in {servo['max_steps']} steps")
 
 
 # --- suture-run -------------------------------------------------------------

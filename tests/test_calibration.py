@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from suturekit.calibration import (
     _BETA1,
     _BETA2,
     _EPS,
+    _FLUSH_BELOW,
     _LR_FINAL_FRACTION,
     _VAL_FRACTION,
     MlpModel,
     _feature_pixels,
+    _last,
 )
 from suturekit.geometry import RigidPose
 from suturekit.psm_kinematics import KinematicModel, PRISMATIC_INDEX, REVOLUTE, fk, fk_arrays
@@ -290,6 +293,15 @@ def identity_scaler(n):
     return Scaler(np.zeros(n), np.ones(n))
 
 
+def reference_layers(model, xs):
+    """Forward pass in scaled space that keeps every layer's activations,
+    written out as backprop needs it: (activations, output)."""
+    acts = [xs]
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ W + b, 0.0))
+    return acts, acts[-1] @ model.weights[-1] + model.biases[-1]
+
+
 class TestMlpForward:
     def test_zero_weights_give_biases(self):
         m = MlpModel(
@@ -319,6 +331,41 @@ class TestMlpForward:
         batch = m.forward(X)
         for i in range(10):
             assert np.allclose(batch[i], m.forward(X[i]), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_activation_keeping_pass_bitwise(self, dtype):
+        rng = np.random.default_rng(16)
+        sc_in = Scaler(rng.normal(size=5), np.abs(rng.normal(size=5)) + 0.1)
+        sc_out = Scaler(rng.normal(size=3), np.abs(rng.normal(size=3)) + 0.1)
+        m = mlp_init([5, 40, 30, 3], sc_in, sc_out, rng)
+        m.weights = [W.astype(dtype) for W in m.weights]
+        m.biases = [rng.normal(size=len(b)).astype(dtype) for b in m.biases]
+        xs = rng.normal(size=(64, 5)).astype(dtype)
+        _, want = reference_layers(m, xs)
+        got = _last(m._layers(xs))
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+        X = rng.normal(size=(64, 5))
+        want = sc_out.unscale(reference_layers(m, sc_in.scale(X))[1])
+        assert np.array_equal(m.forward(X), want)
+
+    def test_inference_holds_two_layers_at_a_time(self):
+        # four hidden layers of 256 units on 2000 rows, 4.1 MB each: keeping
+        # every activation would peak near 16.4 MB; inference may hold the
+        # two layers of one matrix product plus the scaled input and output
+        n, width = 2000, 256
+        rng = np.random.default_rng(17)
+        m = mlp_init([3, width, width, width, width, 2], identity_scaler(3),
+                     identity_scaler(2), rng)
+        X = rng.normal(size=(n, 3))
+        m.forward(X)
+        tracemalloc.start()
+        try:
+            m.forward(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (2 * width + 2 * (3 + 2))
 
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -384,7 +431,7 @@ class TestBackprop:
         xs = rng.normal(size=(16, 4))
         ys = rng.normal(size=(16, 2))
         loss, _, _ = mlp_backprop(m, xs, ys)
-        _, out = m._forward_scaled(xs)
+        _, out = reference_layers(m, xs)
         assert np.isclose(loss, np.mean((out - ys) ** 2))
 
 
@@ -396,14 +443,16 @@ def small_dataset(parts):
 
 def reference_train(data, config):
     """mlp_train's float32 loop with the Adam update written out of place,
-    one expression per moment and without the subnormal flush; returns the
-    float32 parameters, the per-epoch mean training loss and the number of
-    subnormal first-moment entries held at each epoch end."""
+    one expression per moment and without the epoch-end flush, and the
+    validation loss from the activation-keeping pass; returns the float32
+    parameters, the per-epoch mean training and validation losses and the
+    number of nonzero first-moment entries below _FLUSH_BELOW held at each
+    epoch end."""
     X, Y = data[:, :-6], data[:, -6:]
     rng = np.random.default_rng(config.rng_seed)
     perm = rng.permutation(len(X))
     n_val = int(round(_VAL_FRACTION * len(X)))
-    train_idx = perm[n_val:]
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
     in_scaler, out_scaler = Scaler.fit(X[train_idx]), Scaler.fit(Y[train_idx])
     Xs = in_scaler.scale(X).astype(np.float32)
     Ys = out_scaler.scale(Y).astype(np.float32)
@@ -413,8 +462,7 @@ def reference_train(data, config):
     params = model.weights + model.biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
-    t, lr, curve, subnormals = 0, config.learning_rate, [], []
-    tiny = np.finfo(np.float32).tiny
+    t, lr, curve, val_curve, flushable = 0, config.learning_rate, [], [], []
     for _ in range(config.epochs):
         order = rng.permutation(train_idx)
         losses = []
@@ -430,8 +478,11 @@ def reference_train(data, config):
                 params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + _EPS)
         lr *= _LR_FINAL_FRACTION ** (1.0 / config.epochs)
         curve.append(float(np.mean(losses)))
-        subnormals.append(sum(int(np.count_nonzero((mi != 0) & (np.abs(mi) < tiny))) for mi in m))
-    return params, curve, subnormals
+        _, out = reference_layers(model, Xs[val_idx])
+        val_curve.append(float(np.mean((out - Ys[val_idx]) ** 2)))
+        flushable.append(sum(int(np.count_nonzero((mi != 0) & (np.abs(mi) < _FLUSH_BELOW)))
+                             for mi in m))
+    return params, curve, val_curve, flushable
 
 
 class TestTraining:
@@ -452,22 +503,24 @@ class TestTraining:
     def test_matches_out_of_place_adam_in_float32(self, small_dataset):
         cfg = TrainConfig(hidden_sizes=(16, 8), epochs=4, batch_size=32, rng_seed=2)
         res = mlp_train(small_dataset, cfg)
-        params, curve, _ = reference_train(small_dataset, cfg)
+        params, curve, val_curve, _ = reference_train(small_dataset, cfg)
         assert res.train_loss == curve
+        assert res.val_loss == val_curve
         for got, want in zip(res.model.weights + res.model.biases, params):
             assert got.dtype == np.float64
             assert np.array_equal(got, want.astype(np.float64))
 
     def test_subnormal_flush_is_exact(self, small_dataset):
-        # at this rate dead units leave subnormal first moments at many epoch
-        # ends; mlp_train zeroes them there and must still match, bit for bit,
-        # a reference that keeps them
+        # at this rate dead units leave first moments below _FLUSH_BELOW at
+        # many epoch ends; mlp_train zeroes them there and must still match,
+        # bit for bit, a reference that keeps them
         cfg = TrainConfig(hidden_sizes=(64, 32), epochs=150, batch_size=32,
                           learning_rate=1e-2, rng_seed=2)
         res = mlp_train(small_dataset, cfg)
-        params, curve, subnormals = reference_train(small_dataset, cfg)
-        assert max(subnormals) > 0
+        params, curve, val_curve, flushable = reference_train(small_dataset, cfg)
+        assert max(flushable) > 0
         assert res.train_loss == curve
+        assert res.val_loss == val_curve
         for got, want in zip(res.model.weights + res.model.biases, params):
             assert np.array_equal(got, want.astype(np.float64))
 
@@ -544,6 +597,19 @@ class TestEvaluate:
         assert np.allclose(table[:, 0], 0.5, atol=0.05)
 
 
+def model_from_parsed_json(d):
+    """The model that `load_mlp` builds from a model file that `json.load`
+    parsed into `d`, by the same checks; any failure raises."""
+    sizes = d["layer_sizes"]
+    weights = []
+    for w, n_in, n_out in zip(d["weights"], sizes, sizes[1:]):
+        if len(w) != n_in * n_out:
+            raise ValueError("layer size")
+        weights.append(np.asarray(w, dtype=float).reshape(n_in, n_out))
+    scalers = [Scaler(d[k]["mean"], d[k]["std"]) for k in ("input_scaler", "output_scaler")]
+    return MlpModel(weights, d["biases"], *scalers)
+
+
 class TestModelSerialization:
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -601,6 +667,76 @@ class TestModelSerialization:
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=message):
             load_mlp(path)
+
+    def test_reads_indented_json_with_reordered_keys(self, tmp_path):
+        rng = np.random.default_rng(18)
+        sc_in = Scaler(rng.normal(size=5), np.abs(rng.normal(size=5)) + 0.1)
+        sc_out = Scaler(rng.normal(size=2), np.abs(rng.normal(size=2)) + 0.1)
+        m = mlp_init([5, 7, 4, 2], sc_in, sc_out, rng)
+        m.biases = [rng.normal(size=len(b)) for b in m.biases]
+        payload = {
+            "biases": [b.tolist() for b in m.biases],
+            "output_scaler": {"std": sc_out.std.tolist(), "mean": sc_out.mean.tolist()},
+            "weights": [W.reshape(-1).tolist() for W in m.weights],
+            "input_scaler": {"std": sc_in.std.tolist(), "mean": sc_in.mean.tolist()},
+            "layer_sizes": [5, 7, 4, 2],
+        }
+        path = tmp_path / "model.json"
+        with open(path, "w") as f:
+            json.dump(payload, f, indent=2)
+        back = load_mlp(path)
+        for got, want in zip(back.weights + back.biases, m.weights + m.biases):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        for got, want in ((back.input_scaler, sc_in), (back.output_scaler, sc_out)):
+            assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t[:len(t) // 2],  # cut inside the weights
+        lambda t: t[:-1],  # cut before the closing brace
+        lambda t: t.replace("]]", "], ]", 1),  # after the last weight list
+        lambda t: t[:-1] + ", }",
+        lambda t: t + " x",
+        lambda t: t + "{}",
+        lambda t: "[" + t + "]",
+        lambda t: "null",
+        lambda t: "",
+    ], ids=["truncated", "no-closing-brace", "comma-closing-weights", "comma-closing-object",
+            "trailing-text", "second-object", "array", "null", "empty"])
+    def test_malformed_file_rejected(self, tmp_path, edit):
+        rng = np.random.default_rng(19)
+        path = tmp_path / "model.json"
+        save_model(mlp_init([5, 6, 2], identity_scaler(5), identity_scaler(2), rng), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError):
+            load_mlp(path)
+
+    def test_accepts_and_rejects_what_json_load_does(self, tmp_path):
+        # one-character edits of a saved model: load_mlp must accept exactly
+        # the texts that parse with json.load into a valid model, with the
+        # same parameters, and reject the rest with a ValueError
+        rng = np.random.default_rng(20)
+        path = tmp_path / "model.json"
+        save_model(mlp_init([3, 4, 2], identity_scaler(3), identity_scaler(2), rng), path)
+        text = path.read_text()
+        accepted = 0
+        for _ in range(400):
+            i = int(rng.integers(len(text) + 1))
+            c = str(rng.choice(list('[]{},:" 0-.e1')))
+            edited = text[:i] + c + text[i + int(rng.integers(2)):]
+            path.write_text(edited)
+            try:
+                want = model_from_parsed_json(json.loads(edited))
+            except Exception:
+                want = None
+            if want is None:
+                with pytest.raises(ValueError):
+                    load_mlp(path)
+                continue
+            got = load_mlp(path)
+            accepted += 1
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+                assert np.array_equal(a, b)
+        assert accepted > 0
 
     def test_trained_model_roundtrip_is_exact(self, small_dataset, tmp_path):
         cfg = TrainConfig(hidden_sizes=(16, 8), epochs=2, batch_size=64, rng_seed=3)

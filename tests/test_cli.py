@@ -598,6 +598,21 @@ class TestControlSim:
         reduction = np.array(payload["reduction_percent"])
         assert np.all(reduction >= 98.0)
 
+    def test_converged_runs_print_the_reduction(self, tmp_path, capsys):
+        assert run_cli(["control-sim", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("error reduction per joint (%): 100.00, ")
+
+    def test_unconverged_runs_are_named_not_reduced(self, tmp_path, capsys):
+        # 20 steps stop both runs short: their final errors are transient
+        path = write_config(tmp_path / "c.json", {"max_steps": 20})
+        out = tmp_path / "out"
+        assert run_cli(["control-sim", "--config", path, "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "no steady state: pi_off and pi_on did not converge in 20 steps\n")
+        payload = json.loads((out / "control_summary.json").read_text())
+        assert payload["converged"] == {"pi_off": False, "pi_on": False}
+        assert (out / "control_trace.csv").exists()
+
     def test_byte_identical_across_runs(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
