@@ -12,8 +12,8 @@ The synthetic feature detector stands in for a learned keypoint tracker.
 
 from __future__ import annotations
 
-import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,6 +276,8 @@ class Scaler:
     def __post_init__(self):
         m = np.asarray(self.mean, dtype=float)
         s = np.asarray(self.std, dtype=float)
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
+            raise ValueError("scaler mean and std must be finite")
         if np.any(s <= 1e-12):
             raise ValueError("scaler std must exceed 1e-12 per dimension")
         object.__setattr__(self, "mean", m)
@@ -303,6 +305,8 @@ class MlpModel:
         self.output_scaler = output_scaler
         if not self.weights or len(self.weights) != len(self.biases):
             raise ValueError(f"{len(self.weights)} weight matrices but {len(self.biases)} biases")
+        if any(W.ndim != 2 for W in self.weights) or any(b.ndim != 1 for b in self.biases):
+            raise ValueError("every weight must be 2-D and every bias 1-D")
         for name, scaler, width in (("input", input_scaler, self.weights[0].shape[0]),
                                     ("output", output_scaler, self.weights[-1].shape[1])):
             if scaler.mean.shape != (width,) or scaler.std.shape != (width,):
@@ -541,122 +545,37 @@ def evaluate_calibration(model: MlpModel, data: np.ndarray) -> np.ndarray:
 # --- model (de)serialization ------------------------------------------------
 
 def save_model(model: MlpModel, path) -> None:
-    """Write `model` as the JSON object `load_mlp` reads.
-
-    The bytes are those of `json.dump` on the whole object, but the weights
-    and biases pass through the C encoder 4096 values at a time: `json.dump`
-    to a file runs the pure-Python encoder, and one `json.dumps` of the
-    whole model holds its 4 MB text next to every weight as a Python float.
-    `load_mlp` reads it back layer by layer, for the same reason; the
-    model it returns keeps no activations when it predicts.
-    """
-    head = json.dumps({
-        "layer_sizes": [model.weights[0].shape[0]] + [len(b) for b in model.biases],
-        "input_scaler": {"mean": model.input_scaler.mean.tolist(),
-                         "std": model.input_scaler.std.tolist()},
-        "output_scaler": {"mean": model.output_scaler.mean.tolist(),
-                          "std": model.output_scaler.std.tolist()},
-    })
-    with open(path, "w") as f:
-        f.write(head[:-1])  # left open for the two lists of arrays
-        for key, arrays in (("weights", [W.reshape(-1) for W in model.weights]),
-                            ("biases", model.biases)):
-            f.write(f', "{key}": [')
-            for i, a in enumerate(arrays):
-                f.write(", [" if i else "[")
-                for j in range(0, len(a), 4096):
-                    f.write((", " if j else "") + json.dumps(a[j:j + 4096].tolist())[1:-1])
-                f.write("]")
-            f.write("]")
-        f.write("}")
-
-
-_DECODER = json.JSONDecoder()
-_SPACE = json.decoder.WHITESPACE.match
-
-
-def _json_members(s: str, i: int, close: str, member):
-    """Parse the JSON object or array that opens at s[i] and ends with
-    `close`, one member at a time: `member(s, j)` parses the member that
-    starts at s[j] and returns it with the index past it. Returns the list
-    of members and the index past `close`; malformed JSON raises
-    json.JSONDecodeError, a ValueError."""
-    members = []
-    i = _SPACE(s, i + 1).end()
-    if s[i:i + 1] == close:
-        return members, i + 1
-    while True:
-        value, i = member(s, i)
-        members.append(value)
-        i = _SPACE(s, i).end()
-        if s[i:i + 1] == close:
-            return members, i + 1
-        if s[i:i + 1] != ",":
-            raise json.JSONDecodeError("Expecting ',' delimiter", s, i)
-        i = _SPACE(s, i + 1).end()
-
-
-def _layer(s: str, i: int):
-    """The weight or bias list at s[i] as a float64 array, and the index
-    past it. Any other value, or a list that numpy cannot convert, comes
-    back as parsed, and load_mlp and MlpModel reject it as they would the
-    list."""
-    value, i = _DECODER.raw_decode(s, i)
-    if isinstance(value, list):
-        try:
-            value = np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    return value, i
-
-
-def _model_pair(s: str, i: int):
-    """The `"key": value` pair of a model object at s[i], and the index
-    past it; the lists of arrays `weights` and `biases` are parsed one
-    layer at a time."""
-    if s[i:i + 1] != '"':
-        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", s, i)
-    key, i = json.decoder.scanstring(s, i + 1)
-    i = _SPACE(s, i).end()
-    if s[i:i + 1] != ":":
-        raise json.JSONDecodeError("Expecting ':' delimiter", s, i)
-    i = _SPACE(s, i + 1).end()
-    if key in ("weights", "biases") and s[i:i + 1] == "[":
-        value, i = _json_members(s, i, "]", _layer)
-    else:
-        value, i = _DECODER.raw_decode(s, i)
-    return (key, value), i
+    """Write `model` as the `.npz` archive that `load_mlp` reads: named
+    float64 arrays `input_mean`, `input_std`, `output_mean`, `output_std`,
+    `weights_0`, ... and `biases_0`, ..., one pair per layer. `np.savez`
+    stamps every entry with the same date, so equal models give equal
+    bytes."""
+    arrays = {"input_mean": model.input_scaler.mean, "input_std": model.input_scaler.std,
+              "output_mean": model.output_scaler.mean, "output_std": model.output_scaler.std}
+    arrays.update((f"weights_{i}", W) for i, W in enumerate(model.weights))
+    arrays.update((f"biases_{i}", b) for i, b in enumerate(model.biases))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 def load_mlp(path) -> MlpModel:
-    """Inverse of `save_model`. A missing key, or a layer whose weight list
-    does not hold n_in * n_out values, raises ValueError, as do malformed
-    JSON and a top level that is not an object.
-
-    The model loads layer by layer: the top-level object is walked pair by
-    pair, and each list in `weights` and `biases` becomes a float64 array
-    before the next is parsed, so that one layer, not the whole model, is
-    held as Python floats at a time. Every other value is parsed as
-    `json.load` parses it, and a repeated key keeps its last value."""
-    with open(path) as f:
-        s = f.read()
-    start = _SPACE(s, 0).end()
-    if s[start:start + 1] != "{":
-        raise ValueError(f"{path}: the top level is not a JSON object")
-    pairs, end = _json_members(s, start, "}", _model_pair)
-    end = _SPACE(s, end).end()
-    if end != len(s):
-        raise json.JSONDecodeError("Extra data", s, end)
-    d = dict(pairs)
+    """Inverse of `save_model`, read with `np.load`, which refuses pickled
+    data. The layer count is the number of `weights_i` keys, and the
+    `biases_i` keys must number the same. A file that is not an `.npz`
+    archive (empty, truncated, text or pickled), an object array, a missing
+    key, or arrays that `Scaler` or `MlpModel` reject raise ValueError
+    naming the file, and the key when one is missing."""
     try:
-        sizes, flat, biases = d["layer_sizes"], d["weights"], d["biases"]
-        scalers = [Scaler(d[k]["mean"], d[k]["std"]) for k in ("input_scaler", "output_scaler")]
-    except KeyError as e:
-        raise ValueError(f"{path} has no key {e}") from None
-    weights = []
-    for layer, (w, n_in, n_out) in enumerate(zip(flat, sizes, sizes[1:]), 1):
-        if len(w) != n_in * n_out:
-            raise ValueError(f"{path}: layer {layer} has {len(w)} weights, "
-                             f"expected {n_in} x {n_out} = {n_in * n_out}")
-        weights.append(np.asarray(w, dtype=float).reshape(n_in, n_out))
-    return MlpModel(weights, biases, *scalers)
+        # np.load(path) leaves its file open when a truncated archive fails
+        with open(path, "rb") as f, np.load(f) as z:
+            n_weights, n_biases = (sum(k.startswith(prefix) for k in z.files)
+                                   for prefix in ("weights_", "biases_"))
+            weights = [z[f"weights_{i}"] for i in range(n_weights)]
+            biases = [z[f"biases_{i}"] for i in range(n_biases)]
+            scalers = [Scaler(z[f"{side}_mean"], z[f"{side}_std"])
+                       for side in ("input", "output")]
+        return MlpModel(weights, biases, *scalers)
+    except KeyError as e:  # np.load's message names the key
+        raise ValueError(f"{path}: {e.args[0]}") from None
+    except (zipfile.BadZipFile, EOFError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -9,12 +9,14 @@ library home (calib eval's test_count and seed + 1, control-sim's target,
 max_steps and tol). All outputs are byte-identical across runs with the
 same seed. Each CSV starts with a `# config_hash=... units=...` header line;
 the JSON summaries (pose_bench_summary.json, control_summary.json,
-suture_report.json) carry a config_hash key instead, and calib_model.json,
-the trained network, carries no hash. The units are deg_mm for the
-calibration dataset and table, m_rad for the pose-bench and control traces,
-none for the loss curve (losses in scaled space). In pose_bench.csv m_rad
-covers the error columns; J_final, the chamfer objective, is in squared
-pixels.
+suture_report.json) carry a config_hash key instead, and calib_model.npz,
+the trained network, carries no hash: it is a NumPy archive of named
+float64 arrays (input_mean, input_std, output_mean, output_std, weights_i,
+biases_i) that np.load reads, refusing pickled data. The units are deg_mm
+for the calibration dataset and table, m_rad for the pose-bench and control
+traces, none for the loss curve (losses in scaled space). In pose_bench.csv
+m_rad covers the error columns; J_final, the chamfer objective, is in
+squared pixels.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error (a config
 that is missing, unreadable or invalid, an output directory that cannot be
@@ -287,7 +289,7 @@ def cmd_calib_train(cfg: dict, h: str, out_dir: Path) -> None:
     keys = ("seed", "hidden_sizes", "epochs", "batch_size", "learning_rate")
     tc = TrainConfig(**_kwargs(cfg, TABLES["calib"], keys))
     result = mlp_train(data, tc)
-    save_model(result.model, out_dir / "calib_model.json")
+    save_model(result.model, out_dir / "calib_model.npz")
     _write_csv(
         out_dir / "calib_loss_curve.csv",
         h,
@@ -303,7 +305,7 @@ def cmd_calib_train(cfg: dict, h: str, out_dir: Path) -> None:
 
 
 def cmd_calib_eval(cfg: dict, h: str, out_dir: Path) -> None:
-    mlp = load_mlp(_calib_input(out_dir, "calib_model.json", "model", "calib train"))
+    mlp = load_mlp(_calib_input(out_dir, "calib_model.npz", "model", "calib train"))
     model, camera, fm = bench.calibration_parts()
     # CLI-only defaults: 1000 test samples, drawn at seed + 1 so they are
     # disjoint from the training data

@@ -36,6 +36,7 @@ from suturekit.calibration import (
     _feature_pixels,
     _last,
 )
+from suturekit.cli import main
 from suturekit.geometry import RigidPose
 from suturekit.psm_kinematics import KinematicModel, PRISMATIC_INDEX, REVOLUTE, fk, fk_arrays
 
@@ -288,6 +289,16 @@ class TestScaler:
         with pytest.raises(ValueError):
             Scaler(np.zeros(2), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("mean, std", [
+        ([np.inf, 0.0], [1.0, 1.0]),
+        ([0.0, np.nan], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.nan]),
+        ([0.0, 0.0], [np.inf, 1.0]),
+    ])
+    def test_non_finite_statistics_rejected(self, mean, std):
+        with pytest.raises(ValueError, match="finite"):
+            Scaler(np.array(mean), np.array(std))
+
 
 def identity_scaler(n):
     return Scaler(np.zeros(n), np.ones(n))
@@ -375,6 +386,16 @@ class TestMlpForward:
                 identity_scaler(3),
                 identity_scaler(2),
             )
+
+    @pytest.mark.parametrize("weights, biases", [
+        ([np.zeros(3), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)]),
+        ([np.zeros((3, 4)), np.zeros((4, 2, 1))], [np.zeros(4), np.zeros(2)]),
+        ([np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros((2, 1))]),
+        ([np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.float64(0.0)]),
+    ], ids=["1-D weight", "3-D weight", "2-D bias", "0-D bias"])
+    def test_wrong_rank_rejected(self, weights, biases):
+        with pytest.raises(ValueError, match="every weight must be 2-D and every bias 1-D"):
+            MlpModel(weights, biases, identity_scaler(3), identity_scaler(2))
 
 
 def gradient_check(model, xs, ys, probes, rng, h=1e-6):
@@ -597,151 +618,104 @@ class TestEvaluate:
         assert np.allclose(table[:, 0], 0.5, atol=0.05)
 
 
-def model_from_parsed_json(d):
-    """The model that `load_mlp` builds from a model file that `json.load`
-    parsed into `d`, by the same checks; any failure raises."""
-    sizes = d["layer_sizes"]
-    weights = []
-    for w, n_in, n_out in zip(d["weights"], sizes, sizes[1:]):
-        if len(w) != n_in * n_out:
-            raise ValueError("layer size")
-        weights.append(np.asarray(w, dtype=float).reshape(n_in, n_out))
-    scalers = [Scaler(d[k]["mean"], d[k]["std"]) for k in ("input_scaler", "output_scaler")]
-    return MlpModel(weights, d["biases"], *scalers)
+def random_model(rng, sizes):
+    """An `mlp_init` model on `sizes` with random scalers and biases."""
+    n_in, n_out = sizes[0], sizes[-1]
+    m = mlp_init(sizes, Scaler(rng.normal(size=n_in), np.abs(rng.normal(size=n_in)) + 0.1),
+                 Scaler(rng.normal(size=n_out), np.abs(rng.normal(size=n_out)) + 0.1), rng)
+    m.biases = [rng.normal(size=len(b)) for b in m.biases]
+    return m
+
+
+def parameters(model):
+    return [*model.weights, *model.biases, model.input_scaler.mean, model.input_scaler.std,
+            model.output_scaler.mean, model.output_scaler.std]
+
+
+def assert_round_trip_is_exact(model, path, X):
+    """`load_mlp` gives back every parameter that `save_model` wrote, bit
+    for bit and as float64, and so the same predictions on `X`."""
+    save_model(model, path)
+    back = load_mlp(path)
+    for got, want in zip(parameters(back), parameters(model), strict=True):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert np.array_equal(back.forward(X), model.forward(X))
 
 
 class TestModelSerialization:
-    def test_save_load_roundtrip(self, tmp_path):
+    def test_save_load_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(13)
-        sc_in = Scaler(rng.normal(size=5), np.abs(rng.normal(size=5)) + 0.1)
-        sc_out = Scaler(rng.normal(size=2), np.abs(rng.normal(size=2)) + 0.1)
-        m = mlp_init([5, 6, 2], sc_in, sc_out, rng)
-        path = tmp_path / "model.json"
-        save_model(m, path)
-        back = load_mlp(path)
-        X = rng.normal(size=(8, 5))
-        assert np.allclose(back.forward(X), m.forward(X), atol=1e-12)
-
-    def test_bytes_match_json_dump(self, tmp_path):
-        # 14 x 400 = 5600 weights span two of save_model's 4096-value slices
-        rng = np.random.default_rng(15)
-        sc_in = Scaler(rng.normal(size=14), np.abs(rng.normal(size=14)) + 0.1)
-        sc_out = Scaler(rng.normal(size=6), np.abs(rng.normal(size=6)) + 0.1)
-        m = mlp_init([14, 400, 6], sc_in, sc_out, rng)
-        m.biases = [rng.normal(size=len(b)) for b in m.biases]
-        payload = {
-            "layer_sizes": [14, 400, 6],
-            "input_scaler": {"mean": sc_in.mean.tolist(), "std": sc_in.std.tolist()},
-            "output_scaler": {"mean": sc_out.mean.tolist(), "std": sc_out.std.tolist()},
-            "weights": [W.reshape(-1).tolist() for W in m.weights],
-            "biases": [b.tolist() for b in m.biases],
-        }
-        path = tmp_path / "model.json"
-        save_model(m, path)
-        with open(tmp_path / "reference.json", "w") as f:
-            json.dump(payload, f)
-        assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()
-
-    @pytest.mark.parametrize("tamper, message", [
-        ("extra bias", "biases"),
-        ("input scaler", "input scaler"),
-        ("output scaler", "output scaler"),
-        ("no weights", "has no key 'weights'"),
-        ("short layer", "layer 2 has 11 weights, expected 6 x 2 = 12"),
-    ])
-    def test_tampered_layer_lists_rejected(self, tmp_path, tamper, message):
-        rng = np.random.default_rng(14)
-        path = tmp_path / "model.json"
-        save_model(mlp_init([5, 6, 2], identity_scaler(5), identity_scaler(2), rng), path)
-        d = json.loads(path.read_text())
-        if tamper == "extra bias":
-            d["biases"].append([0.0, 0.0])
-        elif tamper == "no weights":
-            del d["weights"]
-        elif tamper == "short layer":
-            d["weights"][1].pop()
-        else:
-            scaler = d[tamper.replace(" ", "_")]
-            scaler["mean"].append(0.0)
-            scaler["std"].append(1.0)
-        path.write_text(json.dumps(d))
-        with pytest.raises(ValueError, match=message):
-            load_mlp(path)
-
-    def test_reads_indented_json_with_reordered_keys(self, tmp_path):
-        rng = np.random.default_rng(18)
-        sc_in = Scaler(rng.normal(size=5), np.abs(rng.normal(size=5)) + 0.1)
-        sc_out = Scaler(rng.normal(size=2), np.abs(rng.normal(size=2)) + 0.1)
-        m = mlp_init([5, 7, 4, 2], sc_in, sc_out, rng)
-        m.biases = [rng.normal(size=len(b)) for b in m.biases]
-        payload = {
-            "biases": [b.tolist() for b in m.biases],
-            "output_scaler": {"std": sc_out.std.tolist(), "mean": sc_out.mean.tolist()},
-            "weights": [W.reshape(-1).tolist() for W in m.weights],
-            "input_scaler": {"std": sc_in.std.tolist(), "mean": sc_in.mean.tolist()},
-            "layer_sizes": [5, 7, 4, 2],
-        }
-        path = tmp_path / "model.json"
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2)
-        back = load_mlp(path)
-        for got, want in zip(back.weights + back.biases, m.weights + m.biases):
-            assert got.dtype == np.float64 and np.array_equal(got, want)
-        for got, want in ((back.input_scaler, sc_in), (back.output_scaler, sc_out)):
-            assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
-
-    @pytest.mark.parametrize("edit", [
-        lambda t: t[:len(t) // 2],  # cut inside the weights
-        lambda t: t[:-1],  # cut before the closing brace
-        lambda t: t.replace("]]", "], ]", 1),  # after the last weight list
-        lambda t: t[:-1] + ", }",
-        lambda t: t + " x",
-        lambda t: t + "{}",
-        lambda t: "[" + t + "]",
-        lambda t: "null",
-        lambda t: "",
-    ], ids=["truncated", "no-closing-brace", "comma-closing-weights", "comma-closing-object",
-            "trailing-text", "second-object", "array", "null", "empty"])
-    def test_malformed_file_rejected(self, tmp_path, edit):
-        rng = np.random.default_rng(19)
-        path = tmp_path / "model.json"
-        save_model(mlp_init([5, 6, 2], identity_scaler(5), identity_scaler(2), rng), path)
-        path.write_text(edit(path.read_text()))
-        with pytest.raises(ValueError):
-            load_mlp(path)
-
-    def test_accepts_and_rejects_what_json_load_does(self, tmp_path):
-        # one-character edits of a saved model: load_mlp must accept exactly
-        # the texts that parse with json.load into a valid model, with the
-        # same parameters, and reject the rest with a ValueError
-        rng = np.random.default_rng(20)
-        path = tmp_path / "model.json"
-        save_model(mlp_init([3, 4, 2], identity_scaler(3), identity_scaler(2), rng), path)
-        text = path.read_text()
-        accepted = 0
-        for _ in range(400):
-            i = int(rng.integers(len(text) + 1))
-            c = str(rng.choice(list('[]{},:" 0-.e1')))
-            edited = text[:i] + c + text[i + int(rng.integers(2)):]
-            path.write_text(edited)
-            try:
-                want = model_from_parsed_json(json.loads(edited))
-            except Exception:
-                want = None
-            if want is None:
-                with pytest.raises(ValueError):
-                    load_mlp(path)
-                continue
-            got = load_mlp(path)
-            accepted += 1
-            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-                assert np.array_equal(a, b)
-        assert accepted > 0
+        path = tmp_path / "model.npz"
+        assert_round_trip_is_exact(random_model(rng, [5, 7, 4, 2]), path,
+                                   rng.normal(size=(8, 5)))
+        with np.load(path) as z:
+            assert sorted(z.files) == ["biases_0", "biases_1", "biases_2", "input_mean",
+                                       "input_std", "output_mean", "output_std",
+                                       "weights_0", "weights_1", "weights_2"]
 
     def test_trained_model_roundtrip_is_exact(self, small_dataset, tmp_path):
         cfg = TrainConfig(hidden_sizes=(16, 8), epochs=2, batch_size=64, rng_seed=3)
-        model = mlp_train(small_dataset, cfg).model
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        X = small_dataset[:50, :-6]
-        assert np.array_equal(load_mlp(path).forward(X), model.forward(X))
+        assert_round_trip_is_exact(mlp_train(small_dataset, cfg).model, tmp_path / "model.npz",
+                                   small_dataset[:50, :-6])
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("extra bias", "3 weight matrices but 4 biases"),
+        ("input scaler", "input scaler size differs from the layer width 5"),
+        ("output scaler", "output scaler size differs from the layer width 2"),
+        ("no weights_1", "weights_1"),
+        ("no output_std", "output_std"),
+        ("flat weights", "every weight must be 2-D"),
+        ("nan std", "scaler mean and std must be finite"),
+    ])
+    def test_tampered_archive_rejected(self, tmp_path, tamper, message):
+        path = tmp_path / "model.npz"
+        save_model(random_model(np.random.default_rng(14), [5, 6, 4, 2]), path)
+        with np.load(path) as z:
+            d = dict(z)
+        if tamper == "extra bias":
+            d["biases_3"] = np.zeros(2)
+        elif tamper.startswith("no "):
+            del d[tamper[3:]]
+        elif tamper == "flat weights":
+            d["weights_0"] = d["weights_0"].reshape(-1)
+        elif tamper == "nan std":
+            d["input_std"][2] = np.nan
+        else:
+            side = tamper.split()[0]
+            d[f"{side}_mean"] = np.append(d[f"{side}_mean"], 0.0)
+            d[f"{side}_std"] = np.append(d[f"{side}_std"], 1.0)
+        np.savez(path, **d)
+        with pytest.raises(ValueError) as info:
+            load_mlp(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    @pytest.mark.parametrize("content", ["empty", "truncated archive", "old JSON model",
+                                         "plain text", "object array"])
+    def test_malformed_file_rejected(self, tmp_path, capsys, content):
+        path = tmp_path / "calib_model.npz"
+        save_model(random_model(np.random.default_rng(19), [5, 6, 2]), path)
+        data = path.read_bytes()
+        if content == "empty":
+            path.write_bytes(b"")
+        elif content == "truncated archive":
+            path.write_bytes(data[:len(data) // 2])
+        elif content == "old JSON model":
+            path.write_text(json.dumps({
+                "layer_sizes": [1, 1], "weights": [[1.0]], "biases": [[0.0]],
+                "input_scaler": {"mean": [0.0], "std": [1.0]},
+                "output_scaler": {"mean": [0.0], "std": [1.0]},
+            }))
+        elif content == "plain text":
+            path.write_text("not a model\n")
+        else:
+            with np.load(path) as z:
+                d = dict(z)
+            d["weights_0"] = d["weights_0"].astype(object)
+            np.savez(path, **d)
+        with pytest.raises(ValueError) as info:
+            load_mlp(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert main(["calib", "eval", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [calib]: ValueError: {path}: ")
+        assert err.count("\n") == 1

@@ -72,7 +72,7 @@ class TestExitCodes:
         code = run_cli(["calib", "eval", "--out-dir", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (f"error: model not found at "
-                                           f"{out / 'calib_model.json'}; "
+                                           f"{out / 'calib_model.npz'}; "
                                            f"run 'calib train' first\n")
         assert not out.exists()
 
@@ -120,7 +120,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.json", {"count": 270, "hidden_sizes": [8]})
         assert run_cli(["calib", "gen", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         assert run_cli(["calib", "train", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
-        assert not (tmp_path / "calib_model.json").exists()
+        assert not (tmp_path / "calib_model.npz").exists()
 
     @pytest.mark.parametrize("train_cfg, field", [
         ({"batch_size": 0}, "batch_size"),
@@ -132,7 +132,7 @@ class TestExitCodes:
         assert run_cli(["calib", "gen", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         assert run_cli(["calib", "train", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
         assert f"{field} must be" in capsys.readouterr().err
-        assert not (tmp_path / "calib_model.json").exists()
+        assert not (tmp_path / "calib_model.npz").exists()
 
     def test_diverging_training_is_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
@@ -142,7 +142,7 @@ class TestExitCodes:
         assert run_cli(["calib", "gen", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         assert run_cli(["calib", "train", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
         assert "NonFiniteLoss: training diverged at epoch" in capsys.readouterr().err
-        assert not (tmp_path / "calib_model.json").exists()
+        assert not (tmp_path / "calib_model.npz").exists()
 
     @pytest.mark.parametrize("cfg, message", [
         ({"noise_px": -1}, "noise_px must be a finite number >= 0, got -1.0"),
@@ -156,13 +156,13 @@ class TestExitCodes:
         path = write_config(tmp_path / "c.json", cfg)
         gen, ev = tmp_path / "gen", tmp_path / "eval"
         ev.mkdir()
-        (ev / "calib_model.json").write_bytes((workdir / "calib_model.json").read_bytes())
+        (ev / "calib_model.npz").write_bytes((workdir / "calib_model.npz").read_bytes())
         assert run_cli(["calib", "gen", "--config", path, "--out-dir", str(gen)]) == 1
         assert run_cli(["calib", "eval", "--config", path, "--out-dir", str(ev)]) == 1
         err = capsys.readouterr().err
         assert err.count(message) == 2
         assert not gen.exists()
-        assert [p.name for p in ev.iterdir()] == ["calib_model.json"]
+        assert [p.name for p in ev.iterdir()] == ["calib_model.npz"]
 
     @pytest.mark.parametrize("how", ["config", "flag"])
     @pytest.mark.parametrize("command, needs", [
@@ -170,7 +170,7 @@ class TestExitCodes:
         (["suture-run"], None),
         (["calib", "gen"], None),
         (["calib", "train"], "calib_dataset.csv"),
-        (["calib", "eval"], "calib_model.json"),
+        (["calib", "eval"], "calib_model.npz"),
     ], ids=["pose-bench", "suture-run", "calib-gen", "calib-train", "calib-eval"])
     def test_negative_seed_is_exit_one(self, workdir, tmp_path, capsys, command, needs, how):
         out = tmp_path / "out"
@@ -217,11 +217,11 @@ class TestExitCodes:
     def test_calib_eval_test_count_below_one_is_exit_one(self, workdir, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
-        (out / "calib_model.json").write_bytes((workdir / "calib_model.json").read_bytes())
+        (out / "calib_model.npz").write_bytes((workdir / "calib_model.npz").read_bytes())
         path = write_config(tmp_path / "c.json", {"test_count": 0})
         assert run_cli(["calib", "eval", "--config", path, "--out-dir", str(out)]) == 1
         assert "ValueError: test_count must be >= 1, got 0" in capsys.readouterr().err
-        assert [p.name for p in out.iterdir()] == ["calib_model.json"]
+        assert [p.name for p in out.iterdir()] == ["calib_model.npz"]
 
     @pytest.mark.parametrize("rows, cols, message", [
         (slice(2), slice(None), "has no data rows (20 columns)"),
@@ -494,7 +494,7 @@ def _received(monkeypatch, out_dir, command, cfg):
     monkeypatch.setattr(cli, "read_dataset_csv", lambda path: None)
     monkeypatch.setattr(cli, "load_mlp", lambda path: None)
     out_dir.mkdir(exist_ok=True)
-    for artifact in ("calib_dataset.csv", "calib_model.json"):  # train and eval need them
+    for artifact in ("calib_dataset.csv", "calib_model.npz"):  # train and eval need them
         (out_dir / artifact).touch()
     path = write_config(out_dir / "c.json", cfg)
     assert main([*command, "--config", path, "--out-dir", str(out_dir)]) == 1
@@ -526,7 +526,7 @@ def test_calib_gen_draws_at_the_seed_and_eval_at_seed_plus_one(monkeypatch, tmp_
 
     monkeypatch.setattr(cli, "generate_dataset", generate)
     monkeypatch.setattr(cli, "load_mlp", lambda path: None)
-    (tmp_path / "calib_model.json").touch()
+    (tmp_path / "calib_model.npz").touch()
     path = write_config(tmp_path / "c.json", {"seed": 7})
     for step in ("gen", "eval"):
         assert main(["calib", step, "--config", path, "--out-dir", str(tmp_path)]) == 1
@@ -570,16 +570,20 @@ def test_config_hash_placement(workdir, tmp_path):
         h = config_hash(json.loads((d / "cfg.json").read_text()))
         hashes.update((f, h) for f in d.iterdir() if f.name != "cfg.json")
     assert sorted(f.name for f in hashes) == [
-        "calib_dataset.csv", "calib_eval.csv", "calib_loss_curve.csv", "calib_model.json",
+        "calib_dataset.csv", "calib_eval.csv", "calib_loss_curve.csv", "calib_model.npz",
         "control_summary.json", "control_trace.csv", "pose_bench.csv",
         "pose_bench_summary.json", "suture_report.json",
     ]
     for f, h in hashes.items():
+        if f.name == "calib_model.npz":
+            with np.load(f) as z:
+                assert sorted(z.files) == [f"biases_{i}" for i in range(3)] + [
+                    "input_mean", "input_std", "output_mean", "output_std"] + [
+                    f"weights_{i}" for i in range(3)]
+            continue
         text = f.read_text()
         if f.suffix == ".csv":
             assert text.startswith(f"# config_hash={h} units="), f.name
-        elif f.name == "calib_model.json":
-            assert "config_hash" not in text and h not in text
         else:
             assert text.startswith("{") and json.loads(text)["config_hash"] == h, f.name
 
@@ -636,7 +640,7 @@ def workdir(tmp_path_factory):
 class TestCalibFlow:
     def test_artifacts_exist(self, workdir):
         for name in (
-            "calib_dataset.csv", "calib_model.json", "calib_loss_curve.csv",
+            "calib_dataset.csv", "calib_model.npz", "calib_loss_curve.csv",
             "calib_eval.csv",
         ):
             assert (workdir / name).exists()

@@ -2,9 +2,10 @@
 or imports scipy (a test-only oracle), pose-bench and suture-run never load
 numpy.ma, only geometry.py inverts a camera pose (PinholeCamera keeps the
 one camera-from-world transform), only lm.py solves a linear system (the
-one Levenberg-Marquardt loop), the CLI restates no default that a library
-keyword already has, and every function, class, method, property and class
-field is read by the program or the benchmark, not only by tests."""
+one Levenberg-Marquardt loop), nothing imports pickle or lets np.load
+unpickle, the CLI restates no default that a library keyword already has,
+and every function, class, method, property and class field is read by the
+program or the benchmark, not only by tests."""
 
 import ast
 import os
@@ -162,19 +163,19 @@ def test_scan_flags_a_linear_solve():
     assert linear_solves(source) == [3]
 
 
-def scipy_imports(source: str) -> list[int]:
-    """Lines that import scipy or any of its submodules."""
-    lines = []
+def absolute_imports(source: str):
+    """(line, module) for each module that `source` imports by absolute name."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            yield from ((node.lineno, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        if any(name == "scipy" or name.startswith("scipy.") for name in names):
-            lines.append(node.lineno)
-    return sorted(lines)
+            yield node.lineno, node.module
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy or any of its submodules."""
+    return sorted({line for line, name in absolute_imports(source)
+                   if name == "scipy" or name.startswith("scipy.")})
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -221,6 +222,41 @@ def test_scan_flags_a_scipy_import():
     assert scipy_imports(OLD_BENCH_IMPORTS) == [6]
     source = "import scipyish\nimport os, scipy.linalg as la\nfrom .scipy import x\nimport scipy\n"
     assert scipy_imports(source) == [2, 4]
+
+
+def pickle_uses(source: str) -> list[int]:
+    """Lines that import pickle or pass `allow_pickle` anything but False:
+    the model file is data only, and unpickling a file can run any code."""
+    lines = {line for line, name in absolute_imports(source)
+             if name in ("pickle", "_pickle") or name.startswith("pickle.")}
+    lines.update(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and any(kw.arg == "allow_pickle"
+                and not (isinstance(kw.value, ast.Constant) and kw.value.value is False)
+                for kw in node.keywords)
+    )
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_pickle(path):
+    assert pickle_uses(path.read_text()) == []
+
+
+def test_scan_flags_a_pickle_use():
+    source = (
+        "import pickle\n"
+        "z = np.load(path)\n"
+        "z = np.load(path, allow_pickle=True)\n"
+        "z = np.load(path, allow_pickle=False)\n"
+        "import os, _pickle as p\n"
+        "from pickle import loads\n"
+        "x = pickled(allow_pickle=flag)\n"
+        "import pickletools\n"
+    )
+    assert pickle_uses(source) == [1, 3, 5, 6, 7]
 
 
 def test_cli_import_loads_no_scipy():
