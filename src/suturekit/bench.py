@@ -36,7 +36,8 @@ from .planning import (
     suture_circle,
 )
 from .pose_estimator import EstimatorError, KeypointHints, NoConvergence, estimate
-from .psm_kinematics import KinematicModel, Unreachable, fk, fk_arrays, ik, ik_arrays
+from .psm_kinematics import (PRISMATIC_INDEX, KinematicModel, Unreachable, fk, fk_arrays, ik,
+                             ik_arrays)
 
 
 DEFAULT_SHAPE = NeedleShape(radius=0.010, arc_angle=np.pi)
@@ -258,6 +259,8 @@ class SutureRunConfig:
 
 @dataclass
 class SutureRunReport:
+    """run_suture's scores; dq_hat_err_rad is KinematicModel.joint_distance."""
+
     pose_est_pos_err_m: float
     pose_est_ang_err_rad: float
     dq_hat_err_rad: float
@@ -271,7 +274,7 @@ class SutureRunReport:
 def _injected_bias(deg: float) -> np.ndarray:
     signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     dq = np.radians(deg) * signs
-    dq[2] = signs[2] * deg * 1e-4  # prismatic bias in meters: 0.1 mm per degree
+    dq[PRISMATIC_INDEX] = signs[PRISMATIC_INDEX] * deg * 1e-4  # meters: 0.1 mm per degree
     return dq
 
 
@@ -434,7 +437,7 @@ def run_suture(cfg: SutureRunConfig) -> SutureRunReport:
     return SutureRunReport(
         pose_est_pos_err_m=float(np.linalg.norm(T_est.translation - scene.needle.translation)),
         pose_est_ang_err_rad=rotation_geodesic(T_est.rotation, scene.needle.rotation),
-        dq_hat_err_rad=float(np.max(np.abs(dq_hat - scene.delta_q))),
+        dq_hat_err_rad=KinematicModel().joint_distance(dq_hat, scene.delta_q),
         max_circle_dev_m=float(np.max(deviations[reach - reach[0]])),
         max_path_dev_m=float(np.max(deviations)),
         exit_miss_m=exit_miss,

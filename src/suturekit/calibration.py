@@ -26,6 +26,8 @@ from .psm_kinematics import (
     PRISMATIC_INDEX,
     REVOLUTE,
     fk_arrays,
+    from_deg_mm,
+    to_deg_mm,
 )
 
 
@@ -224,10 +226,7 @@ def write_dataset_csv(data: np.ndarray, path, header_comment: str) -> None:
         + [f"px{i+1}{ax}" for i in range(n_feat) for ax in ("x", "y")]
         + [f"dq{i+1}" for i in range(6)]
     )
-    out = np.array(data, dtype=float)
-    for q in (out[:, :6], out[:, -6:]):
-        q[:, REVOLUTE] = np.degrees(q[:, REVOLUTE])
-        q[:, PRISMATIC_INDEX] *= 1000.0
+    out = np.hstack([to_deg_mm(data[:, :6]), data[:, 6:-6], to_deg_mm(data[:, -6:])])
     with open(path, "w", newline="") as f:
         f.write(header_comment + "\n")
         f.write(",".join(cols) + "\r\n")
@@ -258,9 +257,7 @@ def read_dataset_csv(path) -> np.ndarray:
         row, col = bad[0]
         raise ValueError(f"{path} data row {row + 1}, column {col + 1}, is "
                          f"{data[row, col]}, not a finite number")
-    for q in (data[:, :6], data[:, -6:]):
-        q[:, REVOLUTE] = np.radians(q[:, REVOLUTE])
-        q[:, PRISMATIC_INDEX] /= 1000.0
+    data[:, :6], data[:, -6:] = from_deg_mm(data[:, :6]), from_deg_mm(data[:, -6:])
     return data
 
 
@@ -559,15 +556,15 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_mlp(path) -> MlpModel:
-    """Inverse of `save_model`, read with `np.load`, which refuses pickled
-    data. The layer count is the number of `weights_i` keys, and the
-    `biases_i` keys must number the same. A file that is not an `.npz`
-    archive (empty, truncated, text or pickled), an object array, a missing
-    key, or arrays that `Scaler` or `MlpModel` reject raise ValueError
-    naming the file, and the key when one is missing."""
+    """Inverse of `save_model`, read as an `np.lib.npyio.NpzFile`, which
+    refuses pickled data. The layer count is the number of `weights_i` keys,
+    and the `biases_i` keys must number the same. A file that is not an
+    `.npz` archive (empty, truncated, text, `.npy` or pickled), an object
+    array, a missing key, or arrays that `Scaler` or `MlpModel` reject raise
+    ValueError naming the file, and the key when one is missing."""
     try:
-        # np.load(path) leaves its file open when a truncated archive fails
-        with open(path, "rb") as f, np.load(f) as z:
+        # NpzFile, not np.load: any file that is not an archive fails as BadZipFile
+        with open(path, "rb") as f, np.lib.npyio.NpzFile(f) as z:
             n_weights, n_biases = (sum(k.startswith(prefix) for k in z.files)
                                    for prefix in ("weights_", "biases_"))
             weights = [z[f"weights_{i}"] for i in range(n_weights)]
@@ -575,7 +572,7 @@ def load_mlp(path) -> MlpModel:
             scalers = [Scaler(z[f"{side}_mean"], z[f"{side}_std"])
                        for side in ("input", "output")]
         return MlpModel(weights, biases, *scalers)
-    except KeyError as e:  # np.load's message names the key
+    except KeyError as e:  # NpzFile's message names the key
         raise ValueError(f"{path}: {e.args[0]}") from None
     except (zipfile.BadZipFile, EOFError, ValueError) as e:
         raise ValueError(f"{path}: {e}") from None

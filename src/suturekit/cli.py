@@ -5,18 +5,18 @@ Configs are JSON with CLI overrides. Each subcommand declares its keys once,
 in its table in TABLES: the JSON type of the value, the library keyword it
 sets and its unit conversion. An absent key is not passed on, so the
 library's own default holds; the only defaults kept here are those with no
-library home (calib eval's test_count and seed + 1, control-sim's target,
-max_steps and tol). All outputs are byte-identical across runs with the
-same seed. Each CSV starts with a `# config_hash=... units=...` header line;
-the JSON summaries (pose_bench_summary.json, control_summary.json,
-suture_report.json) carry a config_hash key instead, and calib_model.npz,
-the trained network, carries no hash: it is a NumPy archive of named
-float64 arrays (input_mean, input_std, output_mean, output_std, weights_i,
-biases_i) that np.load reads, refusing pickled data. The units are deg_mm
-for the calibration dataset and table, m_rad for the pose-bench and control
-traces, none for the loss curve (losses in scaled space). In pose_bench.csv
-m_rad covers the error columns; J_final, the chamfer objective, is in
-squared pixels.
+library home (calib eval's test_count and seed + 1, control-sim's
+q_des_deg_mm, max_steps and tol). All outputs are byte-identical across runs
+with the same seed. Each CSV starts with a `# config_hash=... units=...`
+header line; the JSON summaries (pose_bench_summary.json,
+control_summary.json, suture_report.json) carry a config_hash key instead,
+and calib_model.npz, the trained network, carries no hash: it is a NumPy
+archive of named float64 arrays (input_mean, input_std, output_mean,
+output_std, weights_i, biases_i) that np.load reads, refusing pickled data.
+The units are deg_mm (psm_kinematics.to_deg_mm) for the calibration dataset
+and table, m_rad for the pose-bench and control traces, none for the loss
+curve (losses in scaled space). In pose_bench.csv m_rad covers the error
+columns; J_final, the chamfer objective, is in squared pixels.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error (a config
 that is missing, unreadable or invalid, an output directory that cannot be
@@ -50,7 +50,7 @@ from .calibration import (
     write_dataset_csv,
 )
 from .control import NotConverged, PiGains, PlantModel, servo_to, steady_state_error
-from .psm_kinematics import PRISMATIC_INDEX
+from .psm_kinematics import PRISMATIC_INDEX, from_deg_mm, to_deg_mm
 
 
 class ConfigError(Exception):
@@ -186,8 +186,8 @@ TABLES = {
         "beta": (_NUMBER, "beta", None),
         "kp": (_GAINS, "kp", None),
         "ki": (_GAINS, "ki", None),
-        "q_des_deg": (_JOINTS, None, None),
-        "q3_des_mm": (_NUMBER, None, None),
+        "q_des_deg_mm": (_JOINTS, "q_des", _checked(
+            "q_des_deg_mm", "finite", lambda v: np.isfinite(v).all(), from_deg_mm)),
         "max_steps": (_INTEGER, "max_steps", None),
         "tol": (_NUMBER, "tol", None),
     },
@@ -314,10 +314,8 @@ def cmd_calib_eval(cfg: dict, h: str, out_dir: Path) -> None:
     kwargs["rng_seed"] = kwargs.get("rng_seed", 0) + 1
     test = generate_dataset(model, camera, fm, **kwargs)
     table = evaluate_calibration(mlp, test)
-    shown = np.degrees(table)
-    shown[PRISMATIC_INDEX] = table[PRISMATIC_INDEX] * 1e3
     rows = [[f"q{j+1}", "mm" if j == PRISMATIC_INDEX else "deg", f"{mean:.6f}", f"{std:.6f}"]
-            for j, (mean, std) in enumerate(shown)]
+            for j, (mean, std) in enumerate(to_deg_mm(table.T).T)]
     _write_csv(out_dir / "calib_eval.csv", h, "deg_mm",
                ["joint", "unit", "mean_abs_err", "std_abs_err"], rows)
     for r in rows:
@@ -333,30 +331,24 @@ def cmd_control_sim(cfg: dict, h: str, out_dir: Path) -> None:
     gains_off = PiGains(kp=np.zeros(6), ki=np.zeros(6))
     # CLI-only defaults: the target, and a longer, tighter servo run than
     # servo_to's own 200 steps at 1e-6
-    q_des_deg = cfg.get("q_des_deg", [10, -5, 0, 20, 15, -10])
-    if not np.isfinite(q_des_deg).all():  # the third entry too, though q3_des_mm replaces it
-        raise ValueError(f"q_des_deg must be finite, got {q_des_deg}")
-    q_des = np.radians(np.asarray(q_des_deg, dtype=float))
-    q_des[PRISMATIC_INDEX] = float(cfg.get("q3_des_mm", 120.0)) / 1000.0
-    servo = {"max_steps": 400, "tol": 1e-8, **_kwargs(cfg, table, ("max_steps", "tol"))}
+    servo = {"q_des": from_deg_mm([10, -5, 120, 20, 15, -10]), "max_steps": 400, "tol": 1e-8,
+             **_kwargs(cfg, table, ("q_des_deg_mm", "max_steps", "tol"))}
 
+    # pi_off keeps the disturbance as its steady error and so never meets tol:
+    # `converged` ends as the last run's flag, pi_on's
     traces = {}
-    converged = {}
     for label, gains in (("pi_off", gains_off), ("pi_on", gains_on)):
         try:
-            tr = servo_to(plant, gains, np.zeros(6), q_des, **servo)
-            converged[label] = True
+            traces[label], converged = servo_to(plant, gains, np.zeros(6), **servo), True
         except NotConverged as e:
-            tr = e.trace
-            converged[label] = False
-        traces[label] = tr
+            traces[label], converged = e.trace, False
 
     rows = []
     for label, tr in traces.items():
         columns = (tr.q_cmd, tr.q_act, tr.q_msr, tr.q_msr_comp, tr.err)
         for k in tr.steps:
             for j in range(6):
-                rows.append([label, k, j + 1, f"{q_des[j]:.9e}",
+                rows.append([label, k, j + 1, f"{servo['q_des'][j]:.9e}",
                              *(f"{c[k, j]:.9e}" for c in columns)])
     _write_csv(out_dir / "control_trace.csv", h, "m_rad",
                ["run", "step", "j", "q_des", "q_cmd", "q_act", "q_msr",
@@ -372,15 +364,11 @@ def cmd_control_sim(cfg: dict, h: str, out_dir: Path) -> None:
         "reduction_percent": reduction.tolist(),
         "converged": converged,
     })
-    # pi_off keeps the disturbance as its steady error and so never meets tol;
-    # until pi_on converges, its final steps hold a transient
-    if converged["pi_on"]:
+    if converged:  # until then, pi_on's final steps hold a transient
         print("error reduction per joint (%):",
               ", ".join(f"{r:.2f}" for r in reduction))
     else:
-        unconverged = [label for label, ok in converged.items() if not ok]
-        print(f"no steady state: {' and '.join(unconverged)} did not converge "
-              f"in {servo['max_steps']} steps")
+        print(f"no steady state: pi_on did not converge in {servo['max_steps']} steps")
 
 
 # --- suture-run -------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .psm_kinematics import JointVector, PRISMATIC_INDEX
+from .psm_kinematics import JointVector, from_deg_mm
 
 
 class ControlError(Exception):
@@ -47,9 +47,7 @@ def _joint_array(name: str, value) -> np.ndarray:
 
 
 def default_disturbance() -> np.ndarray:
-    d = np.full(6, np.radians(1.5))
-    d[PRISMATIC_INDEX] = 0.1e-3
-    return d
+    return from_deg_mm([1.5, 1.5, 0.1, 1.5, 1.5, 1.5])
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,16 @@ class BinaryMask:
 
 # --- ray-plane construction -------------------------------------------------
 
-def _inter_ray_angle(d_st: np.ndarray, d_ed: np.ndarray) -> np.ndarray:
+def inter_ray_angle(d_st: np.ndarray, d_ed: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(np.sum(d_st * d_ed, axis=-1), -1.0, 1.0))
+
+
+def check_ray_angle(alpha) -> float:
+    """One inter-ray angle as a float; DegenerateRays when it is 1e-6 rad or
+    less, where the keypoint rays fix no triangle with the chord."""
+    if alpha <= _MIN_RAY_ANGLE:
+        raise DegenerateRays(f"inter-ray angle {alpha} <= {_MIN_RAY_ANGLE}")
+    return float(alpha)
 
 
 def _cross(a, b):
@@ -127,7 +135,7 @@ def needle_frames(vecs: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -
     th1, th2 = vecs[..., 0], vecs[..., 1]
     # stacked (2, ..., 2) so each keypoint's rays keep the bits of a call of their own
     d_st, d_ed = anchor.backproject_ray(np.stack([vecs[..., 2:4], vecs[..., 4:6]]))
-    alpha = _inter_ray_angle(d_st, d_ed)
+    alpha = inter_ray_angle(d_st, d_ed)
     valid = (alpha > _MIN_RAY_ANGLE) & (th1 > 0.0) & (th1 < np.pi - alpha)
     sa = np.where(alpha > 1e-12, np.sin(alpha), 1.0)
     L = shape.chord_length
@@ -146,9 +154,7 @@ def params_to_pose(vec: np.ndarray, shape: NeedleShape, anchor: PinholeCamera) -
     Raises DegenerateRays or ThetaOutOfRange outside the parameter domain.
     """
     f = needle_frames(vec, shape, anchor)
-    alpha = float(f.alpha[0])
-    if alpha <= _MIN_RAY_ANGLE:
-        raise DegenerateRays(f"inter-ray angle {alpha} <= {_MIN_RAY_ANGLE}")
+    alpha = check_ray_angle(f.alpha[0])
     if not f.valid[0]:
         raise ThetaOutOfRange(f"theta1={vec[0]} outside (0, pi - {alpha})")
     e1, u = f.e1[0], f.u_ax[0]
@@ -183,9 +189,7 @@ def pose_to_params(T: RigidPose, shape: NeedleShape, anchor: PinholeCamera) -> n
     # at theta2 = 0 the frame's e1 is the rays-plane reference w_ref, and its
     # u_ax the chord direction
     f = needle_frames(np.array([theta1, 0.0, *kp_st, *kp_ed]), shape, anchor)
-    alpha = float(f.alpha[0])
-    if alpha <= _MIN_RAY_ANGLE:
-        raise DegenerateRays(f"inter-ray angle {alpha} <= {_MIN_RAY_ANGLE}")
+    check_ray_angle(f.alpha[0])
     w_ref, u = f.e1[0], f.u_ax[0]
     e1 = T.rotation[:, 0]  # body x: center toward the arc midpoint
     theta2 = float(np.arctan2(e1 @ np.cross(u, w_ref), e1 @ w_ref)) % (2.0 * np.pi)

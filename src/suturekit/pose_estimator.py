@@ -268,10 +268,10 @@ def _seed(masks, hints: KeypointHints, shape: NeedleShape, rig: StereoRig) -> np
     and the center lies r cos(arc / 2) behind the chord's middle along it.
     pose_to_params converts that pose, and the keypoints are put back at
     the hints. Raises NoSeed when fewer than 3 points triangulate, the two
-    hint rays are at most needle._MIN_RAY_ANGLE apart, a hint ray meets
-    the plane behind the camera or pose_to_params fails on the pose: for a
-    far needle the pose's chord ends can re-project to one pixel or lie
-    behind the camera.
+    hint rays are at most 1e-6 rad apart (needle.check_ray_angle), a hint
+    ray meets the plane behind the camera or pose_to_params fails on the
+    pose: for a far needle the pose's chord ends can re-project to one
+    pixel or lie behind the camera.
     """
     pts = _triangulated_points(masks, rig)
     if len(pts) < 3:
@@ -280,9 +280,10 @@ def _seed(masks, hints: KeypointHints, shape: NeedleShape, rig: StereoRig) -> np
     normal = np.linalg.svd(pts - c, full_matrices=False)[2][-1]
     kps = np.stack([hints.left_start, hints.left_end])
     origin, rays = rig.left.center, rig.left.backproject_ray(kps)
-    angle = float(needle._inter_ray_angle(*rays))
-    if angle <= needle._MIN_RAY_ANGLE:
-        raise NoSeed(f"the hint rays are {angle:.3g} rad apart, at most {needle._MIN_RAY_ANGLE}")
+    try:
+        needle.check_ray_angle(needle.inter_ray_angle(*rays))
+    except needle.DegenerateRays as e:
+        raise NoSeed(f"the hint rays fix no triangle: {e}") from e
     along, across = (c - origin) @ normal, rays @ normal
     if not np.all(along * across > 0):
         raise NoSeed("a hint ray meets the arc plane behind the left camera")

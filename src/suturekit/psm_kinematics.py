@@ -32,6 +32,17 @@ JointVector = np.ndarray
 REVOLUTE = np.array([True, True, False, True, True, True])
 PRISMATIC_INDEX = 2
 
+
+def to_deg_mm(q) -> np.ndarray:
+    """(..., 6) joint values from rad/m to the deg/mm of calib_dataset.csv."""
+    return np.where(REVOLUTE, np.degrees(q), np.multiply(q, 1000.0))
+
+
+def from_deg_mm(q) -> np.ndarray:
+    """(..., 6) joint values from deg/mm to rad/m, the inverse of to_deg_mm."""
+    return np.where(REVOLUTE, np.radians(q), np.divide(q, 1000.0))
+
+
 # yaw width stays below pi so the mirrored shoulder branch is always out of
 # limits; the instrument roll spans far past 2*pi to drive long needle sweeps
 _DEFAULT_LIMITS = np.array(

@@ -690,7 +690,7 @@ class TestModelSerialization:
         assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
     @pytest.mark.parametrize("content", ["empty", "truncated archive", "old JSON model",
-                                         "plain text", "object array"])
+                                         "plain text", "npy array", "object array"])
     def test_malformed_file_rejected(self, tmp_path, capsys, content):
         path = tmp_path / "calib_model.npz"
         save_model(random_model(np.random.default_rng(19), [5, 6, 2]), path)
@@ -707,6 +707,9 @@ class TestModelSerialization:
             }))
         elif content == "plain text":
             path.write_text("not a model\n")
+        elif content == "npy array":
+            with open(path, "wb") as f:
+                np.save(f, np.zeros(3))
         else:
             with np.load(path) as z:
                 d = dict(z)
@@ -715,6 +718,8 @@ class TestModelSerialization:
         with pytest.raises(ValueError) as info:
             load_mlp(path)
         assert str(info.value).startswith(f"{path}: ")
+        if content != "object array":  # any file but an archive is not a zip file
+            assert str(info.value) == f"{path}: File is not a zip file"
         assert main(["calib", "eval", "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error [calib]: ValueError: {path}: ")

@@ -289,8 +289,12 @@ class TestExitCodes:
          "unknown suture-run keys: empty_view_penalty"),
         # one algebraic seed replaced the best seed_count grid seeds
         (["pose-bench"], {"seed_count": 0}, "unknown pose-bench keys: seed_count"),
+        # q_des_deg_mm holds the whole target, the insertion in mm included
+        (["control-sim"], {"q_des_deg": [10, -5, 0, 20, 15, -10]},
+         "unknown control-sim keys: q_des_deg"),
+        (["control-sim"], {"q3_des_mm": 120.0}, "unknown control-sim keys: q3_des_mm"),
     ], ids=["pose-bench", "calib", "control-sim", "shape", "min_view_angle_rad",
-            "mask_pixel_cap", "empty_view_penalty", "seed_count"])
+            "mask_pixel_cap", "empty_view_penalty", "seed_count", "q_des_deg", "q3_des_mm"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, command, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -420,14 +424,15 @@ class TestExitCodes:
         ({"tol": float("inf")}, "tol must be a finite number above 0, got inf"),
         ({"kp": float("nan")}, "kp must be finite"),
         ({"ki": [0.2, 0.2, float("inf"), 0.2, 0.2, 0.2]}, "ki must be finite"),
-        ({"q_des_deg": [float("nan"), 0, 0, 0, 0, 0]},
-         "ValueError: q_des_deg must be finite, got [nan, 0, 0, 0, 0, 0]"),
-        # the third entry is checked too, though q3_des_mm sets the insertion
-        ({"q_des_deg": [0, 0, float("nan"), 0, 0, 0]},
-         "ValueError: q_des_deg must be finite, got [0, 0, nan, 0, 0, 0]"),
-        ({"q3_des_mm": float("inf")}, "q_des, dq_hat and q_act0 must be finite"),
+        # a target entry that is not finite, the insertion's too, is named by
+        # its key, not as servo_to's q_des
+        *(({"q_des_deg_mm": [float("nan") if j == place else 0 for j in range(6)]},
+           "error [control-sim]: ValueError: q_des_deg_mm must be finite, got (")
+          for place in range(6)),
+        ({"q_des_deg_mm": [10, -5, float("inf"), 20, 15, -10]},
+         "ValueError: q_des_deg_mm must be finite, got (10, -5, inf, 20, 15, -10)"),
     ], ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "kp-nan", "ki-inf",
-            "q_des_deg-nan", "q_des_deg-nan-insertion", "q3_des_mm-inf"])
+            *(f"q_des_deg_mm-nan-q{j + 1}" for j in range(6)), "q_des_deg_mm-inf-q3"])
     def test_control_sim_out_of_range_is_exit_one(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -450,8 +455,8 @@ NON_DEFAULT = {
     "shape.radius_mm": 8.0, "shape.arc_angle_deg": 150.0,
     "count": 500, "delta_range_deg": 4.0, "noise_px": 0.5, "epochs": 3, "batch_size": 64,
     "learning_rate": 0.01, "hidden_sizes": [8], "test_count": 50,
-    "beta": 0.5, "kp": 0.4, "ki": [0.1] * 6, "q_des_deg": [1, 2, 3, 4, 5, 6],
-    "q3_des_mm": 100.0, "max_steps": 50, "tol": 1e-6,
+    "beta": 0.5, "kp": 0.4, "ki": [0.1] * 6,
+    "q_des_deg_mm": [1, 2, 100, 4, 5, 6], "max_steps": 50, "tol": 1e-6,
     "injected_bias_deg": 3.0, "compensate": False,
 }
 
@@ -605,16 +610,16 @@ class TestControlSim:
     def test_converged_runs_print_the_reduction(self, tmp_path, capsys):
         assert run_cli(["control-sim", "--out-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out.startswith("error reduction per joint (%): 100.00, ")
+        assert json.loads((tmp_path / "control_summary.json").read_text())["converged"] is True
 
     def test_unconverged_runs_are_named_not_reduced(self, tmp_path, capsys):
-        # 20 steps stop both runs short: their final errors are transient
+        # 20 steps stop the PI run short: its final errors are transient
         path = write_config(tmp_path / "c.json", {"max_steps": 20})
         out = tmp_path / "out"
         assert run_cli(["control-sim", "--config", path, "--out-dir", str(out)]) == 0
-        assert capsys.readouterr().out == (
-            "no steady state: pi_off and pi_on did not converge in 20 steps\n")
+        assert capsys.readouterr().out == "no steady state: pi_on did not converge in 20 steps\n"
         payload = json.loads((out / "control_summary.json").read_text())
-        assert payload["converged"] == {"pi_off": False, "pi_on": False}
+        assert payload["converged"] is False
         assert (out / "control_trace.csv").exists()
 
     def test_byte_identical_across_runs(self, tmp_path):

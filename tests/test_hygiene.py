@@ -4,8 +4,9 @@ numpy.ma, only geometry.py inverts a camera pose (PinholeCamera keeps the
 one camera-from-world transform), only lm.py solves a linear system (the
 one Levenberg-Marquardt loop), nothing imports pickle or lets np.load
 unpickle, the CLI restates no default that a library keyword already has,
-and every function, class, method, property and class field is read by the
-program or the benchmark, not only by tests."""
+no module reads another suturekit module's underscore names, and every
+function, class, method, property and class field is read by the program or
+the benchmark, not only by tests."""
 
 import ast
 import os
@@ -289,6 +290,61 @@ def test_pose_and_suture_runs_load_no_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source: str) -> list[str]:
+    """Reads of another suturekit module's underscore name (dunders exempt):
+    `from .module import _name`, and `module._name` for a module imported
+    as `from . import module`."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "suturekit"
+                                                 or node.module.startswith("suturekit.")):
+            for alias in node.names:
+                if node.module in (None, "suturekit"):
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append((node.lineno, alias.name))
+    found += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_of_another_module_is_read(path):
+    assert private_reads(path.read_text()) == []
+
+
+# pose_estimator.py's imports and _seed's ray check while the check lived in
+# needle.py's private names
+OLD_SEED_CHECK = """from . import lm, needle
+from .needle import BinaryMask, NeedleShape, needle_frames, params_to_pose, pose_to_params
+
+
+def _seed(masks, hints, shape, rig):
+    origin, rays = rig.left.center, rig.left.backproject_ray(kps)
+    angle = float(needle._inter_ray_angle(*rays))
+    if angle <= needle._MIN_RAY_ANGLE:
+        raise NoSeed(f"the hint rays are {angle:.3g} rad apart, at most {needle._MIN_RAY_ANGLE}")
+"""
+
+
+def test_scan_flags_a_private_name_read():
+    assert private_reads(OLD_SEED_CHECK) == [
+        "needle._inter_ray_angle (line 7)", "needle._MIN_RAY_ANGLE (line 8)",
+        "needle._MIN_RAY_ANGLE (line 9)",
+    ]
+    source = ("from .needle import _MIN_RAY_ANGLE, rasterize\n"
+              "from suturekit import bench as b\n"
+              "x = b._TICKS_PER_TARGET + self._cache + np._core + b.__doc__\n"
+              "from collections import _private\n")
+    assert private_reads(source) == ["_MIN_RAY_ANGLE (line 1)", "b._TICKS_PER_TARGET (line 3)"]
 
 
 def restated_defaults(source: str, keys) -> list[str]:

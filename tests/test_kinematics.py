@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from suturekit.geometry import RigidPose
 from suturekit.psm_kinematics import (
@@ -12,8 +15,10 @@ from suturekit.psm_kinematics import (
     Unreachable,
     fk,
     fk_arrays,
+    from_deg_mm,
     ik,
     ik_arrays,
+    to_deg_mm,
 )
 
 from conftest import reference_ik
@@ -270,3 +275,32 @@ class TestModelUtilities:
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
             KinematicModel(joint_limits=np.zeros((6, 2)))
+
+
+class TestDegMm:
+    """to_deg_mm and from_deg_mm give the bits of the per-column expressions
+    that the dataset CSV, calib eval and control-sim once wrote by hand."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.just(6))))
+    @np.errstate(over="ignore", under="ignore")  # both sides overflow alike
+    def test_same_bits_as_the_expressions_replaced(self, q):
+        deg_mm, rad_m = q.copy(), q.copy()
+        deg_mm[:, REVOLUTE] = np.degrees(deg_mm[:, REVOLUTE])
+        deg_mm[:, PRISMATIC_INDEX] *= 1000.0
+        rad_m[:, REVOLUTE] = np.radians(rad_m[:, REVOLUTE])
+        rad_m[:, PRISMATIC_INDEX] /= 1000.0
+        assert to_deg_mm(q).tobytes() == deg_mm.tobytes()
+        assert from_deg_mm(q).tobytes() == rad_m.tobytes()
+        # calib eval's (6, 2) table, converted column by column
+        shown = np.degrees(q[:2].T)
+        shown[PRISMATIC_INDEX] = q[:2].T[PRISMATIC_INDEX] * 1e3
+        assert to_deg_mm(q[:2]).T.tobytes() == shown.tobytes()
+
+    def test_control_defaults(self):
+        disturbance = np.full(6, np.radians(1.5))
+        disturbance[PRISMATIC_INDEX] = 0.1e-3
+        assert from_deg_mm([1.5, 1.5, 0.1, 1.5, 1.5, 1.5]).tobytes() == disturbance.tobytes()
+        target = np.radians(np.array([10, -5, 0, 20, 15, -10], dtype=float))
+        target[PRISMATIC_INDEX] = 120.0 / 1000.0
+        assert from_deg_mm([10, -5, 120, 20, 15, -10]).tobytes() == target.tobytes()

@@ -567,6 +567,18 @@ def test_run_suture_scores_match_per_tick_reference(seed, compensate):
     assert deviations_batched.tolist() == list(deviations.values())
 
 
+def test_run_suture_scores_the_offset_estimate_as_joint_distance(monkeypatch):
+    """An estimate exact on the revolute joints and 1 mm off on the
+    insertion is 0.01 rad equivalents off at prismatic_scale 10 rad/m, 0.573
+    deg, not the 1e-3 of metres read as radians."""
+    miss = np.zeros(6)
+    miss[psm_kinematics.PRISMATIC_INDEX] = 1e-3
+    monkeypatch.setattr(bench, "calibrate", lambda delta_q: delta_q + miss)
+    report = bench.run_suture(bench.SutureRunConfig(injected_bias_deg=3.0))
+    assert report.dq_hat_err_rad == pytest.approx(0.01, rel=1e-9)
+    assert f"{np.degrees(report.dq_hat_err_rad):.3f}" == "0.573"
+
+
 def test_execute_runs_every_reference_tick_when_the_hold_does_not_converge(monkeypatch):
     """With a hold of two ticks the run does not converge: NotConverged,
     raised once, is the only signal, so the report says not converged, yet

@@ -356,8 +356,9 @@ class TestEstimate:
     def test_coincident_hints_raise(self, rig, shape, gap_px):
         _, masks, _, hints = make_scene(rig, shape, seed=0)
         start = hints.left_start
-        with pytest.raises(NoSeed, match="hint rays are"):
+        with pytest.raises(NoSeed, match="the hint rays fix no triangle: inter-ray angle") as exc:
             estimate(masks, KeypointHints(start, start + [gap_px, 0.0]), shape, rig)
+        assert type(exc.value.__cause__) is DegenerateRays
 
     def test_an_edge_on_chord_reaches_the_estimator(self, rig, shape):
         """A chord along the left camera's line of sight projects both
