@@ -151,6 +151,11 @@ def calibrate_direct(
 
 # --- dataset ----------------------------------------------------------------
 
+# Rows per block in generate_dataset, write_dataset_csv and
+# evaluate_calibration: their temporaries grow with the block, not the data
+_BLOCK_ROWS = 256
+
+
 @dataclass(frozen=True)
 class QmsrRegion:
     """Axis-aligned box of measured configurations used for sampling."""
@@ -188,7 +193,8 @@ def generate_dataset(
     Per-sample rng streams derive from (rng_seed, index), so generation is
     order-independent and reproducible. Each stream draws six unused values,
     the offset and the pixel noise, in that order; forward kinematics and the
-    feature projection then run once over the whole batch.
+    feature projection then run once per block of _BLOCK_ROWS rows, with the
+    bits of one run over the whole batch.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -196,41 +202,47 @@ def generate_dataset(
         if not (0.0 <= value < math.inf):
             raise ValueError(f"{name} must be a finite number >= 0, got {value}")
     data = np.empty((count, 12 + 2 * len(fm)))
-    noise = np.empty((count, len(fm), 2))
-    for i, row in enumerate(data):
-        rng = np.random.default_rng([rng_seed, i])
-        # q_msr stays at the nominal configuration so that all pixel variation
-        # comes from the offset: with q_msr varying, the configuration's pixel
-        # motion swamps the tiny out-of-image-plane signature of the three
-        # z-axis joints (base yaw, shaft roll, jaw yaw), and the regressor
-        # cannot separate them per joint
-        row[:6] = DEFAULT_QMSR_REGION.center
-        rng.uniform(-1.0, 1.0, 6)  # the unused q_msr draw keeps each stream's bits
-        dq = rng.uniform(-delta_range, delta_range, 6)
-        dq[PRISMATIC_INDEX] /= model.prismatic_scale
-        row[-6:] = dq
+    # q_msr stays at the nominal configuration so that all pixel variation
+    # comes from the offset: with q_msr varying, the configuration's pixel
+    # motion swamps the tiny out-of-image-plane signature of the three
+    # z-axis joints (base yaw, shaft roll, jaw yaw), and the regressor
+    # cannot separate them per joint
+    data[:, :6] = DEFAULT_QMSR_REGION.center
+    for start in range(0, count, _BLOCK_ROWS):
+        block = data[start : start + _BLOCK_ROWS]
+        for i, row in enumerate(block, start):
+            rng = np.random.default_rng([rng_seed, i])
+            rng.uniform(-1.0, 1.0, 6)  # the unused q_msr draw keeps each stream's bits
+            dq = rng.uniform(-delta_range, delta_range, 6)
+            dq[PRISMATIC_INDEX] /= model.prismatic_scale
+            row[-6:] = dq
+            if noise_px > 0:  # the pixel cells hold the noise until px is added
+                row[6:-6] = rng.normal(0.0, noise_px, 2 * len(fm))
+        px = _feature_pixels(camera, *fk_arrays(model, block[:, :6] + block[:, -6:]), fm)
+        px = px.reshape(len(block), -1)
         if noise_px > 0:
-            noise[i] = rng.normal(0.0, noise_px, (len(fm), 2))
-    px = _feature_pixels(camera, *fk_arrays(model, data[:, :6] + data[:, -6:]), fm)
-    if noise_px > 0:
-        px = px + noise
-    data[:, 6:-6] = px.reshape(count, -1)
+            block[:, 6:-6] += px
+        else:
+            block[:, 6:-6] = px
     return data
 
 
 def write_dataset_csv(data: np.ndarray, path, header_comment: str) -> None:
-    """Degrees/mm at the file boundary; pixels stay in pixels."""
+    """Degrees/mm at the file boundary; pixels stay in pixels. Rows are
+    converted and written _BLOCK_ROWS at a time."""
     n_feat = (data.shape[1] - 12) // 2
     cols = (
         [f"qm{i+1}" for i in range(6)]
         + [f"px{i+1}{ax}" for i in range(n_feat) for ax in ("x", "y")]
         + [f"dq{i+1}" for i in range(6)]
     )
-    out = np.hstack([to_deg_mm(data[:, :6]), data[:, 6:-6], to_deg_mm(data[:, -6:])])
     with open(path, "w", newline="") as f:
         f.write(header_comment + "\n")
         f.write(",".join(cols) + "\r\n")
-        np.savetxt(f, out, fmt="%.12g", delimiter=",", newline="\r\n")
+        for start in range(0, len(data), _BLOCK_ROWS):
+            block = data[start : start + _BLOCK_ROWS]
+            out = np.hstack([to_deg_mm(block[:, :6]), block[:, 6:-6], to_deg_mm(block[:, -6:])])
+            np.savetxt(f, out, fmt="%.12g", delimiter=",", newline="\r\n")
 
 
 def read_dataset_csv(path) -> np.ndarray:
@@ -286,7 +298,9 @@ class Scaler:
         return Scaler(data.mean(axis=0), np.maximum(std, 1e-9))
 
     def scale(self, v: np.ndarray) -> np.ndarray:
-        return (v - self.mean) / self.std
+        out = v - self.mean
+        out /= self.std
+        return out
 
     def unscale(self, v: np.ndarray) -> np.ndarray:
         return v * self.std + self.mean
@@ -434,7 +448,11 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
     The loop (scaled data, weights, Adam moments) runs in float32, 2.0 to
     2.3 times faster than float64 for the default network on the 10k-row
     dataset (10 and 30 epochs, one BLAS thread); the returned model holds
-    the trained weights in float64.
+    the trained weights in float64. Training holds only what the loop
+    reads: `data` is dropped once its float32 copies exist, so it is freed
+    when the caller keeps no name for it (Python 3.11 and later); a step's
+    gradients and Adam scratch go before the next step or the validation
+    pass, and the Adam moments before the float64 model is built.
 
     After each epoch's last step, first moments below _FLUSH_BELOW = 2^-96
     are set to zero: float32 subnormal arithmetic is many times slower on
@@ -467,15 +485,15 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
     out_scaler = Scaler.fit(Y[train_idx])
     Xs = in_scaler.scale(X).astype(np.float32)
     Ys = out_scaler.scale(Y).astype(np.float32)
+    del data, X, Y
 
-    sizes = [X.shape[1], *config.hidden_sizes, Y.shape[1]]
+    sizes = [Xs.shape[1], *config.hidden_sizes, Ys.shape[1]]
     model = mlp_init(sizes, in_scaler, out_scaler, rng)
     model.weights = [W.astype(np.float32) for W in model.weights]
     model.biases = [b.astype(np.float32) for b in model.biases]
     params = model.weights + model.biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
-    scratch = [np.empty_like(p) for p in params]
     t = 0
     decay = _LR_FINAL_FRACTION ** (1.0 / config.epochs)
     lr = config.learning_rate
@@ -501,7 +519,8 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
                     #   p -= lr (m / c1) / (sqrt(v / c2) + eps)
                     # so it rounds exactly as those expressions do; g, used once,
                     # doubles as the second scratch buffer
-                    for p, g, m_, v_, s in zip(params, dW + db, m, v, scratch):
+                    for p, g, m_, v_ in zip(params, dW + db, m, v):
+                        s = np.empty_like(p)
                         m_ *= _BETA1
                         np.multiply(g, 1 - _BETA1, out=s)
                         m_ += s
@@ -516,6 +535,7 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
                         g *= lr
                         g /= s
                         p -= g
+                    del dW, db  # not held through the next backprop
                 # dead ReLU units get zero gradients, so their m decays toward float32
                 # subnormals, slow on x86: 200 default epochs took 46 s unflushed, 31 s
                 # with a flush at float32 tiny
@@ -528,14 +548,20 @@ def mlp_train(data: np.ndarray, config: TrainConfig = TrainConfig()) -> TrainRes
                 val_curve.append(float(np.mean(np.square(err, out=err))))
     except FloatingPointError as e:
         raise NonFiniteLoss(f"training diverged at epoch {epoch}: {e}") from e
+    del m, v
     model = MlpModel(model.weights, model.biases, in_scaler, out_scaler)
     return TrainResult(model, train_curve, val_curve)
 
 
 def evaluate_calibration(model: MlpModel, data: np.ndarray) -> np.ndarray:
     """Per-joint (mean, std) of absolute offset error on a `generate_dataset`
-    array, shape (6, 2), in internal units (rad / m)."""
-    err = np.abs(model.forward(data[:, :-6]) - data[:, -6:])
+    array, shape (6, 2), in internal units (rad / m). The model predicts
+    _BLOCK_ROWS rows at a time, so the activations it holds do not grow
+    with the data."""
+    err = np.empty((len(data), 6))
+    for start in range(0, len(data), _BLOCK_ROWS):
+        block = data[start : start + _BLOCK_ROWS]
+        err[start : start + _BLOCK_ROWS] = np.abs(model.forward(block[:, :-6]) - block[:, -6:])
     return np.column_stack([err.mean(axis=0), err.std(axis=0)])
 
 

@@ -285,10 +285,11 @@ def cmd_calib_gen(cfg: dict, h: str, out_dir: Path) -> None:
 
 
 def cmd_calib_train(cfg: dict, h: str, out_dir: Path) -> None:
-    data = read_dataset_csv(_calib_input(out_dir, "calib_dataset.csv", "dataset", "calib gen"))
+    path = _calib_input(out_dir, "calib_dataset.csv", "dataset", "calib gen")
     keys = ("seed", "hidden_sizes", "epochs", "batch_size", "learning_rate")
     tc = TrainConfig(**_kwargs(cfg, TABLES["calib"], keys))
-    result = mlp_train(data, tc)
+    # no name for the dataset here, so mlp_train can free it once scaled
+    result = mlp_train(read_dataset_csv(path), tc)
     save_model(result.model, out_dir / "calib_model.npz")
     _write_csv(
         out_dir / "calib_loss_curve.csv",

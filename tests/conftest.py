@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,17 @@ def shape():
 @pytest.fixture(scope="session")
 def mono_camera():
     return bench.default_mono_camera()
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak of the memory that tracemalloc saw
+    allocated during the call, in bytes, the result included."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_rotation(rng):

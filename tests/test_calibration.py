@@ -1,10 +1,13 @@
 import dataclasses
+import io
 import json
-import tracemalloc
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from suturekit import calibration
 from suturekit.calibration import (
     DEFAULT_QMSR_REGION,
     CalibrationError,
@@ -28,6 +31,7 @@ from suturekit.calibration import (
 from suturekit.calibration import (
     _BETA1,
     _BETA2,
+    _BLOCK_ROWS,
     _EPS,
     _FLUSH_BELOW,
     _LR_FINAL_FRACTION,
@@ -38,9 +42,11 @@ from suturekit.calibration import (
 )
 from suturekit.cli import main
 from suturekit.geometry import RigidPose
-from suturekit.psm_kinematics import KinematicModel, PRISMATIC_INDEX, REVOLUTE, fk, fk_arrays
+from suturekit.psm_kinematics import (
+    KinematicModel, PRISMATIC_INDEX, REVOLUTE, fk, fk_arrays, to_deg_mm,
+)
 
-from conftest import pinhole_oracle
+from conftest import pinhole_oracle, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +192,24 @@ def reference_dataset(model, camera, fm, count, delta_range, noise_px, rng_seed)
     return data
 
 
+def whole_batch_dataset(model, camera, fm, count, delta_range, noise_px, rng_seed):
+    """The same draws as `reference_dataset`, then one fk_arrays and one
+    _feature_pixels over all `count` rows and the noise added in one sum."""
+    data = np.empty((count, 12 + 2 * len(fm)))
+    noise = np.zeros((count, len(fm), 2))
+    for i, row in enumerate(data):
+        rng = np.random.default_rng([rng_seed, i])
+        rng.uniform(-1.0, 1.0, 6)
+        dq = rng.uniform(-delta_range, delta_range, 6)
+        dq[PRISMATIC_INDEX] /= model.prismatic_scale
+        row[:6], row[-6:] = DEFAULT_QMSR_REGION.center, dq
+        if noise_px > 0:
+            noise[i] = rng.normal(0.0, noise_px, (len(fm), 2))
+    px = _feature_pixels(camera, *fk_arrays(model, data[:, :6] + data[:, -6:]), fm)
+    data[:, 6:-6] = (px + noise if noise_px > 0 else px).reshape(count, -1)
+    return data
+
+
 class TestDataset:
     def test_count_and_label_range(self, parts):
         model, camera, fm = parts
@@ -224,6 +248,23 @@ class TestDataset:
         expected = reference_dataset(model, camera, fm, count, delta, noise_px, rng_seed)
         assert np.array_equal(data, expected)
 
+    @pytest.mark.parametrize("noise_px", [0.0, 0.5])
+    def test_blocks_match_one_whole_batch(self, parts, noise_px):
+        model, camera, fm = parts
+        count = 2 * _BLOCK_ROWS + 3
+        data = generate_dataset(model, camera, fm, count=count, noise_px=noise_px, rng_seed=2)
+        expected = whole_batch_dataset(model, camera, fm, count, np.radians(5.0), noise_px, 2)
+        assert np.array_equal(data, expected)
+
+    def test_temporaries_do_not_grow_with_count(self, parts):
+        # all that grows with count is the returned array; the rest is one
+        # block's fk, projection and rng temporaries, 0.15 MB at 16384 rows
+        def overhead(count):
+            data, peak = traced_peak(generate_dataset, *parts, count=count)
+            return peak - data.nbytes
+        overhead(_BLOCK_ROWS)
+        assert overhead(16384) - overhead(2048) <= 64 * 1024
+
     def test_feature_behind_camera_raises(self, parts):
         model, camera, fm = parts
         # the same camera turned half a turn about its y axis looks away from the jaw
@@ -243,6 +284,17 @@ class TestDataset:
         assert np.allclose(back[:, :6], data[:, :6], atol=1e-12)
         assert np.allclose(back[:, 6:-6], data[:, 6:-6], atol=1e-9)
         assert np.allclose(back[:, -6:], data[:, -6:], atol=1e-12)
+
+    def test_blocked_csv_matches_one_savetxt(self, tmp_path):
+        rng = np.random.default_rng(21)
+        data = rng.normal(scale=[1.0] * 6 + [300.0] * 8 + [0.05] * 6,
+                          size=(2 * _BLOCK_ROWS + 5, 20))
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(data, path, "# blocks")
+        whole = io.BytesIO()
+        out = np.hstack([to_deg_mm(data[:, :6]), data[:, 6:-6], to_deg_mm(data[:, -6:])])
+        np.savetxt(whole, out, fmt="%.12g", delimiter=",", newline="\r\n")
+        assert path.read_bytes().split(b"\r\n", 1)[1] == whole.getvalue()
 
     def test_csv_golden_bytes(self, tmp_path):
         # one feature point: qm1..qm6, px1x, px1y, dq1..dq6; joint 3 is prismatic
@@ -370,12 +422,7 @@ class TestMlpForward:
                      identity_scaler(2), rng)
         X = rng.normal(size=(n, 3))
         m.forward(X)
-        tracemalloc.start()
-        try:
-            m.forward(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(m.forward, X)
         assert peak <= 8 * n * (2 * width + 2 * (3 + 2))
 
     def test_inconsistent_shapes_rejected(self):
@@ -569,6 +616,31 @@ class TestTraining:
         with pytest.raises(NonFiniteLoss, match=r"training diverged at epoch \d+: overflow"):
             mlp_train(data, cfg)
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="a call keeps the caller's reference to its arguments")
+    @pytest.mark.parametrize("caller_keeps_it", [False, True])
+    def test_float64_input_freed_while_training(self, parts, monkeypatch, caller_keeps_it):
+        refs, alive = [], []
+
+        def dataset():
+            data = generate_dataset(*parts, count=400, rng_seed=11)
+            refs.append(weakref.ref(data))
+            return data
+
+        def backprop(*args):
+            alive.append(refs[0]() is not None)
+            return mlp_backprop(*args)
+
+        monkeypatch.setattr(calibration, "mlp_backprop", backprop)
+        cfg = TrainConfig(hidden_sizes=(8,), epochs=2, batch_size=64)
+        if caller_keeps_it:
+            data = dataset()
+            mlp_train(data, cfg)
+        else:
+            mlp_train(dataset(), cfg)
+        assert len(alive) == 2 * 5
+        assert alive == [caller_keeps_it] * len(alive)
+
     def test_dataset_smaller_than_batch_rejected(self, small_dataset):
         with pytest.raises(ValueError):
             mlp_train(small_dataset[:10], TrainConfig(batch_size=64))
@@ -616,6 +688,27 @@ class TestEvaluate:
         table = evaluate_calibration(m, data)
         # mean |u| of uniform(-1, 1) is 0.5
         assert np.allclose(table[:, 0], 0.5, atol=0.05)
+
+    def test_blocks_match_one_whole_batch(self):
+        # blocked float64 products may move the last bits of a prediction
+        rng = np.random.default_rng(22)
+        m = random_model(rng, [14, 64, 32, 6])
+        data = rng.normal(size=(2 * _BLOCK_ROWS + 7, 20))
+        err = np.abs(m.forward(data[:, :-6]) - data[:, -6:])
+        expected = np.column_stack([err.mean(axis=0), err.std(axis=0)])
+        assert np.allclose(evaluate_calibration(m, data), expected, rtol=0, atol=1e-12)
+
+    def test_holds_one_block_of_activations(self):
+        # one block's two layers of a matrix product and its scaled input
+        # and output, then the (n, 6) error table and std's temporary of its
+        # size: 1.3 MB on 2000 rows; all 2000 rows at once peak near 8.3 MB
+        n, width = 2000, 256
+        rng = np.random.default_rng(23)
+        m = random_model(rng, [14, width, width, width, 6])
+        data = rng.normal(size=(n, 20))
+        evaluate_calibration(m, data)
+        _, peak = traced_peak(evaluate_calibration, m, data)
+        assert peak <= 8 * (_BLOCK_ROWS * (2 * width + 2 * (14 + 6)) + 2 * n * 6)
 
 
 def random_model(rng, sizes):
